@@ -3,9 +3,11 @@
 Cache keys are load-bearing (ROADMAP "Architecture invariants"): a
 :func:`~repro.exec.jobs.spec_key` computed today must equal the key of
 the same logical job computed by any past or future checkout, or every
-on-disk :class:`~repro.exec.cache.ResultCache` and durable
-:class:`~repro.exec.store.RunStore` silently invalidates — and, worse, a
-*colliding* change can serve stale results as cache hits.
+durable :class:`~repro.exec.store.RunStore` silently invalidates — and,
+worse, a *colliding* change can serve stale results as cache hits.
+Keys say what a job is, not what it computes: a change to results for
+an unchanged key bumps ``RESULT_SEMANTICS_VERSION`` instead, which the
+fixture's golden result digests enforce.
 
 The contract is pinned twice from one golden fixture,
 ``tests/fixtures/spec_keys.json``:
@@ -17,7 +19,7 @@ The contract is pinned twice from one golden fixture,
   ``jobspec_fields`` snapshot — so the PR diff that edits the dataclass
   fails lint *until the same PR regenerates the fixture* (``python
   tests/test_spec_keys.py --update``) and the author has consciously
-  reviewed key compatibility / bumped the cache version.
+  reviewed key compatibility / bumped the result semantics version.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ FIXTURE_REL_PATH = "tests/fixtures/spec_keys.json"
 UPDATE_HINT = (
     "regenerate with 'PYTHONPATH=src python tests/test_spec_keys.py "
     "--update', review whether existing cache keys survive, and bump "
-    "the cache version if result semantics changed"
+    "RESULT_SEMANTICS_VERSION if results changed"
 )
 
 

@@ -7,9 +7,11 @@ This package turns that unit into a declarative :class:`JobSpec` and runs
 batches of them through a shared :class:`ExecutionEngine` that
 
 * deduplicates identical specs inside a batch,
-* caches results by a content hash of the spec (in memory, in an on-disk
-  JSON :class:`ResultCache`, or in a durable append-only
-  :class:`RunStore` that survives interruptions and concurrent writers),
+* caches results by a content hash of the spec — in an in-memory
+  :class:`ResultCache`, or in a durable append-only :class:`RunStore`
+  (the one on-disk result format) that survives interruptions and
+  concurrent writers and serves only results of the current
+  ``RESULT_SEMANTICS_VERSION``,
 * executes the unique misses on a pluggable :class:`Backend` —
   :class:`SerialBackend` (deterministic in-process reference),
   :class:`ProcessPoolBackend` (chunked, work-stealing process-pool

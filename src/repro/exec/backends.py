@@ -320,6 +320,12 @@ class ProcessPoolBackend:
         mid-batch keeps every chunk that completed.  Completion order is
         nondeterministic, but the engine places results by key, so batch
         *outputs* are bit-identical to serial regardless.
+
+        A pool that cannot start (an ``OSError`` from a sandbox without
+        semaphores or fork) is reported as
+        :class:`concurrent.futures.BrokenExecutor`, the one failure the
+        engine answers with its serial fallback; an ``OSError`` a job
+        raises propagates as itself.
         """
         jobs = list(jobs)
         trace = current_trace()
@@ -335,17 +341,26 @@ class ProcessPoolBackend:
         # None when tracing is off) so each activates its own sidecar
         # recorder instead of a fork-inherited handle to the parent file.
         trace_path = trace.path if trace.enabled else None
+        workers = min(self.workers, len(chunks))
         with trace.span(
             "backend.submit", backend=self.name, jobs=len(jobs),
-            chunks=len(chunks), workers=min(self.workers, len(chunks)),
+            chunks=len(chunks), workers=workers,
         ):
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks))
-            ) as pool:
+            pool = None
+            try:
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers)
                 futures = [
                     pool.submit(_execute_chunk, chunk, trace_path)
                     for chunk in chunks
                 ]
+            except OSError as exc:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+                raise concurrent.futures.BrokenExecutor(
+                    f"process pool could not start: {exc}"
+                ) from exc
+            with pool:
                 for future in concurrent.futures.as_completed(futures):
                     yield from future.result()
 

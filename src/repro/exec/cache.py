@@ -1,88 +1,31 @@
-"""Result caching for the execution engine.
+"""The engine's in-memory result cache.
 
-:class:`ResultCache` is a content-addressed store of :class:`~repro.exec.jobs.JobResult`
-records keyed by :func:`~repro.exec.jobs.spec_key`.  It always keeps an
-in-memory map; when constructed with a path it additionally persists every
-stored result to a JSON file, so repeated invocations of an experiment
-script skip all compilation and simulation work.
+:class:`ResultCache` maps :func:`~repro.exec.jobs.spec_key` content
+hashes to :class:`~repro.exec.jobs.JobResult` records for the life of
+one engine, so repeated sweeps inside a process skip all compilation and
+simulation work.  It persists nothing: the one on-disk result format is
+:class:`~repro.exec.store.RunStore` (``ExecutionEngine(store=...)``).
 
 The engine's outputs are deterministic functions of the spec (compilation
-is seeded and the noise model is analytic), so serving a cached result is
-behaviour-preserving; only the recorded wall-clock compile timings reflect
-the run that first produced the entry.
+is seeded, the noise model is analytic and every shot's randomness
+derives from ``(seed, global shot index)``), so serving a cached result
+is behaviour-preserving; only the recorded wall-clock compile timings
+reflect the run that first produced the entry.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import tempfile
-import threading
 from typing import Iterator
 
-from repro.exec.jobs import JobResult, result_from_json, result_to_json
-
-try:  # POSIX only; Windows falls back to merge-without-lock
-    import fcntl
-except ImportError:  # pragma: no cover - platform dependent
-    fcntl = None  # type: ignore[assignment]
-
-
-@contextlib.contextmanager
-def _interprocess_lock(lock_path: str):
-    """Advisory exclusive lock held for the duration of a flush.
-
-    Best effort: where ``flock`` is unavailable (non-POSIX) or the lock
-    file cannot be created, the flush proceeds unlocked — the merge
-    still protects against interleaved (non-simultaneous) writers.
-    """
-    if fcntl is None:
-        yield
-        return
-    try:
-        handle = open(lock_path, "a")
-    except OSError:
-        yield
-        return
-    try:
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        except OSError:
-            pass
-        yield
-    finally:
-        handle.close()  # releases the lock
-
-#: Format marker so future layout changes can migrate or invalidate files.
-#: Version 2: the cooling-boundary semantics fix (quanta_after_moves /
-#: pause charging) changed results for cooling-enabled specs without
-#: changing their keys, so caches written under version 1 are discarded
-#: rather than served stale.
-#: Version 3: the vectorized sampler's skip-sampling draw discipline
-#: changed baseline (independent-site) shot results without changing
-#: their keys, so version-2 sampled results are likewise discarded.
-_CACHE_VERSION = 3
+from repro.exec.jobs import JobResult
 
 
 class ResultCache:
-    """In-memory (and optionally on-disk) store of job results."""
+    """In-memory store of job results, keyed by content hash."""
 
-    def __init__(self, path: str | os.PathLike[str] | None = None) -> None:
+    def __init__(self) -> None:
         self._memory: dict[str, JobResult] = {}
-        self._lock = threading.Lock()
-        self._path = os.fspath(path) if path is not None else None
-        self._dirty = False
-        # Stat signature of the disk file as this cache last saw it;
-        # lets flush skip the merge re-read while no other writer has
-        # touched the file (the common single-writer case).
-        self._disk_sig: tuple[int, int, int] | None = None
-        if self._path is not None and os.path.exists(self._path):
-            self._load()
 
-    # ------------------------------------------------------------------
-    # Mapping-style access
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._memory)
 
@@ -97,145 +40,12 @@ class ResultCache:
         return self._memory.get(key)
 
     def store(self, result: JobResult) -> None:
-        """Insert *result* under its own key (cache-hit flag cleared)."""
-        with self._lock:
-            self._memory[result.key] = result
-            self._dirty = True
-
-    def store_many(self, results: Iterator[JobResult] | list[JobResult]) -> None:
-        for result in results:
-            self.store(result)
+        """Insert *result* under its own key."""
+        self._memory[result.key] = result
 
     def clear(self) -> None:
-        """Drop every entry, in memory *and* on disk.
-
-        Flush merges with the disk file, so merely emptying memory could
-        never empty a disk cache — the old entries would be merged right
-        back.  A clear is an invalidation, so the backing file is
-        removed here (under the same inter-process lock flush takes).
-        """
-        with self._lock:
-            self._memory.clear()
-            self._dirty = True
-            if self._path is not None:
-                with _interprocess_lock(self._path + ".lock"):
-                    try:
-                        os.unlink(self._path)
-                    except OSError:
-                        pass
-                self._disk_sig = None
-
-    # ------------------------------------------------------------------
-    # Disk persistence
-    # ------------------------------------------------------------------
-    @property
-    def path(self) -> str | None:
-        """The backing JSON file, or ``None`` for a memory-only cache."""
-        return self._path
-
-    def _stat_sig(self) -> tuple[int, int, int] | None:
-        """(mtime_ns, size, inode) of the disk file, or ``None``."""
-        assert self._path is not None
-        try:
-            stat = os.stat(self._path)
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-
-    def _read_disk(self) -> dict[str, dict]:
-        """Raw on-disk entries by key (empty for missing/corrupt files)."""
-        assert self._path is not None
-        try:
-            with open(self._path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return {}  # a corrupt or unreadable cache is simply ignored
-        if payload.get("version") != _CACHE_VERSION:
-            return {}
-        entries: dict[str, dict] = {}
-        for entry in payload.get("results", []):
-            key = entry.get("key") if isinstance(entry, dict) else None
-            if key is not None:
-                entries[key] = entry
-        return entries
-
-    def _load(self) -> None:
-        self._disk_sig = self._stat_sig()
-        for entry in self._read_disk().values():
-            try:
-                result = result_from_json(entry)
-            except (KeyError, TypeError):
-                continue
-            self._memory[result.key] = result
-        self._dirty = False
+        """Drop every entry."""
+        self._memory.clear()
 
     def flush(self) -> None:
-        """Merge the current contents into the disk file (memory-only: no-op).
-
-        The write *merges* rather than overwrites: entries already on
-        disk that this cache never loaded — e.g. landed there by another
-        process flushing the same path since we last read it — are
-        preserved, with this cache's in-memory results winning on key
-        conflicts (equal keys imply equal results, so nothing is lost
-        either way).  Two engines sharing one ``cache_path`` used to
-        race last-writer-wins and silently drop each other's entries;
-        the merge makes interleaved flushes additive, and an advisory
-        inter-process file lock (``<path>.lock``, where the platform
-        supports ``flock``) serialises *simultaneous* flushers so the
-        read-merge-replace itself cannot race (:meth:`clear` deletes the
-        backing file, so an explicit invalidation still wins over the
-        merge).  Heavily concurrent writers should prefer
-        :class:`~repro.exec.store.RunStore`, whose per-process segments
-        need no locking at all.
-        """
-        if self._path is None:
-            return
-        with self._lock:
-            if not self._dirty:
-                return
-            directory = os.path.dirname(os.path.abspath(self._path))
-            os.makedirs(directory, exist_ok=True)
-            with _interprocess_lock(self._path + ".lock"):
-                # Single-writer fast path: if the file is byte-for-byte
-                # what this cache last read or wrote (stat signature
-                # unchanged), its entries are a subset of memory and the
-                # merge re-read — O(cache size) JSON parsing per batch —
-                # is skipped.  Any foreign write changes the signature
-                # and forces the full merge.
-                sig = self._stat_sig()
-                if sig is not None and sig != self._disk_sig:
-                    merged = self._read_disk()
-                else:
-                    merged = {}
-                for key, result in self._memory.items():
-                    merged[key] = result_to_json(result)
-                payload = {
-                    "version": _CACHE_VERSION,
-                    "results": list(merged.values()),
-                }
-                # Atomic replace so a crashed writer never corrupts the
-                # cache.  The temp file (and its descriptor) must be
-                # reclaimed on *any* failure — json.dump can also raise
-                # e.g. TypeError on an unserialisable payload, which the
-                # old OSError-only cleanup leaked.
-                fd, temp_path = tempfile.mkstemp(dir=directory,
-                                                 suffix=".tmp")
-                replaced = False
-                try:
-                    try:
-                        handle = os.fdopen(fd, "w", encoding="utf-8")
-                    except Exception:
-                        os.close(fd)
-                        raise
-                    with handle:
-                        json.dump(payload, handle)
-                    os.replace(temp_path, self._path)
-                    replaced = True
-                    self._disk_sig = self._stat_sig()
-                finally:
-                    if not replaced:
-                        try:
-                            os.unlink(temp_path)
-                        except OSError:
-                            pass
-            self._dirty = False
+        """No-op: an in-memory cache has nothing to persist."""

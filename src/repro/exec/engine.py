@@ -5,8 +5,8 @@ objects and returns one :class:`~repro.exec.jobs.JobResult` per spec, in
 input order.  Work proceeds in three steps:
 
 1. **cache lookup** — specs whose content hash is already in the
-   :class:`~repro.exec.cache.ResultCache` (or the durable
-   :class:`~repro.exec.store.RunStore`) are served immediately;
+   engine's in-memory :class:`~repro.exec.cache.ResultCache`, or in its
+   durable :class:`~repro.exec.store.RunStore`, are served immediately;
 2. **deduplication** — remaining specs with equal hashes collapse to one
    execution;
 3. **execution** — unique specs are handed to a pluggable
@@ -38,7 +38,6 @@ import os
 import time
 from typing import Callable, Iterable, Sequence
 
-from repro.exceptions import ReproError
 from repro.exec.backends import (
     BACKEND_ENV_VAR,
     Backend,
@@ -200,20 +199,13 @@ class ExecutionEngine:
         (the default) selects the serial backend — fully deterministic;
         ``0`` means "one per CPU"; ``None`` defers to the
         ``TILT_REPRO_WORKERS`` environment variable.
-    cache:
-        The :class:`ResultCache` to consult and populate.  Pass an
-        explicit instance to share results across engines, or ``None``
-        for a private in-memory cache.
-    cache_path:
-        Convenience: build an on-disk cache at this path (ignored when
-        *cache* is given).
     store:
-        A :class:`~repro.exec.store.RunStore` (or a directory path for
-        one) used *instead of* a :class:`ResultCache`: results persist
-        per job in append-only segments, so an interrupted run keeps
-        everything it finished and a later engine on the same store
-        resumes from it.  Mutually exclusive with *cache* /
-        *cache_path*.
+        The one persistence knob: a :class:`~repro.exec.store.RunStore`
+        (or a directory path for one).  Results persist per job in
+        append-only segments, so an interrupted run keeps everything it
+        finished and a later engine on the same store resumes from it.
+        ``None`` (the default) keeps results in a private in-memory
+        :class:`ResultCache` for the engine's lifetime.
     backend:
         Execution backend: a name (``"serial"``, ``"process"``,
         ``"async"``), a :class:`~repro.exec.backends.Backend` instance,
@@ -239,8 +231,6 @@ class ExecutionEngine:
     """
 
     def __init__(self, *, workers: int | None = 1,
-                 cache: ResultCache | None = None,
-                 cache_path: str | os.PathLike[str] | None = None,
                  store: RunStore | str | os.PathLike[str] | None = None,
                  backend: str | Backend | None = None,
                  progress: ProgressCallback | None = None,
@@ -255,16 +245,11 @@ class ExecutionEngine:
         self.monitor = auto_attach(self.trace)
         self.history = resolve_ledger(history)
         self._history_provenance: dict[str, object] | None = None
-        if store is not None:
-            if cache is not None or cache_path is not None:
-                raise ReproError(
-                    "pass either store= or cache=/cache_path=, not both"
-                )
-            self.cache: ResultCache | RunStore = (
-                store if isinstance(store, RunStore) else RunStore(store)
-            )
+        if store is None:
+            self.cache: ResultCache | RunStore = ResultCache()
         else:
-            self.cache = cache if cache is not None else ResultCache(cache_path)
+            self.cache = (store if isinstance(store, RunStore)
+                          else RunStore(store))
         self.backend = backend
         self.progress = progress
         self.stats = EngineStats()
@@ -460,11 +445,14 @@ class ExecutionEngine:
 
         A generator end to end: serial and process backends stream, so
         the caller persists every result the moment it exists (the
-        durable-store guarantee).  If a pooled backend dies mid-batch
-        (sandboxes forbidding subprocesses, OOM-killed workers), the
-        jobs *not yet yielded* re-run on the serial path — execute_spec
-        is pure, so the retry is safe, and already-yielded results are
-        not re-executed or double-counted.
+        durable-store guarantee).  If a pooled backend breaks
+        (:class:`concurrent.futures.BrokenExecutor`: a pool that cannot
+        start in a sandbox without semaphores or fork, an OOM-killed
+        worker), the jobs *not yet yielded* re-run on the serial path —
+        execute_spec is pure, so the retry is safe, and already-yielded
+        results are not re-executed or double-counted.  An error raised
+        *by a job* (an ``OSError`` included) propagates unchanged: the
+        job ran once and failed, and running it again would not help.
         """
         if not unique:
             return
@@ -476,7 +464,7 @@ class ExecutionEngine:
                 for key, result in resolved.submit(unique):
                     done.add(key)
                     yield key, result
-            except (OSError, concurrent.futures.BrokenExecutor):
+            except concurrent.futures.BrokenExecutor:
                 for key, spec in unique:
                     if key not in done:
                         yield key, execute_spec(spec, key)

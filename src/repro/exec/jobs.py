@@ -202,10 +202,25 @@ def spec_key(spec: JobSpec) -> str:
 
 
 # ----------------------------------------------------------------------
-# JSON (de)serialisation of results, for the on-disk cache
+# JSON (de)serialisation of results, for the durable RunStore
 # ----------------------------------------------------------------------
+#: What a persisted result *means*.  Keys hash what a job is, not what
+#: the code computes for it, so a change that alters results for an
+#: unchanged key must bump this: every persisted result carries it, and a
+#: record stamped with any other value is recomputed rather than served.
+#: The golden digests in ``tests/fixtures/spec_keys.json`` fail tier-1
+#: when results move without a bump.  History:
+#:
+#: 2. cooling-boundary fix (``quanta_after_moves`` / pause charging);
+#: 3. the vectorized sampler's skip-sampling draw discipline;
+#: 4. one version for every persisted result.  Every store written
+#:    before it is stamped 1, including those holding version-3
+#:    semantics, so all of them are recomputed.
+RESULT_SEMANTICS_VERSION = 4
+
+
 def result_to_json(result: JobResult) -> dict[str, Any]:
-    """Serialise a result to the plain-JSON form stored in the disk cache."""
+    """Serialise a result to the plain-JSON form a RunStore persists."""
     return {
         "key": result.key,
         "backend": result.backend,
@@ -219,7 +234,7 @@ def result_to_json(result: JobResult) -> dict[str, Any]:
 
 
 def result_from_json(payload: dict[str, Any]) -> JobResult:
-    """Rebuild a :class:`JobResult` from its disk-cache JSON form."""
+    """Rebuild a :class:`JobResult` from its persisted JSON form."""
     stats = payload.get("stats")
     simulation = payload.get("simulation")
     shot = payload.get("shot")

@@ -1,7 +1,6 @@
 """Durable, resumable run persistence: JSONL segments + a run manifest.
 
-:class:`RunStore` replaces the flush-the-whole-JSON persistence of
-:class:`~repro.exec.cache.ResultCache` for long runs.  A store is a
+:class:`RunStore` is the one on-disk result format.  A store is a
 directory::
 
     <root>/
@@ -17,13 +16,18 @@ hashes, so two writers landing the same key have, by construction, equal
 results and the merge is order-independent); a torn trailing line from a
 killed writer is skipped, which is what makes an interrupted run safe to
 resume: everything that finished is on disk, everything else simply is
-not.
+not.  The line discipline is shared with the trace and the run ledger
+(:mod:`repro.obs.jsonl`).
+
+Each line is ``{"version": V, "record": <result>}`` with ``V`` the
+:data:`~repro.exec.jobs.RESULT_SEMANTICS_VERSION` it was computed under;
+:meth:`RunStore.reload` skips every other version, so a result of older
+semantics is recomputed instead of served.
 
 :class:`RunStore` exposes the same ``get`` / ``store`` / ``flush``
-surface the engine uses on :class:`ResultCache`, so
-``ExecutionEngine(store=...)`` is a drop-in persistence swap — with the
-difference that ``store`` is durable *per job* (append + flush) rather
-than per batch.
+surface the engine uses on the in-memory
+:class:`~repro.exec.cache.ResultCache`, so ``ExecutionEngine(store=...)``
+is the engine's one persistence knob; ``store`` is durable *per job*.
 
 :class:`RunManifest` records what a run *intended* (every spec key, in
 submission order) next to what the store *has* (completed keys), plus
@@ -48,11 +52,14 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.exceptions import ReproError
-from repro.exec.jobs import JobResult, result_from_json, result_to_json
+from repro.exec.jobs import (
+    RESULT_SEMANTICS_VERSION,
+    JobResult,
+    result_from_json,
+    result_to_json,
+)
+from repro.obs.jsonl import append_record, list_segments, read_records
 from repro.obs.trace import current_trace
-
-#: Layout marker for segment records and manifests.
-_STORE_VERSION = 1
 
 #: File names inside a store root.
 MANIFEST_NAME = "manifest.json"
@@ -121,23 +128,13 @@ class RunStore:
             if result.key in self._memory:
                 return
             self._memory[result.key] = result
-            with open(self._segment_path, "a", encoding="utf-8") as handle:
-                json.dump(
-                    {"version": _STORE_VERSION,
-                     "record": result_to_json(result)},
-                    handle, separators=(",", ":"),
-                )
-                handle.write("\n")
-
-    def store_many(self, results) -> None:
-        for result in results:
-            self.store(result)
+            append_record(self._segment_path, {
+                "version": RESULT_SEMANTICS_VERSION,
+                "record": result_to_json(result),
+            })
 
     def flush(self) -> None:
         """No-op: every record is flushed and closed when stored."""
-
-    def close(self) -> None:
-        """No-op (kept for interface symmetry): no handle is held open."""
 
     # ------------------------------------------------------------------
     # Lock-free merge on load
@@ -148,40 +145,28 @@ class RunStore:
         Lock-free with respect to other writers: segments are private to
         their writer, appends are line-delimited, and a torn trailing
         line (a writer killed mid-append) fails to parse and is skipped.
-        Keys this store already holds are kept (the on-disk record for
-        an equal key is an equal result).
+        This is where persisted results are checked against
+        :data:`~repro.exec.jobs.RESULT_SEMANTICS_VERSION`: a line of any
+        other version is skipped, so its job runs again.  Keys this
+        store already holds are kept (the on-disk record for an equal
+        key is an equal result).
         """
         start = time.perf_counter()
-        segments = 0
         with self._lock:
-            for name in sorted(os.listdir(self._segment_dir)):
-                if not name.endswith(".jsonl"):
-                    continue
-                path = os.path.join(self._segment_dir, name)
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        lines = handle.readlines()
-                except OSError:
-                    continue
-                segments += 1
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
+            segments = list_segments(self._segment_dir, suffix=".jsonl")
+            for path in segments:
+                for entry in read_records(path, "version",
+                                          RESULT_SEMANTICS_VERSION):
                     try:
-                        entry = json.loads(line)
-                        if entry.get("version") != _STORE_VERSION:
-                            continue
                         result = result_from_json(entry["record"])
-                    except (json.JSONDecodeError, KeyError, TypeError,
-                            ValueError):
-                        continue  # torn or foreign line: skip, don't fail
+                    except (KeyError, TypeError, ValueError):
+                        continue  # parses, but is not a result: skip it
                     self._memory.setdefault(result.key, result)
             count = len(self._memory)
         trace = current_trace()
         if trace.enabled:
             trace.event(
-                "store.reload", root=self._root, segments=segments,
+                "store.reload", root=self._root, segments=len(segments),
                 entries=count, dur_s=time.perf_counter() - start,
             )
         return count
@@ -241,8 +226,9 @@ class RunManifest:
     engine_stats:
         :meth:`EngineStats.to_dict` snapshot (or a delta) of the run.
     provenance:
-        Git commit / dirty flag, python + platform versions and the
-        run's root seed / shot budget — see :func:`collect_provenance`.
+        Git commit / dirty flag, python + platform versions, the run's
+        root seed / shot budget and the result semantics version — see
+        :func:`collect_provenance`.
     status:
         ``"planned"`` → ``"running"`` → ``"complete"``; an interrupted
         run leaves ``"running"``, which is exactly the state resume
@@ -277,9 +263,7 @@ class RunManifest:
         )
 
     def to_json(self) -> dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["version"] = _STORE_VERSION
-        return payload
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "RunManifest":
@@ -332,12 +316,14 @@ def _git(*args: str) -> str | None:
 def collect_provenance(*, seed: int | None = None,
                        shots: int | None = None,
                        trace: str | None = None) -> dict[str, Any]:
-    """Reproducibility context for a manifest.
+    """Reproducibility context for a manifest or a history record.
 
     Git fields are ``None`` outside a repository (or without a ``git``
     binary) rather than an error, so stores work anywhere.  *trace* is
     the path of the run's trace file when tracing was on (``None``
     otherwise), so a manifest points at its own telemetry.
+    ``result_semantics_version`` names the result semantics the run's
+    results were computed under.
     """
     commit = _git("rev-parse", "HEAD")
     dirty = None
@@ -355,4 +341,5 @@ def collect_provenance(*, seed: int | None = None,
         "seed": seed,
         "shots": shots,
         "trace": trace,
+        "result_semantics_version": RESULT_SEMANTICS_VERSION,
     }

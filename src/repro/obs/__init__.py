@@ -23,6 +23,10 @@ Five planes, all opt-in and all forbidden from ever touching results:
   (``TILT_REPRO_PROFILE=1`` or ``tracemalloc``): CPU time, peak RSS and
   top allocation sites attached to each ``job.execute`` span.
 
+Traces, the ledger and the engine's durable
+:class:`~repro.exec.store.RunStore` all persist through one set of
+append-only JSONL helpers, :mod:`repro.obs.jsonl`.
+
 ``python -m repro.obs.report <trace.jsonl>`` renders the offline
 analysis: span tree, per-backend queue/execute breakdown, cache/dedup
 ratios, straggler and critical-path analysis, the per-job resource

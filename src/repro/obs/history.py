@@ -11,16 +11,17 @@ regressions against the run's own history (complementing the
 single-baseline benchmark gate with real-trace trajectories).
 
 **Concurrency model** — the :class:`~repro.exec.store.RunStore`
-contract.  Writers never share a file: each ledger instance appends to
-a private segment (``<ledger>.<host>-<pid>-<nonce>.seg``) next to the
-main file, one ``write()`` per record, flushed and closed immediately —
-torn-line tolerant, lock-free across processes.  Readers
-(:func:`load_ledger`) merge the main file plus every segment, dedupe by
-record id and sort by timestamp; :meth:`RunLedger.compact` (or the CLI
-``--compact`` flag) folds finished segments into the main file with the
-same unlink-before-append claim discipline the trace merger uses.  Two
-processes appending concurrently therefore produce a merged,
-duplicate-free record set — pinned by ``tests/test_obs_history.py``.
+contract, on the shared helpers of :mod:`repro.obs.jsonl`.  Writers
+never share a file: each ledger instance appends to a private segment
+(``<ledger>.<host>-<pid>-<nonce>.seg``) next to the main file, one line
+per record, flushed and closed immediately — torn-line tolerant,
+lock-free across processes.  Readers (:func:`load_ledger`) merge the
+main file plus every segment, dedupe by record id and sort by timestamp;
+:meth:`RunLedger.compact` (or the CLI ``--compact`` flag) folds finished
+segments into the main file with the same unlink-before-append claim the
+trace merger uses.  Two processes appending concurrently therefore
+produce a merged, duplicate-free record set — pinned by
+``tests/test_obs_history.py``.
 
 **Layering.**  ``repro.obs`` is an import leaf: this module knows
 nothing about engines or stores.  Callers compose the record —
@@ -34,7 +35,6 @@ or the :data:`HISTORY_ENV_VAR` environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import socket
 import statistics
@@ -42,6 +42,14 @@ import threading
 import time
 import uuid
 from typing import Any, Iterable
+
+from repro.obs.jsonl import (
+    SEGMENT_SUFFIX,
+    append_record,
+    claim_records,
+    read_records,
+    sidecar_paths,
+)
 
 __all__ = [
     "HISTORY_ENV_VAR",
@@ -58,9 +66,6 @@ HISTORY_ENV_VAR = "TILT_REPRO_HISTORY"
 
 #: Layout marker for ledger records.
 HISTORY_VERSION = 1
-
-#: Suffix of per-writer segments next to the main ledger file.
-SEGMENT_SUFFIX = ".seg"
 
 #: Metric-path substrings the trend table shows by default.  The
 #: ``normalised.`` paths are the machine-normalised hot-path ratios the
@@ -138,10 +143,8 @@ class RunLedger:
         stamped.setdefault("ts", time.time())
         stamped.setdefault("pid", os.getpid())
         stamped.setdefault("host", socket.gethostname().split(".")[0])
-        line = json.dumps(stamped, separators=(",", ":"), sort_keys=True)
         with self._lock:
-            with open(self._segment, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_record(self._segment, stamped)
         return stamped["id"]
 
     def compact(self) -> int:
@@ -154,26 +157,20 @@ class RunLedger:
         Run it when no writer is mid-append (end of a CI job); plain
         readers never need it (:func:`load_ledger` merges in memory).
         """
-        existing = {
-            record.get("id") for record in _read_records(self._path)
-        }
+        existing = {record.get("id") for record
+                    in read_records(self._path, "v", HISTORY_VERSION)}
         moved = 0
         with self._lock:
-            for segment in _segment_paths(self._path):
-                records = _read_records(segment)
-                try:
-                    os.unlink(segment)
-                except OSError:
-                    continue  # could not claim: leave it for next time
-                with open(self._path, "a", encoding="utf-8") as handle:
-                    for record in records:
-                        if record.get("id") in existing:
-                            continue
-                        existing.add(record.get("id"))
-                        handle.write(json.dumps(
-                            record, separators=(",", ":"), sort_keys=True,
-                        ) + "\n")
-                        moved += 1
+            for segment in sidecar_paths(self._path):
+                # a segment that cannot be claimed (None) waits for the
+                # next compact
+                for record in claim_records(segment, "v",
+                                            HISTORY_VERSION) or []:
+                    if record.get("id") in existing:
+                        continue
+                    existing.add(record.get("id"))
+                    append_record(self._path, record)
+                    moved += 1
         return moved
 
     def records(self) -> list[dict[str, Any]]:
@@ -184,43 +181,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Reading ledgers back
 # ----------------------------------------------------------------------
-def _segment_paths(path: str) -> list[str]:
-    directory = os.path.dirname(path) or "."
-    prefix = os.path.basename(path) + "."
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    return sorted(
-        os.path.join(directory, name) for name in names
-        if name.startswith(prefix) and name.endswith(SEGMENT_SUFFIX)
-    )
-
-
-def _read_records(source: str) -> list[dict[str, Any]]:
-    """Valid records of one file; torn/blank/foreign lines skipped."""
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    records: list[dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn trailing line from a killed writer
-        if not isinstance(record, dict):
-            continue
-        if record.get("v") != HISTORY_VERSION:
-            continue
-        records.append(record)
-    return records
-
-
 def load_ledger(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     """All records at *path*: main file + segments, deduped, time-ordered.
 
@@ -231,8 +191,8 @@ def load_ledger(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     path = os.path.abspath(os.fspath(path))
     seen: set[str] = set()
     records: list[dict[str, Any]] = []
-    for source in (path, *_segment_paths(path)):
-        for record in _read_records(source):
+    for source in (path, *sidecar_paths(path)):
+        for record in read_records(source, "v", HISTORY_VERSION):
             record_id = str(record.get("id"))
             if record_id in seen:
                 continue

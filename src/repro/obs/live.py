@@ -34,13 +34,13 @@ with monitoring on or off, pinned by ``tests/test_obs.py``.
 from __future__ import annotations
 
 import collections
-import json
 import os
 import sys
 import threading
 import time
 from typing import Any, TextIO
 
+from repro.obs.jsonl import append_record
 from repro.obs.trace import NullRecorder, TraceRecorder
 
 __all__ = [
@@ -256,10 +256,8 @@ class ProgressMonitor:
     def _emit(self, record: dict[str, Any]) -> None:
         if self._heartbeat_path is None:
             return
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
         try:
-            with open(self._heartbeat_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_record(self._heartbeat_path, record)
         except OSError:
             # a full disk or vanished directory must not fail the run;
             # the heartbeat channel simply goes quiet

@@ -6,9 +6,9 @@ hierarchical regions — ``engine.batch`` → ``engine.cache_lookup`` /
 ``engine.dispatch`` → ``job.execute`` → ``engine.flush``) and emits
 **events** (point-in-time records such as ``job.done``); every record is
 one JSON object appended to a ``.jsonl`` file and flushed immediately,
-the same torn-line-tolerant discipline as
-:class:`~repro.exec.store.RunStore` — a killed process loses at most its
-half-written last line.
+through the torn-line-tolerant helpers of :mod:`repro.obs.jsonl` that
+:class:`~repro.exec.store.RunStore` also uses — a killed process loses
+at most its half-written last line.
 
 **Process safety.**  The parent process owns the trace file.  Pool
 workers must never append to it concurrently; instead each worker writes
@@ -37,12 +37,19 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 import threading
 import time
 import uuid
 from typing import Any, Iterator
+
+from repro.obs.jsonl import (
+    SEGMENT_SUFFIX,
+    append_record,
+    claim_records,
+    read_records,
+    sidecar_paths,
+)
 
 __all__ = [
     "NULL_TRACE",
@@ -61,9 +68,6 @@ TRACE_ENV_VAR = "TILT_REPRO_TRACE"
 
 #: Layout marker for trace records.
 TRACE_VERSION = 1
-
-#: Suffix of worker sidecar segments next to the main trace file.
-SEGMENT_SUFFIX = ".seg"
 
 
 class Span:
@@ -222,10 +226,8 @@ class TraceRecorder:
         return stack
 
     def _write(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_record(self._path, record)
         # Notify subscribers (live monitors) after the file append and
         # outside the lock.  The listener tuple is copy-on-write, so
         # iterating a stale snapshot is safe; listeners receive the
@@ -290,56 +292,22 @@ class TraceRecorder:
     def merge_segments(self) -> int:
         """Fold finished worker sidecar segments into the main file.
 
-        Returns the number of records merged.  Sidecars are read with
-        the usual torn-line tolerance, appended to the trace and then
-        unlinked; a sidecar that cannot be removed (still open on an
-        exotic platform) is left for the next merge — records are only
-        appended *after* a segment is fully read, and merging keys no
-        state, so a double merge of a leftover file is the only risk and
-        is prevented by unlink-before-append ordering below.
+        Returns the number of records merged.  Each sidecar is claimed
+        (read, then unlinked) before its records are appended, so a
+        sidecar that cannot be removed is left for the next merge and
+        none is ever merged twice.
         """
         merged = 0
-        for segment in _segment_paths(self._path):
-            try:
-                with open(segment, "r", encoding="utf-8") as handle:
-                    lines = handle.readlines()
-            except OSError:
-                continue
-            try:
-                os.unlink(segment)
-            except OSError:
-                continue  # could not claim the segment: leave it untouched
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a killed worker
-                if record.get("v") != TRACE_VERSION:
-                    continue
+        for segment in sidecar_paths(self._path):
+            records = claim_records(segment, "v", TRACE_VERSION) or []
+            for record in records:
                 self._write(record)
-                merged += 1
+            merged += len(records)
         return merged
 
     def close(self) -> None:
         """Merge any outstanding worker segments (idempotent)."""
         self.merge_segments()
-
-
-def _segment_paths(path: str) -> list[str]:
-    """Worker sidecar files currently next to *path*, sorted."""
-    directory = os.path.dirname(path) or "."
-    prefix = os.path.basename(path) + "."
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    return sorted(
-        os.path.join(directory, name) for name in names
-        if name.startswith(prefix) and name.endswith(SEGMENT_SUFFIX)
-    )
 
 
 class _WorkerRecorder(TraceRecorder):
@@ -454,24 +422,5 @@ def load_records(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     owner's merge.
     """
     path = os.path.abspath(os.fspath(path))
-    records: list[dict[str, Any]] = []
-    for source in (path, *_segment_paths(path)):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("v") != TRACE_VERSION:
-                continue
-            records.append(record)
-    return records
+    return [record for source in (path, *sidecar_paths(path))
+            for record in read_records(source, "v", TRACE_VERSION)]

@@ -1,5 +1,6 @@
 """Tests for the repro.exec batch execution engine."""
 
+import concurrent.futures
 import dataclasses
 
 import pytest
@@ -14,7 +15,6 @@ from repro.exceptions import ReproError
 from repro.exec import (
     ExecutionEngine,
     JobSpec,
-    ResultCache,
     run_jobs,
     spec_key,
 )
@@ -127,11 +127,10 @@ class TestExecutionEngine:
         assert [r.simulation for r in pooled] == [r.simulation for r in serial]
 
     def test_disk_cache_survives_engines(self, tmp_path):
-        path = tmp_path / "cache.json"
+        root = tmp_path / "run"
         spec = _tilt_spec(7)
-        first = ExecutionEngine(workers=1, cache_path=path).run_one(spec)
-        assert path.exists()
-        warm_engine = ExecutionEngine(workers=1, cache_path=path)
+        first = ExecutionEngine(workers=1, store=root).run_one(spec)
+        warm_engine = ExecutionEngine(workers=1, store=root)
         second = warm_engine.run_one(spec)
         assert warm_engine.stats.cache_hits == 1
         assert warm_engine.stats.jobs_executed == 0
@@ -139,69 +138,37 @@ class TestExecutionEngine:
         assert second.simulation == first.simulation
         assert second.stats == first.stats
 
-    def test_clear_invalidates_disk_despite_merge_on_flush(self, tmp_path):
-        path = tmp_path / "cache.json"
-        engine = ExecutionEngine(workers=1, cache_path=path)
-        engine.run_one(_tilt_spec(7))
-        assert path.exists()
-        engine.cache.clear()
-        assert not path.exists()  # an invalidation wins over the merge
-        engine.cache.flush()
-        fresh = ExecutionEngine(workers=1, cache_path=path)
-        fresh.run_one(_tilt_spec(7))
-        assert fresh.stats.cache_hits == 0  # nothing was resurrected
+    def test_oserror_inside_a_job_runs_once_and_propagates(
+            self, monkeypatch):
+        # regression: the engine re-ran every unfinished job serially on
+        # any OSError, so a job raising one ran twice and the error
+        # surfaced chained to its own first occurrence
+        calls = []
 
-    def test_concurrent_flush_merges_instead_of_clobbering(self, tmp_path):
-        # regression: two processes flushing the same cache_path raced
-        # last-writer-wins — whichever flushed second clobbered the other
-        # side's entries.  Two engines whose caches never saw each other
-        # model the two processes; after both flush, the file must hold
-        # both results.
-        path = tmp_path / "cache.json"
-        engine_a = ExecutionEngine(workers=1, cache_path=path)
-        engine_b = ExecutionEngine(workers=1, cache_path=path)  # loads empty
-        engine_a.run_one(_tilt_spec(7))  # flushes {7}
-        engine_b.run_one(_tilt_spec(6))  # flushes; used to drop {7}
-        fresh = ExecutionEngine(workers=1, cache_path=path)
-        fresh.run([_tilt_spec(7), _tilt_spec(6)])
-        assert fresh.stats.cache_hits == 2
-        assert fresh.stats.jobs_executed == 0
+        def failing_compile(compiler, circuit):
+            calls.append(circuit.name)
+            raise OSError("disk full while compiling")
 
-    def test_corrupt_disk_cache_is_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        engine = ExecutionEngine(workers=1, cache_path=path)
-        assert engine.run_one(_tilt_spec(7)).simulation is not None
+        monkeypatch.setattr(LinQCompiler, "compile", failing_compile)
+        with pytest.raises(OSError, match="disk full") as excinfo:
+            ExecutionEngine(workers=1).run_one(_tilt_spec(7))
+        assert len(calls) == 1
+        assert excinfo.value.__context__ is None
 
-    def test_flush_failure_leaves_no_temp_file(self, tmp_path):
-        # regression: a non-OSError from json.dump (e.g. TypeError on an
-        # unserialisable payload) used to leak the mkstemp temp file
-        from repro.exec import ResultCache
-        from repro.exec.jobs import JobResult
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
+        def no_semaphores(*args, **kwargs):
+            raise OSError(38, "Function not implemented")
 
-        path = tmp_path / "cache.json"
-        cache = ResultCache(path)
-        good = ExecutionEngine(workers=1).run_one(_tilt_spec(7))
-        poisoned = dataclasses.replace(
-            good,
-            simulation=dataclasses.replace(
-                good.simulation, extras={"bad": object()}
-            ),
-        )
-        cache.store(poisoned)
-        with pytest.raises(TypeError):
-            cache.flush()
-        assert not path.exists()
-        # only the advisory flush lock file may remain (it persists by
-        # design: unlinking a lock file another process may hold races)
-        leftovers = [p.name for p in tmp_path.iterdir()]
-        assert leftovers in ([], ["cache.json.lock"])
-        # the cache object stays usable: replacing the poisoned entry
-        # with a serialisable one lets the next flush succeed
-        cache.store(good)
-        cache.flush()
-        assert path.exists()
-        assert not list(tmp_path.glob("*.tmp"))
+        specs = [_tilt_spec(length) for length in (7, 6, 5)]
+        serial = ExecutionEngine(workers=1).run(specs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_semaphores)
+        engine = ExecutionEngine(workers=2, backend="process")
+        pooled = engine.run(specs)
+        assert engine.stats.jobs_executed == 3
+        assert [r.simulation for r in pooled] == [
+            r.simulation for r in serial
+        ]
 
     def test_progress_callback_sees_every_job(self):
         seen = []

@@ -517,10 +517,10 @@ class TestEngineIntegration:
         assert adjusted.simulation.extras["sites_leakage"] > 0
 
     def test_scenario_shot_results_round_trip_disk_cache(self, tmp_path):
-        path = tmp_path / "cache.json"
+        root = tmp_path / "run"
         spec = _spec(scenario="worst_case", shots=300, seed=5)
-        first = ExecutionEngine(workers=1, cache_path=path).run_one(spec)
-        second = ExecutionEngine(workers=1, cache_path=path).run_one(spec)
+        first = ExecutionEngine(workers=1, store=root).run_one(spec)
+        second = ExecutionEngine(workers=1, store=root).run_one(spec)
         assert second.cache_hit
         assert second.shot == first.shot
         assert second.shot.mechanism_counts == first.shot.mechanism_counts

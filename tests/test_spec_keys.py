@@ -1,40 +1,60 @@
-"""Golden spec-key fixture: cache keys are byte-stable across PRs.
+"""Golden spec-key and result fixture: keys and results are pinned.
 
-``tests/fixtures/spec_keys.json`` commits two snapshots:
+``tests/fixtures/spec_keys.json`` commits three snapshots:
 
 * ``keys`` — :func:`repro.exec.jobs.spec_key` for a representative spec
   of every execution style (analytic, compile-only, sampled, sharded,
   scenario, QCCD, ideal).  These tests recompute them and assert
   byte-identity, so any change that moves cache keys — a JobSpec field,
   a default, the canonical payload, the hash — fails loudly instead of
-  silently orphaning every on-disk ResultCache/RunStore.
+  silently orphaning every on-disk RunStore.
 * ``jobspec_fields`` — the JobSpec dataclass fields as extracted from
   the **AST** by lint rule RPR003
   (:func:`repro.devtools.rules.spec_keys.extract_dataclass_fields`).
   The lint rule compares the source tree against this snapshot on every
   run, so the fixture and the dataclass can only change together.
+* ``result_digests`` — SHA-256 digests of what the same specs compute
+  (their :func:`~repro.exec.jobs.result_to_json`), plus the small-scale
+  Table III and Figure 8 rows, recorded under
+  ``result_semantics_version``.  Wall-clock fields are left out and
+  floats are rounded to 10 significant digits, so the digests agree
+  across machines and interpreters.  A digest that moves while the
+  recorded version equals
+  :data:`~repro.exec.jobs.RESULT_SEMANTICS_VERSION` fails: results
+  changed for unchanged keys, and stores would serve stale ones.
 
 Intentional changes regenerate the fixture::
 
     PYTHONPATH=src python tests/test_spec_keys.py --update
 
-and the diff review is where cache-version bumps get decided.
+and the diff review is where result-semantics bumps get decided.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.analysis import experiments
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
 from repro.compiler.pipeline import CompilerConfig
 from repro.devtools.rules.spec_keys import extract_dataclass_fields
-from repro.exec.jobs import JobSpec, spec_key
+from repro.exec import ExecutionEngine
+from repro.exec.jobs import (
+    RESULT_SEMANTICS_VERSION,
+    JobSpec,
+    result_to_json,
+    spec_key,
+)
 from repro.noise.parameters import NoiseParameters
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
@@ -42,6 +62,11 @@ from repro.workloads.qft import qft_workload
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "spec_keys.json"
 JOBS_SOURCE = (Path(__file__).parent.parent / "src" / "repro" / "exec"
                / "jobs.py")
+
+#: Wall-clock measurements: they differ run to run, so no digest covers them.
+WALL_CLOCK_FIELDS = frozenset({
+    "wall_time_s", "time_decompose_s", "time_swap_s", "time_schedule_s",
+})
 
 
 def representative_specs() -> dict[str, JobSpec]:
@@ -89,17 +114,57 @@ def representative_specs() -> dict[str, JobSpec]:
     }
 
 
+def _canonical(value):
+    """*value* without wall-clock fields, floats at 10 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()
+                if key not in WALL_CLOCK_FIELDS}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def digest(payload) -> str:
+    """SHA-256 of the canonical JSON form of *payload*."""
+    text = json.dumps(_canonical(payload), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def current_result_digests() -> dict:
+    """Digests of every representative result and small-scale table."""
+    engine = ExecutionEngine(workers=1)
+    specs = representative_specs()
+    results = engine.run(list(specs.values()))
+    rows = {
+        "table3_small": experiments.table3("small", engine=engine),
+        "figure8_small": experiments.figure8("small", engine=engine),
+    }
+    return {
+        "specs": {name: digest(result_to_json(result))
+                  for name, result in zip(specs, results)},
+        "tables": {name: digest([dataclasses.asdict(row) for row in table])
+                   for name, table in rows.items()},
+    }
+
+
 def current_snapshot() -> dict:
     """The fixture payload the current tree would record."""
     tree = ast.parse(JOBS_SOURCE.read_text(encoding="utf-8"))
     return {
         "version": 1,
-        "comment": "golden cache-key fixture; regenerate with "
+        "comment": "golden cache-key and result fixture; regenerate with "
                    "'PYTHONPATH=src python tests/test_spec_keys.py "
-                   "--update' and review key compatibility in the diff",
+                   "--update' and review key compatibility and result "
+                   "changes in the diff",
         "jobspec_fields": extract_dataclass_fields(tree, "JobSpec"),
         "keys": {name: spec_key(spec)
                  for name, spec in sorted(representative_specs().items())},
+        "result_semantics_version": RESULT_SEMANTICS_VERSION,
+        "result_digests": current_result_digests(),
     }
 
 
@@ -116,7 +181,7 @@ class TestGoldenSpecKeys:
             "spec keys drifted from tests/fixtures/spec_keys.json — "
             "every on-disk cache/store keyed by the old values is now "
             "orphaned; if intentional, regenerate the fixture and "
-            "consider a cache-version bump"
+            "consider a RESULT_SEMANTICS_VERSION bump"
         )
 
     def test_every_style_has_a_distinct_key(self):
@@ -143,6 +208,45 @@ class TestGoldenSpecKeys:
         ))
         # seed participates only when shots do
         assert spec_key(dataclasses.replace(base, seed=99)) == spec_key(base)
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("section", ["specs", "tables"])
+    def test_result_digests_are_stable(self, section):
+        fixture = load_fixture()
+        recorded = fixture["result_digests"][section]
+        computed = current_result_digests()[section]
+        if computed == recorded:
+            return
+        moved = sorted(name for name in recorded.keys() | computed.keys()
+                       if computed.get(name) != recorded.get(name))
+        if fixture["result_semantics_version"] == RESULT_SEMANTICS_VERSION:
+            pytest.fail(
+                f"results changed for unchanged keys ({', '.join(moved)}): "
+                "bump RESULT_SEMANTICS_VERSION in src/repro/exec/jobs.py "
+                "so no RunStore serves the old ones, then regenerate "
+                "tests/fixtures/spec_keys.json with --update"
+            )
+        pytest.fail(
+            f"RESULT_SEMANTICS_VERSION is now {RESULT_SEMANTICS_VERSION} "
+            f"but the fixture records {fixture['result_semantics_version']}"
+            ": regenerate tests/fixtures/spec_keys.json with --update"
+        )
+
+    def test_fixture_records_the_current_semantics_version(self):
+        assert (load_fixture()["result_semantics_version"]
+                == RESULT_SEMANTICS_VERSION), (
+            "regenerate tests/fixtures/spec_keys.json with --update after "
+            "bumping RESULT_SEMANTICS_VERSION"
+        )
+
+    def test_digests_ignore_wall_clock_and_float_noise(self):
+        base = {"wall_time_s": 1.0, "stats": {"time_swap_s": 2.0},
+                "success_rate": 0.123456789012}
+        noisy = {"wall_time_s": 9.0, "stats": {"time_swap_s": 7.0},
+                 "success_rate": 0.123456789013}
+        assert digest(base) == digest(noisy)
+        assert digest(base) != digest({**base, "success_rate": 0.1235})
 
 
 def main(argv: list[str]) -> int:

@@ -621,10 +621,10 @@ class TestEngineIntegration:
         assert [s.shots for s in shards] == [1, 1]
 
     def test_disk_cache_round_trips_shot_results(self, tmp_path):
-        path = tmp_path / "cache.json"
+        root = tmp_path / "run"
         spec = _sampled_spec()
-        first = ExecutionEngine(workers=1, cache_path=path).run_one(spec)
-        warm = ExecutionEngine(workers=1, cache_path=path)
+        first = ExecutionEngine(workers=1, store=root).run_one(spec)
+        warm = ExecutionEngine(workers=1, store=root)
         second = warm.run_one(spec)
         assert second.cache_hit
         assert second.shot == first.shot

@@ -1,6 +1,8 @@
 """Tests for the durable RunStore / RunManifest and search resume."""
 
+import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -17,7 +19,9 @@ from repro.exec import (
     read_manifest,
     spec_key,
 )
+from repro.exec import backends
 from repro.exec.engine import reset_default_engine
+from repro.exec.jobs import RESULT_SEMANTICS_VERSION, result_to_json
 from repro.noise.parameters import NoiseParameters
 from repro.search import GridStrategy, SearchSpace, config_knob, run_search
 from repro.workloads.bv import bv_workload
@@ -39,6 +43,13 @@ def _spec(length: int = 7, label: str = "") -> JobSpec:
         noise=NoiseParameters.paper_defaults(),
         label=label,
     )
+
+
+def _outcome(result):
+    """A result minus its wall-clock fields: what must be reproducible."""
+    stats = dataclasses.replace(result.stats, time_decompose_s=0,
+                                time_swap_s=0, time_schedule_s=0)
+    return result.key, stats, result.simulation
 
 
 def _space(lengths) -> SearchSpace:
@@ -106,10 +117,30 @@ class TestRunStore:
         assert warm.stats.jobs_executed == 0
         assert all(result.cache_hit for result in results)
 
-    def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ReproError):
-            ExecutionEngine(store=tmp_path / "run",
-                            cache_path=tmp_path / "cache.json")
+    def test_result_of_older_semantics_is_recomputed(self, tmp_path):
+        """A segment line in the format every store written before
+        RESULT_SEMANTICS_VERSION 4 holds is never served: its job runs
+        again, whatever the stale record claims."""
+        root = tmp_path / "run"
+        spec = JobSpec(
+            circuit=qft_workload(8),
+            device=TiltDevice(num_qubits=8, head_size=4),
+            shots=2000, seed=7,
+        )
+        fresh = ExecutionEngine(workers=1).run_one(spec)
+        stale = result_to_json(fresh)
+        stale["shot"]["successes"] = fresh.shot.successes + 4
+        segments = root / "segments"
+        segments.mkdir(parents=True)
+        (segments / "old-writer.jsonl").write_text(
+            json.dumps({"version": 1, "record": stale}) + "\n",
+            encoding="utf-8",
+        )
+        engine = ExecutionEngine(workers=1, store=root)
+        result = engine.run_one(spec)
+        assert engine.stats.jobs_executed == 1
+        assert not result.cache_hit
+        assert result.shot.successes == fresh.shot.successes
 
     def test_interrupted_run_keeps_finished_jobs(self, tmp_path):
         """Serial execution streams: jobs finished before a crash are
@@ -148,6 +179,36 @@ class TestRunStore:
             dying.run(specs)
         assert len(RunStore(root)) >= 1  # streamed before the kill
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched job")
+    def test_killed_pool_worker_falls_back_and_resumes(self, tmp_path,
+                                                      monkeypatch):
+        """A pool worker that dies on its first job breaks the pool: the
+        batch finishes through the serial fallback, every result lands
+        in the store, and a fresh engine serves all of them."""
+        root = tmp_path / "run"
+        specs = [_spec(length) for length in (7, 6, 5, 4)]
+        serial = [_outcome(r) for r in ExecutionEngine(workers=1).run(specs)]
+        parent = os.getpid()
+        execute = backends.execute_spec
+
+        def dies_in_a_worker(spec, key=None):
+            if os.getpid() != parent:
+                os._exit(1)
+            return execute(spec, key)
+
+        monkeypatch.setattr(backends, "execute_spec", dies_in_a_worker)
+        pooled = ExecutionEngine(workers=2, backend="process",
+                                 store=root).run(specs)
+        monkeypatch.undo()
+        assert [_outcome(r) for r in pooled] == serial
+
+        warm = ExecutionEngine(workers=1, store=root)
+        resumed = warm.run(specs)
+        assert warm.stats.cache_hits == 4
+        assert warm.stats.jobs_executed == 0
+        assert [_outcome(r) for r in resumed] == serial
+
 
 class TestRunManifest:
     def test_round_trip(self, tmp_path):
@@ -176,6 +237,8 @@ class TestRunManifest:
         assert provenance["shots"] == 64
         assert "python" in provenance and "platform" in provenance
         assert "git_commit" in provenance  # may be None outside a repo
+        assert (provenance["result_semantics_version"]
+                == RESULT_SEMANTICS_VERSION)
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ReproError):
