@@ -16,16 +16,25 @@ from repro.search import GridStrategy, SuccessiveHalvingStrategy, run_search
 #: Full-fidelity budget of the sampled strategy comparison.
 BENCH_SHOTS = 2_000
 
+#: Timed rounds of the gated grid benchmark.
+GRID_ROUNDS = 5
+
 
 def test_grid_search_analytic(benchmark, scale):
-    """Cold exhaustive grid over the analytic study space."""
+    """Cold exhaustive grid over the analytic study space.
+
+    Its candidates differ in MaxSwapLen and scenario, so each batch
+    compiles one program per MaxSwapLen and reuses it across scenarios.
+    The CI gate tracks it as the ``compile_sharing`` group: a change
+    that stops the sharing slows it down.
+    """
     space = study_space(scale, shots=0)
 
     def cold_grid():
         return run_search(space, GridStrategy(),
                           engine=ExecutionEngine(workers=1))
 
-    result = benchmark.pedantic(cold_grid, iterations=1, rounds=1)
+    result = benchmark.pedantic(cold_grid, iterations=1, rounds=GRID_ROUNDS)
     assert len(result.points) == len(space.valid_candidates())
     benchmark.extra_info["engine_jobs"] = result.num_jobs
     benchmark.extra_info["pareto_size"] = len(result.pareto_front())

@@ -22,6 +22,11 @@ from repro.workloads.suite import build_workload, standard_suite
 WORKLOADS = [spec.name for spec in standard_suite()]
 HEAD_INDEX = [0, 1]  # small and large head of the active scale
 
+#: Timed rounds per scheduling benchmark.  One call takes milliseconds
+#: at small scale, so a single timing is mostly noise; the gated median
+#: needs several.
+SCHEDULE_ROUNDS = 15
+
 
 def _device(scale: str, name: str, head_index: int) -> TiltDevice:
     circuit = build_workload(name, scale)
@@ -45,14 +50,20 @@ def test_swap_insertion_time(benchmark, name, head_index, scale):
 @pytest.mark.parametrize("head_index", HEAD_INDEX)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_tape_scheduling_time(benchmark, name, head_index, scale):
-    """t_move: scheduling time for one workload / head size."""
+    """t_move: scheduling time for one workload / head size.
+
+    The routed circuit is built once, outside the timer; every round
+    schedules it with a fresh :class:`TapeScheduler`.
+    """
     circuit = build_workload(name, scale)
     device = _device(scale, name, head_index)
     native = merge_adjacent_rotations(decompose_to_native(circuit))
     routed = LinqSwapInserter(device).route(native).circuit
-    scheduler = TapeScheduler(device)
-    program = benchmark.pedantic(scheduler.schedule, args=(routed,),
-                                 iterations=1, rounds=1)
+    program = benchmark.pedantic(
+        TapeScheduler.schedule,
+        setup=lambda: ((TapeScheduler(device), routed), {}),
+        iterations=1, rounds=SCHEDULE_ROUNDS,
+    )
     assert program.num_scheduled_gates == len(routed)
 
 

@@ -8,7 +8,11 @@ hot path slowed down by more than the threshold (default: >25%).  The
 tracked hot paths are the ones the ROADMAP's perf work landed on:
 
 * ``schedule``          — the pruned TapeScheduler per-segment scan
-  (``bench_table3_compilation.py::test_tape_scheduling_time``);
+  (``bench_table3_compilation.py::test_tape_scheduling_time``, the
+  median of several rounds with a fresh scheduler each);
+* ``compile_sharing``   — a cold analytic grid search, whose engine
+  batches compile one program per MaxSwapLen and reuse it across
+  scenarios (``bench_search.py::test_grid_search_analytic``);
 * ``engine_cache``      — engine cold/warm cache behaviour
   (``bench_engine.py::test_sweep_cache_hit_rate``, whose benchmarked
   phase is the warm, all-cache-hits sweep);
@@ -62,6 +66,8 @@ import sys
 TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
     ("schedule",
      r"bench_table3_compilation\.py::test_tape_scheduling_time"),
+    ("compile_sharing",
+     r"bench_search\.py::test_grid_search_analytic"),
     ("engine_cache",
      r"bench_engine\.py::test_sweep_cache_hit_rate"),
     ("stochastic_shots",

@@ -3,8 +3,10 @@
 ``quantum program -> native gate decomposition -> qubit mapping + swap
 insertion -> tape movement scheduling -> executable program``.
 
-:class:`LinQCompiler` wires the individual passes together and records
-wall-clock timings for the Table III columns (t_swap, t_move).
+:func:`lower_to_native` is the first stage, shared by every toolchain
+(LinQ, QCCD and the ideal reference).  :class:`LinQCompiler` wires the
+individual passes together and records wall-clock timings for the
+Table III columns (t_swap, t_move).
 """
 
 from __future__ import annotations
@@ -72,6 +74,19 @@ class CompilerConfig:
         return replace(self, **kwargs)
 
 
+def lower_to_native(circuit: Circuit, *, strip_barriers: bool = True,
+                    merge_rotations: bool = True) -> Circuit:
+    """Lower *circuit* to the TILT native gate set.
+
+    Strips barriers, decomposes every gate to native rotations and MS
+    gates, then fuses adjacent same-axis rotations.  Each toolchain
+    starts from this circuit, so one lowering can feed all of them.
+    """
+    working = circuit.without(["barrier"]) if strip_barriers else circuit
+    native = decompose_to_native(working)
+    return merge_adjacent_rotations(native) if merge_rotations else native
+
+
 @dataclass
 class CompileResult:
     """Everything produced by one run of the LinQ pipeline."""
@@ -130,8 +145,15 @@ class LinQCompiler:
     # Pipeline
     # ------------------------------------------------------------------
     def compile(self, circuit: Circuit,
-                initial_mapping: QubitMapping | None = None) -> CompileResult:
-        """Run decomposition, mapping, routing and scheduling on *circuit*."""
+                initial_mapping: QubitMapping | None = None, *,
+                native: Circuit | None = None) -> CompileResult:
+        """Run decomposition, mapping, routing and scheduling on *circuit*.
+
+        *native* is the circuit's :func:`lower_to_native` form under this
+        config's ``strip_barriers``/``merge_rotations``, when the caller
+        already has it.  Decomposition is then skipped and
+        ``stats.time_decompose_s`` is 0.0, since this compile did none.
+        """
         if circuit.num_qubits > self.device.num_qubits:
             raise CompilationError(
                 f"circuit needs {circuit.num_qubits} qubits but the device "
@@ -139,9 +161,14 @@ class LinQCompiler:
             )
         config = self.config
 
-        start = time.perf_counter()
-        native = self._decompose(circuit)
-        time_decompose = time.perf_counter() - start
+        time_decompose = 0.0
+        if native is None:
+            start = time.perf_counter()
+            native = lower_to_native(
+                circuit, strip_barriers=config.strip_barriers,
+                merge_rotations=config.merge_rotations,
+            )
+            time_decompose = time.perf_counter() - start
 
         start = time.perf_counter()
         mapping = initial_mapping or self._initial_mapping(native)
@@ -179,15 +206,6 @@ class LinQCompiler:
     # ------------------------------------------------------------------
     # Individual passes
     # ------------------------------------------------------------------
-    def _decompose(self, circuit: Circuit) -> Circuit:
-        working = circuit
-        if self.config.strip_barriers:
-            working = working.without(["barrier"])
-        native = decompose_to_native(working)
-        if self.config.merge_rotations:
-            native = merge_adjacent_rotations(native)
-        return native
-
     def _initial_mapping(self, native: Circuit) -> QubitMapping:
         mapper = make_mapper(self.config.mapper)
         return mapper.map(native, self.device.num_qubits)

@@ -21,7 +21,7 @@ from typing import Iterable
 from repro.arch.qccd import QccdDevice
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import CompilationError
 
 
@@ -106,23 +106,27 @@ class QccdProgram:
 class QccdCompiler:
     """Route a logical circuit onto a QCCD machine."""
 
-    def __init__(self, device: QccdDevice, *, merge_rotations: bool = True) -> None:
+    def __init__(self, device: QccdDevice) -> None:
         self.device = device
-        self.merge_rotations = merge_rotations
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def compile(self, circuit: Circuit) -> QccdProgram:
-        """Decompose to native gates and insert shuttling events."""
+    def compile(self, circuit: Circuit, *,
+                native: Circuit | None = None) -> QccdProgram:
+        """Decompose to native gates and insert shuttling events.
+
+        *native* is the circuit's
+        :func:`~repro.compiler.pipeline.lower_to_native` form, when the
+        caller already has it.
+        """
         if circuit.num_qubits > self.device.num_qubits:
             raise CompilationError(
                 f"circuit needs {circuit.num_qubits} qubits but the device "
                 f"has {self.device.num_qubits}"
             )
-        native = decompose_to_native(circuit.without(["barrier"]))
-        if self.merge_rotations:
-            native = merge_adjacent_rotations(native)
+        if native is None:
+            native = lower_to_native(circuit)
 
         traps = self.device.initial_layout()
         trap_of = {q: t for t, chain in enumerate(traps) for q in chain}

@@ -15,7 +15,8 @@ over every scanned file that maps into the ``repro`` package:
   function-scoped import is the sanctioned cycle-breaking idiom);
 * an **intra-project call graph**: alias-resolved where the receiver is
   static (imported names, module attributes, ``ClassName.method``,
-  locals assigned from a project-class constructor, ``self``), and
+  locals assigned from a project-class constructor or annotated with
+  project classes — each member of a union — and ``self``), and
   *conservative on dynamic dispatch* — a call on a receiver whose type
   cannot be inferred edges to every project **method** with that name,
   so reachability over-approximates rather than misses.  Functions
@@ -401,57 +402,54 @@ class ProjectGraph:
             return None
         return self._resolve_symbol(origin, symbol, _visited)
 
-    def _annotated_class(self, module: ModuleInfo,
-                         annotation: ast.expr | None) -> tuple | None:
-        """The project class an annotation names, unwrapping Optional.
+    def _annotated_classes(self, module: ModuleInfo,
+                           annotation: ast.expr | None) -> list[tuple]:
+        """Every project class an annotation names, unwrapping unions.
 
         Handles ``DeviceSpec``, ``arch.DeviceSpec``, ``"DeviceSpec"``
-        (string annotation) and the optional forms ``X | None`` /
-        ``Optional[X]``.
+        (string annotation), ``Optional[X]`` and unions ``X | Y | None``
+        (one entry per project class).
         """
         if annotation is None:
-            return None
+            return []
         if (isinstance(annotation, ast.Constant)
                 and isinstance(annotation.value, str)):
             try:
                 annotation = ast.parse(annotation.value, mode="eval").body
             except SyntaxError:
-                return None
+                return []
         if (isinstance(annotation, ast.BinOp)
                 and isinstance(annotation.op, ast.BitOr)):
-            for side in (annotation.left, annotation.right):
-                resolved = self._annotated_class(module, side)
-                if resolved is not None:
-                    return resolved
-            return None
+            return (self._annotated_classes(module, annotation.left)
+                    + self._annotated_classes(module, annotation.right))
         if (isinstance(annotation, ast.Subscript)
                 and dotted_name(annotation.value) in ("Optional",
                                                       "typing.Optional")):
-            return self._annotated_class(module, annotation.slice)
+            return self._annotated_classes(module, annotation.slice)
         name = dotted_name(annotation)
         if name is None:
-            return None
+            return []
         resolved = self._resolve_dotted_symbol(module, name)
         if resolved is not None and resolved[0] == "class":
-            return resolved
-        return None
+            return [resolved]
+        return []
 
     def _local_constructor_types(
         self, module: ModuleInfo, fn: FunctionInfo,
-    ) -> dict[str, tuple[ModuleInfo, ClassInfo]]:
-        """Statically typed locals, by name: parameters whose annotation
-        names a project class, plus locals assigned from a project-class
-        constructor."""
-        types: dict[str, tuple[ModuleInfo, ClassInfo]] = {}
+    ) -> dict[str, list[tuple[ModuleInfo, ClassInfo]]]:
+        """Statically typed locals, by name: parameters and locals whose
+        annotation names project classes, plus locals assigned from a
+        project-class constructor."""
+        types: dict[str, list[tuple[ModuleInfo, ClassInfo]]] = {}
         for node in _function_body_nodes(fn):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 for arg in (*args.posonlyargs, *args.args,
                             *args.kwonlyargs):
-                    resolved = self._annotated_class(module,
-                                                     arg.annotation)
-                    if resolved is not None:
-                        types[arg.arg] = (resolved[1], resolved[2])
+                    classes = self._annotated_classes(module,
+                                                      arg.annotation)
+                    if classes:
+                        types[arg.arg] = [(c[1], c[2]) for c in classes]
                 continue
             target: ast.expr | None = None
             value: ast.expr | None = None
@@ -463,9 +461,9 @@ class ProjectGraph:
                 continue
             if (isinstance(node, ast.AnnAssign)
                     and node.annotation is not None):
-                resolved = self._annotated_class(module, node.annotation)
-                if resolved is not None:
-                    types[target.id] = (resolved[1], resolved[2])
+                classes = self._annotated_classes(module, node.annotation)
+                if classes:
+                    types[target.id] = [(c[1], c[2]) for c in classes]
                     continue
             if not isinstance(value, ast.Call):
                 continue
@@ -474,7 +472,7 @@ class ProjectGraph:
                 continue
             resolved = self._resolve_dotted_symbol(module, ctor)
             if resolved is not None and resolved[0] == "class":
-                types[target.id] = (resolved[1], resolved[2])
+                types[target.id] = [(resolved[1], resolved[2])]
         return types
 
     def _resolve_dotted_symbol(self, module: ModuleInfo,
@@ -519,7 +517,8 @@ class ProjectGraph:
 
     def _callee_ids(self, module: ModuleInfo, fn: FunctionInfo,
                     call: ast.Call,
-                    local_types: dict[str, tuple[ModuleInfo, ClassInfo]],
+                    local_types: dict[str, list[tuple[ModuleInfo,
+                                                      ClassInfo]]],
                     aliases: dict[str, str]) -> set[str]:
         targets: set[str] = set()
         func = call.func
@@ -544,7 +543,7 @@ class ProjectGraph:
 
     def _attribute_call_ids(
         self, module: ModuleInfo, fn: FunctionInfo, func: ast.Attribute,
-        local_types: dict[str, tuple[ModuleInfo, ClassInfo]],
+        local_types: dict[str, list[tuple[ModuleInfo, ClassInfo]]],
         aliases: dict[str, str],
     ) -> set[str]:
         attr = func.attr
@@ -556,11 +555,11 @@ class ProjectGraph:
         head = dotted.split(".", 1)[0]
         # receiver with a locally inferred constructor type
         if head in local_types and "." not in dotted[len(head) + 1:]:
-            _, class_info = local_types[head]
-            method = class_info.methods.get(attr)
-            if method is not None:
-                return {method.id}
-            # method not defined on the class (inherited): fall back
+            methods = [class_info.methods.get(attr)
+                       for _, class_info in local_types[head]]
+            if all(method is not None for method in methods):
+                return {method.id for method in methods}
+            # method not defined on a class (inherited): fall back
             return set(self._method_index.get(attr, ()))
         if head in ("self", "cls") and fn.class_name is not None:
             own = module.classes.get(fn.class_name)

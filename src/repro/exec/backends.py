@@ -24,7 +24,11 @@ The :class:`~repro.exec.engine.ExecutionEngine` decides *what* to run
 Because :func:`execute_spec` is a pure function of the spec (seeded
 compilation, closed-form analytic noise, per-shot ``(seed, index)``
 generators), every backend produces bit-identical results; they differ
-only in wall-clock time (``tests/test_backends.py`` pins this).
+only in wall-clock time (``tests/test_backends.py`` pins this).  The
+same purity lets the jobs of one loop share work: a serial batch, a
+pool chunk or the engine's serial fallback runs its jobs through one
+:class:`CompileMemo`, so consecutive jobs lower a circuit and compile a
+program once (the engine orders jobs so that consecutive ones match).
 
 Selection: ``ExecutionEngine(backend=...)`` takes a name (``"serial"``,
 ``"process"``, ``"async"``) or a :class:`Backend` instance; the
@@ -40,8 +44,14 @@ import os
 import time
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.compiler.pipeline import CompilerConfig, LinQCompiler
-from repro.compiler.qccd_compiler import QccdCompiler
+from repro.circuits.circuit import Circuit
+from repro.compiler.pipeline import (
+    CompileResult,
+    CompilerConfig,
+    LinQCompiler,
+    lower_to_native,
+)
+from repro.compiler.qccd_compiler import QccdCompiler, QccdProgram
 from repro.exceptions import ReproError
 from repro.exec.jobs import JobResult, JobSpec, spec_key
 from repro.noise.parameters import NoiseParameters
@@ -87,16 +97,140 @@ def resolve_workers(workers: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
+# Compile sharing: one lowering and one compiled program per loop
+# ----------------------------------------------------------------------
+#: The simulator each toolchain runs its compiled program on.
+_SIMULATORS = {"tilt": TiltSimulator, "ideal": IdealSimulator,
+              "qccd": QccdSimulator}
+
+
+def _lowering_options(spec: JobSpec) -> tuple[bool, bool]:
+    """``(strip_barriers, merge_rotations)`` of the lowering *spec* uses.
+
+    Only a LinQ config can change them; QCCD and the ideal reference
+    always lower with both on.
+    """
+    if spec.backend != "tilt" or spec.config is None:
+        return True, True
+    return spec.config.strip_barriers, spec.config.merge_rotations
+
+
+def _same_lowering(a: JobSpec, b: JobSpec) -> bool:
+    """Whether *a* and *b* lower to the same native circuit.
+
+    That needs equal gates and width, and an equal name, which the
+    compiled program and the simulation results carry.
+    """
+    if _lowering_options(a) != _lowering_options(b):
+        return False
+    return a.circuit is b.circuit or (a.circuit.name == b.circuit.name
+                                      and a.circuit == b.circuit)
+
+
+def _compile_key(spec: JobSpec) -> tuple:
+    """What *spec*'s compiled program depends on besides its circuit.
+
+    ``config=None`` resolves to ``CompilerConfig()`` first, so the two
+    spellings of the default compile share one program.  Noise,
+    scenario, shots and seed are absent: compilation never reads them.
+    """
+    if spec.backend == "tilt":
+        return spec.backend, spec.device, spec.config or CompilerConfig()
+    return spec.backend, spec.device
+
+
+class CompileMemo:
+    """The latest lowering and compiled program of one in-process loop.
+
+    Compilation is seeded and pure, so jobs with one circuit can share
+    its lowering, and jobs that also share a :func:`_compile_key` can
+    share its compiled program.  The memo holds one of each.  That is
+    enough because the engine hands a backend its jobs in
+    :func:`sharing_order`, and it keeps a loop's memory at that of a
+    single job.  Each loop owns its memo: a serial batch, a pool chunk
+    or the engine's serial fallback.  Nothing is shared across batches,
+    so results are exactly what fresh compiles give.
+    """
+
+    def __init__(self) -> None:
+        self._lowered: tuple[JobSpec, Circuit] | None = None
+        self._compiled: (tuple[tuple, CompileResult | QccdProgram]
+                         | None) = None
+
+    def native(self, spec: JobSpec) -> Circuit:
+        """*spec*'s circuit lowered to native gates."""
+        held = self._lowered
+        if held is None or not _same_lowering(held[0], spec):
+            strip_barriers, merge_rotations = _lowering_options(spec)
+            native = lower_to_native(spec.circuit,
+                                     strip_barriers=strip_barriers,
+                                     merge_rotations=merge_rotations)
+            held = self._lowered = (spec, native)
+            self._compiled = None  # compiled from the previous circuit
+        return held[1]
+
+    def compiled(self, spec: JobSpec) -> CompileResult | QccdProgram:
+        """*spec*'s compiled program (``"tilt"`` and ``"qccd"`` only)."""
+        native = self.native(spec)
+        key = _compile_key(spec)
+        held = self._compiled
+        if held is None or held[0] != key:
+            if spec.backend == "tilt":
+                program = LinQCompiler(spec.device, key[2]).compile(
+                    spec.circuit, native=native)
+            else:
+                program = QccdCompiler(spec.device).compile(
+                    spec.circuit, native=native)
+            held = self._compiled = (key, program)
+        return held[1]
+
+
+def sharing_order(jobs: Sequence[Job]) -> list[Job]:
+    """*jobs* grouped by lowering, then by compile key, for the memo.
+
+    Jobs whose circuit (and lowering options) match sit together, and
+    within that group jobs with one :func:`_compile_key` do too, so a
+    one-slot :class:`CompileMemo` lowers each circuit once and compiles
+    each key once.  Groups and the jobs inside them keep first-seen
+    order, so the plan depends only on the batch.  The engine hands
+    every backend its jobs in this order.
+    """
+    groups: list[tuple[JobSpec, dict[tuple, list[Job]]]] = []
+    by_identity: dict[tuple[int, tuple[bool, bool]], dict] = {}
+    for job in jobs:
+        spec = job[1]
+        identity = (id(spec.circuit), _lowering_options(spec))
+        group = by_identity.get(identity)
+        if group is None:
+            group = next((members for first, members in groups
+                          if _same_lowering(first, spec)), None)
+            if group is None:
+                group = {}
+                groups.append((spec, group))
+            by_identity[identity] = group
+        group.setdefault(_compile_key(spec), []).append(job)
+    return [job for _, group in groups
+            for members in group.values() for job in members]
+
+
+# ----------------------------------------------------------------------
 # The worker function (module level so the process pool can pickle it)
 # ----------------------------------------------------------------------
-def execute_spec(spec: JobSpec, key: str | None = None) -> JobResult:
+def execute_spec(spec: JobSpec, key: str | None = None,
+                 memo: CompileMemo | None = None) -> JobResult:
     """Run one job to completion in the current process.
 
-    Specs with ``shots > 0`` additionally run the stochastic shot sampler
-    (:mod:`repro.sim.stochastic`) on top of the analytic simulation; the
-    sampled result lands on :attr:`JobResult.shot`.
+    Every toolchain takes the same path: lower the circuit to native
+    gates, compile it for the device (the ideal reference has nothing
+    to compile), then simulate.  Specs with ``shots > 0`` additionally
+    run the stochastic shot sampler (:mod:`repro.sim.stochastic`) on
+    top of the analytic simulation; the sampled result lands on
+    :attr:`JobResult.shot`.  *memo* is the calling loop's
+    :class:`CompileMemo`; without one the job lowers and compiles for
+    itself.
     """
     key = key or spec_key(spec)
+    memo = memo if memo is not None else CompileMemo()
     noise = spec.noise or NoiseParameters.paper_defaults()
     scenario = get_scenario(spec.scenario)
     # The active trace (engine-activated in-process, worker-recorder in
@@ -122,48 +256,29 @@ def execute_spec(spec: JobSpec, key: str | None = None) -> JobResult:
     # per-gate noise model once and derives the analytic result from that
     # same pass (shot.analytic), so nothing is computed twice.
     with span:
-        if spec.backend == "tilt":
-            config = spec.config or CompilerConfig()
-            compiled = LinQCompiler(spec.device, config).compile(spec.circuit)
-            stats = compiled.stats
-            if spec.simulate:
-                simulator = TiltSimulator(spec.device, noise)
-                if spec.shots:
-                    shot = simulator.run_stochastic(
-                        compiled, shots=spec.shots, seed=spec.seed,
-                        shot_offset=spec.shot_offset, scenario=scenario,
-                    )
-                    simulation = shot.analytic
-                else:
-                    simulation = simulator.run(compiled, scenario=scenario)
-        elif spec.backend == "ideal":
-            simulator = IdealSimulator(spec.device, noise)
+        if spec.backend == "ideal":
+            # no compile stage: the simulator reads the lowering itself
+            program = spec.circuit
+            inputs: dict = {"native": memo.native(spec)}
+        else:
+            program = memo.compiled(spec)
+            inputs = {"circuit_name": spec.circuit.name}
+            if isinstance(program, CompileResult):
+                stats = program.stats
+        if spec.simulate or spec.backend == "ideal":
+            # the annotation types the receiver for the call-graph linter
+            simulator: TiltSimulator | IdealSimulator | QccdSimulator = (
+                _SIMULATORS[spec.backend](spec.device, noise))
             if spec.shots:
                 shot = simulator.run_stochastic(
-                    spec.circuit, shots=spec.shots, seed=spec.seed,
+                    program, shots=spec.shots, seed=spec.seed,
                     shot_offset=spec.shot_offset, scenario=scenario,
+                    **inputs,
                 )
                 simulation = shot.analytic
             else:
-                simulation = simulator.run(spec.circuit, scenario=scenario)
-        elif spec.backend == "qccd":
-            program = QccdCompiler(spec.device).compile(spec.circuit)
-            if spec.simulate:
-                simulator = QccdSimulator(spec.device, noise)
-                if spec.shots:
-                    shot = simulator.run_stochastic(
-                        program, shots=spec.shots, seed=spec.seed,
-                        shot_offset=spec.shot_offset,
-                        circuit_name=spec.circuit.name, scenario=scenario,
-                    )
-                    simulation = shot.analytic
-                else:
-                    simulation = simulator.run(
-                        program, circuit_name=spec.circuit.name,
-                        scenario=scenario,
-                    )
-        else:  # pragma: no cover - validated by JobSpec.__post_init__
-            raise ReproError(f"unknown backend {spec.backend!r}")
+                simulation = simulator.run(program, scenario=scenario,
+                                           **inputs)
         if profiler is not None:
             span.add(profile=profiler.finish())
     wall_time = time.perf_counter() - start
@@ -183,17 +298,19 @@ def _execute_chunk(
 ) -> list[tuple[str, JobResult]]:
     """Pool task: run a chunk of jobs back to back in one worker.
 
-    When the parent batch is traced it passes its trace *path*; the
-    worker then activates a per-process sidecar recorder so its
-    ``job.execute`` spans land in a private segment file the parent
-    merges after the batch (a forked worker must never append to the
-    parent's file directly).  Called in-process (``trace_path=None``)
-    the ambient trace — whatever the engine activated — stays in effect.
+    The jobs share one :class:`CompileMemo`.  When the parent batch is
+    traced it passes its trace *path*; the worker then activates a
+    per-process sidecar recorder so its ``job.execute`` spans land in a
+    private segment file the parent merges after the batch (a forked
+    worker must never append to the parent's file directly).  Called
+    in-process (``trace_path=None``) the ambient trace — whatever the
+    engine activated — stays in effect.
     """
+    memo = CompileMemo()
     if trace_path is None:
-        return [(key, execute_spec(spec, key)) for key, spec in chunk]
+        return [(key, execute_spec(spec, key, memo)) for key, spec in chunk]
     with activate(worker_recorder(trace_path)):
-        return [(key, execute_spec(spec, key)) for key, spec in chunk]
+        return [(key, execute_spec(spec, key, memo)) for key, spec in chunk]
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +353,9 @@ class SerialBackend:
     persisted by the engine) before the next job starts, so an
     interrupted serial run keeps everything it finished — the property
     the durable :class:`~repro.exec.store.RunStore` resume path builds
-    on.  Accepts (and ignores) a ``workers`` argument so every backend
-    can be constructed uniformly.
+    on.  The batch shares one :class:`CompileMemo`.  Accepts (and
+    ignores) a ``workers`` argument so every backend can be constructed
+    uniformly.
     """
 
     name = "serial"
@@ -246,11 +364,12 @@ class SerialBackend:
         pass
 
     def submit(self, jobs: Sequence[Job]) -> Iterable[tuple[str, JobResult]]:
+        memo = CompileMemo()
         with current_trace().span(
             "backend.submit", backend=self.name, jobs=len(jobs),
         ):
             for key, spec in jobs:
-                yield key, execute_spec(spec, key)
+                yield key, execute_spec(spec, key, memo)
 
     def close(self) -> None:
         pass
@@ -270,11 +389,13 @@ class ProcessPoolBackend:
     the pool starts its most expensive work immediately; the remaining
     analytic jobs are grouped into ``chunk_size`` chunks (default:
     enough for ~4 chunks per worker) to amortise pickling/IPC overhead.
-    Every task lands in the executor's shared queue, and free workers
-    pull the next one — the work-stealing that keeps a straggler-free
-    tail.  Results are yielded as chunks complete (see :meth:`submit`);
-    the engine places them by key, so pooled and serial batches are
-    indistinguishable downstream.
+    They keep the engine's :func:`sharing_order`, so jobs that share a
+    compiled program tend to share a chunk, and with it the chunk's
+    :class:`CompileMemo`.  Every task lands in the executor's shared
+    queue, and free workers pull the next one — the work-stealing that
+    keeps a straggler-free tail.  Results are yielded as chunks complete
+    (see :meth:`submit`); the engine places them by key, so pooled and
+    serial batches are indistinguishable downstream.
 
     A pool is created per ``submit`` call (job batches are coarse, so
     process start-up is amortised) and torn down with it; ``close`` is

@@ -12,7 +12,9 @@ input order.  Work proceeds in three steps:
 3. **execution** — unique specs are handed to a pluggable
    :class:`~repro.exec.backends.Backend`: serial in-process, a chunked
    work-stealing process pool, or an asyncio-driven local executor (the
-   extension point for future remote backends).
+   extension point for future remote backends).  They arrive grouped by
+   circuit, then by compile key, so consecutive jobs share one lowering
+   and one compiled program (:class:`~repro.exec.backends.CompileMemo`).
 
 Because compilation is seeded, the analytic noise model is closed-form
 and stochastic sampling derives every shot's generator from ``(seed,
@@ -38,13 +40,16 @@ import os
 import time
 from typing import Callable, Iterable, Sequence
 
+from repro.exceptions import ReproError
 from repro.exec.backends import (
     BACKEND_ENV_VAR,
     Backend,
+    CompileMemo,
     WORKERS_ENV_VAR,
     execute_spec,
     resolve_backend,
     resolve_workers,
+    sharing_order,
 )
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import JobResult, JobSpec, spec_key
@@ -385,6 +390,13 @@ class ExecutionEngine:
                 for key, result in self._execute_all(
                     unique, batch_workers, backend,
                 ):
+                    indices = pending.pop(key, None)
+                    if indices is None:
+                        raise ReproError(
+                            f"backend returned a result for spec key "
+                            f"{key} that this batch did not submit, or "
+                            f"returned it twice"
+                        )
                     self.cache.store(result)
                     self.stats.record_job(result)
                     batch_executed += 1
@@ -395,7 +407,7 @@ class ExecutionEngine:
                             wall_time_s=result.wall_time_s,
                             backend=result.backend, label=result.label,
                         )
-                    for position, index in enumerate(pending[key]):
+                    for position, index in enumerate(indices):
                         if position == 0:
                             results[index] = result
                         else:  # duplicate spec in batch: shared result
@@ -408,6 +420,12 @@ class ExecutionEngine:
 
             with trace.span("engine.flush"):
                 self.cache.flush()
+            if pending:
+                raise ReproError(
+                    f"backend returned no result for {len(pending)} of "
+                    f"{len(unique)} submitted job(s); missing spec keys: "
+                    + ", ".join(sorted(pending))
+                )
             self.stats.batch_time_s += time.perf_counter() - batch_start
             if trace.enabled:
                 batch_span.add(cache_hits=batch_hits,
@@ -431,8 +449,7 @@ class ExecutionEngine:
                        "workers": batch_workers},
                 workers=batch_workers,
             )
-        assert all(result is not None for result in results)
-        return [result for result in results if result is not None]
+        return results  # type: ignore[return-value]  # no slot left empty
 
     # ------------------------------------------------------------------
     # Backend dispatch
@@ -443,6 +460,9 @@ class ExecutionEngine:
     ) -> Iterable[tuple[str, JobResult]]:
         """Yield each unique job's result as its backend finishes it.
 
+        The backend receives the jobs in
+        :func:`~repro.exec.backends.sharing_order`, so each circuit is
+        lowered and each compiled program built once per loop.
         A generator end to end: serial and process backends stream, so
         the caller persists every result the moment it exists (the
         durable-store guarantee).  If a pooled backend breaks
@@ -458,16 +478,18 @@ class ExecutionEngine:
             return
         chosen = backend if backend is not None else self.backend
         resolved = resolve_backend(chosen, workers)
+        ordered = sharing_order(unique)
         try:
             done: set[str] = set()
             try:
-                for key, result in resolved.submit(unique):
+                for key, result in resolved.submit(ordered):
                     done.add(key)
                     yield key, result
             except concurrent.futures.BrokenExecutor:
-                for key, spec in unique:
+                memo = CompileMemo()
+                for key, spec in ordered:
                     if key not in done:
-                        yield key, execute_spec(spec, key)
+                        yield key, execute_spec(spec, key, memo)
         finally:
             if resolved is not chosen:  # engine-constructed: release it
                 resolved.close()

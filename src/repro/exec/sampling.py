@@ -94,8 +94,10 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         Keyed by the *unsharded* spec's content hash, with the merged
         :class:`~repro.sim.stochastic.ShotResult` on ``.shot``.  Compile
         stats and the analytic simulation come from the first shard
-        (every shard compiles the same program, so they only differ in
-        wall-clock timings); ``wall_time_s`` sums the shard work and
+        (every shard runs the same program).  Shards that run back to
+        back in one loop share one compile, so only the first of them
+        pays for it, and ``stats.time_decompose_s`` is 0.0 because the
+        lowering is shared too; ``wall_time_s`` sums the shard work, and
         ``cache_hit`` is True only when every shard was cache-served.
     """
     if spec.shots <= 0:

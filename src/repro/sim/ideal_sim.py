@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.circuits.circuit import Circuit
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
 from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
@@ -42,28 +42,28 @@ class IdealSimulator:
         self.device = device
         self.params = params or NoiseParameters.paper_defaults()
 
-    def _native(self, circuit: Circuit, already_native: bool) -> Circuit:
+    def _native(self, circuit: Circuit, native: Circuit | None) -> Circuit:
         if circuit.num_qubits > self.device.num_qubits:
             raise SimulationError(
                 f"circuit needs {circuit.num_qubits} qubits but the device "
                 f"has {self.device.num_qubits}"
             )
-        return circuit if already_native else merge_adjacent_rotations(
-            decompose_to_native(circuit.without(["barrier"]))
-        )
+        return lower_to_native(circuit) if native is None else native
 
     def run(self, circuit: Circuit, *,
-            already_native: bool = False,
+            native: Circuit | None = None,
             scenario: NoiseScenario | str | None = None) -> SimulationResult:
         """Estimate success rate and run time of *circuit* on the ideal device.
 
-        The ideal device never shuttles, so heating bursts are inert
-        here; crosstalk (kicks on chain neighbours of each MS gate's
-        operands) and leakage still apply under non-baseline *scenario*
-        values.
+        *native* is the circuit's
+        :func:`~repro.compiler.pipeline.lower_to_native` form, when the
+        caller already has it (every entry point takes it).  The ideal
+        device never shuttles, so heating bursts are inert here;
+        crosstalk (kicks on chain neighbours of each MS gate's operands)
+        and leakage still apply under non-baseline *scenario* values.
         """
         scenario = resolve_scenario(scenario)
-        native = self._native(circuit, already_native)
+        native = self._native(circuit, native)
         result = self._result_from_native(circuit.name, native)
         if scenario.is_baseline:
             return result
@@ -128,7 +128,7 @@ class IdealSimulator:
         )
 
     def build_sampler(self, circuit: Circuit, *,
-                      already_native: bool = False,
+                      native: Circuit | None = None,
                       analytic: SimulationResult | None = None,
                       scenario: NoiseScenario | str | None = None,
                       ) -> StochasticSampler:
@@ -139,7 +139,7 @@ class IdealSimulator:
         repeatedly.
         """
         scenario = resolve_scenario(scenario)
-        native = self._native(circuit, already_native)
+        native = self._native(circuit, native)
         gates = list(native)
         expected_rate = None
         if scenario.is_baseline:
@@ -174,7 +174,7 @@ class IdealSimulator:
     def run_stochastic(self, circuit: Circuit, *, shots: int, seed: int = 0,
                        shot_offset: int = 0, sample_counts: bool = False,
                        max_records: int = DEFAULT_MAX_RECORDS,
-                       already_native: bool = False,
+                       native: Circuit | None = None,
                        analytic: SimulationResult | None = None,
                        scenario: NoiseScenario | str | None = None,
                        exhaustive_shots: bool = False) -> ShotResult:
@@ -189,8 +189,8 @@ class IdealSimulator:
         """
         # the annotation types the receiver for the call-graph linter:
         # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(circuit, already_native=already_native,
-                                     analytic=analytic, scenario=scenario)
+        sampler: StochasticSampler = self.build_sampler(
+            circuit, native=native, analytic=analytic, scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records,

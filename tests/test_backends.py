@@ -101,6 +101,27 @@ class TestBackendInvariance:
             else:
                 assert structural == reference, f"backend {name} diverged"
 
+    def test_shared_compiles_bit_identical_in_pool_chunks(self):
+        # analytic jobs that differ only in noise share one lowering and
+        # one compile; chunks of 3 put each compile key in one worker
+        tilt = TiltDevice(num_qubits=16, head_size=8)
+        qccd = QccdDevice(num_qubits=16, trap_capacity=5)
+        circuit = qft_workload(16)
+        noises = [NoiseParameters.paper_defaults().with_overrides(
+            shuttle_speed_um_per_us=speed) for speed in (1.0, 2.0, 4.0)]
+        specs = [JobSpec(circuit=circuit, device=device, backend=backend,
+                         noise=noise, label=f"{backend}-{index}")
+                 for backend, device in (("tilt", tilt), ("qccd", qccd))
+                 for index, noise in enumerate(noises)]
+        fresh = [_structural(ExecutionEngine(workers=1).run_one(spec))
+                 for spec in specs]
+        for backend in (SerialBackend(),
+                        ProcessPoolBackend(workers=2, chunk_size=3)):
+            results = ExecutionEngine(workers=2, backend=backend).run(specs)
+            assert [_structural(r) for r in results] == fresh, backend
+            # one compile served all three TILT jobs, timings included
+            assert results[0].stats == results[1].stats == results[2].stats
+
     def test_sampled_job_merge_invariant_across_backends(self):
         spec = JobSpec(
             circuit=qft_workload(6),

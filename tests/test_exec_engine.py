@@ -145,7 +145,8 @@ class TestExecutionEngine:
         # surfaced chained to its own first occurrence
         calls = []
 
-        def failing_compile(compiler, circuit):
+        def failing_compile(compiler, circuit, initial_mapping=None, *,
+                            native=None):
             calls.append(circuit.name)
             raise OSError("disk full while compiling")
 

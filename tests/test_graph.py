@@ -107,6 +107,15 @@ class TestRepoGraph:
                                         "repro.devtools."))
                        for node in reach)
 
+    def test_every_simulator_is_worker_reachable(self, repo_graph):
+        """execute_spec picks its simulator from a table; the local's
+        union annotation still types each member as a receiver."""
+        reach = repo_graph.worker_reachable
+        for simulator in ("tilt_sim.TiltSimulator", "ideal_sim.IdealSimulator",
+                          "qccd_sim.QccdSimulator"):
+            for method in ("run", "run_stochastic"):
+                assert f"repro.sim.{simulator}.{method}" in reach
+
     def test_module_body_not_a_worker_root(self, repo_graph):
         """Import-time code is the sanctioned registration channel —
         it must never be pulled into the worker-reachable set."""

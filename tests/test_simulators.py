@@ -117,20 +117,21 @@ class TestIdealSimulator:
         with pytest.raises(SimulationError):
             IdealSimulator(device, noise).run(bv_workload(16))
 
-    def test_already_native_flag(self, ideal16, noise):
-        from repro.compiler.decompose import (
-            decompose_to_native,
-            merge_adjacent_rotations,
-        )
+    def test_precomputed_native_circuit(self, ideal16, noise):
+        from repro.compiler.pipeline import lower_to_native
 
-        native = merge_adjacent_rotations(
-            decompose_to_native(qaoa_workload(16, rounds=1))
-        )
-        direct = IdealSimulator(ideal16, noise).run(native, already_native=True)
+        circuit = qaoa_workload(16, rounds=1)
+        native = lower_to_native(circuit)
+        direct = IdealSimulator(ideal16, noise).run(circuit, native=native)
         recompiled = IdealSimulator(ideal16, noise).run(qaoa_workload(16, rounds=1))
         assert direct.log10_success_rate == pytest.approx(
             recompiled.log10_success_rate, rel=1e-6
         )
+        assert direct == recompiled
+        sampled = IdealSimulator(ideal16, noise).run_stochastic(
+            circuit, native=native, shots=64, seed=3)
+        assert sampled == IdealSimulator(ideal16, noise).run_stochastic(
+            circuit, shots=64, seed=3)
 
 
 class TestCrossArchitectureShape:

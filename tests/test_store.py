@@ -192,10 +192,10 @@ class TestRunStore:
         parent = os.getpid()
         execute = backends.execute_spec
 
-        def dies_in_a_worker(spec, key=None):
+        def dies_in_a_worker(spec, key=None, memo=None):
             if os.getpid() != parent:
                 os._exit(1)
-            return execute(spec, key)
+            return execute(spec, key, memo)
 
         monkeypatch.setattr(backends, "execute_spec", dies_in_a_worker)
         pooled = ExecutionEngine(workers=2, backend="process",
