@@ -105,3 +105,20 @@ def routed_state_matches_logical(routed_circuit, final_mapping, logical_state,
     padding[0] = 1.0
     expected = np.kron(logical_state, padding)
     return states_equal_up_to_global_phase(unpermuted, expected)
+
+
+#: z of the fixed-seed sampled-vs-analytic agreement checks.  Each check
+#: samples one seed, so with 95 % intervals a change of shot stream
+#: fails one of ten checks with odds 1 - 0.95**10 ~ 40 % by chance
+#: alone.  The checks use 4-sigma Wilson intervals instead, with shots
+#: scaled by (4 / 1.96)**2 so that no half-width grows; the odds of a
+#: false failure per check fall to ~6e-5.
+AGREEMENT_Z = 4.0
+
+
+def agrees_within_4_sigma(shot, rate: float) -> bool:
+    """True when *rate* lies in the 4-sigma Wilson interval of *shot*."""
+    from repro.sim.stochastic import wilson_interval
+
+    low, high = wilson_interval(shot.successes, shot.shots, z=AGREEMENT_Z)
+    return low <= rate <= high

@@ -49,6 +49,7 @@ from repro.sim.stochastic import StochasticSampler
 from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
+from tests.conftest import agrees_within_4_sigma
 
 
 @pytest.fixture(autouse=True)
@@ -414,12 +415,12 @@ class TestScenarioConvergence:
         device, compiled = qft16_compiled
         simulator = TiltSimulator(device)
         analytic = simulator.run(compiled, scenario=scenario)
-        shot = simulator.run_stochastic(compiled, shots=6000, seed=2021,
+        shot = simulator.run_stochastic(compiled, shots=25_000, seed=2021,
                                         scenario=scenario)
         assert shot.expected_success_rate == pytest.approx(
             analytic.success_rate, rel=1e-9
         )
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
 
     def test_qccd_sampled_agrees(self):
         device = QccdDevice(num_qubits=16, trap_capacity=5)
@@ -427,10 +428,10 @@ class TestScenarioConvergence:
         simulator = QccdSimulator(device)
         analytic = simulator.run(program, circuit_name="bv",
                                  scenario="worst_case")
-        shot = simulator.run_stochastic(program, shots=5000, seed=2021,
+        shot = simulator.run_stochastic(program, shots=21_000, seed=2021,
                                         circuit_name="bv",
                                         scenario="worst_case")
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
 
     def test_ideal_sampled_agrees_and_bursts_are_inert(self, ideal16):
         simulator = IdealSimulator(ideal16)
@@ -440,9 +441,9 @@ class TestScenarioConvergence:
         # no shuttles -> the burst scenario cannot change anything
         assert burst_only.success_rate == pytest.approx(baseline.success_rate)
         analytic = simulator.run(circuit, scenario="worst_case")
-        shot = simulator.run_stochastic(circuit, shots=5000, seed=2021,
+        shot = simulator.run_stochastic(circuit, shots=21_000, seed=2021,
                                         scenario="worst_case")
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
 
     def test_scenarios_strictly_reduce_success(self, qft16_compiled):
         device, compiled = qft16_compiled

@@ -38,6 +38,7 @@ from repro.sim.stochastic import (
 from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
+from tests.conftest import agrees_within_4_sigma
 
 
 @pytest.fixture(autouse=True)
@@ -275,8 +276,8 @@ class TestConvergence:
         device, compiled = bv16_compiled
         simulator = TiltSimulator(device, noise)
         analytic = simulator.run(compiled)
-        shot = simulator.run_stochastic(compiled, shots=10_000, seed=2021)
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        shot = simulator.run_stochastic(compiled, shots=42_000, seed=2021)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
         # the two estimates are genuinely close, not just inside a wide CI
         assert abs(shot.success_rate - analytic.success_rate) < 0.01
 
@@ -285,8 +286,8 @@ class TestConvergence:
         device, compiled = qft16_compiled
         simulator = TiltSimulator(device, noise)
         analytic = simulator.run(compiled)
-        shot = simulator.run_stochastic(compiled, shots=10_000, seed=2021)
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        shot = simulator.run_stochastic(compiled, shots=42_000, seed=2021)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
         assert shot.expected_success_rate == pytest.approx(
             analytic.success_rate, rel=1e-9
         )
@@ -296,19 +297,19 @@ class TestConvergence:
         program = QccdCompiler(device).compile(bv_workload(16))
         simulator = QccdSimulator(device, noise)
         analytic = simulator.run(program, circuit_name="bv")
-        shot = simulator.run_stochastic(program, shots=5000, seed=2021,
+        shot = simulator.run_stochastic(program, shots=21_000, seed=2021,
                                         circuit_name="bv")
         assert shot.architecture == "QCCD"
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
 
     def test_ideal_sampled_agrees(self, noise):
         device = IdealTrappedIonDevice(num_qubits=16)
         simulator = IdealSimulator(device, noise)
         circuit = bv_workload(16)
         analytic = simulator.run(circuit)
-        shot = simulator.run_stochastic(circuit, shots=5000, seed=2021)
+        shot = simulator.run_stochastic(circuit, shots=21_000, seed=2021)
         assert shot.architecture == "Ideal TI"
-        assert shot.agrees_with_analytic(analytic.success_rate)
+        assert agrees_within_4_sigma(shot, analytic.success_rate)
 
 
 # ----------------------------------------------------------------------
