@@ -9,9 +9,9 @@ recorded in ``extra_info`` rather than asserted.
 ``test_serial_shots_per_second`` (the ratcheted BENCH_* trajectory
 metric) times *sampling only*: the sampler is prebuilt through the
 simulators' ``build_sampler`` seam so the timed region is exactly
-``StochasticSampler.run`` — the loop the vectorized shot kernels
-replaced.  The whole-job path (compile + analytics + sampling) is
-recorded separately by ``test_end_to_end_job_shots_per_second``, and
+``StochasticSampler.run``.  The whole-job path (compile + analytics +
+sampling) is recorded separately by
+``test_end_to_end_job_shots_per_second``, and
 ``test_batched_statevector_patterns`` covers the batched pattern
 re-simulation kernel of :mod:`repro.sim.statevector`.
 """
@@ -64,7 +64,6 @@ def test_serial_shots_per_second(benchmark, scale, noise):
         iterations=1, rounds=5, warmup_rounds=1,
     )
     assert result.shots == BENCH_SHOTS
-    assert sampler.last_stats["mode"] == "vectorized"
     benchmark.extra_info["shots"] = BENCH_SHOTS
     benchmark.extra_info["shots_per_second"] = round(
         BENCH_SHOTS / benchmark.stats.stats.mean

@@ -3,14 +3,16 @@
 RPR001 polices *construction* (no unseeded generators, no global numpy
 API); this rule polices the *seed expression itself* in the physics
 core — ``sim/`` and ``exec/sampling.py``, the code whose outputs the
-paper's figures are built from.  Every argument to a
-``default_rng``/``Random``/``RandomState`` constructor there must be
-**derived**: its dataflow (intraprocedural, flow-insensitive) must root
-in function parameters — ``seed``, ``shot_index``, ``spec.seed``,
+paper's figures are built from.  The seed argument of the sampler's
+counter-based ``mix(seed, shot, stream, counter)``, and every argument
+to a ``default_rng``/``Random``/``RandomState`` constructor there, must
+be **derived**: its dataflow (intraprocedural, flow-insensitive) must
+root in function parameters — ``seed``, ``shot_index``, ``spec.seed``,
 ``(seed, shot_index)`` tuples, arithmetic thereon — because that is
 what makes shot streams reproducible *and* shard-stable: the engine can
-re-derive the exact stream for shot *k* on any worker from
-``(spec.seed, k)`` alone.
+re-derive the exact draws of shot *k* on any worker from
+``(spec.seed, k)`` alone.  Only ``mix``'s seed is audited: its stream
+numbers are constants by design.
 
 Violations:
 
@@ -52,6 +54,10 @@ from repro.devtools.graph import (
 
 #: Terminal names of RNG constructors whose seed argument we audit.
 RNG_CONSTRUCTORS = frozenset({"default_rng", "Random", "RandomState"})
+
+#: Terminal name of the counter-based draw function, whose first
+#: positional (or ``seed=``) argument is the only one audited.
+COUNTER_MIX = "mix"
 
 DERIVED = "derived"
 CONSTANT = "constant"
@@ -169,8 +175,8 @@ class _Dataflow:
 class SeedDataflowRule(GraphRule):
     rule_id = "RPR009"
     description = (
-        "seed dataflow: every default_rng/Random seed argument in sim/ "
-        "and exec/sampling.py must derive from function parameters "
+        "seed dataflow: every mix/default_rng/Random seed argument in "
+        "sim/ and exec/sampling.py must derive from function parameters "
         "(e.g. (seed, shot_index)), never from constants or ambient "
         "module state"
     )
@@ -194,12 +200,20 @@ class SeedDataflowRule(GraphRule):
             callee = canonical_call_name(node, aliases)
             if callee is None:
                 continue
-            if callee.rsplit(".", 1)[-1] in RNG_CONSTRUCTORS:
-                rng_calls.append((node, callee))
+            terminal = callee.rsplit(".", 1)[-1]
+            if terminal in RNG_CONSTRUCTORS:
+                rng_calls.append((node, callee,
+                                  [*node.args,
+                                   *(kw.value for kw in node.keywords)]))
+            elif terminal == COUNTER_MIX:
+                rng_calls.append((node, callee, [
+                    *node.args[:1],
+                    *(kw.value for kw in node.keywords if kw.arg == "seed"),
+                ]))
         if not rng_calls:
             return
         if fn.qualname == MODULE_BODY:
-            for call, callee in rng_calls:
+            for call, callee, _ in rng_calls:
                 yield self.violation(
                     module.ctx, call,
                     f"module-level {callee}(...) makes the stream "
@@ -209,9 +223,7 @@ class SeedDataflowRule(GraphRule):
                 )
             return
         flow = _Dataflow(fn)
-        for call, callee in rng_calls:
-            seed_args = [*call.args,
-                         *(kw.value for kw in call.keywords)]
+        for call, callee, seed_args in rng_calls:
             if not seed_args:
                 continue  # unseeded construction is RPR001's finding
             categories = [flow.classify(arg) for arg in seed_args]

@@ -22,13 +22,14 @@ The :class:`~repro.exec.engine.ExecutionEngine` decides *what* to run
   the :class:`Backend` protocol — engine, sweeps, searches — is unchanged.
 
 Because :func:`execute_spec` is a pure function of the spec (seeded
-compilation, closed-form analytic noise, per-shot ``(seed, index)``
-generators), every backend produces bit-identical results; they differ
-only in wall-clock time (``tests/test_backends.py`` pins this).  The
-same purity lets the jobs of one loop share work: a serial batch, a
-pool chunk or the engine's serial fallback runs its jobs through one
-:class:`CompileMemo`, so consecutive jobs lower a circuit and compile a
-program once (the engine orders jobs so that consecutive ones match).
+compilation, closed-form analytic noise, shot draws that are pure
+functions of ``(seed, index)``), every backend produces bit-identical
+results; they differ only in wall-clock time (``tests/test_backends.py``
+pins this). The same purity lets the jobs of one loop share work: a
+serial batch, a pool chunk or the engine's serial fallback runs its jobs
+through one :class:`CompileMemo`, so consecutive jobs lower a circuit
+and compile a program once (the engine orders jobs so that consecutive
+ones match).
 
 Selection: ``ExecutionEngine(backend=...)`` takes a name (``"serial"``,
 ``"process"``, ``"async"``) or a :class:`Backend` instance; the

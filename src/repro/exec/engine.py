@@ -17,7 +17,7 @@ input order.  Work proceeds in three steps:
    and one compiled program (:class:`~repro.exec.backends.CompileMemo`).
 
 Because compilation is seeded, the analytic noise model is closed-form
-and stochastic sampling derives every shot's generator from ``(seed,
+and every draw of stochastic sampling is a pure function of ``(seed,
 global shot index)``, every backend produces bit-identical results; they
 differ only in wall-clock time.  Batch-level counters (cache hits/misses,
 jobs executed, per-job timings) accumulate on the engine for the

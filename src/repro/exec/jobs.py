@@ -66,8 +66,8 @@ class JobSpec:
         :attr:`JobResult.shot`.  ``0`` (the default) keeps the job purely
         analytic.
     seed:
-        Root seed of the stochastic run.  Every shot derives its own
-        generator from ``(seed, global shot index)``, so results are
+        Root seed of the stochastic run.  Every draw of a shot is a pure
+        function of ``(seed, global shot index)``, so results are
         bit-identical regardless of worker count or sharding.
     shot_offset:
         First global shot index of this job — sampling covers
@@ -221,8 +221,10 @@ def spec_key(spec: JobSpec) -> str:
 #: 3. the vectorized sampler's skip-sampling draw discipline;
 #: 4. one version for every persisted result.  Every store written
 #:    before it is stamped 1, including those holding version-3
-#:    semantics, so all of them are recomputed.
-RESULT_SEMANTICS_VERSION = 4
+#:    semantics, so all of them are recomputed;
+#: 5. counter-based shot randomness (``repro.sim.stochastic.mix``):
+#:    sampled results change, analytic ones do not.
+RESULT_SEMANTICS_VERSION = 5
 
 
 def result_to_json(result: JobResult) -> dict[str, Any]:

@@ -1,9 +1,10 @@
 """Shot fan-out: run one sampled job as engine shards and merge the shards.
 
 A stochastic job with many shots is embarrassingly parallel: because every
-shot seeds its own generator from ``(root seed, global shot index)``, the
-run can be cut into contiguous shard :class:`~repro.exec.jobs.JobSpec`
-objects (same circuit/device/noise, disjoint ``shot_offset`` ranges) that
+draw of a shot is a pure function of ``(root seed, global shot index)``
+(:func:`~repro.sim.stochastic.mix`), the run can be cut into contiguous
+shard :class:`~repro.exec.jobs.JobSpec` objects (same
+circuit/device/noise, disjoint ``shot_offset`` ranges) that
 the :class:`~repro.exec.engine.ExecutionEngine` executes like any other
 batch — deduplicated, content-hash cached (the hash covers seed, shots and
 offset) and fanned out over the process pool.  Merging the shard
@@ -27,12 +28,12 @@ from repro.exec.jobs import JobResult, JobSpec, spec_key
 from repro.sim.stochastic import merge_shot_results
 
 #: Floor on the shots one *default* shard carries.  The vectorized
-#: sampler amortises its lane setup and trigger kernels over the whole
-#: shot block, so cutting a small run into worker-count slivers costs
-#: more than the pool parallelises; the default fan-out only opens a
-#: shard per this many shots.  An explicit ``shards=`` always wins, and
-#: either way the merged result is bit-identical — sharding changes
-#: batching, never the per-shot random streams.
+#: sampler amortises its trigger kernels over the whole shot block, so
+#: cutting a small run into worker-count slivers costs more than the
+#: pool parallelises; the default fan-out only opens a shard per this
+#: many shots.  An explicit ``shards=`` always wins, and either way the
+#: merged result is bit-identical — sharding changes batching, never
+#: the draws of any shot.
 MIN_SHOTS_PER_SHARD = 1024
 
 

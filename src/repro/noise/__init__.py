@@ -3,10 +3,10 @@ the stochastic channel interpretation used for shot sampling, and the
 correlated-noise scenario registry (crosstalk / leakage / heating bursts)."""
 
 from repro.noise.channels import (
+    LABEL_TABLE,
     ErrorSite,
     error_site_for_gate,
     pauli_gates,
-    sample_pauli_label,
 )
 from repro.noise.scenarios import (
     NoiseScenario,
@@ -38,6 +38,7 @@ from repro.noise.parameters import NoiseParameters
 __all__ = [
     "ChainHeatingState",
     "ErrorSite",
+    "LABEL_TABLE",
     "NoiseParameters",
     "NoiseScenario",
     "SuccessRateAccumulator",
@@ -56,7 +57,6 @@ __all__ = [
     "quanta_after_moves",
     "register_scenario",
     "resolve_scenario",
-    "sample_pauli_label",
     "scenario_analytics",
     "scenario_names",
     "two_qubit_fidelity",

@@ -21,9 +21,10 @@ pins down.
 This module holds the channel vocabulary: :class:`ErrorSite` (one
 potential error location with its trigger probability), its columnar
 companion :class:`SiteTable` (the same site list as numpy arrays, the
-form the vectorized sampler consumes) and the Pauli sampling rules.  The
-per-architecture site extraction lives with each simulator, because only
-the simulator knows the heating state a gate runs under.
+form the vectorized sampler consumes) and the label table a triggered
+site draws its record label from.  The per-architecture site extraction
+lives with each simulator, because only the simulator knows the heating
+state a gate runs under.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ ERROR_KINDS = frozenset({PAULI_1Q, PAULI_2Q, MEASURE_FLIP, CROSSTALK,
 #: mechanisms; classical readout is unaffected by motional energy).
 BURST_SCALED_KINDS = frozenset({PAULI_1Q, PAULI_2Q, CROSSTALK, LEAKAGE})
 
-#: Kinds whose trigger consumes one Pauli-label draw from the shot
-#: stream (leakage, bursts and readout flips carry fixed labels).
+#: Kinds whose trigger injects a sampled Pauli (leakage, bursts and
+#: readout flips carry fixed labels and inject no gate).
 LABEL_KINDS = frozenset({PAULI_1Q, PAULI_2Q, CROSSTALK})
 
 #: Kinds that only appear on correlated (scenario) timelines.  Their
@@ -79,6 +80,29 @@ PAULI_LABELS_1Q: tuple[str, ...] = ("X", "Y", "Z")
 PAULI_LABELS_2Q: tuple[str, ...] = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )
+
+#: The label a triggered site of each kind records, drawn uniformly from
+#: its kind's row: the non-identity Paulis of the depolarizing channels
+#: (crosstalk kicks prefixed ``"XT"`` so records stay attributable to
+#: their mechanism) or the one fixed label of every other kind.
+LABEL_TABLE: dict[str, tuple[str, ...]] = {
+    PAULI_1Q: PAULI_LABELS_1Q,
+    PAULI_2Q: PAULI_LABELS_2Q,
+    MEASURE_FLIP: ("FLIP",),
+    CROSSTALK: tuple("XT" + label for label in PAULI_LABELS_1Q),
+    LEAKAGE: ("LEAK",),
+    HEATING_BURST: ("BURST",),
+}
+
+#: :data:`LABEL_TABLE` flattened in :data:`SITE_KINDS` order, and where
+#: each kind's row starts in it.
+_FLAT_LABELS = np.array(
+    [label for kind in SITE_KINDS for label in LABEL_TABLE[kind]]
+)
+_ROW_STARTS = dict(zip(
+    SITE_KINDS,
+    np.cumsum([0] + [len(LABEL_TABLE[kind]) for kind in SITE_KINDS]).tolist(),
+))
 
 
 @dataclass(frozen=True)
@@ -139,20 +163,26 @@ class SiteTable:
     All arrays are marked read-only: the table is shared between the
     trigger kernels, the hazard-table cache and telemetry, and none of
     them may mutate it.  ``kinds`` keeps the raw kind string per site
-    for telemetry grouping.
+    for telemetry grouping; ``indices`` is each site's
+    :attr:`ErrorSite.index`.
     """
 
     probabilities: np.ndarray
     windows: np.ndarray
+    indices: np.ndarray
     kinds: tuple[str, ...]
     #: Per-site boolean columns classifying the kind (aligned with
-    #: ``probabilities``): consumes a Pauli-label draw, classical readout
+    #: ``probabilities``): injects a sampled Pauli, classical readout
     #: flip, leakage, heating burst, any correlated-only kind.
     label_mask: np.ndarray
     flip_mask: np.ndarray
     leak_mask: np.ndarray
     burst_mask: np.ndarray
     correlated_mask: np.ndarray
+    #: Each site's row of :data:`LABEL_TABLE`: where it starts in the
+    #: flattened table and how many labels it holds.
+    label_starts: np.ndarray
+    label_counts: np.ndarray
 
     @classmethod
     def from_sites(cls, sites: Sequence[ErrorSite]) -> "SiteTable":
@@ -162,6 +192,7 @@ class SiteTable:
             [site.probability for site in sites], dtype=float
         )
         windows = np.array([site.window for site in sites], dtype=np.int64)
+        indices = np.array([site.index for site in sites], dtype=np.int64)
         columns = {
             "label_mask": np.array(
                 [kind in LABEL_KINDS for kind in kinds], dtype=bool
@@ -178,11 +209,17 @@ class SiteTable:
             "correlated_mask": np.array(
                 [kind in CORRELATED_KINDS for kind in kinds], dtype=bool
             ),
+            "label_starts": np.array(
+                [_ROW_STARTS[kind] for kind in kinds], dtype=np.int64
+            ),
+            "label_counts": np.array(
+                [len(LABEL_TABLE[kind]) for kind in kinds], dtype=np.int64
+            ),
         }
-        for array in (probabilities, windows, *columns.values()):
+        for array in (probabilities, windows, indices, *columns.values()):
             array.setflags(write=False)
         return cls(probabilities=probabilities, windows=windows,
-                   kinds=kinds, **columns)
+                   indices=indices, kinds=kinds, **columns)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -191,6 +228,20 @@ class SiteTable:
     def correlated(self) -> bool:
         """True when any site needs the correlated draw discipline."""
         return bool(self.correlated_mask.any())
+
+    def lookup_labels(self, positions: np.ndarray,
+                      uniforms: np.ndarray) -> np.ndarray:
+        """The labels of triggered sites, one table lookup for all.
+
+        Site ``positions[i]`` records entry ``floor(uniforms[i] * n)``
+        of its kind's :data:`LABEL_TABLE` row of ``n`` labels (clamped
+        to the row, since ``u * n`` can round up to ``n`` for ``u``
+        just below 1).
+        """
+        counts = self.label_counts[positions]
+        choices = np.minimum((uniforms * counts).astype(np.int64),
+                             counts - 1)
+        return _FLAT_LABELS[self.label_starts[positions] + choices]
 
 
 def error_site_for_gate(index: int, gate: Gate, fidelity: float,
@@ -217,28 +268,6 @@ def error_site_for_gate(index: int, gate: Gate, fidelity: float,
         )
     return ErrorSite(index=index, kind=kind, qubits=gate.qubits,
                      probability=1.0 - fidelity, window=window)
-
-
-def sample_pauli_label(site: ErrorSite, rng) -> str:
-    """Draw the error label for a triggered *site* from its channel.
-
-    *rng* is a :class:`numpy.random.Generator`; exactly one ``integers``
-    draw is consumed for Pauli channels (crosstalk kicks included) and
-    none for the classical kinds, so the per-shot random stream stays
-    reproducible.  Crosstalk labels are prefixed ``"XT"`` so per-shot
-    records stay attributable to their mechanism.
-    """
-    if site.kind == PAULI_1Q:
-        return PAULI_LABELS_1Q[int(rng.integers(len(PAULI_LABELS_1Q)))]
-    if site.kind == PAULI_2Q:
-        return PAULI_LABELS_2Q[int(rng.integers(len(PAULI_LABELS_2Q)))]
-    if site.kind == CROSSTALK:
-        return "XT" + PAULI_LABELS_1Q[int(rng.integers(len(PAULI_LABELS_1Q)))]
-    if site.kind == LEAKAGE:
-        return "LEAK"
-    if site.kind == HEATING_BURST:
-        return "BURST"
-    return "FLIP"
 
 
 def pauli_gates(site: ErrorSite, label: str) -> list[Gate]:

@@ -193,8 +193,8 @@ class SearchSpace:
         exact analytic model only; ``> 0`` adds a stochastic sampling run
         of this many shots at full fidelity.
     seed:
-        Root seed of sampled evaluations (every shot derives its own
-        generator from ``(seed, global shot index)``, so results are
+        Root seed of sampled evaluations (every draw of a shot is a
+        pure function of ``(seed, global shot index)``, so results are
         bit-identical for any worker/shard split).
     shards:
         Engine jobs a full-fidelity *sampled* evaluation fans out into

@@ -15,7 +15,7 @@ from repro.sim.stochastic import (
     ShotResult,
     StochasticSampler,
     merge_shot_results,
-    shot_rng,
+    mix,
     wilson_interval,
 )
 from repro.sim.tilt_sim import TiltSimulator
@@ -33,7 +33,7 @@ __all__ = [
     "StochasticSampler",
     "TiltSimulator",
     "merge_shot_results",
-    "shot_rng",
+    "mix",
     "states_equal_up_to_global_phase",
     "wilson_interval",
 ]

@@ -176,16 +176,15 @@ class IdealSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        native: Circuit | None = None,
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None,
-                       exhaustive_shots: bool = False) -> ShotResult:
+                       scenario: NoiseScenario | str | None = None
+                       ) -> ShotResult:
         """Monte-Carlo sample the ideal device's (heating-free) noise.
 
         Same contract as :meth:`TiltSimulator.run_stochastic
-        <repro.sim.tilt_sim.TiltSimulator.run_stochastic>` (including
-        the ``exhaustive_shots`` reference mode); every gate sees zero
-        motional quanta, matching :meth:`run`.  Non-baseline *scenario*
-        values add crosstalk and leakage sites (bursts are inert — the
-        ideal device never shuttles).
+        <repro.sim.tilt_sim.TiltSimulator.run_stochastic>`; every gate
+        sees zero motional quanta, matching :meth:`run`.  Non-baseline
+        *scenario* values add crosstalk and leakage sites (bursts are
+        inert — the ideal device never shuttles).
         """
         # the annotation types the receiver for the call-graph linter:
         # an untyped method-call result would name-match every `.run`
@@ -193,5 +192,4 @@ class IdealSimulator:
             circuit, native=native, analytic=analytic, scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
-                           max_records=max_records,
-                           exhaustive_shots=exhaustive_shots)
+                           max_records=max_records)

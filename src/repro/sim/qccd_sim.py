@@ -285,16 +285,15 @@ class QccdSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str = "circuit",
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None,
-                       exhaustive_shots: bool = False) -> ShotResult:
+                       scenario: NoiseScenario | str | None = None
+                       ) -> ShotResult:
         """Monte-Carlo sample the program's noise, shot by shot.
 
         Same contract as :meth:`TiltSimulator.run_stochastic
-        <repro.sim.tilt_sim.TiltSimulator.run_stochastic>` (including
-        the ``exhaustive_shots`` reference mode): per-trap heating
-        fidelities become stochastic Pauli channels and every shot draws
-        from its own ``(seed, shot index)`` generator.  Counts sampling
-        uses the program's gates over the physical ion indices.
+        <repro.sim.tilt_sim.TiltSimulator.run_stochastic>`: per-trap
+        heating fidelities become stochastic Pauli channels and every
+        draw is a pure function of ``(seed, shot index)``.  Counts
+        sampling uses the program's gates over the physical ion indices.
         Non-baseline *scenario* values add in-trap crosstalk, leakage
         and per-transport heating-burst sites.
         """
@@ -304,8 +303,7 @@ class QccdSimulator:
                                      analytic=analytic, scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
-                           max_records=max_records,
-                           exhaustive_shots=exhaustive_shots)
+                           max_records=max_records)
 
     @staticmethod
     def _shuttle_time_us(event: QccdShuttleEvent) -> float:

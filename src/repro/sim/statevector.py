@@ -151,21 +151,6 @@ class StatevectorSimulator:
         amplitudes = self.run(circuit)
         return np.abs(amplitudes) ** 2
 
-    def sample(self, circuit: Circuit, shots: int = 1024,
-               seed: int | None = None) -> dict[str, int]:
-        """Sample measurement outcomes (bit string -> count)."""
-        if shots <= 0:
-            raise SimulationError("shots must be positive")
-        probabilities = self.probabilities(circuit)
-        rng = np.random.default_rng(seed)
-        outcomes = rng.choice(len(probabilities), size=shots, p=probabilities)
-        n = circuit.num_qubits
-        counts: dict[str, int] = {}
-        for outcome in outcomes:
-            bits = format(int(outcome), f"0{n}b")
-            counts[bits] = counts.get(bits, 0) + 1
-        return counts
-
     def most_probable(self, circuit: Circuit) -> str:
         """The single most likely measurement outcome (qubit 0 leftmost)."""
         probabilities = self.probabilities(circuit)

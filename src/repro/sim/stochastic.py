@@ -9,44 +9,44 @@ triggered measurement site flips its classical bit.  A shot *succeeds*
 when no site triggers, so the sampled success rate is an unbiased
 estimator of the analytic product-of-fidelities success rate.
 
-Determinism
------------
-Every shot owns a private :class:`numpy.random.Generator` seeded from
-``(root seed, global shot index)``.  Results are therefore bit-identical
-no matter how the shots are sharded across
-:class:`~repro.exec.engine.ExecutionEngine` workers: shard ``[offset,
-offset + shots)`` of a 10k-shot run draws exactly the numbers the same
-shots would draw in one serial pass, and
-:func:`merge_shot_results` reassembles the full run.
+Randomness
+----------
+Every random number the sampler consumes is a pure function of four
+integers, ``u = mix(seed, shot, stream, counter)``, where *shot* is the
+global shot index and *stream* says what the number decides:
 
-Vectorized sampling
--------------------
-The default path batches every shot's private stream into
-:class:`~repro.sim.rng_kernels.ShotLanes` and consumes it with array
-kernels.  Independent (baseline) sites use inverse-CDF *skip sampling*:
-one uniform decides the next triggered site directly through a
-``searchsorted`` over the cumulative ``-log1p(-p)`` survival table, so a
-shot consumes ``1 + number of triggers`` draws instead of one per site
-(sites with ``probability >= 1`` trigger deterministically and consume
-no draw; sites with ``probability == 0`` are skipped).  Correlated
-(scenario) sites keep their original one-uniform-per-site stream and are
-consumed column-wise over the shot axis, so scenario results are
-bit-identical to earlier releases.  ``run(...,
-exhaustive_shots=True)`` executes the same draw disciplines one shot at
-a time with ordinary per-shot generators — the differential reference
-(naming follows the scheduler's ``exhaustive_scan``) that
-``tests/test_stochastic.py`` pins bit-identical to the vectorized path
-across backends and shard splits.
+* :data:`TRIGGER_STREAM` — whether sites trigger.  Independent
+  (baseline) sites use inverse-CDF *skip sampling*: draw number ``k``
+  (the counter) jumps straight to the shot's next triggered site through
+  a ``searchsorted`` over the cumulative ``-log1p(-p)`` hazard table, so
+  a shot consumes ``1 + number of triggers`` draws instead of one per
+  site (sites with ``probability >= 1`` trigger without a draw, sites
+  with ``probability == 0`` never).  Correlated (scenario) sites draw
+  once per site, with the site position as the counter.
+* :data:`LABEL_STREAM` — the label of a triggered site (counter = site
+  position), looked up in :data:`~repro.noise.channels.LABEL_TABLE`.
+* :data:`OUTCOME_STREAM` — counts mode's measurement-outcome draw
+  (counter 0).
+* :data:`LEAK_STREAM` — counts mode's fair coin for the readout of a
+  leaked qubit (counter = qubit).
+
+:func:`mix` is stateless — two SplitMix64 finalizer rounds over uint64
+arrays, in the spirit of the counter-based generators of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC'11) — so any set of
+draws is one array operation over every shot at once, and results are
+bit-identical however the shots are sharded across
+:class:`~repro.exec.engine.ExecutionEngine` workers: shard ``[offset,
+offset + shots)`` draws exactly the numbers the same shots draw in one
+serial pass, and :func:`merge_shot_results` reassembles the full run.
 
 Counts
 ------
 With ``sample_counts=True`` the sampler also produces a measurement
 histogram: error-free shots draw from the ideal distribution (computed
-once per program and memoised process-wide), and erroneous shots
-re-simulate the circuit with their sampled Paulis injected — once per
-*distinct* triggered-error pattern, not once per shot (the vectorized
-path groups shots by pattern and caches each pattern's distribution;
-``last_stats`` reports the grouping).  This is only available up to
+once per program and memoised process-wide), and erroneous shots draw
+from the circuit re-simulated with their sampled Paulis injected — once
+per *distinct* triggered-error pattern, not once per shot
+(``last_stats`` reports the grouping).  This is only available up to
 :data:`~repro.sim.statevector.MAX_STATEVECTOR_QUBITS` wide circuits;
 success-rate estimation alone has no width limit.
 """
@@ -68,17 +68,14 @@ from repro.noise.channels import (
     BURST_SCALED_KINDS,
     HEATING_BURST,
     LEAKAGE,
-    MEASURE_FLIP,
     ErrorSite,
     SiteTable,
     pauli_gates,
-    sample_pauli_label,
 )
 from repro.noise.scenarios import (
     expected_success_rate as correlated_expected_success_rate,
 )
 from repro.sim.result import SimulationResult
-from repro.sim.rng_kernels import ShotLanes, lanes_supported
 from repro.sim.statevector import MAX_STATEVECTOR_QUBITS, StatevectorSimulator
 
 #: 97.5 % normal quantile: the z of a two-sided 95 % confidence interval.
@@ -87,6 +84,25 @@ WILSON_Z_95 = 1.959963984540054
 #: Default cap on the number of *detailed* per-shot error records kept on a
 #: :class:`ShotResult` (the per-shot error counts are always complete).
 DEFAULT_MAX_RECORDS = 1024
+
+#: The four streams of :func:`mix` (see the module docstring).
+TRIGGER_STREAM = 0
+LABEL_STREAM = 1
+OUTCOME_STREAM = 2
+LEAK_STREAM = 3
+
+_M64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_FMIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_FMIX_2 = np.uint64(0x94D049BB133111EB)
+_STREAM_SHIFT = np.uint64(56)
+_DOUBLE_SCALE = 2.0 ** -53
+
+#: Correlated trigger draws are made for a block of sites at a time,
+#: about this many uniforms per block: enough to amortise the per-call
+#: cost of :func:`mix` at small shot counts, few enough that each
+#: transient array stays at half a megabyte.
+_DRAW_BLOCK = 1 << 16
 
 
 def wilson_interval(successes: int, shots: int,
@@ -117,15 +133,51 @@ def wilson_interval(successes: int, shots: int,
     return (low, high)
 
 
-def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """The private random generator of one global shot index.
+def _fmix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer: a bijective avalanche of uint64 words."""
+    z = (z ^ (z >> np.uint64(30))) * _FMIX_1
+    z = (z ^ (z >> np.uint64(27))) * _FMIX_2
+    return z ^ (z >> np.uint64(31))
 
-    Seeding from the ``(root seed, shot index)`` entropy pair is what
-    makes sharded execution bit-identical to a serial run.
+
+@lru_cache(maxsize=64)
+def _seed_key(seed: int) -> np.ndarray:
+    """*seed* folded 64 bits at a time into one uint64 word.
+
+    Every word takes one finalizer round, so seeds of any size work and
+    ``s`` and ``s + 2**64`` key different streams.  The result has shape
+    ``(1,)`` (array arithmetic wraps silently, scalar arithmetic warns)
+    and is read-only because the cache shares it.
     """
-    if seed < 0 or shot_index < 0:
-        raise SimulationError("seed and shot index must be non-negative")
-    return np.random.default_rng((seed, shot_index))
+    if seed < 0:
+        raise SimulationError("seed must be non-negative")
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key = _fmix64((key ^ np.uint64(seed & _M64)) + _GOLDEN)
+        seed >>= 64
+        if not seed:
+            break
+    key.setflags(write=False)
+    return key
+
+
+def mix(seed: int, shot: Any, stream: int, counter: Any) -> np.ndarray:
+    """The uniform in ``[0, 1)`` of draw *counter* of *stream* in *shot*.
+
+    *shot* (a global shot index below ``2**64``) and *counter* (below
+    ``2**56``) are integers or integer arrays and broadcast against each
+    other; the result is a float64 array of their broadcast shape, at
+    least one-dimensional.  The ``(seed, stream, counter)`` triple is
+    finalized into a column key; a second finalizer round mixes
+    ``key + shot * golden``, the SplitMix64 state *shot* steps past the
+    key, and its top 53 bits become the double.
+    """
+    counter = np.atleast_1d(np.asarray(counter, dtype=np.uint64))
+    shot = np.atleast_1d(np.asarray(shot, dtype=np.uint64))
+    word = counter | (np.uint64(stream) << _STREAM_SHIFT)
+    column = _fmix64(_seed_key(seed) + word * _GOLDEN)
+    bits = _fmix64(column + shot * _GOLDEN)
+    return (bits >> np.uint64(11)) * _DOUBLE_SCALE
 
 
 @lru_cache(maxsize=8)
@@ -342,8 +394,9 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
 
     Shards must share architecture, circuit, seed and error model, and
     their shot ranges must tile ``[first offset, first offset + total)``
-    without gaps.  Because every shot is seeded independently, the merge
-    of ``N`` shards is bit-identical to a single serial run.
+    without gaps.  Because every draw is a pure function of the seed and
+    the global shot index, the merge of ``N`` shards is bit-identical to
+    a single serial run.
 
     Mechanism telemetry merges by summation, but only when *every* shard
     carries it: a shard served from a pre-telemetry disk cache
@@ -456,9 +509,8 @@ class StochasticSampler:
     _probabilities: np.ndarray = field(init=False, repr=False)
     _correlated: bool = field(init=False, repr=False)
     _expected_success_rate: float = field(init=False, repr=False)
-    #: Diagnostics of the most recent :meth:`run`: sampling ``mode``,
-    #: statevector ``resimulations``, counts-mode ``distinct_patterns``
-    #: and ``replayed_shots`` (shots that needed a scalar generator).
+    #: Diagnostics of the most recent :meth:`run`: counts-mode statevector
+    #: ``resimulations`` and ``distinct_patterns``.
     last_stats: dict[str, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -468,9 +520,9 @@ class StochasticSampler:
     def __post_init__(self) -> None:
         self._table = SiteTable.from_sites(self.sites)
         self._probabilities = self._table.probabilities
-        # Scenario sites (crosstalk/leakage/bursts) switch the per-shot
-        # loop to the correlated path; plain Eq. 4 sites keep the PR-2
-        # fast path and its exact random stream.
+        # Scenario sites (crosstalk/leakage/bursts) switch trigger
+        # sampling to the correlated per-site draws; plain Eq. 4 sites
+        # keep the skip-sampling scan.
         self._correlated = self._table.correlated
         # Computed once: the correlated form runs the per-window burst
         # DP, which is too heavy to redo on every property access.
@@ -509,25 +561,15 @@ class StochasticSampler:
     # ------------------------------------------------------------------
     def run(self, shots: int, *, seed: int = 0, shot_offset: int = 0,
             sample_counts: bool = False,
-            max_records: int = DEFAULT_MAX_RECORDS,
-            exhaustive_shots: bool = False) -> ShotResult:
+            max_records: int = DEFAULT_MAX_RECORDS) -> ShotResult:
         """Sample shots ``[shot_offset, shot_offset + shots)``.
 
-        Each shot consumes a fixed, documented draw sequence from its
-        private ``(seed, shot index)`` generator — trigger draws (the
-        skip-sampling scan for independent sites, one uniform per site
-        for correlated ones), then one Pauli choice per triggered
-        Pauli-like site, then (counts mode) one outcome uniform plus the
-        leaked-qubit coin flips — so results do not depend on how shots
-        are batched, sharded or backed.
-
-        ``exhaustive_shots=True`` forces the scalar per-shot reference
-        implementation of exactly the same draw discipline (one real
-        generator per shot, naming follows the scheduler's
-        ``exhaustive_scan``); it exists for differential testing and is
-        also the automatic fallback for entropy shapes the batched
-        kernels do not model (see
-        :func:`~repro.sim.rng_kernels.lanes_supported`).
+        Every draw is ``mix(seed, shot, stream, counter)`` (see the
+        module docstring), so results do not depend on how shots are
+        batched, sharded or backed.  Trigger sampling runs over all
+        shots at once; the labels of the recorded shots' errors (of
+        every shot's, in counts mode) are one lookup into the label
+        table.
         """
         if shots <= 0:
             raise SimulationError("shots must be positive")
@@ -535,29 +577,55 @@ class StochasticSampler:
             raise SimulationError("max_records cannot be negative")
         if seed < 0 or shot_offset < 0:
             raise SimulationError("seed and shot index must be non-negative")
-        if exhaustive_shots or not lanes_supported(
-            seed, shot_offset + shots - 1
-        ):
-            return self._run_exhaustive(shots, seed, shot_offset,
-                                        sample_counts, max_records)
-        return self._run_vectorized(shots, seed, shot_offset,
-                                    sample_counts, max_records)
-
-    def _make_result(self, shots: int, seed: int, shot_offset: int,
-                     successes: int, errors_per_shot: Sequence[int],
-                     records: Sequence[ShotRecord], max_records: int,
-                     counts: dict[str, int] | None,
-                     mechanism_counts: dict[str, int],
-                     mechanism_shots: dict[str, int]) -> ShotResult:
+        if shot_offset + shots > 1 << 64:
+            raise SimulationError("global shot indices must fit in 64 bits")
+        shot_indices = np.arange(shot_offset, shot_offset + shots,
+                                 dtype=np.uint64)
+        if self._correlated:
+            trigger_shots, trigger_positions, mechanism_counts, \
+                mechanism_shots = self._correlated_triggers(seed,
+                                                            shot_indices)
+        else:
+            trigger_shots, trigger_positions = (
+                self._independent_triggers(seed, shot_indices)
+            )
+            mechanism_counts, mechanism_shots = self._trigger_telemetry(
+                trigger_shots, trigger_positions
+            )
+        counts_per_shot = np.bincount(trigger_shots, minlength=shots)
+        starts = np.zeros(shots + 1, dtype=np.int64)
+        np.cumsum(counts_per_shot, out=starts[1:])
+        recorded = np.flatnonzero(counts_per_shot)[:max_records]
+        # triggers are sorted by shot, so the recorded shots' triggers
+        # are a prefix of them; counts mode labels every trigger
+        labelled = int(starts[recorded[-1] + 1]) if recorded.size else 0
+        if sample_counts:
+            labelled = trigger_shots.size
+        positions = trigger_positions[:labelled]
+        labels = self._table.lookup_labels(
+            positions,
+            mix(seed, shot_indices[trigger_shots[:labelled]], LABEL_STREAM,
+                positions),
+        ).tolist()
+        errors = list(zip(self._table.indices[positions].tolist(), labels))
+        records = tuple(
+            ShotRecord(shot=shot_offset + shot,
+                       errors=tuple(errors[starts[shot]:starts[shot + 1]]))
+            for shot in recorded.tolist()
+        )
+        self.last_stats = {"resimulations": 0, "distinct_patterns": 0}
+        counts = (self._sample_counts(seed, shot_indices, trigger_shots,
+                                      trigger_positions, starts, labels)
+                  if sample_counts else None)
         return ShotResult(
             architecture=self.architecture,
             circuit_name=self.circuit_name,
             shots=shots,
             seed=seed,
             shot_offset=shot_offset,
-            successes=successes,
-            errors_per_shot=tuple(errors_per_shot),
-            records=tuple(records),
+            successes=int(np.count_nonzero(counts_per_shot == 0)),
+            errors_per_shot=tuple(counts_per_shot.tolist()),
+            records=records,
             max_records=max_records,
             counts=counts,
             num_error_sites=len(self.sites),
@@ -568,7 +636,7 @@ class StochasticSampler:
         )
 
     # ------------------------------------------------------------------
-    # Vectorized sampling (the default path)
+    # Trigger sampling
     # ------------------------------------------------------------------
     def _scan_table(self) -> tuple[np.ndarray, np.ndarray,
                                    np.ndarray, np.ndarray]:
@@ -596,84 +664,57 @@ class StochasticSampler:
         return cached
 
     def _independent_triggers(
-        self, lanes: ShotLanes, shots: int
+        self, seed: int, shot_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sparse ``(shot, site position)`` triggers, lexsorted by shot.
 
-        The skip-sampling scan over all lanes at once: each round draws
-        one uniform per still-active lane, converts it to an exponential
-        hazard increment and jumps straight to the lane's next triggered
-        site via ``searchsorted`` on the cumulative hazard table.  Lanes
-        whose jump passes the last scan site retire, so a shot consumes
-        ``1 + number of triggers`` draws however many sites exist.
+        The skip-sampling scan over all shots at once: round ``k`` draws
+        trigger uniform ``k`` of every still-active shot, converts it to
+        an exponential hazard increment and jumps straight to the shot's
+        next triggered site via ``searchsorted`` on the cumulative
+        hazard table.  Shots whose jump passes the last scan site
+        retire, so a shot consumes ``1 + number of triggers`` draws
+        however many sites exist.
         """
         scan_positions, sure_positions, hazards, boundaries = (
             self._scan_table()
         )
+        shots = shot_indices.shape[0]
         num_scan = hazards.shape[0]
         shot_parts: list[np.ndarray] = []
         position_parts: list[np.ndarray] = []
         if num_scan:
             active = np.arange(shots, dtype=np.int64)
             resume = np.zeros(shots, dtype=np.int64)
+            draw = 0
             while active.size:
-                draws = lanes.draw(active)
-                targets = boundaries[resume[active]] - np.log1p(-draws)
+                uniforms = mix(seed, shot_indices[active], TRIGGER_STREAM,
+                               draw)
+                draw += 1
+                targets = boundaries[resume[active]] - np.log1p(-uniforms)
                 jumps = np.searchsorted(hazards, targets, side="right")
                 hit = jumps < num_scan
-                hit_lanes = active[hit]
+                hit_shots = active[hit]
                 hit_jumps = jumps[hit]
-                shot_parts.append(hit_lanes)
+                shot_parts.append(hit_shots)
                 position_parts.append(scan_positions[hit_jumps])
-                resume[hit_lanes] = hit_jumps + 1
-                active = hit_lanes[hit_jumps + 1 < num_scan]
+                resume[hit_shots] = hit_jumps + 1
+                active = hit_shots[hit_jumps + 1 < num_scan]
         if sure_positions.size:
             shot_parts.append(
                 np.repeat(np.arange(shots, dtype=np.int64),
                           sure_positions.size)
             )
             position_parts.append(np.tile(sure_positions, shots))
-        if not shot_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        trigger_shots = np.concatenate(shot_parts)
-        trigger_positions = np.concatenate(position_parts)
-        order = np.lexsort((trigger_positions, trigger_shots))
-        return trigger_shots[order], trigger_positions[order]
-
-    def _scan_shot_reference(self, rng: np.random.Generator) -> list[int]:
-        """Scalar skip-sampling scan of one shot (site positions, sorted).
-
-        Exactly the draw discipline of :meth:`_independent_triggers`
-        executed with one real per-shot generator — the
-        ``exhaustive_shots`` reference the vectorized path is pinned
-        bit-identical to.
-        """
-        scan_positions, sure_positions, hazards, boundaries = (
-            self._scan_table()
-        )
-        triggered = [int(position) for position in sure_positions]
-        num_scan = hazards.shape[0]
-        resume = 0
-        while resume < num_scan:
-            draw = rng.random()
-            target = boundaries[resume] - np.log1p(-draw)
-            jump = int(np.searchsorted(hazards, target, side="right"))
-            if jump >= num_scan:
-                break
-            triggered.append(int(scan_positions[jump]))
-            resume = jump + 1
-        triggered.sort()
-        return triggered
+        return _lexsorted(shot_parts, position_parts)
 
     def _burst_scaled(self, probability: float,
                       active_counts: np.ndarray) -> np.ndarray:
-        """Per-lane burst-scaled trigger probability.
+        """Per-shot burst-scaled trigger probability.
 
-        Computed once per distinct burst count with the *scalar*
-        arithmetic of the reference path (``min(1.0, p * multiplier **
-        active)``, overflow saturating to 1.0), so the vectorized
-        comparison is bit-equal to the per-shot one.
+        Computed once per distinct burst count with scalar arithmetic
+        (``min(1.0, p * multiplier ** active)``, overflow saturating to
+        1.0).
         """
         scaled = np.full(active_counts.shape[0], probability)
         for active in np.unique(active_counts).tolist():
@@ -689,16 +730,22 @@ class StochasticSampler:
         return scaled
 
     def _correlated_triggers(
-        self, lanes: ShotLanes, shots: int
+        self, seed: int, shot_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict[str, int], dict[str, int]]:
-        """Column-wise correlated sampling over all lanes at once.
+        """Correlated-noise sampling, site by site over all shots at once.
 
-        Consumes exactly the v1 stream — one uniform per site per shot,
-        in site order — and reproduces the burst-scaling, leakage
-        suppression and telemetry semantics of
-        :meth:`_sample_correlated_shot` for every lane in parallel.
-        Returns lexsorted sparse triggers plus the mechanism telemetry.
+        Site ``p`` triggers where ``mix(seed, shot, TRIGGER_STREAM, p)``
+        falls below its probability.  Sites are processed in execution
+        order: a triggered heating burst scales the probability of every
+        later burst-scalable site in its window, and a leaked qubit
+        suppresses every later site whose own qubits touch it (the shot
+        already failed — later gates on the leaked qubit act as
+        identity-with-error).  Crosstalk kicks from a gate with a leaked
+        operand still fire: the laser pulses either way.  Returns
+        lexsorted sparse triggers plus the mechanism telemetry (bursts
+        are counted there, though they are not error events).
         """
+        shots = shot_indices.shape[0]
         bursts_active: dict[int, np.ndarray] = {}
         leaked: dict[int, np.ndarray] = {}
         mechanism_counts: dict[str, int] = {}
@@ -719,8 +766,13 @@ class StochasticSampler:
                     mask |= triggered
             return total
 
+        block = max(1, _DRAW_BLOCK // shots)
         for position, site in enumerate(self.sites):
-            draws = lanes.draw()
+            if position % block == 0:
+                rows = mix(seed, shot_indices, TRIGGER_STREAM, np.arange(
+                    position, min(position + block, len(self.sites))
+                )[:, None])
+            draws = rows[position % block]
             if site.kind == HEATING_BURST:
                 triggered = draws < site.probability
                 if tally(HEATING_BURST, triggered):
@@ -753,23 +805,19 @@ class StochasticSampler:
                     else:
                         qubit_leaked |= triggered
             if tally(site.kind, triggered):
-                lanes_hit = np.flatnonzero(triggered)
-                shot_parts.append(lanes_hit)
+                shots_hit = np.flatnonzero(triggered)
+                shot_parts.append(shots_hit)
                 position_parts.append(
-                    np.full(lanes_hit.size, position, dtype=np.int64)
+                    np.full(shots_hit.size, position, dtype=np.int64)
                 )
         mechanism_shots = {
             kind: int(np.count_nonzero(mask))
             for kind, mask in kind_masks.items()
         }
-        if not shot_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, mechanism_counts, mechanism_shots
-        trigger_shots = np.concatenate(shot_parts)
-        trigger_positions = np.concatenate(position_parts)
-        order = np.lexsort((trigger_positions, trigger_shots))
-        return (trigger_shots[order], trigger_positions[order],
-                mechanism_counts, mechanism_shots)
+        trigger_shots, trigger_positions = _lexsorted(shot_parts,
+                                                      position_parts)
+        return (trigger_shots, trigger_positions, mechanism_counts,
+                mechanism_shots)
 
     def _trigger_telemetry(
         self, trigger_shots: np.ndarray, trigger_positions: np.ndarray,
@@ -792,348 +840,99 @@ class StochasticSampler:
                     )
         return mechanism_counts, mechanism_shots
 
-    def _run_vectorized(self, shots: int, seed: int, shot_offset: int,
-                        sample_counts: bool,
-                        max_records: int) -> ShotResult:
-        """Array-kernel sampling of one whole shot block.
+    # ------------------------------------------------------------------
+    # Counts
+    # ------------------------------------------------------------------
+    def _sample_counts(self, seed: int, shot_indices: np.ndarray,
+                       trigger_shots: np.ndarray,
+                       trigger_positions: np.ndarray, starts: np.ndarray,
+                       labels: list[str]) -> dict[str, int]:
+        """The measurement histogram of the sampled shots.
 
-        Trigger draws happen on :class:`~repro.sim.rng_kernels.ShotLanes`
-        (one PCG64 lane per shot); only shots whose triggers consume
-        scalar tail draws — Pauli labels, leak coin flips — are handed a
-        real mid-stream :class:`numpy.random.Generator`, and counts-mode
-        re-simulation runs once per *distinct* triggered-error pattern.
+        Each shot's outcome is its outcome-stream uniform looked up in
+        the cumulative distribution of its error pattern (the ideal one
+        when no Pauli or leak triggered; otherwise the circuit
+        re-simulated with the pattern's Paulis injected and leaked
+        qubits' later gates dropped, once per distinct pattern).  Then
+        readout flips XOR their qubits' bits and every leaked qubit
+        reads out its leak-stream coin (heads = 1).
         """
-        base_circuit: Circuit | None = None
-        ideal_cumulative: np.ndarray | None = None
-        if sample_counts:
-            base_circuit = self._counts_circuit()
-            assert self.gates is not None
-            ideal_cumulative = _ideal_cumulative(
-                base_circuit.num_qubits, tuple(self.gates),
-                self.max_statevector_qubits,
-            )
-        lanes = ShotLanes(
-            seed,
-            np.arange(shot_offset, shot_offset + shots, dtype=np.uint64),
-        )
-        if self._correlated:
-            trigger_shots, trigger_positions, mechanism_counts, \
-                mechanism_shots = self._correlated_triggers(lanes, shots)
-        else:
-            trigger_shots, trigger_positions = (
-                self._independent_triggers(lanes, shots)
-            )
-            mechanism_counts, mechanism_shots = self._trigger_telemetry(
-                trigger_shots, trigger_positions
-            )
-        counts_per_shot = np.bincount(trigger_shots, minlength=shots)
-        successes = int(np.count_nonzero(counts_per_shot == 0))
-        starts = np.zeros(shots + 1, dtype=np.int64)
-        np.cumsum(counts_per_shot, out=starts[1:])
-        erroneous = np.flatnonzero(counts_per_shot)
-        recorded = erroneous[:max_records]
-        recorded_set = set(recorded.tolist())
-
-        label_site = self._table.label_mask
-        leak_site = self._table.leak_mask
-        label_shots = np.unique(trigger_shots[label_site[trigger_positions]])
-        if sample_counts:
-            replay = np.unique(trigger_shots[
-                label_site[trigger_positions]
-                | leak_site[trigger_positions]
-            ])
-        else:
-            # label draws of unrecorded shots are unobservable (per-shot
-            # streams are independent), so only recorded shots replay
-            replay = np.intersect1d(recorded, label_shots,
-                                    assume_unique=True)
-        replay_set = set(replay.tolist())
-
-        counts: dict[str, int] | None = {} if sample_counts else None
-        records_map: dict[int, ShotRecord] = {}
-        pattern_cache: dict[Any, np.ndarray] = {}
-        resimulations = 0
-        # recorded shots without label draws read their records straight
-        # off the sparse triggers (FLIP/LEAK labels are fixed strings)
-        for shot in recorded.tolist():
-            if shot in replay_set:
-                continue
-            errors = tuple(
-                (self.sites[position].index,
-                 "FLIP" if self.sites[position].kind == MEASURE_FLIP
-                 else "LEAK")
-                for position in
-                trigger_positions[starts[shot]:starts[shot + 1]].tolist()
-            )
-            records_map[shot] = ShotRecord(shot=shot_offset + shot,
-                                           errors=errors)
-        n_out = base_circuit.num_qubits if base_circuit is not None else 0
-        for shot in replay.tolist():
-            generator = lanes.borrow_generator(shot)
-            errors_list: list[tuple[int, str]] = []
-            flip_qubits: list[int] = []
+        base_circuit = self._counts_circuit()
+        assert self.gates is not None
+        n = base_circuit.num_qubits
+        ideal = _ideal_cumulative(n, tuple(self.gates),
+                                  self.max_statevector_qubits)
+        table = self._table
+        uniforms = mix(seed, shot_indices, OUTCOME_STREAM, 0)
+        indices = np.searchsorted(ideal, uniforms, side="right")
+        patterned = (table.label_mask[trigger_positions]
+                     | table.leak_mask[trigger_positions])
+        # pattern grouping is the one walk over shots
+        groups: dict[tuple[Any, Any], list[int]] = {}
+        positions = trigger_positions.tolist()
+        bounds = starts.tolist()
+        for shot in np.unique(trigger_shots[patterned]).tolist():
+            paulis: list[tuple[int, str]] = []
             leaked_at: dict[int, int] = {}
-            injections: dict[int, list[Gate]] = {}
-            label_key: list[tuple[int, str]] = []
-            positions = (
-                trigger_positions[starts[shot]:starts[shot + 1]].tolist()
-            )
-            for position in positions:
+            for trigger in range(bounds[shot], bounds[shot + 1]):
+                position = positions[trigger]
                 site = self.sites[position]
                 if site.kind == LEAKAGE:
                     for qubit in site.qubits:
                         leaked_at.setdefault(qubit, site.index)
-                    errors_list.append((site.index, "LEAK"))
-                elif site.kind == MEASURE_FLIP:
-                    errors_list.append((site.index, "FLIP"))
-                    flip_qubits.extend(site.qubits)
-                else:
-                    label = sample_pauli_label(site, generator)
-                    errors_list.append((site.index, label))
-                    label_key.append((position, label))
-                    if sample_counts:
-                        extra = pauli_gates(site, label)
-                        if extra:
-                            injections.setdefault(
-                                site.index, []
-                            ).extend(extra)
-            if shot in recorded_set:
-                records_map[shot] = ShotRecord(
-                    shot=shot_offset + shot, errors=tuple(errors_list)
+                elif table.label_mask[position]:
+                    paulis.append((position, labels[trigger]))
+            key = (tuple(paulis), tuple(sorted(leaked_at.items())))
+            groups.setdefault(key, []).append(shot)
+        simulator = StatevectorSimulator(self.max_statevector_qubits)
+        for (paulis, leaks), members in groups.items():
+            injections: dict[int, list[Gate]] = {}
+            for position, label in paulis:
+                site = self.sites[position]
+                injections.setdefault(site.index, []).extend(
+                    pauli_gates(site, label)
                 )
-            if counts is not None:
-                assert base_circuit is not None
-                assert ideal_cumulative is not None
-                if not injections and not leaked_at:
-                    cumulative = ideal_cumulative
-                else:
-                    key = (tuple(label_key),
-                           tuple(sorted(leaked_at.items())))
-                    cumulative = pattern_cache.get(key)
-                    if cumulative is None:
-                        perturbed = self._build_perturbed(
-                            injections, leaked_at, base_circuit
-                        )
-                        simulator = StatevectorSimulator(
-                            self.max_statevector_qubits
-                        )
-                        cumulative = np.cumsum(
-                            simulator.probabilities(perturbed)
-                        )
-                        pattern_cache[key] = cumulative
-                        resimulations += 1
-                index = self._draw_outcome_index(
-                    generator, cumulative, n_out, flip_qubits
-                )
-                for qubit in sorted(leaked_at):
-                    bit = 1 if generator.random() < 0.5 else 0
-                    mask = 1 << (n_out - 1 - qubit)
-                    index = (index | mask) if bit else (index & ~mask)
-                outcome = format(index, f"0{n_out}b")
-                counts[outcome] = counts.get(outcome, 0) + 1
-        if counts is not None:
-            assert ideal_cumulative is not None
-            batched = np.setdiff1d(np.arange(shots, dtype=np.int64),
-                                   replay, assume_unique=True)
-            if batched.size:
-                flip_mask_site = np.zeros(len(self.sites), dtype=np.int64)
-                for position in np.flatnonzero(self._table.flip_mask):
-                    mask = 0
-                    for qubit in self.sites[position].qubits:
-                        mask ^= 1 << (n_out - 1 - qubit)
-                    flip_mask_site[position] = mask
-                shot_flips = np.zeros(shots, dtype=np.int64)
-                flips = flip_mask_site[trigger_positions] != 0
-                np.bitwise_xor.at(
-                    shot_flips, trigger_shots[flips],
-                    flip_mask_site[trigger_positions[flips]],
-                )
-                draws = lanes.draw(batched)
-                indices = np.searchsorted(ideal_cumulative, draws,
-                                          side="right")
-                np.minimum(indices, len(ideal_cumulative) - 1,
-                           out=indices)
-                indices ^= shot_flips[batched]
-                unique_indices, tallies = np.unique(indices,
-                                                    return_counts=True)
-                for index, tally_count in zip(unique_indices.tolist(),
-                                              tallies.tolist()):
-                    outcome = format(index, f"0{n_out}b")
-                    counts[outcome] = counts.get(outcome, 0) + tally_count
-        self.last_stats = {
-            "mode": "vectorized",
-            "resimulations": resimulations,
-            "distinct_patterns": len(pattern_cache),
-            "replayed_shots": int(replay.size),
-        }
-        return self._make_result(
-            shots, seed, shot_offset, successes,
-            counts_per_shot.tolist(),
-            tuple(records_map[shot] for shot in recorded.tolist()),
-            max_records, counts, mechanism_counts, mechanism_shots,
+            perturbed = self._build_perturbed(injections, dict(leaks),
+                                              base_circuit)
+            cumulative = np.cumsum(simulator.probabilities(perturbed))
+            indices[members] = np.searchsorted(cumulative, uniforms[members],
+                                               side="right")
+        self.last_stats = {"resimulations": len(groups),
+                           "distinct_patterns": len(groups)}
+        np.minimum(indices, len(ideal) - 1, out=indices)
+        flips = table.flip_mask[trigger_positions]
+        np.bitwise_xor.at(
+            indices, trigger_shots[flips],
+            self._qubit_bits(table.flip_mask, n)[trigger_positions[flips]],
         )
-
-    # ------------------------------------------------------------------
-    # Exhaustive per-shot reference (differential mode and fallback)
-    # ------------------------------------------------------------------
-    def _run_exhaustive(self, shots: int, seed: int, shot_offset: int,
-                        sample_counts: bool,
-                        max_records: int) -> ShotResult:
-        """One real generator per shot — the reference implementation."""
-        base_circuit: Circuit | None = None
-        ideal_cumulative: np.ndarray | None = None
-        if sample_counts:
-            base_circuit = self._counts_circuit()
-            assert self.gates is not None
-            ideal_cumulative = _ideal_cumulative(
-                base_circuit.num_qubits, tuple(self.gates),
-                self.max_statevector_qubits,
-            )
-        successes = 0
-        resimulations = 0
-        errors_per_shot: list[int] = []
-        records: list[ShotRecord] = []
-        counts: dict[str, int] | None = {} if sample_counts else None
-        mechanism_counts: dict[str, int] = {}
-        mechanism_shots: dict[str, int] = {}
-        for local_shot in range(shots):
-            shot = shot_offset + local_shot
-            rng = shot_rng(seed, shot)
-            shot_kinds: set[str] = set()
-            if self._correlated:
-                errors, flip_qubits, leaked_at, injections = (
-                    self._sample_correlated_shot(
-                        rng, mechanism_counts, shot_kinds,
-                        want_injections=sample_counts,
-                    )
-                )
-            else:
-                triggered = self._scan_shot_reference(rng)
-                errors = []
-                flip_qubits = []
-                for position in triggered:
-                    site = self.sites[position]
-                    label = sample_pauli_label(site, rng)
-                    errors.append((site.index, label))
-                    shot_kinds.add(site.kind)
-                    mechanism_counts[site.kind] = (
-                        mechanism_counts.get(site.kind, 0) + 1
-                    )
-                    if site.kind == MEASURE_FLIP:
-                        flip_qubits.extend(site.qubits)
-            errors_per_shot.append(len(errors))
-            if not errors:
-                successes += 1
-            elif len(records) < max_records:
-                records.append(ShotRecord(shot=shot, errors=tuple(errors)))
-            if counts is not None:
-                if self._correlated:
-                    outcome, resimulated = self._correlated_outcome(
-                        rng, injections, flip_qubits, leaked_at,
-                        base_circuit, ideal_cumulative,
-                    )
-                else:
-                    outcome, resimulated = self._sample_outcome(
-                        rng, triggered, errors, flip_qubits,
-                        base_circuit, ideal_cumulative,
-                    )
-                resimulations += resimulated
-                counts[outcome] = counts.get(outcome, 0) + 1
-            for kind in shot_kinds:
-                mechanism_shots[kind] = mechanism_shots.get(kind, 0) + 1
-        self.last_stats = {
-            "mode": "exhaustive",
-            "resimulations": resimulations,
-        }
-        return self._make_result(
-            shots, seed, shot_offset, successes, errors_per_shot,
-            records, max_records, counts, mechanism_counts,
-            mechanism_shots,
+        leaks = table.leak_mask[trigger_positions]
+        leak_words = np.zeros(indices.shape[0], dtype=np.int64)
+        np.bitwise_or.at(
+            leak_words, trigger_shots[leaks],
+            self._qubit_bits(table.leak_mask, n)[trigger_positions[leaks]],
         )
-
-    # ------------------------------------------------------------------
-    # Correlated (scenario) sampling
-    # ------------------------------------------------------------------
-    def _sample_correlated_shot(
-        self, rng: np.random.Generator,
-        mechanism_counts: dict[str, int], shot_kinds: set[str],
-        want_injections: bool = False,
-    ) -> tuple[list[tuple[int, str]], list[int], dict[int, int],
-               dict[int, list[Gate]]]:
-        """One shot of the correlated-noise model.
-
-        The draw sequence is fixed and documented: one uniform per site
-        (in site order), then one Pauli choice per triggered Pauli-like
-        site, so sharded runs stay bit-identical to serial ones.  Sites
-        are processed in execution order; a triggered heating burst
-        scales the probability of every later burst-scalable site in its
-        window, and a leaked qubit suppresses every later site whose own
-        qubits touch it (the shot already failed — later gates on the
-        leaked qubit act as identity-with-error).  Crosstalk kicks from a
-        gate with a leaked operand still fire: the laser pulses either
-        way.
-
-        Returns ``(errors, flip_qubits, leaked_at, injections)`` where
-        ``leaked_at`` maps leaked qubit -> gate index of the leak and
-        ``injections`` maps gate index -> Pauli gates for counts
-        re-simulation (only materialised when *want_injections* — i.e.
-        counts mode — asks for it; success-rate shots skip the Gate
-        allocations).
-        """
-        n = len(self._probabilities)
-        uniforms = rng.random(n) if n else np.empty(0)
-        bursts_active: dict[int, int] = {}
-        leaked_at: dict[int, int] = {}
-        errors: list[tuple[int, str]] = []
-        flip_qubits: list[int] = []
-        injections: dict[int, list[Gate]] = {}
-        for position, site in enumerate(self.sites):
-            if site.kind == HEATING_BURST:
-                if uniforms[position] < site.probability:
-                    bursts_active[site.window] = (
-                        bursts_active.get(site.window, 0) + 1
-                    )
-                    shot_kinds.add(HEATING_BURST)
-                    mechanism_counts[HEATING_BURST] = (
-                        mechanism_counts.get(HEATING_BURST, 0) + 1
-                    )
-                continue
-            if leaked_at and any(q in leaked_at for q in site.qubits):
-                continue
-            probability = site.probability
-            if site.kind in BURST_SCALED_KINDS:
-                active = bursts_active.get(site.window, 0)
-                if active:
-                    try:
-                        probability = min(
-                            1.0,
-                            probability * self.burst_multiplier ** active,
-                        )
-                    except OverflowError:
-                        # enough active bursts to overflow a float pow
-                        # saturate exactly like the capped product would
-                        probability = 1.0
-            if uniforms[position] >= probability:
-                continue
-            shot_kinds.add(site.kind)
-            mechanism_counts[site.kind] = (
-                mechanism_counts.get(site.kind, 0) + 1
+        leaked_shots = np.flatnonzero(leak_words)
+        if leaked_shots.size:
+            coins = mix(seed, shot_indices[leaked_shots, None], LEAK_STREAM,
+                        np.arange(n)) < 0.5
+            heads = coins.astype(np.int64) @ (
+                1 << np.arange(n - 1, -1, -1, dtype=np.int64)
             )
-            if site.kind == LEAKAGE:
-                for qubit in site.qubits:
-                    leaked_at.setdefault(qubit, site.index)
-                errors.append((site.index, "LEAK"))
-            elif site.kind == MEASURE_FLIP:
-                errors.append((site.index, "FLIP"))
-                flip_qubits.extend(site.qubits)
-            else:
-                label = sample_pauli_label(site, rng)
-                errors.append((site.index, label))
-                if want_injections:
-                    extra = pauli_gates(site, label)
-                    if extra:
-                        injections.setdefault(site.index, []).extend(extra)
-        return errors, flip_qubits, leaked_at, injections
+            words = leak_words[leaked_shots]
+            indices[leaked_shots] = ((indices[leaked_shots] & ~words)
+                                     | (heads & words))
+        outcomes, tallies = np.unique(indices, return_counts=True)
+        return {format(outcome, f"0{n}b"): tally
+                for outcome, tally in zip(outcomes.tolist(),
+                                          tallies.tolist())}
+
+    def _qubit_bits(self, mask: np.ndarray, n: int) -> np.ndarray:
+        """Per-site outcome bits of the sites in *mask* (qubit 0 = MSB)."""
+        bits = np.zeros(len(self.sites), dtype=np.int64)
+        for position in np.flatnonzero(mask).tolist():
+            for qubit in self.sites[position].qubits:
+                bits[position] |= 1 << (n - 1 - qubit)
+        return bits
 
     def _build_perturbed(self, injections: dict[int, list[Gate]],
                          leaked_at: dict[int, int],
@@ -1142,8 +941,7 @@ class StochasticSampler:
 
         Sampled Pauli gates are injected right after their base gate;
         gates strictly after a leak that touch the leaked qubit are
-        dropped (the shared builder keeps the vectorized pattern cache
-        and the per-shot reference byte-identical by construction).
+        dropped.
         """
         assert self.gates is not None
         perturbed = Circuit(base_circuit.num_qubits, name=base_circuit.name)
@@ -1158,59 +956,6 @@ class StochasticSampler:
                 perturbed.append(extra)
         return perturbed
 
-    def _correlated_outcome(
-        self, rng: np.random.Generator,
-        injections: dict[int, list[Gate]],
-        flip_qubits: list[int],
-        leaked_at: dict[int, int],
-        base_circuit: Circuit | None,
-        ideal_cumulative: np.ndarray | None,
-    ) -> tuple[str, int]:
-        """Sample one measurement outcome under the correlated model.
-
-        Gates strictly after a leak that touch the leaked qubit are
-        dropped from the re-simulated circuit, and the leaked qubit's
-        measured bit is replaced by a fair coin flip (one uniform per
-        leaked qubit, in qubit order) after the outcome draw.  Returns
-        the outcome and how many statevector re-simulations it cost.
-        """
-        assert base_circuit is not None and ideal_cumulative is not None
-        resimulated = 0
-        if not injections and not leaked_at:
-            cumulative = ideal_cumulative
-        else:
-            perturbed = self._build_perturbed(injections, leaked_at,
-                                              base_circuit)
-            simulator = StatevectorSimulator(self.max_statevector_qubits)
-            cumulative = np.cumsum(simulator.probabilities(perturbed))
-            resimulated = 1
-        n = base_circuit.num_qubits
-        index = self._draw_outcome_index(rng, cumulative, n, flip_qubits)
-        for qubit in sorted(leaked_at):
-            bit = 1 if rng.random() < 0.5 else 0
-            mask = 1 << (n - 1 - qubit)
-            index = (index | mask) if bit else (index & ~mask)
-        return format(index, f"0{n}b"), resimulated
-
-    @staticmethod
-    def _draw_outcome_index(rng: np.random.Generator,
-                            cumulative: np.ndarray, n: int,
-                            flip_qubits: list[int]) -> int:
-        """One outcome draw with readout flips applied (qubit 0 = MSB).
-
-        Shared by the baseline and correlated counts paths so the draw,
-        clamp and bit-order conventions cannot diverge.
-        """
-        draw = rng.random()
-        index = int(np.searchsorted(cumulative, draw, side="right"))
-        index = min(index, len(cumulative) - 1)
-        for qubit in flip_qubits:
-            index ^= 1 << (n - 1 - qubit)
-        return index
-
-    # ------------------------------------------------------------------
-    # Counts machinery
-    # ------------------------------------------------------------------
     def _counts_circuit(self) -> Circuit:
         if self.gates is None or self.num_qubits is None:
             raise SimulationError(
@@ -1230,41 +975,19 @@ class StochasticSampler:
             circuit.append(gate)
         return circuit
 
-    def _sample_outcome(self, rng: np.random.Generator,
-                        triggered: Sequence[int],
-                        errors: list[tuple[int, str]],
-                        flip_qubits: list[int],
-                        base_circuit: Circuit | None,
-                        ideal_cumulative: np.ndarray | None,
-                        ) -> tuple[str, int]:
-        assert base_circuit is not None and ideal_cumulative is not None
-        needs_resim = any(
-            self.sites[int(position)].kind != MEASURE_FLIP
-            for position in triggered
-        )
-        resimulated = 0
-        if not needs_resim:
-            cumulative = ideal_cumulative
-        else:
-            perturbed = self._perturbed_circuit(triggered, errors,
-                                                base_circuit)
-            simulator = StatevectorSimulator(self.max_statevector_qubits)
-            cumulative = np.cumsum(simulator.probabilities(perturbed))
-            resimulated = 1
-        n = base_circuit.num_qubits
-        index = self._draw_outcome_index(rng, cumulative, n, flip_qubits)
-        return format(index, f"0{n}b"), resimulated
 
-    def _perturbed_circuit(self, triggered: Sequence[int],
-                           errors: list[tuple[int, str]],
-                           base_circuit: Circuit) -> Circuit:
-        injected: dict[int, list[Gate]] = {}
-        for position, (gate_index, label) in zip(triggered, errors):
-            site = self.sites[int(position)]
-            extra = pauli_gates(site, label)
-            if extra:
-                injected.setdefault(gate_index, []).extend(extra)
-        return self._build_perturbed(injected, {}, base_circuit)
+def _lexsorted(shot_parts: list[np.ndarray],
+               position_parts: list[np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``(shot, position)`` triggers, sorted by shot then
+    position."""
+    if not shot_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    trigger_shots = np.concatenate(shot_parts)
+    trigger_positions = np.concatenate(position_parts)
+    order = np.lexsort((trigger_positions, trigger_shots))
+    return trigger_shots[order], trigger_positions[order]
 
 
 # ----------------------------------------------------------------------

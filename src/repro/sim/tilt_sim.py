@@ -251,8 +251,8 @@ class TiltSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str | None = None,
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None,
-                       exhaustive_shots: bool = False) -> ShotResult:
+                       scenario: NoiseScenario | str | None = None
+                       ) -> ShotResult:
         """Monte-Carlo sample the program's Eq. 4 noise, shot by shot.
 
         Every per-gate fidelity becomes a stochastic Pauli/readout-flip
@@ -275,11 +275,6 @@ class TiltSimulator:
         ions under the head, leakage out of the computational subspace
         and shuttle-induced heating bursts.  ``None`` / ``"baseline"``
         keeps the independent-error sampling unchanged.
-
-        ``exhaustive_shots`` forwards to :meth:`StochasticSampler.run
-        <repro.sim.stochastic.StochasticSampler.run>`: the scalar
-        per-shot reference implementation the vectorized default is
-        pinned bit-identical to.
         """
         mapping = (program.final_mapping
                    if isinstance(program, CompileResult) else None)
@@ -289,8 +284,7 @@ class TiltSimulator:
                                      analytic=analytic, scenario=scenario)
         result = sampler.run(shots, seed=seed, shot_offset=shot_offset,
                              sample_counts=sample_counts,
-                             max_records=max_records,
-                             exhaustive_shots=exhaustive_shots)
+                             max_records=max_records)
         if mapping is not None and result.counts is not None:
             assert sampler.num_qubits is not None
             physical_of = [mapping.physical(logical)

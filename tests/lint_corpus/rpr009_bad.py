@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 
+from repro.sim.stochastic import TRIGGER_STREAM, mix
+
 GLOBAL_SEED = 42
 
 # RPR009: module-level generator - stream position is import-order state
@@ -35,3 +37,8 @@ def derived_from_constants(shots: int) -> list:
     # RPR009: dataflow roots only in constants, never in a parameter
     rng = random.Random(base + offset)
     return [rng.random() for _ in range(shots)]
+
+
+def ambient_mix(shot: int):
+    # RPR009: the counter-based draw is keyed on a module global
+    return mix(GLOBAL_SEED, shot, TRIGGER_STREAM, 0)

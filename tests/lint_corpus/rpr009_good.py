@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 
+from repro.sim.stochastic import TRIGGER_STREAM, mix
+
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, shot_index))
@@ -28,3 +30,8 @@ def sample(seed: int, shots: int) -> list:
 def spec_stream(spec, offset: int) -> random.Random:
     base = spec.seed + offset
     return random.Random(base)
+
+
+def trigger_draws(seed: int, shots, draw: int):
+    # only mix's seed is audited: stream numbers are module constants
+    return mix(seed, shots, TRIGGER_STREAM, draw)

@@ -99,7 +99,7 @@ class TestRepoGraph:
     def test_worker_reachable_covers_sim_but_not_drivers(
             self, repo_graph):
         reach = repo_graph.worker_reachable
-        assert "repro.sim.stochastic.shot_rng" in reach
+        assert "repro.sim.stochastic.mix" in reach
         assert "repro.obs.trace.worker_recorder" in reach
         assert "repro.exec.engine.ExecutionEngine.run" not in reach
         assert not any(node.startswith(("repro.search.",

@@ -42,7 +42,8 @@ EXPECTED_BAD_COUNTS = {
     "RPR006": 4,   # imports of exec, analysis, obs, devtools from circuits
     "RPR007": 2 + 2 + 2,  # bad spec fields + ambient handles + closures
     "RPR008": 4,   # item write, .append, global rebind, transitive .update
-    "RPR009": 4,   # module-level rng + constant + ambient + const-derived
+    "RPR009": 5,   # module-level rng + constant + ambient + const-derived
+                   # + ambient mix seed
 }
 
 

@@ -59,15 +59,6 @@ class TestBasics:
 
 
 class TestReadout:
-    def test_sample_counts_sum_to_shots(self, statevector, bell_circuit):
-        counts = statevector.sample(bell_circuit, shots=256, seed=1)
-        assert sum(counts.values()) == 256
-        assert set(counts) <= {"00", "11"}
-
-    def test_sample_requires_positive_shots(self, statevector, bell_circuit):
-        with pytest.raises(SimulationError):
-            statevector.sample(bell_circuit, shots=0)
-
     def test_most_probable(self, statevector):
         circuit = Circuit(3).x(0).x(2)
         assert statevector.most_probable(circuit) == "101"

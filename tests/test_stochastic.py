@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.convergence import convergence_study, sampled_figure8
@@ -21,6 +22,12 @@ from repro.exec import (
 )
 from repro.exec.engine import reset_default_engine
 from repro.noise.channels import (
+    BURST_SCALED_KINDS,
+    CORRELATED_KINDS,
+    HEATING_BURST,
+    LABEL_TABLE,
+    LEAKAGE,
+    MEASURE_FLIP,
     PAULI_LABELS_2Q,
     ErrorSite,
     error_site_for_gate,
@@ -29,10 +36,17 @@ from repro.noise.channels import (
 from repro.noise.parameters import NoiseParameters
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
+from repro.sim.statevector import StatevectorSimulator
 from repro.sim.stochastic import (
+    DEFAULT_MAX_RECORDS,
+    LABEL_STREAM,
+    LEAK_STREAM,
+    OUTCOME_STREAM,
+    TRIGGER_STREAM,
     ShotRecord,
     ShotResult,
     merge_shot_results,
+    mix,
     wilson_interval,
 )
 from repro.sim.tilt_sim import TiltSimulator
@@ -397,88 +411,210 @@ class TestCounts:
 
 
 # ----------------------------------------------------------------------
-# Vectorized sampling vs the exhaustive per-shot reference
+# Vectorized sampling vs the per-shot reference
 # ----------------------------------------------------------------------
+def reference_run(sampler, shots, *, seed, shot_offset=0,
+                  sample_counts=False, max_records=DEFAULT_MAX_RECORDS):
+    """``sampler.run`` one shot at a time with scalar draws.
+
+    The differential oracle: the draw definitions of the vectorized
+    sampler (skip-sampling scan or one trigger draw per correlated site,
+    Pauli labels, counts-mode outcome and leak coins, each
+    ``mix(seed, shot, stream, counter)``) executed with plain per-shot
+    control flow and one fresh statevector run per erroneous shot.
+    """
+    sites = list(sampler.sites)
+    p = np.array([site.probability for site in sites], dtype=float)
+    correlated = any(site.kind in CORRELATED_KINDS for site in sites)
+    scan = np.flatnonzero((p > 0.0) & (p < 1.0))
+    hazards = np.cumsum(-np.log1p(-p[scan]))
+    n = sampler.num_qubits
+    ideal = None
+    if sample_counts:
+        ideal = np.cumsum(StatevectorSimulator().probabilities(
+            _circuit_of(sampler, {}, {})))
+    errors_per_shot, records, counts = [], [], {} if sample_counts else None
+    mechanism_counts, mechanism_shots = {}, {}
+    for shot in range(shot_offset, shot_offset + shots):
+        def draw(stream, counter):
+            return float(mix(seed, shot, stream, counter)[0])
+
+        triggered, kinds, leaked_at, bursts = [], [], {}, {}
+        if correlated:
+            for position, site in enumerate(sites):
+                u = draw(TRIGGER_STREAM, position)
+                if site.kind == HEATING_BURST:
+                    if u < site.probability:
+                        bursts[site.window] = bursts.get(site.window, 0) + 1
+                        kinds.append(HEATING_BURST)
+                    continue
+                if any(qubit in leaked_at for qubit in site.qubits):
+                    continue
+                probability = site.probability
+                active = (bursts.get(site.window, 0)
+                          if site.kind in BURST_SCALED_KINDS else 0)
+                if active:
+                    try:
+                        probability = min(
+                            1.0, probability
+                            * sampler.burst_multiplier ** active)
+                    except OverflowError:
+                        probability = 1.0
+                if u < probability:
+                    triggered.append(position)
+                    kinds.append(site.kind)
+                    if site.kind == LEAKAGE:
+                        for qubit in site.qubits:
+                            leaked_at.setdefault(qubit, site.index)
+        else:
+            triggered = np.flatnonzero(p >= 1.0).tolist()
+            resume = draws = 0
+            while resume < len(scan):
+                consumed = hazards[resume - 1] if resume else 0.0
+                target = consumed - np.log1p(-draw(TRIGGER_STREAM, draws))
+                draws += 1
+                jump = int(np.searchsorted(hazards, target, side="right"))
+                if jump >= len(scan):
+                    break
+                triggered.append(int(scan[jump]))
+                resume = jump + 1
+            triggered.sort()
+            kinds = [sites[position].kind for position in triggered]
+        errors = []
+        for position in triggered:
+            row = LABEL_TABLE[sites[position].kind]
+            choice = int(draw(LABEL_STREAM, position) * len(row))
+            errors.append((sites[position].index,
+                           row[min(choice, len(row) - 1)]))
+        errors_per_shot.append(len(errors))
+        if errors and len(records) < max_records:
+            records.append(ShotRecord(shot=shot, errors=tuple(errors)))
+        for kind in kinds:
+            mechanism_counts[kind] = mechanism_counts.get(kind, 0) + 1
+        for kind in set(kinds):
+            mechanism_shots[kind] = mechanism_shots.get(kind, 0) + 1
+        if counts is None:
+            continue
+        injected = {}
+        for position, (index, label) in zip(triggered, errors):
+            extra = pauli_gates(sites[position], label)
+            if extra:
+                injected.setdefault(index, []).extend(extra)
+        cumulative = ideal
+        if injected or leaked_at:
+            cumulative = np.cumsum(StatevectorSimulator().probabilities(
+                _circuit_of(sampler, injected, leaked_at)))
+        outcome = min(int(np.searchsorted(cumulative,
+                                          draw(OUTCOME_STREAM, 0),
+                                          side="right")),
+                      len(cumulative) - 1)
+        for position in triggered:
+            if sites[position].kind == MEASURE_FLIP:
+                for qubit in sites[position].qubits:
+                    outcome ^= 1 << (n - 1 - qubit)
+        for qubit in sorted(leaked_at):
+            bit = 1 << (n - 1 - qubit)
+            heads = draw(LEAK_STREAM, qubit) < 0.5
+            outcome = (outcome | bit) if heads else (outcome & ~bit)
+        bits = format(outcome, f"0{n}b")
+        counts[bits] = counts.get(bits, 0) + 1
+    return ShotResult(
+        architecture=sampler.architecture,
+        circuit_name=sampler.circuit_name,
+        shots=shots, seed=seed, shot_offset=shot_offset,
+        successes=errors_per_shot.count(0),
+        errors_per_shot=tuple(errors_per_shot),
+        records=tuple(records), max_records=max_records, counts=counts,
+        num_error_sites=len(sites),
+        expected_success_rate=sampler.expected_success_rate,
+        analytic=sampler.analytic,
+        mechanism_counts=mechanism_counts,
+        mechanism_shots=mechanism_shots,
+    )
+
+
+def _circuit_of(sampler, injected, leaked_at):
+    """The executed circuit with Paulis injected after their gates and
+    the gates after a leak on the leaked qubit dropped."""
+    circuit = Circuit(sampler.num_qubits)
+    for index, gate in enumerate(sampler.gates):
+        if not any(leaked_at.get(qubit, index + 1) < index
+                   for qubit in gate.qubits):
+            circuit.append(gate)
+        for extra in injected.get(index, ()):
+            circuit.append(extra)
+    return circuit
+
+
+def _qft8_tilt_sampler(noise, scenario=None):
+    device = TiltDevice(num_qubits=8, head_size=4)
+    compiled = LinQCompiler(device, CompilerConfig()).compile(
+        qft_workload(8)
+    )
+    return TiltSimulator(device, noise).build_sampler(compiled,
+                                                      scenario=scenario)
+
+
 class TestVectorizedReference:
-    """The vectorized kernels are pinned bit-identical to
-    ``exhaustive_shots=True`` — the same draw discipline executed with one
-    real generator per shot — across backends, modes and shard splits."""
+    """The vectorized sampler is pinned bit-identical to
+    :func:`reference_run` — the same draws, one shot at a time — across
+    backends, modes and shard splits."""
 
     def test_tilt_success_sampling_bit_identity(self, qft16_compiled, noise):
         device, compiled = qft16_compiled
         simulator = TiltSimulator(device, noise)
+        sampler = simulator.build_sampler(compiled)
         vectorized = simulator.run_stochastic(compiled, shots=400, seed=7)
-        reference = simulator.run_stochastic(compiled, shots=400, seed=7,
-                                             exhaustive_shots=True)
-        assert vectorized == reference
+        assert vectorized == reference_run(sampler, 400, seed=7)
 
     def test_exhaustive_shards_merge_into_the_vectorized_serial_run(
             self, qft16_compiled, noise):
-        # offsets must not shift either discipline's stream: reference
+        # offsets must not shift either implementation's draws: reference
         # shards reassemble the vectorized whole bit for bit
         device, compiled = qft16_compiled
         simulator = TiltSimulator(device, noise)
+        sampler = simulator.build_sampler(compiled)
         vectorized = simulator.run_stochastic(compiled, shots=300, seed=11)
         shards = [
-            simulator.run_stochastic(compiled, shots=width, seed=11,
-                                     shot_offset=offset,
-                                     exhaustive_shots=True)
+            reference_run(sampler, width, seed=11, shot_offset=offset)
             for offset, width in ((0, 120), (120, 80), (200, 100))
         ]
         assert merge_shot_results(shards) == vectorized
 
     def test_tilt_counts_bit_identity(self, noise):
-        device = TiltDevice(num_qubits=8, head_size=4)
-        compiled = LinQCompiler(device, CompilerConfig()).compile(
-            qft_workload(8)
-        )
-        simulator = TiltSimulator(device, noise)
-        vectorized = simulator.run_stochastic(compiled, shots=150, seed=3,
-                                              sample_counts=True)
-        reference = simulator.run_stochastic(compiled, shots=150, seed=3,
-                                             sample_counts=True,
-                                             exhaustive_shots=True)
-        assert vectorized == reference
+        sampler = _qft8_tilt_sampler(noise)
+        vectorized = sampler.run(150, seed=3, sample_counts=True)
+        assert vectorized == reference_run(sampler, 150, seed=3,
+                                           sample_counts=True)
         assert vectorized.counts is not None
 
     def test_scenario_counts_bit_identity(self, noise):
-        # worst_case routes through the correlated column-wise kernels
-        # (bursts, leakage suppression, crosstalk) and the leak coin flips
-        device = TiltDevice(num_qubits=8, head_size=4)
-        compiled = LinQCompiler(device, CompilerConfig()).compile(
-            qft_workload(8)
-        )
-        simulator = TiltSimulator(device, noise)
-        vectorized = simulator.run_stochastic(compiled, shots=100, seed=5,
-                                              sample_counts=True,
-                                              scenario="worst_case")
-        reference = simulator.run_stochastic(compiled, shots=100, seed=5,
-                                             sample_counts=True,
-                                             scenario="worst_case",
-                                             exhaustive_shots=True)
-        assert vectorized == reference
+        # worst_case routes through the correlated per-site draws
+        # (bursts, leakage suppression, crosstalk) and the leak coins
+        sampler = _qft8_tilt_sampler(noise, scenario="worst_case")
+        vectorized = sampler.run(100, seed=5, sample_counts=True)
+        assert vectorized.mechanism_counts.get(LEAKAGE)
+        assert vectorized == reference_run(sampler, 100, seed=5,
+                                           sample_counts=True)
 
     def test_ideal_backend_bit_identity(self, noise):
         device = IdealTrappedIonDevice(num_qubits=6)
         simulator = IdealSimulator(device, noise)
         circuit = bv_workload(6)
+        sampler = simulator.build_sampler(circuit)
         vectorized = simulator.run_stochastic(circuit, shots=200, seed=9,
                                               sample_counts=True)
-        reference = simulator.run_stochastic(circuit, shots=200, seed=9,
-                                             sample_counts=True,
-                                             exhaustive_shots=True)
-        assert vectorized == reference
+        assert vectorized == reference_run(sampler, 200, seed=9,
+                                           sample_counts=True)
 
     def test_qccd_backend_bit_identity(self, noise):
         device = QccdDevice(num_qubits=8, trap_capacity=4)
         program = QccdCompiler(device).compile(qft_workload(8))
         simulator = QccdSimulator(device, noise)
+        sampler = simulator.build_sampler(program, circuit_name="qft")
         vectorized = simulator.run_stochastic(program, shots=150, seed=13,
                                               circuit_name="qft")
-        reference = simulator.run_stochastic(program, shots=150, seed=13,
-                                             circuit_name="qft",
-                                             exhaustive_shots=True)
-        assert vectorized == reference
+        assert vectorized == reference_run(sampler, 150, seed=13)
 
 
 # ----------------------------------------------------------------------
@@ -500,17 +636,13 @@ class TestCountsResimulationEconomy:
         )
         result = sampler.run(200, seed=3, sample_counts=True)
         stats = sampler.last_stats
-        assert stats["mode"] == "vectorized"
         assert stats["resimulations"] == stats["distinct_patterns"]
         assert stats["distinct_patterns"] <= 3
-        assert stats["replayed_shots"] > stats["distinct_patterns"]
-        # the reference path re-simulates every erroneous shot anew and
-        # still produces the identical result
-        reference = sampler.run(200, seed=3, sample_counts=True,
-                                exhaustive_shots=True)
-        assert reference == result
-        assert (sampler.last_stats["resimulations"]
-                > stats["resimulations"])
+        assert 200 - result.successes > stats["distinct_patterns"]
+        # the reference re-simulates every erroneous shot anew and still
+        # produces the identical result
+        assert reference_run(sampler, 200, seed=3,
+                             sample_counts=True) == result
 
     def test_ideal_distribution_computed_once_across_shards(
             self, monkeypatch, noiseless):
