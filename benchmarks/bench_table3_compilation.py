@@ -1,9 +1,9 @@
 """Table III — LinQ compilation results.
 
-Benchmarks the compiler's two expensive passes (swap insertion and tape
-scheduling) per workload and head size — the t_swap / t_move columns of
-Table III — and prints the full reproduced table (#moves, tape travel,
-estimated execution time).
+Benchmarks the compiler's two expensive passes (swap insertion, by both
+routers, and tape scheduling) per workload and head size — the t_swap /
+t_move columns of Table III — and prints the full reproduced table
+(#moves, tape travel, estimated execution time).
 """
 
 from __future__ import annotations
@@ -16,16 +16,19 @@ from repro.arch.tilt import TiltDevice
 from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
 from repro.compiler.pipeline import CompilerConfig, LinQCompiler
 from repro.compiler.schedule import TapeScheduler
+from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
 from repro.workloads.suite import build_workload, standard_suite
 
 WORKLOADS = [spec.name for spec in standard_suite()]
 HEAD_INDEX = [0, 1]  # small and large head of the active scale
 
-#: Timed rounds per scheduling benchmark.  One call takes milliseconds
-#: at small scale, so a single timing is mostly noise; the gated median
-#: needs several.
-SCHEDULE_ROUNDS = 15
+#: Timed rounds per routing and scheduling benchmark.  One call takes
+#: milliseconds at small scale, so a single timing is mostly noise; the
+#: gated median needs several.
+ROUNDS = 15
+
+ROUTERS = {"linq": LinqSwapInserter, "baseline": BaselineSwapInserter}
 
 
 def _device(scale: str, name: str, head_index: int) -> TiltDevice:
@@ -36,14 +39,15 @@ def _device(scale: str, name: str, head_index: int) -> TiltDevice:
 
 @pytest.mark.parametrize("head_index", HEAD_INDEX)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_swap_insertion_time(benchmark, name, head_index, scale):
-    """t_swap: routing time for one workload / head size."""
+@pytest.mark.parametrize("router", sorted(ROUTERS))
+def test_swap_insertion_time(benchmark, router, name, head_index, scale):
+    """t_swap: routing time for one router / workload / head size."""
     circuit = build_workload(name, scale)
     device = _device(scale, name, head_index)
     native = merge_adjacent_rotations(decompose_to_native(circuit))
-    router = LinqSwapInserter(device)
-    result = benchmark.pedantic(router.route, args=(native,),
-                                iterations=1, rounds=1)
+    inserter = ROUTERS[router](device)
+    result = benchmark.pedantic(inserter.route, args=(native,),
+                                iterations=1, rounds=ROUNDS)
     assert result.circuit.num_gates() >= native.num_gates()
 
 
@@ -62,7 +66,7 @@ def test_tape_scheduling_time(benchmark, name, head_index, scale):
     program = benchmark.pedantic(
         TapeScheduler.schedule,
         setup=lambda: ((TapeScheduler(device), routed), {}),
-        iterations=1, rounds=SCHEDULE_ROUNDS,
+        iterations=1, rounds=ROUNDS,
     )
     assert program.num_scheduled_gates == len(routed)
 

@@ -10,6 +10,15 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 * ``schedule``          — the pruned TapeScheduler per-segment scan
   (``bench_table3_compilation.py::test_tape_scheduling_time``, the
   median of several rounds with a fresh scheduler each);
+* ``route``             — swap insertion by both routers, whose lookahead
+  window and trial circuits are built only when used
+  (``bench_table3_compilation.py::test_swap_insertion_time``, the
+  median of several rounds);
+* ``analytic``          — analytic simulation through the per-replay
+  Eq. 4 fidelity table (``bench_compiler_passes.py::
+  test_tilt_simulation``, ``::test_qccd_compile_and_simulate``, which
+  times ``QccdSimulator.run`` only, and the raw Eq. 4 evaluation
+  ``::test_noise_model_evaluation``);
 * ``compile_sharing``   — a cold analytic grid search, whose engine
   batches compile one program per MaxSwapLen and reuse it across
   scenarios (``bench_search.py::test_grid_search_analytic``);
@@ -66,6 +75,14 @@ import sys
 TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
     ("schedule",
      r"bench_table3_compilation\.py::test_tape_scheduling_time"),
+    ("route",
+     r"bench_table3_compilation\.py::test_swap_insertion_time"),
+    ("analytic",
+     r"bench_compiler_passes\.py::test_tilt_simulation"),
+    ("analytic",
+     r"bench_compiler_passes\.py::test_qccd_compile_and_simulate"),
+    ("analytic",
+     r"bench_compiler_passes\.py::test_noise_model_evaluation"),
     ("compile_sharing",
      r"bench_search\.py::test_grid_search_analytic"),
     ("engine_cache",

@@ -22,17 +22,6 @@ from repro.analysis.experiments import (
     table2,
     table3,
 )
-from repro.analysis.report import (
-    convergence_report,
-    figure6_report,
-    figure7_report,
-    figure8_report,
-    full_report,
-    scenarios_report,
-    search_report,
-    table2_report,
-    table3_report,
-)
 from repro.analysis.scenario_study import (
     AttributionRow,
     ScenarioRow,
@@ -59,17 +48,12 @@ __all__ = [
     "ablation_mapper",
     "attribution_rows",
     "best_max_swap_len",
-    "convergence_report",
     "convergence_study",
     "figure6",
-    "figure6_report",
     "figure7",
-    "figure7_report",
     "figure8",
-    "figure8_report",
     "format_records",
     "format_table",
-    "full_report",
     "head_sizes_for",
     "headline_ratios",
     "pareto_scatter",
@@ -78,13 +62,9 @@ __all__ = [
     "sampled_figure8",
     "scenario_comparison",
     "scenario_figure",
-    "scenarios_report",
-    "search_report",
     "search_study",
     "study_space",
     "table2",
-    "table2_report",
     "table3",
-    "table3_report",
     "write_search_json",
 ]

@@ -79,11 +79,13 @@ class Gate:
     params: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        # Every gate the compiler derives passes through here, so the
+        # checks avoid per-qubit generator expressions.
         if self.name not in GATE_SPECS:
             raise CircuitError(f"unknown gate name: {self.name!r}")
         expected_qubits, expected_params = GATE_SPECS[self.name]
-        qubits = tuple(int(q) for q in self.qubits)
-        params = tuple(float(p) for p in self.params)
+        qubits = tuple(map(int, self.qubits))
+        params = tuple(map(float, self.params))
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "params", params)
         if expected_qubits >= 0 and len(qubits) != expected_qubits:
@@ -95,7 +97,7 @@ class Gate:
             raise CircuitError("barrier needs at least one qubit")
         if len(set(qubits)) != len(qubits):
             raise CircuitError(f"gate {self.name!r} has duplicate qubits {qubits}")
-        if any(q < 0 for q in qubits):
+        if min(qubits) < 0:
             raise CircuitError(f"gate {self.name!r} has negative qubit index")
         if len(params) != expected_params:
             raise CircuitError(
@@ -133,11 +135,8 @@ class Gate:
 
     def remapped(self, mapping: Sequence[int] | Mapping[int, int]) -> "Gate":
         """Return a copy of the gate with qubits relabelled through *mapping*."""
-        if isinstance(mapping, Mapping):
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        else:
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        return Gate(self.name, new_qubits, self.params)
+        return Gate(self.name, tuple([mapping[q] for q in self.qubits]),
+                    self.params)
 
     def inverse(self) -> "Gate":
         """Return the inverse gate.

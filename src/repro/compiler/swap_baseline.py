@@ -13,7 +13,8 @@ comparison:
 
 The "stochastic" part is reproduced by running several seeded trials that
 randomise which endpoint of the long gate moves, and keeping the trial with
-the fewest SWAPs (ties broken by total SWAP span).
+the fewest SWAPs (ties broken by total SWAP span).  A trial only records its
+SWAP decisions; the routed circuit is built once, for the winner.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ from repro.compiler.routing import (
 )
 from repro.exceptions import RoutingError
 
+#: Upcoming two-qubit gates consulted only to *classify* accidental
+#: opposing swaps (never to choose a SWAP).
+CLASSIFICATION_LOOKAHEAD = 20
+
+#: One SWAP decision of a trial: the index of the (logical) gate it
+#: resolves and the two physical positions it exchanges.
+Decision = tuple[int, tuple[int, int]]
+
 
 class BaselineSwapInserter:
     """Greedy full-span router with randomised endpoint choice.
@@ -50,9 +59,6 @@ class BaselineSwapInserter:
         returned.
     seed:
         Base random seed for the trials.
-    lookahead_for_classification:
-        Number of upcoming two-qubit gates consulted only to *classify*
-        accidental opposing swaps (does not influence routing decisions).
     """
 
     def __init__(
@@ -62,7 +68,6 @@ class BaselineSwapInserter:
         max_swap_len: int | None = None,
         trials: int = 5,
         seed: int = 11,
-        lookahead_for_classification: int = 20,
     ) -> None:
         if max_swap_len is None:
             max_swap_len = device.max_gate_span
@@ -77,7 +82,6 @@ class BaselineSwapInserter:
         self.max_swap_len = max_swap_len
         self.trials = trials
         self.seed = seed
-        self.lookahead_for_classification = lookahead_for_classification
 
     # ------------------------------------------------------------------
     # Public API
@@ -95,30 +99,30 @@ class BaselineSwapInserter:
             if initial_mapping is not None
             else QubitMapping.identity(self.device.num_qubits)
         )
-        best: RoutingResult | None = None
+        best: list[Decision] | None = None
         best_key: tuple[int, int] | None = None
         for trial in range(self.trials):
             rng = random.Random(self.seed + trial)
-            result = self._route_once(circuit, base_mapping.copy(), rng)
-            key = (result.num_swaps,
-                   sum(record.span for record in result.swaps))
+            decisions = self._decide(circuit, base_mapping.copy(), rng)
+            key = (len(decisions),
+                   sum(high - low for _, (low, high) in decisions))
             if best_key is None or key < best_key:
-                best, best_key = result, key
+                best, best_key = decisions, key
         assert best is not None
-        check_routed(best.circuit, self.device)
-        return best
+        result = self._build(circuit, base_mapping, best)
+        check_routed(result.circuit, self.device)
+        return result
 
     # ------------------------------------------------------------------
-    # Single randomised attempt
+    # Single randomised attempt, and the circuit of the winning one
     # ------------------------------------------------------------------
-    def _route_once(self, circuit: Circuit, mapping: QubitMapping,
-                    rng: random.Random) -> RoutingResult:
-        initial = mapping.copy()
-        routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
-        swaps: list[SwapRecord] = []
+    def _decide(self, circuit: Circuit, mapping: QubitMapping,
+                rng: random.Random) -> list[Decision]:
+        """Move a randomly chosen endpoint of each long gate the full SWAP
+        span inward until it fits; return every SWAP decision."""
+        decisions: list[Decision] = []
         for index, gate in enumerate(circuit):
             if not gate.is_two_qubit:
-                routed.append(mapping.apply_to_gate(gate))
                 continue
             guard = 0
             while mapping.gate_distance(gate) > self.device.max_gate_span:
@@ -127,43 +131,39 @@ class BaselineSwapInserter:
                     raise RoutingError(
                         f"baseline routing failed to converge for gate {gate}"
                     )
-                self._insert_swap(gate, index, circuit, mapping, routed,
-                                  swaps, rng)
+                low, high = sorted(map(mapping.physical, gate.qubits))
+                step = min(self.max_swap_len, high - low - 1)
+                if rng.random() < 0.5:  # move the left end
+                    pair = (low, low + step)
+                else:
+                    pair = (high - step, high)
+                decisions.append((index, pair))
+                mapping.swap_physical(*pair)
+        return decisions
+
+    def _build(self, circuit: Circuit, initial: QubitMapping,
+               decisions: list[Decision]) -> RoutingResult:
+        """The routed circuit and classified SWAP records of *decisions*."""
+        mapping = initial.copy()
+        routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
+        swaps: list[SwapRecord] = []
+        pairs_before: dict[int, list[tuple[int, int]]] = {}
+        for index, pair in decisions:
+            pairs_before.setdefault(index, []).append(pair)
+        for index, gate in enumerate(circuit):
+            for pair in pairs_before.get(index, ()):
+                pending = pending_two_qubit_gates(circuit, index,
+                                                  CLASSIFICATION_LOOKAHEAD)
+                swaps.append(
+                    SwapRecord(
+                        physical_pair=pair,
+                        gate_index=len(routed),
+                        resolving_gate_index=index,
+                        opposing=classify_opposing(pair[0], pair[1],
+                                                   pending, mapping),
+                    )
+                )
+                routed.append(Gate("swap", pair))
+                mapping.swap_physical(*pair)
             routed.append(mapping.apply_to_gate(gate))
         return RoutingResult(routed, initial, mapping, swaps)
-
-    def _insert_swap(
-        self,
-        gate: Gate,
-        gate_index: int,
-        circuit: Circuit,
-        mapping: QubitMapping,
-        routed: Circuit,
-        swaps: list[SwapRecord],
-        rng: random.Random,
-    ) -> None:
-        """Move a randomly chosen endpoint the full SWAP span inward."""
-        position_a = mapping.physical(gate.qubits[0])
-        position_b = mapping.physical(gate.qubits[1])
-        low, high = min(position_a, position_b), max(position_a, position_b)
-        distance = high - low
-        step = min(self.max_swap_len, distance - 1)
-        move_left_end = rng.random() < 0.5
-        if move_left_end:
-            pair = (low, low + step)
-        else:
-            pair = (high - step, high)
-        pending = pending_two_qubit_gates(
-            circuit, gate_index, self.lookahead_for_classification
-        )
-        opposing = classify_opposing(pair[0], pair[1], pending, mapping)
-        swaps.append(
-            SwapRecord(
-                physical_pair=pair,
-                gate_index=len(routed),
-                resolving_gate_index=gate_index,
-                opposing=opposing,
-            )
-        )
-        routed.append(Gate("swap", pair))
-        mapping.swap_physical(*pair)

@@ -19,7 +19,9 @@ O(candidates x window) instead of O(candidates x remaining gates).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
@@ -110,28 +112,18 @@ class LinqSwapInserter:
         routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
         swaps: list[SwapRecord] = []
 
-        # Positions of all two-qubit gates, used for the lookahead window.
-        two_qubit_indices = [
-            index for index, gate in enumerate(circuit) if gate.is_two_qubit
-        ]
-        next_window_start = 0
-
+        # A gate's lookahead window is the next ``lookahead_window``
+        # two-qubit gates from it on; only a gate that needs a SWAP reads it.
+        two_qubit = [(index, gate) for index, gate in enumerate(circuit)
+                     if gate.is_two_qubit]
+        seen = 0
         for index, gate in enumerate(circuit):
-            if not gate.is_two_qubit:
-                routed.append(mapping.apply_to_gate(gate))
-                continue
-            # Advance the lookahead cursor to this gate.
-            while (next_window_start < len(two_qubit_indices)
-                   and two_qubit_indices[next_window_start] < index):
-                next_window_start += 1
-            pending = [
-                (gate_index, circuit[gate_index])
-                for gate_index in two_qubit_indices[
-                    next_window_start : next_window_start + self.lookahead_window
-                ]
-            ]
-            self._resolve_gate(gate, index, circuit, mapping, routed,
-                               swaps, pending)
+            if gate.is_two_qubit:
+                if mapping.gate_distance(gate) > self.device.max_gate_span:
+                    pending = two_qubit[seen : seen + self.lookahead_window]
+                    self._resolve_gate(gate, index, mapping, routed, swaps,
+                                       pending)
+                seen += 1
             routed.append(mapping.apply_to_gate(gate))
 
         check_routed(routed, self.device)
@@ -144,7 +136,6 @@ class LinqSwapInserter:
         self,
         gate: Gate,
         gate_index: int,
-        circuit: Circuit,
         mapping: QubitMapping,
         routed: Circuit,
         swaps: list[SwapRecord],
@@ -188,54 +179,41 @@ class LinqSwapInserter:
 
     def _best_candidate(self, gate: Gate, mapping: QubitMapping,
                         pending: list[tuple[int, Gate]]) -> _Candidate:
-        """Pick the lowest-scoring candidate (Eq. 1)."""
+        """Pick the lowest-scoring candidate (Eq. 1).
+
+        A score is the candidate's change of the Eq. 1 sum.  Only window
+        gates touching one of the two moved logical qubits change
+        distance, so the (common) contribution of every other gate is
+        omitted — candidate ranking is unaffected.  Those gates are found
+        through one index of the window by logical qubit and summed in
+        window order, the gate at offset ``k`` discounted by ``alpha**k``.
+        """
         candidates = self._candidates(gate, mapping)
         if not candidates:
             raise RoutingError(f"no swap candidates for gate {gate}")
+        touching: dict[int, list[int]] = {}
+        for offset, (_, pending_gate) in enumerate(pending):
+            for qubit in pending_gate.qubits:
+                touching.setdefault(qubit, []).append(offset)
+        discounts = list(accumulate(repeat(self.alpha, len(pending) - 1),
+                                    operator.mul, initial=1.0))
+        position = mapping.logical_to_physical()
         best: _Candidate | None = None
         best_key: tuple[float, int, int] | None = None
         for candidate in candidates:
-            score = self._score_delta(candidate, mapping, pending)
-            key = (score, candidate.span, candidate.low)
+            moved_low = mapping.logical(candidate.low)
+            moved_high = mapping.logical(candidate.high)
+            after = {moved_low: candidate.high, moved_high: candidate.low}
+            delta = 0.0
+            for offset in sorted({*touching.get(moved_low, ()),
+                                  *touching.get(moved_high, ())}):
+                qubit_a, qubit_b = pending[offset][1].qubits
+                old_distance = abs(position[qubit_a] - position[qubit_b])
+                new_distance = abs(after.get(qubit_a, position[qubit_a])
+                                   - after.get(qubit_b, position[qubit_b]))
+                delta += (new_distance - old_distance) * discounts[offset]
+            key = (delta, candidate.span, candidate.low)
             if best_key is None or key < best_key:
                 best, best_key = candidate, key
         assert best is not None
         return best
-
-    def _score_delta(self, candidate: _Candidate, mapping: QubitMapping,
-                     pending: list[tuple[int, Gate]]) -> float:
-        """Change in the Eq. 1 score caused by applying *candidate*.
-
-        Only pending gates touching one of the two moved logical qubits
-        change distance, so the (common) contribution of every other gate is
-        omitted — candidate ranking is unaffected.
-        """
-        moved_low = mapping.logical(candidate.low)
-        moved_high = mapping.logical(candidate.high)
-        delta = 0.0
-        discount = 1.0
-        for _, pending_gate in pending:
-            qubit_a, qubit_b = pending_gate.qubits
-            touches = moved_low in (qubit_a, qubit_b) or moved_high in (
-                qubit_a, qubit_b
-            )
-            if touches:
-                old_distance = mapping.gate_distance(pending_gate)
-                new_distance = abs(
-                    self._position_after(qubit_a, candidate, mapping)
-                    - self._position_after(qubit_b, candidate, mapping)
-                )
-                delta += (new_distance - old_distance) * discount
-            discount *= self.alpha
-        return delta
-
-    @staticmethod
-    def _position_after(logical: int, candidate: _Candidate,
-                        mapping: QubitMapping) -> int:
-        """Physical position of *logical* after applying *candidate*."""
-        position = mapping.physical(logical)
-        if position == candidate.low:
-            return candidate.high
-        if position == candidate.high:
-            return candidate.low
-        return position

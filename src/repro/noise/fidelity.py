@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.circuits.gate import Gate
 from repro.exceptions import SimulationError
-from repro.noise.gate_times import XX_GATES_PER_SWAP, gate_time_us
+from repro.noise.gate_times import XX_GATES_PER_SWAP, two_qubit_gate_time_us
 from repro.noise.parameters import NoiseParameters
 
 
@@ -74,9 +74,7 @@ def gate_fidelity(gate: Gate, motional_quanta: float,
         return one_qubit_fidelity(params)
     if gate.num_qubits == 2:
         single = two_qubit_fidelity(
-            gate_time_us(Gate("xx", gate.qubits, (0.0,)), params),
-            motional_quanta,
-            params,
+            two_qubit_gate_time_us(gate.span, params), motional_quanta, params
         )
         if gate.name == "swap":
             return single**XX_GATES_PER_SWAP
@@ -84,6 +82,32 @@ def gate_fidelity(gate: Gate, motional_quanta: float,
     raise SimulationError(
         f"gate {gate.name!r} must be decomposed before fidelity evaluation"
     )
+
+
+class FidelityTable:
+    """Eq. 4 fidelities (with their Eq. 3 gate times) of one replay, each
+    evaluated once per distinct gate.
+
+    A fidelity reads only the gate's name, its span and the chain's
+    motional quanta, so gates that agree on those share one evaluation.
+    A simulator builds one table per call: nothing outlives the replay.
+    """
+
+    def __init__(self, params: NoiseParameters) -> None:
+        self.params = params
+        self._values: dict[tuple[str, int, float], float] = {}
+
+    def fidelity(self, gate: Gate, motional_quanta: float) -> float:
+        """:func:`gate_fidelity` of *gate* under *motional_quanta*."""
+        qubits = gate.qubits
+        # The span of a one- or two-qubit gate, without the property
+        # call; a barrier's fidelity ignores it and wider gates raise.
+        key = (gate.name, abs(qubits[0] - qubits[-1]), motional_quanta)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = gate_fidelity(
+                gate, motional_quanta, self.params)
+        return value
 
 
 @dataclass

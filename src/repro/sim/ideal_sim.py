@@ -14,7 +14,7 @@ from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
+from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
 from repro.noise.gate_times import gate_time_us
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
@@ -85,6 +85,7 @@ class IdealSimulator:
         """
         want_spectators = scenario.crosstalk_strength > 0.0
         all_ions = range(native.num_qubits)
+        table = FidelityTable(self.params)
         points: list[TimelinePoint] = []
         for index, gate in enumerate(native):
             spectators = ()
@@ -95,7 +96,7 @@ class IdealSimulator:
             points.append(GatePoint(
                 index=index,
                 gate=gate,
-                fidelity=gate_fidelity(gate, 0.0, self.params),
+                fidelity=table.fidelity(gate, 0.0),
                 spectators=spectators,
             ))
         return points
@@ -103,10 +104,11 @@ class IdealSimulator:
     def _result_from_native(self, name: str,
                             native: Circuit) -> SimulationResult:
         accumulator = SuccessRateAccumulator()
+        table = FidelityTable(self.params)
         finish_at: dict[int, float] = {}
         total_time = 0.0
         for gate in native:
-            accumulator.add(gate_fidelity(gate, 0.0, self.params))
+            accumulator.add(table.fidelity(gate, 0.0))
             duration = gate_time_us(gate, self.params)
             start = max((finish_at.get(q, 0.0) for q in gate.qubits), default=0.0)
             end = start + duration
@@ -144,8 +146,9 @@ class IdealSimulator:
         expected_rate = None
         if scenario.is_baseline:
             sites = []
+            table = FidelityTable(self.params)
             for index, gate in enumerate(gates):
-                fidelity = gate_fidelity(gate, 0.0, self.params)
+                fidelity = table.fidelity(gate, 0.0)
                 site = error_site_for_gate(index, gate, fidelity)
                 if site is not None:
                     sites.append(site)

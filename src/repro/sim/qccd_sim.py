@@ -27,7 +27,7 @@ from repro.compiler.qccd_compiler import (
 )
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
+from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
 from repro.noise.gate_times import gate_time_us, two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState
 from repro.noise.parameters import NoiseParameters
@@ -111,6 +111,7 @@ class QccdSimulator:
         # baseline replays (every pre-existing study) stay allocation-free.
         want_points = scenario is not None and not scenario.is_baseline
         want_spectators = want_points and scenario.crosstalk_strength > 0.0
+        table = FidelityTable(self.params)
         trace = QccdTrace()
         transports = 0
         for event in program.events:
@@ -122,10 +123,10 @@ class QccdSimulator:
                     duration = two_qubit_gate_time_us(
                         max(1, event.distance), self.params
                     )
-                    fidelity = gate_fidelity(gate, chain.quanta, self.params)
+                    fidelity = table.fidelity(gate, chain.quanta)
                 else:
                     duration = gate_time_us(gate, self.params)
-                    fidelity = gate_fidelity(gate, 0.0, self.params)
+                    fidelity = table.fidelity(gate, 0.0)
                 if want_points:
                     spectators = ()
                     if want_spectators and gate.num_qubits == 2:

@@ -19,7 +19,7 @@ from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
+from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
 from repro.noise.gate_times import gate_time_us
 from repro.noise.heating import quanta_after_moves
 from repro.noise.parameters import NoiseParameters
@@ -70,9 +70,11 @@ class TiltSimulator:
     ) -> Iterator[tuple[Gate, float]]:
         """Yield ``(gate, fidelity)`` in execution order under Eq. 4 heating."""
         chain_length = self.device.num_qubits
+        quanta = [quanta_after_moves(moves, chain_length, self.params)
+                  for moves in range(len(program.segments))]
+        table = FidelityTable(self.params)
         for gate, moves_before in program.gates_with_move_counts():
-            quanta = quanta_after_moves(moves_before, chain_length, self.params)
-            yield gate, gate_fidelity(gate, quanta, self.params)
+            yield gate, table.fidelity(gate, quanta[moves_before])
 
     def run(self, program: ExecutableProgram | CompileResult,
             *, circuit_name: str | None = None,
@@ -128,6 +130,7 @@ class TiltSimulator:
             return (move - 1) // interval
 
         want_spectators = scenario.crosstalk_strength > 0.0
+        table = FidelityTable(self.params)
         points: list[TimelinePoint] = []
         gate_index = 0
         for segment_index, segment in enumerate(program.segments):
@@ -148,7 +151,7 @@ class TiltSimulator:
                 points.append(GatePoint(
                     index=gate_index,
                     gate=gate,
-                    fidelity=gate_fidelity(gate, quanta, self.params),
+                    fidelity=table.fidelity(gate, quanta),
                     spectators=spectators,
                     window=window,
                 ))

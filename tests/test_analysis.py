@@ -1,5 +1,10 @@
 """Tests for the experiment drivers and report generation (small scale)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import experiments
@@ -44,6 +49,20 @@ class TestTable2:
     def test_report_text(self):
         text = table2_report("small")
         assert "Table II" in text and "QFT" in text
+
+    def test_cli_runs_report_module_once(self):
+        """``python -m repro.analysis.report`` must not find the module
+        already imported by its package (runpy's RuntimeWarning)."""
+        root = Path(__file__).parent.parent
+        completed = subprocess.run(
+            (sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.analysis.report", "--scale", "small",
+             "--section", "table2"),
+            capture_output=True, text=True, timeout=120, cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Table II" in completed.stdout
 
 
 class TestFigure6:
