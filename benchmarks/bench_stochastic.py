@@ -13,11 +13,14 @@ simulators' ``build_sampler`` seam so the timed region is exactly
 sampling) is recorded separately by
 ``test_end_to_end_job_shots_per_second``, and
 ``test_batched_statevector_patterns`` covers the batched pattern
-re-simulation kernel of :mod:`repro.sim.statevector`.
+re-simulation kernel of :mod:`repro.sim.statevector`, and
+``test_sharded_sampling_shares_one_sampler`` a sharded few-shot job
+whose shards share one compile and one sampler.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from repro.analysis import experiments
@@ -31,6 +34,11 @@ from repro.workloads.suite import build_workload
 
 #: Enough shots that sampling (not compilation) dominates the wall time.
 BENCH_SHOTS = 20_000
+
+#: Few enough shots over ``SHARDS`` shards that building each shard's
+#: sampler, not drawing its shots, is the work the shards can share.
+SHARED_SHOTS = 64
+SHARDS = 4
 
 
 def _spec(scale, noise, shots=BENCH_SHOTS) -> JobSpec:
@@ -89,6 +97,26 @@ def test_end_to_end_job_shots_per_second(benchmark, scale, noise):
     benchmark.extra_info["analytic_success"] = (
         result.shot.expected_success_rate
     )
+
+
+def test_sharded_sampling_shares_one_sampler(benchmark, scale, noise):
+    """A 4-shard serial run of a few-shot crosstalk job, cold each round.
+
+    The shards run back to back in one batch, so they share one compile
+    and one sampler.  Each round gets a fresh engine: one kept across
+    rounds would serve rounds 2+ from its cache.
+    """
+    spec = dataclasses.replace(_spec(scale, noise, shots=SHARED_SHOTS),
+                               scenario="crosstalk")
+
+    def fresh_engine():
+        return (spec,), {"shards": SHARDS,
+                         "engine": ExecutionEngine(workers=1)}
+
+    result = benchmark.pedantic(run_sampled_job, setup=fresh_engine,
+                                rounds=7, warmup_rounds=1)
+    assert result.shot is not None and result.shot.shots == SHARED_SHOTS
+    benchmark.extra_info["shards"] = SHARDS
 
 
 def test_batched_statevector_patterns(benchmark):

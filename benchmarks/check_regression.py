@@ -28,7 +28,12 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 * ``stochastic_shots``  — Monte-Carlo sampling throughput
   (``bench_stochastic.py::test_serial_shots_per_second``, sampling-only
   through the vectorized shot kernels, and the correlated-scenario
-  variant in ``bench_scenarios.py``);
+  variant in ``bench_scenarios.py``, whose burst-scaled probabilities
+  are a table lookup; both the median of several rounds);
+* ``sampler_sharing``   — a cold 4-shard serial run of a few-shot
+  crosstalk job, whose shards share one compile and one built sampler
+  (``bench_stochastic.py::test_sharded_sampling_shares_one_sampler``,
+  the median of several rounds with a fresh engine each);
 * ``statevector_batch`` — the batched pattern re-simulation kernel
   (``bench_stochastic.py::test_batched_statevector_patterns``);
 * ``obs_overhead``      — the engine batch with tracing off, on, with a
@@ -91,6 +96,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_stochastic\.py::test_serial_shots_per_second"),
     ("stochastic_shots",
      r"bench_scenarios\.py::test_correlated_sampling_shots_per_second"),
+    ("sampler_sharing",
+     r"bench_stochastic\.py::test_sharded_sampling_shares_one_sampler"),
     ("statevector_batch",
      r"bench_stochastic\.py::test_batched_statevector_patterns"),
     ("lint",

@@ -27,9 +27,9 @@ functions of ``(seed, index)``), every backend produces bit-identical
 results; they differ only in wall-clock time (``tests/test_backends.py``
 pins this). The same purity lets the jobs of one loop share work: a
 serial batch, a pool chunk or the engine's serial fallback runs its jobs
-through one :class:`CompileMemo`, so consecutive jobs lower a circuit
-and compile a program once (the engine orders jobs so that consecutive
-ones match).
+through one :class:`CompileMemo`, so consecutive jobs lower a circuit,
+compile a program and build its shot sampler once (the engine orders
+jobs so that consecutive ones match).
 
 Selection: ``ExecutionEngine(backend=...)`` takes a name (``"serial"``,
 ``"process"``, ``"async"``) or a :class:`Backend` instance; the
@@ -61,6 +61,7 @@ from repro.obs.profile import start_job_profile
 from repro.obs.trace import activate, current_trace, worker_recorder
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
+from repro.sim.stochastic import StochasticSampler
 from repro.sim.tilt_sim import TiltSimulator
 
 #: Environment variable holding the default worker count for new engines.
@@ -98,7 +99,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Compile sharing: one lowering and one compiled program per loop
+# Compile sharing: one lowering, compiled program and sampler per loop
 # ----------------------------------------------------------------------
 #: The simulator each toolchain runs its compiled program on.
 _SIMULATORS = {"tilt": TiltSimulator, "ideal": IdealSimulator,
@@ -140,13 +141,25 @@ def _compile_key(spec: JobSpec) -> tuple:
     return spec.backend, spec.device
 
 
+def _sampler_key(spec: JobSpec) -> tuple:
+    """What *spec*'s shot sampler depends on besides its lowering.
+
+    Its compile key (the device, even for the ideal reference) and the
+    resolved noise and scenario.  Shots, seed and shot offset are
+    absent: each run of the sampler takes them.
+    """
+    noise = spec.noise or NoiseParameters.paper_defaults()
+    return _compile_key(spec), noise, get_scenario(spec.scenario)
+
+
 class CompileMemo:
-    """The latest lowering and compiled program of one in-process loop.
+    """The latest lowering, compiled program and sampler of one loop.
 
     Compilation is seeded and pure, so jobs with one circuit can share
     its lowering, and jobs that also share a :func:`_compile_key` can
-    share its compiled program.  The memo holds one of each.  That is
-    enough because the engine hands a backend its jobs in
+    share its compiled program, and sampled jobs with one
+    :func:`_sampler_key` its built shot sampler.  The memo holds one of
+    each.  That is enough because the engine hands a backend its jobs in
     :func:`sharing_order`, and it keeps a loop's memory at that of a
     single job.  Each loop owns its memo: a serial batch, a pool chunk
     or the engine's serial fallback.  Nothing is shared across batches,
@@ -157,6 +170,7 @@ class CompileMemo:
         self._lowered: tuple[JobSpec, Circuit] | None = None
         self._compiled: (tuple[tuple, CompileResult | QccdProgram]
                          | None) = None
+        self._sampler: tuple[tuple, StochasticSampler] | None = None
 
     def native(self, spec: JobSpec) -> Circuit:
         """*spec*'s circuit lowered to native gates."""
@@ -167,7 +181,7 @@ class CompileMemo:
                                      strip_barriers=strip_barriers,
                                      merge_rotations=merge_rotations)
             held = self._lowered = (spec, native)
-            self._compiled = None  # compiled from the previous circuit
+            self._compiled = self._sampler = None  # from the old circuit
         return held[1]
 
     def compiled(self, spec: JobSpec) -> CompileResult | QccdProgram:
@@ -185,18 +199,33 @@ class CompileMemo:
             held = self._compiled = (key, program)
         return held[1]
 
+    def sampler(self, spec: JobSpec,
+                simulator: TiltSimulator | IdealSimulator | QccdSimulator,
+                program: Circuit | CompileResult | QccdProgram,
+                inputs: dict) -> StochasticSampler:
+        """*spec*'s shot sampler, built by *simulator* from what
+        :func:`execute_spec` hands it (*program* and *inputs*)."""
+        key = _sampler_key(spec)
+        held = self._sampler
+        if held is None or held[0] != key:
+            built = simulator.build_sampler(program, scenario=key[2],
+                                            **inputs)
+            held = self._sampler = (key, built)
+        return held[1]
+
 
 def sharing_order(jobs: Sequence[Job]) -> list[Job]:
-    """*jobs* grouped by lowering, then by compile key, for the memo.
+    """*jobs* grouped by lowering, compile key and sampler key.
 
-    Jobs whose circuit (and lowering options) match sit together, and
-    within that group jobs with one :func:`_compile_key` do too, so a
-    one-slot :class:`CompileMemo` lowers each circuit once and compiles
-    each key once.  Groups and the jobs inside them keep first-seen
-    order, so the plan depends only on the batch.  The engine hands
-    every backend its jobs in this order.
+    Jobs whose circuit (and lowering options) match sit together, within
+    that group jobs with one :func:`_compile_key`, and within those jobs
+    with one :func:`_sampler_key`.  So a one-slot :class:`CompileMemo`
+    lowers each circuit, compiles each key and builds each sampler once.
+    Groups and the jobs inside them keep first-seen order, so the plan
+    depends only on the batch.  The engine hands every backend its jobs
+    in this order.
     """
-    groups: list[tuple[JobSpec, dict[tuple, list[Job]]]] = []
+    groups: list[tuple[JobSpec, dict[tuple, dict[tuple, list[Job]]]]] = []
     by_identity: dict[tuple[int, tuple[bool, bool]], dict] = {}
     for job in jobs:
         spec = job[1]
@@ -209,9 +238,10 @@ def sharing_order(jobs: Sequence[Job]) -> list[Job]:
                 group = {}
                 groups.append((spec, group))
             by_identity[identity] = group
-        group.setdefault(_compile_key(spec), []).append(job)
-    return [job for _, group in groups
-            for members in group.values() for job in members]
+        group.setdefault(_compile_key(spec), {}).setdefault(
+            _sampler_key(spec), []).append(job)
+    return [job for _, group in groups for samplers in group.values()
+            for members in samplers.values() for job in members]
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +257,10 @@ def execute_spec(spec: JobSpec, key: str | None = None,
     run the stochastic shot sampler (:mod:`repro.sim.stochastic`) on
     top of the analytic simulation; the sampled result lands on
     :attr:`JobResult.shot`.  *memo* is the calling loop's
-    :class:`CompileMemo`; without one the job lowers and compiles for
-    itself.
+    :class:`CompileMemo`; without one the job lowers, compiles and
+    builds its sampler for itself.  Sampling still enters through the
+    simulator's ``run_stochastic(scenario=...)``, handed the memo's
+    sampler.
     """
     key = key or spec_key(spec)
     memo = memo if memo is not None else CompileMemo()
@@ -274,6 +306,7 @@ def execute_spec(spec: JobSpec, key: str | None = None,
                 shot = simulator.run_stochastic(
                     program, shots=spec.shots, seed=spec.seed,
                     shot_offset=spec.shot_offset, scenario=scenario,
+                    sampler=memo.sampler(spec, simulator, program, inputs),
                     **inputs,
                 )
                 simulation = shot.analytic
@@ -392,11 +425,13 @@ class ProcessPoolBackend:
     enough for ~4 chunks per worker) to amortise pickling/IPC overhead.
     They keep the engine's :func:`sharing_order`, so jobs that share a
     compiled program tend to share a chunk, and with it the chunk's
-    :class:`CompileMemo`.  Every task lands in the executor's shared
-    queue, and free workers pull the next one — the work-stealing that
-    keeps a straggler-free tail.  Results are yielded as chunks complete
-    (see :meth:`submit`); the engine places them by key, so pooled and
-    serial batches are indistinguishable downstream.
+    :class:`CompileMemo`.  A sampled job (a shard too) is a singleton
+    task, so it compiles and builds its sampler for itself.  Every task
+    lands in the executor's shared queue, and free workers pull the
+    next one — the work-stealing that keeps a straggler-free tail.
+    Results are yielded as chunks complete (see :meth:`submit`); the
+    engine places them by key, so pooled and serial batches are
+    indistinguishable downstream.
 
     A pool is created per ``submit`` call (job batches are coarse, so
     process start-up is amortised) and torn down with it; ``close`` is

@@ -13,8 +13,9 @@ input order.  Work proceeds in three steps:
    :class:`~repro.exec.backends.Backend`: serial in-process, a chunked
    work-stealing process pool, or an asyncio-driven local executor (the
    extension point for future remote backends).  They arrive grouped by
-   circuit, then by compile key, so consecutive jobs share one lowering
-   and one compiled program (:class:`~repro.exec.backends.CompileMemo`).
+   circuit, compile key and sampler key, so consecutive jobs share one
+   lowering, compiled program and sampler
+   (:class:`~repro.exec.backends.CompileMemo`).
 
 Because compilation is seeded, the analytic noise model is closed-form
 and every draw of stochastic sampling is a pure function of ``(seed,
@@ -462,7 +463,8 @@ class ExecutionEngine:
 
         The backend receives the jobs in
         :func:`~repro.exec.backends.sharing_order`, so each circuit is
-        lowered and each compiled program built once per loop.
+        lowered, and each compiled program and sampler built, once per
+        loop.
         A generator end to end: serial and process backends stream, so
         the caller persists every result the moment it exists (the
         durable-store guarantee).  If a pooled backend breaks

@@ -134,10 +134,10 @@ class JobResult:
     requested ``shots > 0``.  ``wall_time_s`` is the execution time
     measured inside the worker; cache hits keep the wall time of the run
     that originally produced the result.  Jobs of one batch share
-    lowerings and compiled programs
+    lowerings, compiled programs and samplers
     (:class:`~repro.exec.backends.CompileMemo`): a job served a program
-    another job compiled does not include the compile time, and its
-    ``stats`` carry the timings of that one compile.  Their
+    or sampler another job built does not include that build time, and
+    its ``stats`` carry the timings of that one compile.  Their
     ``time_decompose_s`` is 0.0, since the lowering is shared and not
     part of any compile.
     """

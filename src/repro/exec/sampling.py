@@ -96,10 +96,11 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         :class:`~repro.sim.stochastic.ShotResult` on ``.shot``.  Compile
         stats and the analytic simulation come from the first shard
         (every shard runs the same program).  Shards that run back to
-        back in one loop share one compile, so only the first of them
-        pays for it, and ``stats.time_decompose_s`` is 0.0 because the
-        lowering is shared too; ``wall_time_s`` sums the shard work, and
-        ``cache_hit`` is True only when every shard was cache-served.
+        back in one loop share one compile and one sampler, so only the
+        first of them pays to build them, and ``stats.time_decompose_s``
+        is 0.0 because the lowering is shared too; ``wall_time_s`` sums
+        the shard work, and ``cache_hit`` is True only when every shard
+        was cache-served.
     """
     if spec.shots <= 0:
         raise ReproError("run_sampled_job needs a spec with shots > 0")

@@ -179,7 +179,8 @@ class IdealSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        native: Circuit | None = None,
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None
+                       scenario: NoiseScenario | str | None = None,
+                       sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
         """Monte-Carlo sample the ideal device's (heating-free) noise.
 
@@ -189,10 +190,9 @@ class IdealSimulator:
         *scenario* values add crosstalk and leakage sites (bursts are
         inert — the ideal device never shuttles).
         """
-        # the annotation types the receiver for the call-graph linter:
-        # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(
-            circuit, native=native, analytic=analytic, scenario=scenario)
+        if sampler is None:
+            sampler = self.build_sampler(circuit, native=native,
+                                         analytic=analytic, scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records)

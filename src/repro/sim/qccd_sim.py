@@ -286,7 +286,8 @@ class QccdSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str = "circuit",
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None
+                       scenario: NoiseScenario | str | None = None,
+                       sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
         """Monte-Carlo sample the program's noise, shot by shot.
 
@@ -298,10 +299,9 @@ class QccdSimulator:
         Non-baseline *scenario* values add in-trap crosstalk, leakage
         and per-transport heating-burst sites.
         """
-        # the annotation types the receiver for the call-graph linter:
-        # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(program, circuit_name=circuit_name,
-                                     analytic=analytic, scenario=scenario)
+        if sampler is None:
+            sampler = self.build_sampler(program, circuit_name=circuit_name,
+                                         analytic=analytic, scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records)

@@ -712,22 +712,21 @@ class StochasticSampler:
                       active_counts: np.ndarray) -> np.ndarray:
         """Per-shot burst-scaled trigger probability.
 
-        Computed once per distinct burst count with scalar arithmetic
-        (``min(1.0, p * multiplier ** active)``, overflow saturating to
-        1.0).
+        A lookup table indexed by each shot's active-burst count: entry
+        ``k`` is ``min(1.0, p * multiplier ** k)`` in scalar arithmetic,
+        overflow saturating to 1.0, for every ``k`` up to the largest
+        count (entry 0 is ``p`` itself).
         """
-        scaled = np.full(active_counts.shape[0], probability)
-        for active in np.unique(active_counts).tolist():
-            if not active:
-                continue
+        table = np.empty(int(active_counts.max()) + 1)
+        table[0] = probability
+        for active in range(1, table.shape[0]):
             try:
-                value = min(
+                table[active] = min(
                     1.0, probability * self.burst_multiplier ** active
                 )
             except OverflowError:
-                value = 1.0
-            scaled[active_counts == active] = value
-        return scaled
+                table[active] = 1.0
+        return table[active_counts]
 
     def _correlated_triggers(
         self, seed: int, shot_indices: np.ndarray

@@ -254,7 +254,8 @@ class TiltSimulator:
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str | None = None,
                        analytic: SimulationResult | None = None,
-                       scenario: NoiseScenario | str | None = None
+                       scenario: NoiseScenario | str | None = None,
+                       sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
         """Monte-Carlo sample the program's Eq. 4 noise, shot by shot.
 
@@ -277,14 +278,15 @@ class TiltSimulator:
         :mod:`repro.noise.scenarios`): crosstalk kicks on the spectator
         ions under the head, leakage out of the computational subspace
         and shuttle-induced heating bursts.  ``None`` / ``"baseline"``
-        keeps the independent-error sampling unchanged.
+        keeps the independent-error sampling unchanged.  A caller that
+        already holds this program's :meth:`build_sampler` under the
+        same *scenario* passes it as *sampler*; otherwise it is built.
         """
         mapping = (program.final_mapping
                    if isinstance(program, CompileResult) else None)
-        # the annotation types the receiver for the call-graph linter:
-        # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(program, circuit_name=circuit_name,
-                                     analytic=analytic, scenario=scenario)
+        if sampler is None:
+            sampler = self.build_sampler(program, circuit_name=circuit_name,
+                                         analytic=analytic, scenario=scenario)
         result = sampler.run(shots, seed=seed, shot_offset=shot_offset,
                              sample_counts=sample_counts,
                              max_records=max_records)

@@ -123,23 +123,32 @@ class TestBackendInvariance:
             assert results[0].stats == results[1].stats == results[2].stats
 
     def test_sampled_job_merge_invariant_across_backends(self):
-        spec = JobSpec(
+        # serial shards share one memo's sampler, pooled shards are
+        # singleton tasks and async jobs each build their own; worst_case
+        # takes the correlated path
+        ideal = JobSpec(
             circuit=qft_workload(6),
             device=IdealTrappedIonDevice(num_qubits=6),
             backend="ideal", noise=NoiseParameters.paper_defaults(),
             shots=256, seed=11,
         )
-        merged = {
-            name: run_sampled_job(
-                spec, shards=4, exec_backend=name,
-                engine=ExecutionEngine(workers=2),
-            )
-            for name in BACKEND_NAMES
-        }
-        assert merged["process"].shot == merged["serial"].shot
-        assert merged["async"].shot == merged["serial"].shot
-        assert (merged["process"].key == merged["async"].key
-                == merged["serial"].key == spec_key(spec))
+        tilt = dataclasses.replace(
+            ideal, device=TiltDevice(num_qubits=6, head_size=3),
+            backend="tilt")
+        for spec in (dataclasses.replace(base, scenario=scenario)
+                     for base in (ideal, tilt)
+                     for scenario in ("baseline", "worst_case")):
+            merged = {
+                name: run_sampled_job(
+                    spec, shards=4, exec_backend=name,
+                    engine=ExecutionEngine(workers=2),
+                )
+                for name in BACKEND_NAMES
+            }
+            assert merged["process"].shot == merged["serial"].shot
+            assert merged["async"].shot == merged["serial"].shot
+            assert (merged["process"].key == merged["async"].key
+                    == merged["serial"].key == spec_key(spec))
 
     def test_per_batch_backend_override(self):
         engine = ExecutionEngine(workers=2)  # would default to the pool

@@ -1,5 +1,6 @@
-"""Compile sharing inside a batch: one lowering per circuit and one
-compile per (circuit, device, config), with results unchanged."""
+"""Compile sharing inside a batch: one lowering per circuit, one
+compile per (circuit, device, config) and one shot sampler per (program,
+noise, scenario), with results unchanged."""
 
 import dataclasses
 
@@ -17,19 +18,23 @@ from repro.exec import ExecutionEngine, JobSpec, spec_key
 from repro.exec.backends import execute_spec
 from repro.exec.sampling import shard_sampling_spec
 from repro.noise.parameters import NoiseParameters
+from repro.sim.ideal_sim import IdealSimulator
+from repro.sim.qccd_sim import QccdSimulator
+from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count lowerings and compiles made in this process.
+    """Count lowerings, compiles and sampler builds in this process.
 
     Every lowering calls ``decompose_to_native`` through
     :mod:`repro.compiler.pipeline`, so wrapping it there sees all of
-    them, whichever toolchain asked.
+    them, whichever toolchain asked.  Every sampler comes from one of
+    the three simulators' ``build_sampler``.
     """
-    seen = {"lowerings": 0, "linq": 0, "qccd": 0}
+    seen = {"lowerings": 0, "linq": 0, "qccd": 0, "samplers": 0}
     decompose = pipeline.decompose_to_native
     linq_compile = LinQCompiler.compile
     qccd_compile = QccdCompiler.compile
@@ -46,9 +51,18 @@ def counts(monkeypatch):
         seen["qccd"] += 1
         return qccd_compile(self, *args, **kwargs)
 
+    def counting_sampler(build_sampler):
+        def counting(self, *args, **kwargs):
+            seen["samplers"] += 1
+            return build_sampler(self, *args, **kwargs)
+        return counting
+
     monkeypatch.setattr(pipeline, "decompose_to_native", counting_decompose)
     monkeypatch.setattr(LinQCompiler, "compile", counting_linq)
     monkeypatch.setattr(QccdCompiler, "compile", counting_qccd)
+    for simulator in (TiltSimulator, IdealSimulator, QccdSimulator):
+        monkeypatch.setattr(simulator, "build_sampler",
+                            counting_sampler(simulator.build_sampler))
     return seen
 
 
@@ -82,7 +96,27 @@ class TestCompileSharing:
         ]
         assert len(specs) == 8
         shared = ExecutionEngine(workers=1).run(specs)
-        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0}
+        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
+                          "samplers": 2}
+        fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
+        assert ([_structural(r) for r in shared]
+                == [_structural(r) for r in fresh])
+
+    def test_interleaved_noise_shards_build_one_sampler_per_noise(
+            self, counts):
+        # a one-slot memo fed in batch order would rebuild at every job
+        quiet = NoiseParameters.paper_defaults()
+        noisy = quiet.with_overrides(residual_gate_error=1e-3)
+        spec = _tilt(qft_workload(8), shots=128, seed=3)
+        shards = {noise: shard_sampling_spec(
+            dataclasses.replace(spec, noise=noise), 2)
+            for noise in (quiet, noisy)}
+        specs = [shards[noise][index] for index in (0, 1)
+                 for noise in (quiet, noisy)]
+        shared = ExecutionEngine(workers=1).run(specs)
+        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
+                          "samplers": 2}
+        assert shared[0].shot != shared[1].shot
         fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
         assert ([_structural(r) for r in shared]
                 == [_structural(r) for r in fresh])
@@ -93,7 +127,8 @@ class TestCompileSharing:
         assert [s.backend for s in specs] == [
             "tilt", "tilt", "ideal", "qccd", "qccd", "qccd"]
         ExecutionEngine(workers=1).run(specs)
-        assert counts == {"lowerings": 1, "linq": 2, "qccd": 3}
+        assert counts == {"lowerings": 1, "linq": 2, "qccd": 3,
+                          "samplers": 0}
 
     def test_interleaved_circuits_lower_once_each(self, counts):
         a, b = bv_workload(8), qft_workload(8)
@@ -102,7 +137,7 @@ class TestCompileSharing:
         engine = ExecutionEngine(workers=1)
         warm = JobSpec(circuit=b, device=qccd, backend="qccd", label="warm")
         engine.run_one(warm)
-        counts.update(lowerings=0, linq=0, qccd=0)
+        counts.update(lowerings=0, linq=0, qccd=0, samplers=0)
 
         wide, narrow = (CompilerConfig(max_swap_len=n) for n in (3, 2))
         specs = [
@@ -116,7 +151,8 @@ class TestCompileSharing:
             JobSpec(circuit=b, device=ideal, backend="ideal", label="b-ideal"),
         ]
         results = engine.run(specs)
-        assert counts == {"lowerings": 2, "linq": 4, "qccd": 0}
+        assert counts == {"lowerings": 2, "linq": 4, "qccd": 0,
+                          "samplers": 0}
         assert [r.key for r in results] == [spec_key(s) for s in specs]
         assert [r.label for r in results] == [s.label for s in specs]
         assert [r.cache_hit for r in results] == [
@@ -131,7 +167,8 @@ class TestCompileSharing:
         explicit = _tilt(circuit, config=CompilerConfig())
         assert spec_key(implicit) != spec_key(explicit)
         first, second = ExecutionEngine(workers=1).run([implicit, explicit])
-        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0}
+        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
+                          "samplers": 0}
         assert not second.cache_hit
         assert _structural(first)[2:] == _structural(second)[2:]
 

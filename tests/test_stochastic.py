@@ -28,6 +28,8 @@ from repro.noise.channels import (
     LABEL_TABLE,
     LEAKAGE,
     MEASURE_FLIP,
+    PAULI_1Q,
+    PAULI_2Q,
     PAULI_LABELS_2Q,
     ErrorSite,
     error_site_for_gate,
@@ -45,6 +47,7 @@ from repro.sim.stochastic import (
     TRIGGER_STREAM,
     ShotRecord,
     ShotResult,
+    StochasticSampler,
     merge_shot_results,
     mix,
     wilson_interval,
@@ -555,6 +558,25 @@ def _qft8_tilt_sampler(noise, scenario=None):
                                                       scenario=scenario)
 
 
+def _burst_edge_sampler(multiplier):
+    """Bursts scaling Pauli sites over two windows, plus one leak."""
+    sites = [
+        ErrorSite(0, HEATING_BURST, (), 0.5, window=0),
+        ErrorSite(1, HEATING_BURST, (), 0.5, window=0),
+        ErrorSite(2, HEATING_BURST, (), 0.5, window=0),
+        ErrorSite(0, PAULI_1Q, (0,), 0.2, window=0),
+        ErrorSite(1, PAULI_2Q, (0, 1), 0.3, window=0),
+        ErrorSite(2, LEAKAGE, (2,), 0.05, window=0),
+        ErrorSite(3, HEATING_BURST, (), 0.6, window=1),
+        ErrorSite(4, HEATING_BURST, (), 0.6, window=1),
+        ErrorSite(3, PAULI_2Q, (1, 2), 0.25, window=1),
+        ErrorSite(4, PAULI_1Q, (1,), 0.2, window=1),
+    ]
+    return StochasticSampler(architecture="synthetic", circuit_name="bursts",
+                             sites=sites, num_qubits=3,
+                             burst_multiplier=multiplier)
+
+
 class TestVectorizedReference:
     """The vectorized sampler is pinned bit-identical to
     :func:`reference_run` — the same draws, one shot at a time — across
@@ -596,6 +618,19 @@ class TestVectorizedReference:
         assert vectorized.mechanism_counts.get(LEAKAGE)
         assert vectorized == reference_run(sampler, 100, seed=5,
                                            sample_counts=True)
+
+    @pytest.mark.parametrize("multiplier", [3.0, 1e200])
+    def test_burst_scaling_edges_bit_identity(self, multiplier):
+        # 3.0 saturates every scaled Pauli site at 1.0 from two active
+        # bursts on; 1e200 ** 2 raises OverflowError, which saturates too
+        sampler = _burst_edge_sampler(multiplier)
+        for seed in (5, 2021):
+            bursts = mix(seed, np.arange(300), TRIGGER_STREAM,
+                         np.arange(3)[:, None]) < 0.5
+            assert (bursts.sum(axis=0) >= 2).any()
+            vectorized = sampler.run(300, seed=seed)
+            assert vectorized.mechanism_counts.get(LEAKAGE)
+            assert vectorized == reference_run(sampler, 300, seed=seed)
 
     def test_ideal_backend_bit_identity(self, noise):
         device = IdealTrappedIonDevice(num_qubits=6)
