@@ -2,8 +2,9 @@
 
 Benchmarks the compiler's two expensive passes (swap insertion, by both
 routers, and tape scheduling) per workload and head size — the t_swap /
-t_move columns of Table III — and prints the full reproduced table
-(#moves, tape travel, estimated execution time).
+t_move columns of Table III — plus scheduling at the paper's width, and
+prints the full reproduced table (#moves, tape travel, estimated
+execution time).
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ HEAD_INDEX = [0, 1]  # small and large head of the active scale
 #: milliseconds at small scale, so a single timing is mostly noise; the
 #: gated median needs several.
 ROUNDS = 15
+
+#: Timed rounds of the paper-width scheduling benchmark (tenths of a
+#: second each).
+PAPER_WIDTH_ROUNDS = 5
 
 ROUTERS = {"linq": LinqSwapInserter, "baseline": BaselineSwapInserter}
 
@@ -67,6 +72,26 @@ def test_tape_scheduling_time(benchmark, name, head_index, scale):
         TapeScheduler.schedule,
         setup=lambda: ((TapeScheduler(device), routed), {}),
         iterations=1, rounds=ROUNDS,
+    )
+    assert program.num_scheduled_gates == len(routed)
+
+
+def test_tape_scheduling_time_paper_width(benchmark):
+    """t_move at the paper's width: QFT-64 under a 16-ion head.
+
+    Scale-independent on purpose: the paper-figures job set schedules
+    circuits this wide, where one schedule takes a large fraction of a
+    second, while the small-scale cases above take milliseconds.  As
+    there, the routed circuit is built once, outside the timer.
+    """
+    circuit = build_workload("QFT", "paper")
+    device = TiltDevice(num_qubits=circuit.num_qubits, head_size=16)
+    native = merge_adjacent_rotations(decompose_to_native(circuit))
+    routed = LinqSwapInserter(device).route(native).circuit
+    program = benchmark.pedantic(
+        TapeScheduler.schedule,
+        setup=lambda: ((TapeScheduler(device), routed), {}),
+        iterations=1, rounds=PAPER_WIDTH_ROUNDS,
     )
     assert program.num_scheduled_gates == len(routed)
 

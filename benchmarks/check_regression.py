@@ -7,9 +7,11 @@ produced by the CI harness) against the committed
 hot path slowed down by more than the threshold (default: >25%).  The
 tracked hot paths are the ones the ROADMAP's perf work landed on:
 
-* ``schedule``          — the pruned TapeScheduler per-segment scan
-  (``bench_table3_compilation.py::test_tape_scheduling_time``, the
-  median of several rounds with a fresh scheduler each);
+* ``schedule``          — the TapeScheduler's counted scan, which scores
+  every head position from window extents and runs one greedy closure
+  per segment (``bench_table3_compilation.py::test_tape_scheduling_time``
+  at small scale and ``…_paper_width`` on QFT-64, each the median of
+  several rounds with a fresh scheduler each);
 * ``route``             — swap insertion by both routers, whose lookahead
   window and trial circuits are built only when used
   (``bench_table3_compilation.py::test_swap_insertion_time``, the

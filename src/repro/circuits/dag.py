@@ -96,8 +96,10 @@ class CircuitDAG:
 class FrontierTracker:
     """Incremental ready-set over a circuit's dependency structure.
 
-    The tracker is cheap to copy (:meth:`clone`), which the scheduler uses to
-    trial-run "what could execute at head position p" without committing.
+    Besides completing gates, the tracker answers two read-only queries
+    over its current state: :meth:`window_extents`, which tells the
+    tape scheduler how many gates each head window could run, and
+    :meth:`greedy_closure`, which lists those gates in execution order.
     """
 
     def __init__(self, circuit: Circuit,
@@ -123,23 +125,6 @@ class FrontierTracker:
         self._ready: set[int] = {i for i, d in self._indegree.items() if d == 0}
         self._completed: set[int] = set()
 
-    # Construction helpers -------------------------------------------------
-    @classmethod
-    def _blank(cls) -> "FrontierTracker":
-        instance = cls.__new__(cls)
-        return instance
-
-    def clone(self) -> "FrontierTracker":
-        """Return an independent copy of the tracker state."""
-        other = FrontierTracker._blank()
-        other._circuit = self._circuit
-        other._gates = self._gates
-        other._indegree = dict(self._indegree)
-        other._successors = self._successors  # static, shared
-        other._ready = set(self._ready)
-        other._completed = set(self._completed)
-        return other
-
     # Queries ---------------------------------------------------------------
     @property
     def circuit(self) -> Circuit:
@@ -149,18 +134,12 @@ class FrontierTracker:
         """Indices of gates whose predecessors have all completed."""
         return set(self._ready)
 
-    def is_ready(self, index: int) -> bool:
-        return index in self._ready
-
     def remaining(self) -> int:
         """Number of gates not yet completed."""
         return len(self._indegree) - len(self._completed)
 
     def is_done(self) -> bool:
         return self.remaining() == 0
-
-    def completed(self) -> set[int]:
-        return set(self._completed)
 
     # Mutation ---------------------------------------------------------------
     def complete(self, index: int) -> list[int]:
@@ -193,11 +172,10 @@ class FrontierTracker:
         returned list is a valid execution order that can later be replayed
         with :meth:`complete_many`.
 
-        This is the primitive behind the tape-movement scheduler's
-        "how many gates could run at head position p" query.  The cost is
-        proportional to the number of executed gates plus their successor
-        edges (an overlay of in-degrees is used instead of copying the
-        tracker).
+        The tape scheduler runs it once per segment, at the head position
+        it chose, and replays the result.  The cost is proportional to the
+        number of executed gates plus their successor edges (an overlay of
+        in-degrees is used instead of copying the tracker).
         """
         gates = self._gates
         executed: list[int] = []
@@ -214,3 +192,53 @@ class FrontierTracker:
                     queue.append(succ)
                     in_queue.add(succ)
         return executed
+
+    def window_extents(self, width: int) -> list[tuple[int, int]]:
+        """Qubit extents of the gates some *width*-qubit window could run.
+
+        :meth:`greedy_closure` restricted to a window runs a gate exactly
+        when the window holds the gate and all of its not-yet-completed
+        ancestors.  Sweeping from the ready set, this returns the lowest
+        and highest qubit of that set, ``(low, high)``, for every gate
+        whose set spans at most *width* qubits, in no particular order.  A
+        gate whose set is wider, and all of its descendants, are skipped,
+        so the closure of the window ``[p, p + width - 1]`` holds exactly
+        as many gates as there are extents with ``high - width < p <= low``.
+        The tracker itself is **not** modified.
+        """
+        gates = self._gates
+        successors = self._successors
+        indegree = self._indegree
+        limit = width - 1
+        extents: list[tuple[int, int]] = []
+        # succ -> (predecessors still to sweep, low, high so far)
+        pending: dict[int, tuple[int, int, int]] = {}
+        stack: list[tuple[int, int, int]] = []
+        for index in self._ready:
+            qubits = gates[index].qubits
+            low = min(qubits)
+            high = max(qubits)
+            if high - low <= limit:
+                stack.append((index, low, high))
+        while stack:
+            index, low, high = stack.pop()
+            extents.append((low, high))
+            for succ in successors[index]:
+                state = pending.get(succ)
+                if state is None:
+                    qubits = gates[succ].qubits
+                    remaining = indegree[succ] - 1
+                    succ_low = min(qubits)
+                    succ_high = max(qubits)
+                else:
+                    remaining, succ_low, succ_high = state
+                    remaining -= 1
+                if low < succ_low:
+                    succ_low = low
+                if high > succ_high:
+                    succ_high = high
+                if remaining:
+                    pending[succ] = (remaining, succ_low, succ_high)
+                elif succ_high - succ_low <= limit:
+                    stack.append((succ, succ_low, succ_high))
+        return extents

@@ -7,32 +7,27 @@ the next chosen position.  Minimising the number of tape movements directly
 improves the program success rate because every shuttle heats the chain
 (Section IV-D).
 
-The per-position query "how many gates could run here" is answered by
-:meth:`repro.circuits.dag.FrontierTracker.greedy_closure`, which simulates
-greedy execution restricted to the head window without mutating the shared
-tracker.  The original Algorithm 2 evaluates that query at every one of the
-``num_qubits - head_size + 1`` head positions per segment; this
-implementation prunes the scan without changing any decision:
-
-* **candidate filter** — only positions whose window fully covers at least
-  one *ready* gate are evaluated (derived from the qubit extents of the
-  current ready set).  Everywhere else the greedy closure is empty, and an
-  empty closure can never win the ``(-count, distance, position)`` key.
-* **containment bound** — the closure at position ``p`` can only contain
-  not-yet-executed gates that fit entirely inside ``window(p)``; the count
-  of such gates is maintained incrementally and is a cheap upper bound on
-  the closure size.  Candidates are visited in decreasing bound order and
-  the scan stops as soon as the bound drops *below* the best count found
-  (positions whose bound merely ties the best are still evaluated, so the
-  distance/leftmost tie-breaks match the exhaustive scan exactly).
-
-``SchedulerConfig(exhaustive_scan=True)`` restores the full scan; the test
-suite asserts both modes produce identical segments.
+Scoring a head position needs no trial run.  The greedy closure at
+position ``p`` (:meth:`repro.circuits.dag.FrontierTracker.greedy_closure`
+restricted to the window ``[p, p + h - 1]``) runs a gate exactly when the
+window holds the gate and all of its not-yet-executed ancestors.  With
+``L`` and ``H`` the lowest and highest qubit over that set, the gate
+therefore counts toward exactly the positions
+``max(0, H - h + 1) … min(last, L)``.
+:meth:`~repro.circuits.dag.FrontierTracker.window_extents` returns
+``(L, H)`` for every gate some window can run (a gate whose set is wider
+than the head, and all of its descendants, count nowhere), so one
+difference-array sum over those ranges gives every position's closure
+size.  The scheduler picks the position by the ``(-count, distance,
+position)`` key of Algorithm 2 and runs the greedy closure once, there;
+its execution order is the segment's gate order.  The test suite checks
+the chosen segments against the per-position closure scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
@@ -53,15 +48,10 @@ class SchedulerConfig:
     prefer_near_moves:
         Tie-break equal scores by distance from the current position, so the
         tape travels as little as possible when it must move anyway.
-    exhaustive_scan:
-        Evaluate the greedy closure at every head position instead of the
-        pruned candidate set.  Both modes choose identical segments; the
-        exhaustive scan exists as the reference for equivalence tests.
     """
 
     initial_position: int | None = None
     prefer_near_moves: bool = True
-    exhaustive_scan: bool = False
 
 
 class TapeScheduler:
@@ -83,54 +73,28 @@ class TapeScheduler:
     # ------------------------------------------------------------------
     def schedule(self, circuit: Circuit) -> ExecutableProgram:
         """Schedule *circuit* into tape segments covering every gate."""
+        max_span = self.device.max_gate_span
         for gate in circuit:
-            if gate.is_two_qubit and gate.span > self.device.max_gate_span:
+            if gate.span > max_span:
+                if gate.name == "barrier":
+                    raise SchedulingError(
+                        "full-width barriers cannot be scheduled; strip them first"
+                    )
                 raise SchedulingError(
                     f"gate {gate} does not fit under the head; route first"
-                )
-            if gate.name == "barrier" and gate.span > self.device.max_gate_span:
-                raise SchedulingError(
-                    "full-width barriers cannot be scheduled; strip them first"
                 )
 
         tracker = FrontierTracker(circuit)
         segments: list[TapeSegment] = []
         current_position = self.config.initial_position
-
-        # Covering range of each gate: head positions whose window contains
-        # the whole gate.  `containable[p]` counts not-yet-executed gates
-        # containable at position p — the upper bound used for pruning.
-        num_positions = self.device.num_head_positions
-        head_size = self.device.head_size
-        last_position = num_positions - 1
-        ranges: list[tuple[int, int]] = []
-        containable = [0] * num_positions
-        for gate in circuit:
-            lo, hi = min(gate.qubits), max(gate.qubits)
-            first = max(0, hi - head_size + 1)
-            last = min(last_position, lo)
-            ranges.append((first, last))
-            for position in range(first, last + 1):
-                containable[position] += 1
-
         while not tracker.is_done():
-            if self.config.exhaustive_scan:
-                position, executable = self._best_position(
-                    tracker, current_position
-                )
-            else:
-                position, executable = self._best_position_pruned(
-                    tracker, current_position, containable, ranges
-                )
+            position = self._choose_position(tracker, current_position)
+            executable = self._closure_at(tracker, position)
             if not executable:
                 raise SchedulingError(
                     "scheduler stalled: no executable gate at any head position"
                 )
             tracker.complete_many(executable)
-            for index in executable:
-                first, last = ranges[index]
-                for p in range(first, last + 1):
-                    containable[p] -= 1
             segments.append(TapeSegment(position, tuple(executable)))
             current_position = position
 
@@ -141,14 +105,28 @@ class TapeScheduler:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _position_key(self, position: int, count: int,
-                      current_position: int | None) -> tuple[int, int, int]:
-        """Minimisation key: maximise count, then travel, then leftmost."""
+    def _choose_position(self, tracker: FrontierTracker,
+                         current_position: int | None) -> int:
+        """The head position Algorithm 2 moves to next.
+
+        Every position's closure size comes from one difference-array sum
+        over the tracker's window extents; the winner maximises the count,
+        then (with ``prefer_near_moves``) minimises travel, then is the
+        leftmost.
+        """
+        head_size = self.device.head_size
+        last_position = self.device.num_head_positions - 1
+        deltas = [0] * (last_position + 2)
+        for low, high in tracker.window_extents(head_size):
+            first = high - head_size + 1
+            deltas[first if first > 0 else 0] += 1
+            deltas[(low if low < last_position else last_position) + 1] -= 1
+        counts = list(accumulate(deltas[:-1]))
+        best = max(counts)
+        tied = [p for p, count in enumerate(counts) if count == best]
         if current_position is None or not self.config.prefer_near_moves:
-            distance = 0
-        else:
-            distance = abs(position - current_position)
-        return (-count, distance, position)
+            return tied[0]
+        return min(tied, key=lambda p: (abs(p - current_position), p))
 
     def _closure_at(self, tracker: FrontierTracker, position: int) -> list[int]:
         """Gates greedily executable with the head at *position*."""
@@ -162,66 +140,6 @@ class TapeScheduler:
             return True
 
         return tracker.greedy_closure(accepts)
-
-    def _best_position(self, tracker: FrontierTracker,
-                       current_position: int | None) -> tuple[int, list[int]]:
-        """Exhaustive reference scan over every head position (Eq. 2)."""
-        best_position = -1
-        best_executable: list[int] = []
-        best_key: tuple[int, int, int] | None = None
-        for position in self.device.head_positions():
-            executable = self._closure_at(tracker, position)
-            key = self._position_key(position, len(executable), current_position)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_position = position
-                best_executable = executable
-        return best_position, best_executable
-
-    def _best_position_pruned(
-        self,
-        tracker: FrontierTracker,
-        current_position: int | None,
-        containable: list[int],
-        ranges: list[tuple[int, int]],
-    ) -> tuple[int, list[int]]:
-        """Pruned scan: candidates from ready-gate extents, bound-ordered.
-
-        Equivalent to :meth:`_best_position`: a position covering no ready
-        gate has an empty closure (the greedy closure seeds from the ready
-        set), and an evaluation is skipped only when its containment bound
-        is strictly below the best count already found, so every position
-        that could win — or tie and win on the distance/leftmost
-        tie-breaks — is still evaluated with the same key.
-        """
-        num_positions = len(containable)
-        coverage = [0] * (num_positions + 1)
-        for index in tracker.ready():
-            first, last = ranges[index]
-            if first <= last:
-                coverage[first] += 1
-                coverage[last + 1] -= 1
-        candidates = []
-        covered = 0
-        for position in range(num_positions):
-            covered += coverage[position]
-            if covered > 0:
-                candidates.append(position)
-        candidates.sort(key=lambda p: (-containable[p], p))
-
-        best_position = -1
-        best_executable: list[int] = []
-        best_key: tuple[int, int, int] | None = None
-        for position in candidates:
-            if best_key is not None and containable[position] < len(best_executable):
-                break  # sorted by bound: nothing later can win or tie
-            executable = self._closure_at(tracker, position)
-            key = self._position_key(position, len(executable), current_position)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_position = position
-                best_executable = executable
-        return best_position, best_executable
 
 
 def schedule_tape_moves(circuit: Circuit, device: TiltDevice,

@@ -48,6 +48,10 @@ class TestScheduler:
         with pytest.raises(SchedulingError):
             schedule_tape_moves(Circuit(16).cx(0, 15), tilt16)
 
+    def test_wide_three_qubit_gate_rejected_up_front(self, tilt16):
+        with pytest.raises(SchedulingError, match="route first"):
+            schedule_tape_moves(Circuit(16).ccx(0, 5, 12), tilt16)
+
     def test_full_width_barrier_rejected(self, tilt16):
         circuit = Circuit(16).barrier()
         with pytest.raises(SchedulingError):
