@@ -1,23 +1,32 @@
 """Micro-benchmarks of the individual compiler passes and simulators.
 
 These are pure performance benchmarks (no figure attached): they track the
-cost of decomposition, routing, scheduling, and the two noisy simulators on
-the QFT workload so performance regressions in the toolflow are caught.
+cost of decomposition, routing, scheduling, and the three noisy simulators
+on the QFT workload so performance regressions in the toolflow are caught.
 """
 
 from __future__ import annotations
 
 from repro.analysis import experiments
+from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
-from repro.compiler.pipeline import LinQCompiler
+from repro.compiler.pipeline import LinQCompiler, lower_to_native
 from repro.compiler.qccd_compiler import QccdCompiler
 from repro.noise.parameters import NoiseParameters
+from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.statevector import StatevectorSimulator
 from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.qft import qft_workload
 from repro.workloads.suite import build_workload
+
+
+def _bench_analytic_run(benchmark, simulator, *args, **kwargs):
+    """Time one simulator's analytic ``run`` alone: the caller compiles
+    or lowers its input before, outside the timer."""
+    # repro-lint: disable=RPR002 -- micro-benchmark of the raw simulator hot path; the engine's execute_spec would fold compile time and cache bookkeeping into the measurement
+    return benchmark(lambda: simulator.run(*args, **kwargs))
 
 
 def test_native_decomposition(benchmark, scale):
@@ -32,8 +41,17 @@ def test_tilt_simulation(benchmark, scale, noise):
     device = experiments.device_for(scale, "QFT")
     compiled = LinQCompiler(device).compile(circuit)
     simulator = TiltSimulator(device, noise)
-    # repro-lint: disable=RPR002 -- micro-benchmark of the raw TILT simulator hot path; the engine's execute_spec would fold compile time and cache bookkeeping into the measurement
-    result = benchmark(lambda: simulator.run(compiled))
+    result = _bench_analytic_run(benchmark, simulator, compiled)
+    assert 0.0 <= result.success_rate <= 1.0
+
+
+def test_ideal_simulation(benchmark, scale, noise):
+    circuit = build_workload("QFT", scale)
+    native = lower_to_native(circuit)
+    simulator = IdealSimulator(IdealTrappedIonDevice(circuit.num_qubits),
+                               noise)
+    result = _bench_analytic_run(benchmark, simulator, circuit,
+                                 native=native)
     assert 0.0 <= result.success_rate <= 1.0
 
 
@@ -43,8 +61,7 @@ def test_qccd_compile_and_simulate(benchmark, scale, noise):
     device = QccdDevice(num_qubits=circuit.num_qubits, trap_capacity=capacity)
     program = QccdCompiler(device).compile(circuit)
     simulator = QccdSimulator(device, noise)
-    # repro-lint: disable=RPR002 -- micro-benchmark of the raw QCCD simulator hot path, isolated from compile and engine overhead by design
-    result = benchmark(lambda: simulator.run(program))
+    result = _bench_analytic_run(benchmark, simulator, program)
     assert result.num_moves > 0
 
 

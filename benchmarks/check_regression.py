@@ -16,10 +16,12 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   window and trial circuits are built only when used
   (``bench_table3_compilation.py::test_swap_insertion_time``, the
   median of several rounds);
-* ``analytic``          — analytic simulation through the per-replay
-  Eq. 4 fidelity table (``bench_compiler_passes.py::
-  test_tilt_simulation``, ``::test_qccd_compile_and_simulate``, which
-  times ``QccdSimulator.run`` only, and the raw Eq. 4 evaluation
+* ``analytic``          — analytic simulation, one replay per run that
+  looks each distinct gate's costs up once
+  (``bench_compiler_passes.py::test_tilt_simulation``,
+  ``::test_ideal_simulation``, lowered outside the timer,
+  ``::test_qccd_compile_and_simulate``, which times
+  ``QccdSimulator.run`` only, and the raw Eq. 4 evaluation
   ``::test_noise_model_evaluation``);
 * ``compile_sharing``   — a cold analytic grid search, whose engine
   batches compile one program per MaxSwapLen and reuse it across
@@ -86,6 +88,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_table3_compilation\.py::test_swap_insertion_time"),
     ("analytic",
      r"bench_compiler_passes\.py::test_tilt_simulation"),
+    ("analytic",
+     r"bench_compiler_passes\.py::test_ideal_simulation"),
     ("analytic",
      r"bench_compiler_passes\.py::test_qccd_compile_and_simulate"),
     ("analytic",

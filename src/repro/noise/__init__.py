@@ -28,7 +28,6 @@ from repro.noise.fidelity import (
 )
 from repro.noise.gate_times import (
     XX_GATES_PER_SWAP,
-    critical_path_time_us,
     gate_time_us,
     two_qubit_gate_time_us,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "XX_GATES_PER_SWAP",
     "build_scenario_sites",
     "compose_scenarios",
-    "critical_path_time_us",
     "error_site_for_gate",
     "expected_log10_success",
     "gate_fidelity",

@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 
 from repro.circuits.gate import Gate
 from repro.exceptions import SimulationError
-from repro.noise.gate_times import XX_GATES_PER_SWAP, two_qubit_gate_time_us
+from repro.noise.gate_times import (
+    XX_GATES_PER_SWAP,
+    gate_time_us,
+    two_qubit_gate_time_us,
+)
 from repro.noise.parameters import NoiseParameters
 
 
@@ -84,38 +88,63 @@ def gate_fidelity(gate: Gate, motional_quanta: float,
     )
 
 
-class FidelityTable:
-    """Eq. 4 fidelities (with their Eq. 3 gate times) of one replay, each
-    evaluated once per distinct gate.
+#: What one gate adds to each total of an analytic replay: its Eq. 4
+#: fidelity, that fidelity's :meth:`SuccessRateAccumulator.log_term`, its
+#: Eq. 3 duration, its gate count (0 for a barrier, else 1) and its
+#: two-qubit gate count.  A plain tuple, because replays unpack one per
+#: executed gate.
+GateCost = tuple[float, float, float, int, int]
 
-    A fidelity reads only the gate's name, its span and the chain's
-    motional quanta, so gates that agree on those share one evaluation.
-    A simulator builds one table per call: nothing outlives the replay.
+
+class FidelityTable:
+    """The :data:`GateCost` of every gate of one replay, each evaluated
+    once per distinct gate.
+
+    Eq. 4, its log and Eq. 3 read only the gate's name, its span and,
+    for a two-qubit gate, the chain's motional quanta, so gates that
+    agree on those share one evaluation.  A simulator builds one table
+    per call: nothing outlives the replay.
     """
 
     def __init__(self, params: NoiseParameters) -> None:
         self.params = params
-        self._values: dict[tuple[str, int, float], float] = {}
+        self._costs: dict[tuple[str, int, float], GateCost] = {}
+
+    def cost(self, gate: Gate, motional_quanta: float) -> GateCost:
+        """The costs of *gate* under *motional_quanta*."""
+        qubits = gate.qubits
+        if len(qubits) != 2:
+            motional_quanta = 0.0  # heating reaches two-qubit gates only
+        # The span of a one- or two-qubit gate, without the property
+        # call; a barrier's costs ignore it and wider gates raise.
+        key = (gate.name, abs(qubits[0] - qubits[-1]), motional_quanta)
+        cost = self._costs.get(key)
+        if cost is None:
+            fidelity = gate_fidelity(gate, motional_quanta, self.params)
+            cost = self._costs[key] = (
+                fidelity,
+                SuccessRateAccumulator.log_term(fidelity),
+                gate_time_us(gate, self.params),
+                int(gate.name != "barrier"),
+                int(gate.is_two_qubit),
+            )
+        return cost
 
     def fidelity(self, gate: Gate, motional_quanta: float) -> float:
         """:func:`gate_fidelity` of *gate* under *motional_quanta*."""
-        qubits = gate.qubits
-        # The span of a one- or two-qubit gate, without the property
-        # call; a barrier's fidelity ignores it and wider gates raise.
-        key = (gate.name, abs(qubits[0] - qubits[-1]), motional_quanta)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = gate_fidelity(
-                gate, motional_quanta, self.params)
-        return value
+        return self.cost(gate, motional_quanta)[0]
 
 
 @dataclass
 class SuccessRateAccumulator:
     """Multiplies per-gate fidelities in log space.
 
-    ``success_rate`` is ``exp(sum of log fidelities)``; if any gate has zero
-    fidelity the success rate is exactly zero.
+    ``success_rate`` is ``exp(sum of log fidelities)``, the logs added
+    gate by gate in execution order; if any gate has zero fidelity the
+    success rate is exactly zero.  A replay takes each distinct
+    fidelity's :meth:`log_term` from its :class:`FidelityTable` and
+    passes every gate to :meth:`fold`; :meth:`add` does both for one
+    gate.
     """
 
     log_fidelity: float = 0.0
@@ -123,16 +152,28 @@ class SuccessRateAccumulator:
     hit_zero: bool = False
     _worst: float = field(default=1.0, repr=False)
 
-    def add(self, fidelity: float) -> None:
-        """Fold one gate fidelity into the product."""
+    @staticmethod
+    def log_term(fidelity: float) -> float:
+        """What a gate of *fidelity* adds to the log-sum: its log, or 0.0
+        for a zero fidelity (which :meth:`fold` records as ``hit_zero``)."""
         if not 0.0 <= fidelity <= 1.0:
             raise SimulationError(f"fidelity {fidelity} outside [0, 1]")
-        self.num_gates += 1
-        self._worst = min(self._worst, fidelity)
         if fidelity == 0.0:
-            self.hit_zero = True
-            return
-        self.log_fidelity += math.log(fidelity)
+            return 0.0
+        return math.log(fidelity)
+
+    def fold(self, fidelity: float, log_term: float) -> None:
+        """Fold the next gate, given its fidelity and :meth:`log_term`."""
+        self.log_fidelity += log_term
+        self.num_gates += 1
+        if fidelity < self._worst:
+            self._worst = fidelity
+            if fidelity == 0.0:
+                self.hit_zero = True
+
+    def add(self, fidelity: float) -> None:
+        """Fold one gate fidelity into the product."""
+        self.fold(fidelity, self.log_term(fidelity))
 
     @property
     def success_rate(self) -> float:

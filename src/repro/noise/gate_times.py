@@ -44,13 +44,3 @@ def gate_time_us(gate: Gate, params: NoiseParameters) -> float:
         f"gate {gate.name!r} must be decomposed before timing "
         f"({gate.num_qubits} qubits)"
     )
-
-
-def critical_path_time_us(gates_by_depth: list[list[Gate]],
-                          params: NoiseParameters) -> float:
-    """Sum over depth layers of the longest gate in each layer (Eq. 5 term)."""
-    total = 0.0
-    for layer in gates_by_depth:
-        if layer:
-            total += max(gate_time_us(g, params) for g in layer)
-    return total

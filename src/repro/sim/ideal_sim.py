@@ -14,8 +14,7 @@ from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
-from repro.noise.gate_times import gate_time_us
+from repro.noise.fidelity import FidelityTable
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
     GatePoint,
@@ -26,7 +25,7 @@ from repro.noise.scenarios import (
     resolve_scenario,
     scenario_analytics,
 )
-from repro.sim.result import SimulationResult
+from repro.sim.result import GateReplay, SimulationResult
 from repro.sim.stochastic import (
     DEFAULT_MAX_RECORDS,
     ShotResult,
@@ -103,30 +102,16 @@ class IdealSimulator:
 
     def _result_from_native(self, name: str,
                             native: Circuit) -> SimulationResult:
-        accumulator = SuccessRateAccumulator()
-        table = FidelityTable(self.params)
-        finish_at: dict[int, float] = {}
-        total_time = 0.0
-        for gate in native:
-            accumulator.add(table.fidelity(gate, 0.0))
-            duration = gate_time_us(gate, self.params)
-            start = max((finish_at.get(q, 0.0) for q in gate.qubits), default=0.0)
-            end = start + duration
-            for qubit in gate.qubits:
-                finish_at[qubit] = end
-            total_time = max(total_time, end)
-        return SimulationResult(
+        """Eq. 4 success, Eq. 5 time and gate counts of *native*, from one
+        pass over its gates (every gate at zero motional quanta)."""
+        replay = GateReplay(self.params)
+        execution_time = replay.critical_path_us(native, 0.0)
+        return replay.result(
             architecture="Ideal TI",
             circuit_name=name,
-            success_rate=accumulator.success_rate,
-            log10_success_rate=accumulator.log10_success_rate,
-            execution_time_us=total_time,
-            num_gates=native.num_gates(),
-            num_two_qubit_gates=native.num_two_qubit_gates(),
+            execution_time_us=execution_time,
             num_moves=0,
             move_distance_um=0.0,
-            average_gate_fidelity=accumulator.average_gate_fidelity,
-            worst_gate_fidelity=accumulator.worst_gate_fidelity,
         )
 
     def build_sampler(self, circuit: Circuit, *,

@@ -27,8 +27,12 @@ from repro.compiler.qccd_compiler import (
 )
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
-from repro.noise.gate_times import gate_time_us, two_qubit_gate_time_us
+from repro.noise.fidelity import (
+    FidelityTable,
+    GateCost,
+    SuccessRateAccumulator,
+)
+from repro.noise.gate_times import two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
@@ -60,20 +64,23 @@ COOLING_TIME_US = 100.0
 class QccdTrace:
     """Flattened replay of a QCCD program: gates with their fidelities.
 
-    One record per executed gate (in event order) plus the aggregate time
-    and heating state; both the analytic estimator and the stochastic
-    sampler are built from this single replay.  ``points`` is the
-    correlated-noise timeline (gates with spectators and their trap as
-    burst-coupling window, transports as shuttle points; only
-    materialised when the replay runs under a non-baseline scenario) and
-    ``telemetry`` carries the per-trap heating counters that survive
-    every sympathetic-cooling event.
+    One record per executed gate (in event order) plus the aggregate time,
+    the success fold, the transport count and heating state; both the
+    analytic estimator and the stochastic sampler are built from this
+    single replay.  ``points`` is the correlated-noise timeline (gates
+    with spectators and their trap as burst-coupling window, transports
+    as shuttle points; only materialised when the replay runs under a
+    non-baseline scenario) and ``telemetry`` carries the per-trap heating
+    counters that survive every sympathetic-cooling event.
     """
 
     gates: list[Gate] = field(default_factory=list)
     fidelities: list[float] = field(default_factory=list)
     num_two_qubit: int = 0
+    num_transports: int = 0
     execution_time_us: float = 0.0
+    success: SuccessRateAccumulator = field(
+        default_factory=SuccessRateAccumulator)
     final_quanta: dict[str, float] = field(default_factory=dict)
     points: list[TimelinePoint] = field(default_factory=list)
     telemetry: dict[str, float] = field(default_factory=dict)
@@ -99,8 +106,11 @@ class QccdSimulator:
         (``qccd_cooling_factor``), so it never clears an active burst —
         windows span the whole program.
         """
-        if program.device.num_qubits != self.device.num_qubits:
-            raise SimulationError("program compiled for a different device")
+        if program.device != self.device:
+            raise SimulationError(
+                f"program was compiled for {program.device!r}, not for "
+                f"this simulator's {self.device!r}"
+            )
 
         members = [list(trap) for trap in self.device.initial_layout()]
         chains = {
@@ -111,22 +121,29 @@ class QccdSimulator:
         # baseline replays (every pre-existing study) stay allocation-free.
         want_points = scenario is not None and not scenario.is_baseline
         want_spectators = want_points and scenario.crosstalk_strength > 0.0
-        table = FidelityTable(self.params)
+        cost_of = FidelityTable(self.params).cost
+        # Gates that heating cannot reach cost the same everywhere: by name.
+        resting: dict[str, GateCost] = {}
         trace = QccdTrace()
-        transports = 0
+        fold = trace.success.fold
+        execution_time = 0.0
         for event in program.events:
             if isinstance(event, QccdGateEvent):
-                chain = chains[event.trap]
                 gate = event.gate
-                if gate.num_qubits == 2:
+                if len(gate.qubits) == 2:
                     trace.num_two_qubit += 1
+                    fidelity, log_term, _, _, _ = cost_of(
+                        gate, chains[event.trap].quanta)
+                    # Eq. 3 by in-chain distance; Eq. 4 by ion-id span.
                     duration = two_qubit_gate_time_us(
                         max(1, event.distance), self.params
                     )
-                    fidelity = table.fidelity(gate, chain.quanta)
                 else:
-                    duration = gate_time_us(gate, self.params)
-                    fidelity = table.fidelity(gate, 0.0)
+                    cost = resting.get(gate.name)
+                    if cost is None:
+                        cost = resting[gate.name] = cost_of(gate, 0.0)
+                    fidelity, log_term, duration, _, _ = cost
+                fold(fidelity, log_term)
                 if want_points:
                     spectators = ()
                     if want_spectators and gate.num_qubits == 2:
@@ -143,9 +160,9 @@ class QccdSimulator:
                     ))
                 trace.gates.append(gate)
                 trace.fidelities.append(fidelity)
-                trace.execution_time_us += duration
+                execution_time += duration
             elif isinstance(event, QccdShuttleEvent):
-                trace.execution_time_us += self._shuttle_time_us(event)
+                execution_time += self._shuttle_time_us(event)
                 source = chains[event.source_trap]
                 dest = chains[event.dest_trap]
                 source.record_qccd_primitive(event.splits)
@@ -153,20 +170,21 @@ class QccdSimulator:
                 # Sympathetic cooling after the transport settles.
                 source.apply_cooling()
                 dest.apply_cooling()
-                trace.execution_time_us += COOLING_TIME_US
+                execution_time += COOLING_TIME_US
                 # Membership only feeds crosstalk spectator lookup, so
                 # the per-transport maintenance is skipped otherwise.
                 if want_spectators and event.qubit in members[event.source_trap]:
                     members[event.source_trap].remove(event.qubit)
                     members[event.dest_trap].append(event.qubit)
-                transports += 1
+                trace.num_transports += 1
                 if want_points:
                     # The deposited burst heats the chain the ion merged
                     # into.
-                    trace.points.append(ShuttlePoint(move=transports,
-                                                     window=event.dest_trap))
+                    trace.points.append(ShuttlePoint(
+                        move=trace.num_transports, window=event.dest_trap))
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown QCCD event {event!r}")
+        trace.execution_time_us = execution_time
         trace.final_quanta = {f"trap_{t}_quanta": chain.quanta
                               for t, chain in chains.items()}
         trace.telemetry = {
@@ -209,7 +227,7 @@ class QccdSimulator:
         """
         scenario = resolve_scenario(scenario)
         trace = self.trace(program, scenario)
-        result = self._result_from_trace(trace, program, circuit_name)
+        result = self._result_from_trace(trace, circuit_name)
         if scenario.is_baseline:
             return result
         analytics = scenario_analytics(
@@ -217,11 +235,9 @@ class QccdSimulator:
         )
         return analytics.apply_to(result)
 
-    def _result_from_trace(self, trace: QccdTrace, program: QccdProgram,
+    def _result_from_trace(self, trace: QccdTrace,
                            circuit_name: str) -> SimulationResult:
-        accumulator = SuccessRateAccumulator()
-        for fidelity in trace.fidelities:
-            accumulator.add(fidelity)
+        accumulator = trace.success
         return SimulationResult(
             architecture="QCCD",
             circuit_name=circuit_name,
@@ -230,7 +246,7 @@ class QccdSimulator:
             execution_time_us=trace.execution_time_us,
             num_gates=len(trace.gates),
             num_two_qubit_gates=trace.num_two_qubit,
-            num_moves=program.num_shuttles,
+            num_moves=trace.num_transports,
             move_distance_um=0.0,
             average_gate_fidelity=accumulator.average_gate_fidelity,
             worst_gate_fidelity=accumulator.worst_gate_fidelity,
@@ -260,14 +276,13 @@ class QccdSimulator:
                 if site is not None:
                     sites.append(site)
             if analytic is None:
-                analytic = self._result_from_trace(trace, program,
-                                                   circuit_name)
+                analytic = self._result_from_trace(trace, circuit_name)
         else:
             sites = build_scenario_sites(trace.points, scenario)
             analytics = scenario_analytics(sites, scenario)
             expected_rate = analytics.success_rate
             if analytic is None:
-                base = self._result_from_trace(trace, program, circuit_name)
+                base = self._result_from_trace(trace, circuit_name)
                 analytic = analytics.apply_to(base)
         return StochasticSampler(
             architecture="QCCD",

@@ -1,11 +1,19 @@
-"""Simulation result containers."""
+"""Simulation result containers and the analytic replay that fills them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
+from repro.circuits.gate import Gate
 from repro.exceptions import SimulationError
+from repro.noise.fidelity import (
+    FidelityTable,
+    GateCost,
+    SuccessRateAccumulator,
+)
+from repro.noise.parameters import NoiseParameters
 
 
 @dataclass(frozen=True)
@@ -89,4 +97,79 @@ class SimulationResult:
             f"success={self.success_rate:.3e} "
             f"(log10={self.log10_success_rate:.2f}) "
             f"time={self.execution_time_s:.3f}s moves={self.num_moves}"
+        )
+
+
+class GateReplay:
+    """One pass over the gates a simulator executes, in execution order.
+
+    Each gate's :data:`~repro.noise.fidelity.GateCost` comes from the
+    replay's :class:`~repro.noise.fidelity.FidelityTable`, once per
+    distinct gate; the same pass folds the success rate into
+    ``success``, counts the gates and, per :meth:`critical_path_us`
+    call, the Eq. 5 per-qubit critical path.
+    """
+
+    def __init__(self, params: NoiseParameters) -> None:
+        self.table = FidelityTable(params)
+        self.success = SuccessRateAccumulator()
+        self.num_gates = 0
+        self.num_two_qubit_gates = 0
+
+    def critical_path_us(self, gates: Iterable[Gate], quanta: float) -> float:
+        """Fold *gates*, run in order under *quanta* motional quanta, and
+        return their Eq. 5 critical path.
+
+        A gate starts when the last of its qubits is free, so a barrier
+        synchronises its qubits.  TILT replays each tape segment, the
+        ideal device its whole circuit.
+        """
+        table = self.table
+        fold = self.success.fold
+        # Every gate here runs at one quanta, so the table's key
+        # (name, span, quanta) narrows to (name, span).
+        costs: dict[tuple[str, int], GateCost] = {}
+        finish_at: dict[int, float] = {}
+        path = 0.0
+        num_gates = num_two_qubit_gates = 0
+        for gate in gates:
+            qubits = gate.qubits
+            key = (gate.name, abs(qubits[0] - qubits[-1]))
+            cost = costs.get(key)
+            if cost is None:
+                cost = costs[key] = table.cost(gate, quanta)
+            fidelity, log_term, duration, counted, two_qubit = cost
+            fold(fidelity, log_term)
+            num_gates += counted
+            num_two_qubit_gates += two_qubit
+            if len(qubits) == 1:
+                end = finish_at.get(qubits[0], 0.0) + duration
+                finish_at[qubits[0]] = end
+            elif len(qubits) == 2:
+                first, second = qubits
+                end = max(finish_at.get(first, 0.0),
+                          finish_at.get(second, 0.0)) + duration
+                finish_at[first] = finish_at[second] = end
+            else:
+                end = max([finish_at.get(q, 0.0) for q in qubits]) + duration
+                for qubit in qubits:
+                    finish_at[qubit] = end
+            if end > path:
+                path = end
+        self.num_gates += num_gates
+        self.num_two_qubit_gates += num_two_qubit_gates
+        return path
+
+    def result(self, **fields) -> SimulationResult:
+        """The replay's :class:`SimulationResult`; *fields* gives the
+        rest (labels, execution time, moves, extras)."""
+        success = self.success
+        return SimulationResult(
+            success_rate=success.success_rate,
+            log10_success_rate=success.log10_success_rate,
+            num_gates=self.num_gates,
+            num_two_qubit_gates=self.num_two_qubit_gates,
+            average_gate_fidelity=success.average_gate_fidelity,
+            worst_gate_fidelity=success.worst_gate_fidelity,
+            **fields,
         )

@@ -5,7 +5,9 @@ heating-aware fidelity model: every gate in segment *m* (i.e. after *m* tape
 moves) sees a chain with ``m * k`` motional quanta and its fidelity follows
 Eq. 4; the program success rate is the product of all gate fidelities.  The
 execution-time estimate follows Eq. 5: tape travel at the shuttling speed
-plus the critical path of gate durations.
+plus, per segment, the critical path of gate durations.  Both come from one
+:class:`~repro.sim.result.GateReplay` pass over the executed gates, which
+also counts them.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import FidelityTable, SuccessRateAccumulator
-from repro.noise.gate_times import gate_time_us
+from repro.noise.fidelity import FidelityTable
 from repro.noise.heating import quanta_after_moves
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
@@ -33,7 +34,7 @@ from repro.noise.scenarios import (
     resolve_scenario,
     scenario_analytics,
 )
-from repro.sim.result import SimulationResult
+from repro.sim.result import GateReplay, SimulationResult
 from repro.sim.stochastic import (
     DEFAULT_MAX_RECORDS,
     ShotResult,
@@ -59,16 +60,21 @@ class TiltSimulator:
             program = program.program
         else:
             name = circuit_name or program.circuit.name
-        if program.device.num_qubits != self.device.num_qubits:
+        if program.device != self.device:
             raise SimulationError(
-                "program was scheduled for a different chain length"
+                f"program was scheduled for {program.device!r}, not for "
+                f"this simulator's {self.device!r}"
             )
         return program, name
 
     def gate_fidelities(
         self, program: ExecutableProgram
     ) -> Iterator[tuple[Gate, float]]:
-        """Yield ``(gate, fidelity)`` in execution order under Eq. 4 heating."""
+        """Yield ``(gate, fidelity)`` in execution order under Eq. 4 heating.
+
+        The sampler's error sites read these; results come from
+        :meth:`_replay`.
+        """
         chain_length = self.device.num_qubits
         quanta = [quanta_after_moves(moves, chain_length, self.params)
                   for moves in range(len(program.segments))]
@@ -90,19 +96,13 @@ class TiltSimulator:
         """
         program, name = self._resolve(program, circuit_name)
         scenario = resolve_scenario(scenario)
+        base = self._replay(program, name)
         if scenario.is_baseline:
-            return self._result_from_fidelities(
-                program, name,
-                (fidelity for _, fidelity in self.gate_fidelities(program)),
-            )
-        points = self.scenario_points(program, scenario)
-        base = self._result_from_fidelities(
-            program, name,
-            (point.fidelity for point in points
-             if isinstance(point, GatePoint)),
-        )
+            return base
         analytics = scenario_analytics(
-            build_scenario_sites(points, scenario), scenario
+            build_scenario_sites(self.scenario_points(program, scenario),
+                                 scenario),
+            scenario,
         )
         return analytics.apply_to(base)
 
@@ -158,30 +158,39 @@ class TiltSimulator:
                 gate_index += 1
         return points
 
-    def _result_from_fidelities(self, program: ExecutableProgram, name: str,
-                                fidelities) -> SimulationResult:
-        accumulator = SuccessRateAccumulator()
+    def _replay(self, program: ExecutableProgram,
+                name: str) -> SimulationResult:
+        """Eq. 4 success, Eq. 5 time and gate counts of *program*, from
+        one pass over its executed gates."""
+        params = self.params
         chain_length = self.device.num_qubits
-        for fidelity in fidelities:
-            accumulator.add(fidelity)
-
-        execution_time = self._execution_time_us(program)
-        circuit = program.circuit
-        return SimulationResult(
+        replay = GateReplay(params)
+        gates = list(program.circuit)
+        gate_time = 0.0
+        for moves, segment in enumerate(program.segments):
+            gate_time += replay.critical_path_us(
+                map(gates.__getitem__, segment.gate_indices),
+                quanta_after_moves(moves, chain_length, params),
+            )
+        shuttle_time = (program.move_distance_um
+                        / params.shuttle_speed_um_per_us)
+        interval = params.tilt_cooling_interval_moves
+        if interval > 0 and program.num_moves > 0:
+            # A pause runs between the interval-th move and the next one
+            # (matching quanta_after_moves), so a program ending exactly
+            # on an interval boundary never pays for a pause it skipped.
+            shuttle_time += (
+                (program.num_moves - 1) // interval
+            ) * params.tilt_cooling_time_us
+        return replay.result(
             architecture=f"TILT head {self.device.head_size}",
             circuit_name=name,
-            success_rate=accumulator.success_rate,
-            log10_success_rate=accumulator.log10_success_rate,
-            execution_time_us=execution_time,
-            num_gates=circuit.num_gates(),
-            num_two_qubit_gates=circuit.num_two_qubit_gates(),
+            execution_time_us=shuttle_time + gate_time,
             num_moves=program.num_moves,
             move_distance_um=program.move_distance_um,
-            average_gate_fidelity=accumulator.average_gate_fidelity,
-            worst_gate_fidelity=accumulator.worst_gate_fidelity,
             extras={
                 "final_quanta": quanta_after_moves(
-                    program.num_moves, chain_length, self.params
+                    program.num_moves, chain_length, params
                 ),
                 "num_segments": float(len(program.segments)),
             },
@@ -209,18 +218,15 @@ class TiltSimulator:
         if scenario.is_baseline:
             gates = []
             sites = []
-            fidelities = []
             for index, (gate, fidelity) in enumerate(
                 self.gate_fidelities(program)
             ):
                 gates.append(gate)
-                fidelities.append(fidelity)
                 site = error_site_for_gate(index, gate, fidelity)
                 if site is not None:
                     sites.append(site)
             if analytic is None:
-                analytic = self._result_from_fidelities(program, name,
-                                                        fidelities)
+                analytic = self._replay(program, name)
         else:
             points = self.scenario_points(program, scenario)
             gates = [point.gate for point in points
@@ -231,12 +237,7 @@ class TiltSimulator:
             analytics = scenario_analytics(sites, scenario)
             expected_rate = analytics.success_rate
             if analytic is None:
-                base = self._result_from_fidelities(
-                    program, name,
-                    (point.fidelity for point in points
-                     if isinstance(point, GatePoint)),
-                )
-                analytic = analytics.apply_to(base)
+                analytic = analytics.apply_to(self._replay(program, name))
         return StochasticSampler(
             architecture=f"TILT head {self.device.head_size}",
             circuit_name=name,
@@ -302,33 +303,3 @@ class TiltSimulator:
                 )
             result = dataclasses.replace(result, counts=relabelled)
         return result
-
-    # ------------------------------------------------------------------
-    # Execution time (Eq. 5)
-    # ------------------------------------------------------------------
-    def _execution_time_us(self, program: ExecutableProgram) -> float:
-        """Tape travel time plus per-segment gate critical paths."""
-        shuttle_time = (
-            program.move_distance_um / self.params.shuttle_speed_um_per_us
-        )
-        interval = self.params.tilt_cooling_interval_moves
-        if interval > 0 and program.num_moves > 0:
-            # A pause runs between the interval-th move and the next one
-            # (matching quanta_after_moves), so a program ending exactly
-            # on an interval boundary never pays for a pause it skipped.
-            shuttle_time += (
-                (program.num_moves - 1) // interval
-            ) * self.params.tilt_cooling_time_us
-        gate_time = 0.0
-        for _, gates in program.gates_by_segment():
-            finish_at: dict[int, float] = {}
-            segment_end = 0.0
-            for gate in gates:
-                start = max((finish_at.get(q, 0.0) for q in gate.qubits),
-                            default=0.0)
-                end = start + gate_time_us(gate, self.params)
-                for qubit in gate.qubits:
-                    finish_at[qubit] = end
-                segment_end = max(segment_end, end)
-            gate_time += segment_end
-        return shuttle_time + gate_time

@@ -353,9 +353,10 @@ class TestSelfGate:
         assert report.active == [], "\n".join(
             v.format() for v in report.active
         )
-        # the four raw-simulator micro-benchmarks carry justified
-        # suppressions; anything beyond them deserves a fresh look
-        assert len(report.suppressed) == 4
+        # the three raw-simulator call sites in the micro-benchmarks (one
+        # shared by the TILT, QCCD and ideal analytic runs) carry
+        # justified suppressions; anything beyond them deserves a fresh look
+        assert len(report.suppressed) == 3
         assert all(v.justification for v in report.suppressed)
         assert report.graph is not None
         assert report.graph.import_cycles() == []

@@ -10,7 +10,7 @@ from repro.compiler.qccd_compiler import (
     QccdShuttleEvent,
     compile_for_qccd,
 )
-from repro.exceptions import CompilationError
+from repro.exceptions import CompilationError, SimulationError
 from repro.noise.parameters import NoiseParameters
 from repro.sim.qccd_sim import QccdSimulator
 from repro.workloads.qaoa import qaoa_workload
@@ -142,3 +142,17 @@ class TestQccdSimulator:
         program = compile_for_qccd(Circuit(12).cx(0, 11), other)
         with pytest.raises(Exception):
             QccdSimulator(qccd16, noise).run(program)
+
+    @pytest.mark.parametrize("compiled_for,simulated_on", [(8, 5), (5, 8)])
+    def test_trap_capacity_mismatch_rejected(self, noise, compiled_for,
+                                             simulated_on):
+        """Same qubit count, other trap capacity: the replay would follow
+        the wrong traps (or reach a trap the simulator lacks)."""
+        program = compile_for_qccd(
+            qft_workload(24),
+            QccdDevice(num_qubits=24, trap_capacity=compiled_for))
+        simulator = QccdSimulator(
+            QccdDevice(num_qubits=24, trap_capacity=simulated_on), noise)
+        with pytest.raises(SimulationError,
+                           match=f"trap_capacity={compiled_for}"):
+            simulator.run(program)

@@ -23,7 +23,11 @@ from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.compiler.layout import QubitMapping
-from repro.compiler.pipeline import LinQCompiler, lower_to_native
+from repro.compiler.pipeline import (
+    CompilerConfig,
+    LinQCompiler,
+    lower_to_native,
+)
 from repro.compiler.qccd_compiler import QccdCompiler, QccdGateEvent
 from repro.compiler.routing import (
     RoutingResult,
@@ -367,19 +371,51 @@ def _gate_point_fidelities(points) -> list[float]:
     return [point.fidelity for point in points if isinstance(point, GatePoint)]
 
 
+#: A case compiled with its barriers kept (``strip_barriers=False``).
+BARRIER_CASE = "partial_barrier"
+
+
+def _oracle_circuit(name: str) -> Circuit:
+    """A small-suite workload, or the barrier case: two-qubit work on
+    qubits 0-1 that a barrier narrower than the head makes qubit 2's
+    gates wait for, then long-range gates that need SWAPs and several
+    tape segments."""
+    if name != BARRIER_CASE:
+        return build_workload(name, "small")
+    circuit = Circuit(12, BARRIER_CASE)
+    for _ in range(3):
+        circuit.cx(0, 1)
+    circuit.barrier(0, 1, 2)
+    for _ in range(3):
+        circuit.cx(2, 3)
+    circuit.h(4).barrier(4, 5).cx(5, 6)
+    for qubit in range(11):
+        circuit.cx(qubit, 11 - qubit)
+    for qubit in range(12):
+        circuit.measure(qubit)
+    return circuit
+
+
+def _assert_counts(result, circuit: Circuit) -> None:
+    assert result.num_gates == circuit.num_gates()
+    assert result.num_two_qubit_gates == circuit.num_two_qubit_gates()
+
+
 class TestSimulatorsMatchReference:
     @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
-    @pytest.mark.parametrize("name", SMALL_SUITE)
+    @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
     def test_tilt(self, name, noise):
         params = NOISE_CASES[noise]
-        circuit = build_workload(name, "small")
+        circuit = _oracle_circuit(name)
         device = _small_device(circuit)
-        compiled = LinQCompiler(device).compile(circuit)
+        config = CompilerConfig(strip_barriers=name != BARRIER_CASE)
+        compiled = LinQCompiler(device, config).compile(circuit)
         simulator = TiltSimulator(device, params)
         result = simulator.run(compiled)
         fidelities, execution_time = reference_tilt(simulator,
                                                     compiled.program)
         assert result == _with_fidelities(result, fidelities, execution_time)
+        _assert_counts(result, compiled.program.circuit)
         assert [f for _, f in simulator.gate_fidelities(compiled.program)
                 ] == fidelities
         points = simulator.scenario_points(compiled.program,
@@ -387,16 +423,18 @@ class TestSimulatorsMatchReference:
         assert _gate_point_fidelities(points) == fidelities
 
     @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
-    @pytest.mark.parametrize("name", SMALL_SUITE)
+    @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
     def test_ideal(self, name, noise):
-        circuit = build_workload(name, "small")
-        native = lower_to_native(circuit)
+        circuit = _oracle_circuit(name)
+        native = lower_to_native(circuit,
+                                 strip_barriers=name != BARRIER_CASE)
         simulator = IdealSimulator(
             IdealTrappedIonDevice(num_qubits=circuit.num_qubits),
             NOISE_CASES[noise])
         result = simulator.run(circuit, native=native)
         fidelities, execution_time = reference_ideal(simulator, native)
         assert result == _with_fidelities(result, fidelities, execution_time)
+        _assert_counts(result, native)
         points = simulator.scenario_points(native,
                                            resolve_scenario("crosstalk"))
         assert _gate_point_fidelities(points) == fidelities

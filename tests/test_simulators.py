@@ -64,6 +64,19 @@ class TestTiltSimulator:
         with pytest.raises(SimulationError):
             TiltSimulator(tilt16, noise).run(compiled)
 
+    @pytest.mark.parametrize("scenario", [None, "crosstalk"])
+    def test_head_size_mismatch_rejected(self, noise, scenario):
+        """A head-4 schedule on a head-8 simulator of the same chain: the
+        chain lengths agree, so only the whole device tells them apart."""
+        compiled = compile_for_tilt(
+            qft_workload(16), TiltDevice(num_qubits=16, head_size=4))
+        simulator = TiltSimulator(TiltDevice(num_qubits=16, head_size=8),
+                                  noise)
+        with pytest.raises(SimulationError, match="head_size=4"):
+            simulator.run(compiled, scenario=scenario)
+        with pytest.raises(SimulationError, match="head_size=4"):
+            simulator.build_sampler(compiled, scenario=scenario)
+
     def test_success_ratio_helper(self, tilt16, noise):
         compiled = compile_for_tilt(qft_workload(16), tilt16)
         result = TiltSimulator(tilt16, noise).run(compiled)
