@@ -1,17 +1,15 @@
 """Observability-overhead benchmarks: instrumentation must stay cheap.
 
-Four benchmarks run the *same* engine batch — a mixed analytic workload
+Three benchmarks run the *same* engine batch — a mixed analytic workload
 executed serially so backend scheduling noise stays out of the
 measurement — at increasing instrumentation levels: untraced, traced
-(:class:`TraceRecorder` writing JSONL), traced with a live
-:class:`~repro.obs.live.ProgressMonitor` attached (heartbeat file, no
-stderr), and traced with per-job resource profiling on.  The regression
-gate tracks all four as the ``obs_overhead`` group: a slowdown means
-instrumentation leaked onto the hot path (untraced: the ``NULL_TRACE``
-no-ops grew a cost; traced: write amplification; monitored: the
-listener fan-out; profiled: the per-job rusage snapshots).
+(:class:`TraceRecorder` writing JSONL), and traced with per-job resource
+profiling on.  The regression gate tracks all three as the
+``obs_overhead`` group: a slowdown means instrumentation leaked onto the
+hot path (untraced: the ``NULL_TRACE`` no-ops grew a cost; traced: write
+amplification; profiled: the per-job rusage snapshots).
 
-Each round gets a fresh engine (and fresh trace/heartbeat files) via
+Each round gets a fresh engine (and a fresh trace file) via
 ``benchmark.pedantic`` setup, so every measured pass is a cold cache
 doing the full lookup → dispatch → flush work.
 """
@@ -19,14 +17,12 @@ doing the full lookup → dispatch → flush work.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 
 from repro.analysis import experiments
 from repro.core.sweep import max_swap_len_sweep
 from repro.exec import ExecutionEngine
 from repro.obs import profile as obs_profile
-from repro.obs.live import ProgressMonitor
 from repro.obs.trace import TraceRecorder
 from repro.workloads.suite import build_workload, routing_suite
 
@@ -79,30 +75,6 @@ def test_traced_engine_batch(benchmark, scale, noise, tmp_path):
     assert points
     traces = sorted(tmp_path.glob("bench-*.jsonl"))
     assert traces and os.path.getsize(traces[-1]) > 0
-
-
-def test_monitored_engine_batch(benchmark, scale, noise, tmp_path):
-    """Tracing + a live ProgressMonitor: the listener fan-out cost."""
-    circuit, device = _sweep_inputs(scale)
-
-    def setup():
-        seq = next(_TRACE_SEQ)
-        trace = TraceRecorder(tmp_path / f"bench-mon-{seq}.jsonl")
-        ProgressMonitor(
-            trace, heartbeat_path=tmp_path / f"heartbeat-{seq}.jsonl",
-        ).attach()
-        engine = ExecutionEngine(workers=1, trace=trace)
-        return (circuit, device, noise, engine), {}
-
-    points = benchmark.pedantic(_run_batch, setup=setup,
-                                iterations=1, rounds=5)
-    assert points
-    beats = sorted(tmp_path.glob("heartbeat-*.jsonl"))
-    assert beats
-    with open(beats[-1], "r", encoding="utf-8") as handle:
-        last = json.loads(handle.readlines()[-1])
-    assert last["kind"] == "heartbeat"
-    assert last["completed"] == last["planned"]
 
 
 def test_profiled_engine_batch(benchmark, scale, noise, tmp_path,

@@ -40,10 +40,9 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   the median of several rounds with a fresh engine each);
 * ``statevector_batch`` — the batched pattern re-simulation kernel
   (``bench_stochastic.py::test_batched_statevector_patterns``);
-* ``obs_overhead``      — the engine batch with tracing off, on, with a
-  live progress monitor attached, and with per-job profiling on
-  (``bench_obs.py``): instrumentation must stay near-free when off and
-  cheap at every opt-in level;
+* ``obs_overhead``      — the engine batch with tracing off, on, and
+  with per-job profiling on (``bench_obs.py``): instrumentation must
+  stay near-free when off and cheap at every opt-in level;
 * ``lint`` / ``lint_graph`` — the blocking CI lint step, per-file and
   with the whole-program ``--graph`` pass
   (``bench_lint.py::test_lint_whole_repo`` /
@@ -114,8 +113,6 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_obs\.py::test_untraced_engine_batch"),
     ("obs_overhead",
      r"bench_obs\.py::test_traced_engine_batch"),
-    ("obs_overhead",
-     r"bench_obs\.py::test_monitored_engine_batch"),
     ("obs_overhead",
      r"bench_obs\.py::test_profiled_engine_batch"),
 )

@@ -29,12 +29,6 @@ from repro.analysis.scenario_study import (
     scenario_comparison,
     scenario_figure,
 )
-from repro.analysis.search_study import (
-    pareto_scatter,
-    search_study,
-    study_space,
-    write_search_json,
-)
 from repro.analysis.tables import format_records, format_table
 
 __all__ = [
@@ -56,15 +50,11 @@ __all__ = [
     "format_table",
     "head_sizes_for",
     "headline_ratios",
-    "pareto_scatter",
     "primary_head_size",
     "resolve_scale",
     "sampled_figure8",
     "scenario_comparison",
     "scenario_figure",
-    "search_study",
-    "study_space",
     "table2",
     "table3",
-    "write_search_json",
 ]

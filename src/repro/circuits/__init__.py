@@ -4,8 +4,7 @@ Public surface:
 
 * :class:`~repro.circuits.gate.Gate` — immutable gate record.
 * :class:`~repro.circuits.circuit.Circuit` — ordered gate container.
-* :class:`~repro.circuits.dag.CircuitDAG` / :class:`~repro.circuits.dag.FrontierTracker`
-  — dependency analysis.
+* :class:`~repro.circuits.dag.FrontierTracker` — dependency analysis.
 * :func:`~repro.circuits.qasm.circuit_to_qasm` / :func:`~repro.circuits.qasm.qasm_to_circuit`
   — OpenQASM 2.0 interchange.
 * :func:`~repro.circuits.unitary.circuit_unitary` — dense unitary for
@@ -14,7 +13,7 @@ Public surface:
 """
 
 from repro.circuits.circuit import Circuit, circuit_from_gates
-from repro.circuits.dag import CircuitDAG, FrontierTracker
+from repro.circuits.dag import FrontierTracker
 from repro.circuits.gate import (
     GATE_SPECS,
     NATIVE_GATE_NAMES,
@@ -35,7 +34,6 @@ __all__ = [
     "NATIVE_GATE_NAMES",
     "TWO_QUBIT_GATE_NAMES",
     "Circuit",
-    "CircuitDAG",
     "FrontierTracker",
     "Gate",
     "allclose_up_to_global_phase",

@@ -1,96 +1,19 @@
 """Dependency analysis for circuits.
 
-Two views are provided:
-
-* :class:`CircuitDAG` — a static directed acyclic graph of gate dependencies
-  (an edge runs from a gate to the next gate touching the same qubit).  Used
-  for layering, depth-distance queries and general inspection.
-* :class:`FrontierTracker` — an incremental "ready set" over the same
-  dependency structure.  The tape-movement scheduler repeatedly asks "which
-  gates could run now?", marks some of them complete and continues; the
-  tracker supports that access pattern in O(1) amortised per gate.
+:class:`FrontierTracker` is an incremental "ready set" over a circuit's
+gate dependencies (an edge runs from a gate to the next gate touching
+the same qubit).  The tape-movement scheduler repeatedly asks "which
+gates could run now?", marks some of them complete and continues; the
+tracker supports that access pattern in O(1) amortised per gate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import Callable, Iterable
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.exceptions import CircuitError
-
-
-def _dependency_edges(gates: Sequence[Gate]) -> Iterator[tuple[int, int]]:
-    """Yield (earlier, later) index pairs for gates sharing a qubit."""
-    last_on_qubit: dict[int, int] = {}
-    for idx, gate in enumerate(gates):
-        for qubit in gate.qubits:
-            previous = last_on_qubit.get(qubit)
-            if previous is not None:
-                yield previous, idx
-            last_on_qubit[qubit] = idx
-
-
-class CircuitDAG:
-    """Static gate-dependency DAG of a circuit."""
-
-    def __init__(self, circuit: Circuit) -> None:
-        self._circuit = circuit
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(range(len(circuit)))
-        self._graph.add_edges_from(_dependency_edges(circuit.gates))
-
-    @property
-    def circuit(self) -> Circuit:
-        """The circuit this DAG was built from."""
-        return self._circuit
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (node = gate index)."""
-        return self._graph
-
-    def gate(self, index: int) -> Gate:
-        """Return the gate at *index*."""
-        return self._circuit[index]
-
-    def predecessors(self, index: int) -> list[int]:
-        """Indices of gates that must run before gate *index*."""
-        return sorted(self._graph.predecessors(index))
-
-    def successors(self, index: int) -> list[int]:
-        """Indices of gates that depend directly on gate *index*."""
-        return sorted(self._graph.successors(index))
-
-    def front_layer(self) -> list[int]:
-        """Indices of gates with no unexecuted predecessor (program start)."""
-        return sorted(n for n in self._graph.nodes if self._graph.in_degree(n) == 0)
-
-    def topological_order(self) -> list[int]:
-        """A topological ordering of gate indices (stable: program order)."""
-        return list(nx.lexicographical_topological_sort(self._graph))
-
-    def layers(self) -> list[list[int]]:
-        """Partition gate indices into ASAP layers."""
-        level: dict[int, int] = {}
-        for node in self.topological_order():
-            preds = list(self._graph.predecessors(node))
-            level[node] = 1 + max((level[p] for p in preds), default=-1)
-        num_layers = 1 + max(level.values(), default=-1)
-        result: list[list[int]] = [[] for _ in range(num_layers)]
-        for node, lvl in level.items():
-            result[lvl].append(node)
-        return [sorted(layer) for layer in result]
-
-    def depth_index(self) -> dict[int, int]:
-        """Map each gate index to its ASAP layer number."""
-        depth: dict[int, int] = {}
-        for lvl, layer in enumerate(self.layers()):
-            for node in layer:
-                depth[node] = lvl
-        return depth
 
 
 class FrontierTracker:

@@ -23,7 +23,6 @@ from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import CompilerConfig
 from repro.exec import ExecutionEngine, JobResult, JobSpec, run_jobs
-from repro.exec.backends import Backend
 from repro.exec.jobs import BASELINE_SCENARIO
 from repro.noise.parameters import NoiseParameters
 from repro.sim.result import SimulationResult
@@ -148,7 +147,6 @@ def compare_architectures(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> ArchitectureComparison:
     """Run *circuit* on TILT (each head size), Ideal TI and QCCD.
@@ -169,11 +167,8 @@ def compare_architectures(
     scenario:
         Registered correlated-noise scenario every architecture runs
         under (default: the paper's independent-error baseline).
-    workers, exec_backend, engine:
+    workers, engine:
         Execution-engine controls (see :mod:`repro.exec`).
-        ``exec_backend`` picks the execution backend for the batch
-        (``exec_`` prefix: the spec-level ``backend`` field already
-        names the toolchain under comparison).
     """
     specs = comparison_specs(
         circuit,
@@ -184,8 +179,7 @@ def compare_architectures(
         noise_params=noise_params,
         scenario=scenario,
     )
-    results = run_jobs(specs, workers=workers, backend=exec_backend,
-                       engine=engine)
+    results = run_jobs(specs, workers=workers, engine=engine)
     return comparison_from_results(circuit.name, results)
 
 

@@ -11,11 +11,9 @@ compile+simulate jobs are declarative :class:`~repro.exec.JobSpec` objects,
 so points are deduplicated, cached across invocations, and optionally fanned
 out over a process pool (``workers`` > 1).  ``workers=1`` — the default —
 is a fully serial, deterministic path producing bit-identical results.
-``exec_backend=`` selects the execution backend for a sweep's batches
-(``"serial"`` / ``"process"`` / ``"async"`` or a
-:class:`~repro.exec.backends.Backend` instance; the ``exec_`` prefix
-keeps it distinct from the *toolchain* ``backend`` field on a spec) —
-every backend yields bit-identical points.
+``engine=`` runs a sweep on a given
+:class:`~repro.exec.ExecutionEngine` (and whatever backend it was built
+with) instead of the shared one.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import CompilerConfig
 from repro.exec import ExecutionEngine, JobResult, JobSpec, run_jobs
-from repro.exec.backends import Backend
 from repro.exec.jobs import BASELINE_SCENARIO
 from repro.exceptions import ReproError
 from repro.noise.parameters import NoiseParameters
@@ -135,10 +132,8 @@ def point_from_result(result: JobResult, parameter: str, value: float,
 def _run_sweep(specs: list[JobSpec], parameter: str, values: list[float],
                labels: list[str] | None = None, *,
                workers: int | None, engine: ExecutionEngine | None,
-               exec_backend: str | Backend | None = None,
                ) -> list[SweepPoint]:
-    results = run_jobs(specs, workers=workers, backend=exec_backend,
-                       engine=engine)
+    results = run_jobs(specs, workers=workers, engine=engine)
     labels = labels or ["" for _ in values]
     return [
         point_from_result(result, parameter, value, label)
@@ -165,7 +160,6 @@ def max_swap_len_sweep(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> list[SweepPoint]:
     """Compile and simulate *circuit* once per MaxSwapLen value (Fig. 7).
@@ -183,8 +177,7 @@ def max_swap_len_sweep(
         "max_swap_len", lengths, scenario=scenario,
     )
     return _run_sweep(specs, "max_swap_len", [float(v) for v in lengths],
-                      workers=workers, engine=engine,
-                      exec_backend=exec_backend)
+                      workers=workers, engine=engine)
 
 
 def find_best_max_swap_len(
@@ -196,15 +189,13 @@ def find_best_max_swap_len(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> SweepPoint:
     """The sweep point with the highest success rate (paper Section IV-C)."""
     points = max_swap_len_sweep(
         circuit, device, lengths,
         base_config=base_config, noise_params=noise_params,
-        scenario=scenario, workers=workers, exec_backend=exec_backend,
-        engine=engine,
+        scenario=scenario, workers=workers, engine=engine,
     )
     return max(points, key=lambda point: point.log10_success_rate)
 
@@ -218,7 +209,6 @@ def alpha_sweep(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> list[SweepPoint]:
     """Ablation: sensitivity of the Eq. 1 score to the discount factor."""
@@ -229,8 +219,7 @@ def alpha_sweep(
         "alpha", alphas, scenario=scenario,
     )
     return _run_sweep(specs, "alpha", list(alphas),
-                      workers=workers, engine=engine,
-                      exec_backend=exec_backend)
+                      workers=workers, engine=engine)
 
 
 def lookahead_sweep(
@@ -242,7 +231,6 @@ def lookahead_sweep(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> list[SweepPoint]:
     """Ablation: sensitivity to the Eq. 1 lookahead window size."""
@@ -253,8 +241,7 @@ def lookahead_sweep(
         "lookahead_window", windows, scenario=scenario,
     )
     return _run_sweep(specs, "lookahead_window", [float(v) for v in windows],
-                      workers=workers, engine=engine,
-                      exec_backend=exec_backend)
+                      workers=workers, engine=engine)
 
 
 def mapper_sweep(
@@ -266,7 +253,6 @@ def mapper_sweep(
     noise_params: NoiseParameters | None = None,
     scenario: str = BASELINE_SCENARIO,
     workers: int | None = None,
-    exec_backend: str | Backend | None = None,
     engine: ExecutionEngine | None = None,
 ) -> dict[str, SweepPoint]:
     """Ablation: effect of the initial-mapping heuristic.
@@ -281,6 +267,5 @@ def mapper_sweep(
         "mapper", mappers, labels=list(mappers), scenario=scenario,
     )
     points = _run_sweep(specs, "mapper", [float(i) for i in range(len(mappers))],
-                        list(mappers), workers=workers, engine=engine,
-                        exec_backend=exec_backend)
+                        list(mappers), workers=workers, engine=engine)
     return {mapper: point for mapper, point in zip(mappers, points)}

@@ -61,7 +61,7 @@ MODULE_BODY = "<module>"
 
 #: Backend task entry points: what a pool worker (or, structurally, a
 #: remote worker) actually executes.  ``execute_spec`` / ``_execute_chunk``
-#: are the functions handed to executors; the three ``submit`` methods
+#: are the functions handed to executors; the two ``submit`` methods
 #: are the boundary itself, so anything they call in-process before the
 #: hand-off (serial fallbacks, chunk planning) counts as worker-side
 #: too — the conservative choice for a set used to *forbid* hazards.
@@ -70,7 +70,6 @@ WORKER_ROOTS: tuple[tuple[str, str], ...] = (
     ("repro.exec.backends", "_execute_chunk"),
     ("repro.exec.backends", "SerialBackend.submit"),
     ("repro.exec.backends", "ProcessPoolBackend.submit"),
-    ("repro.exec.backends", "AsyncLocalBackend.submit"),
 )
 
 

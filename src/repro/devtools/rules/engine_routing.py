@@ -22,7 +22,7 @@ This rule restricts the driver layers (:data:`RESTRICTED_PREFIXES` /
   ``strategy.run`` / ``subprocess.run`` legal;
 * imports of ``multiprocessing`` or the ``concurrent.futures``
   executors — parallelism belongs to :mod:`repro.exec.backends`
-  (``exec_backend=`` / ``TILT_REPRO_BACKEND``), not ad-hoc pools.
+  (``workers=`` / ``TILT_REPRO_WORKERS``), not ad-hoc pools.
 
 The ``exec`` and ``sim`` packages are the implementation of the engine
 contract and are exempt.
@@ -105,7 +105,7 @@ class EngineRoutingRule(Rule):
                             ctx, node,
                             "driver-level multiprocessing import; "
                             "parallelism comes from the engine's "
-                            "Backend (exec_backend=/workers=)",
+                            "worker count (workers=)",
                         )
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 module = (node.module or "").split(".", 1)[0]
@@ -114,8 +114,8 @@ class EngineRoutingRule(Rule):
                     yield self.violation(
                         ctx, node,
                         "driver-level multiprocessing import; "
-                        "parallelism comes from the engine's Backend "
-                        "(exec_backend=/workers=)",
+                        "parallelism comes from the engine's worker "
+                        "count (workers=)",
                     )
                 elif module == "concurrent" and (imported & _EXECUTOR_NAMES):
                     yield self.violation(

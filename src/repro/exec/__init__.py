@@ -12,11 +12,10 @@ batches of them through a shared :class:`ExecutionEngine` that
   (the one on-disk result format) that survives interruptions and
   concurrent writers and serves only results of the current
   ``RESULT_SEMANTICS_VERSION``,
-* executes the unique misses on a pluggable :class:`Backend` —
-  :class:`SerialBackend` (deterministic in-process reference),
-  :class:`ProcessPoolBackend` (chunked, work-stealing process-pool
-  fan-out) or :class:`AsyncLocalBackend` (asyncio-driven local executor,
-  the extension point for remote backends) — all bit-identical, and
+* executes the unique misses on the :class:`Backend` its worker count
+  picks — :class:`SerialBackend` (deterministic in-process reference)
+  for one worker, :class:`ProcessPoolBackend` (chunked, work-stealing
+  process-pool fan-out) for more — bit-identically, and
 * records per-job wall-clock timings plus batch-level counters.
 
 The sweep / comparison / experiment drivers in :mod:`repro.core` and
@@ -34,9 +33,6 @@ engine on the same store resumes from exactly the completed jobs.
 """
 
 from repro.exec.backends import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    AsyncLocalBackend,
     Backend,
     ProcessPoolBackend,
     SerialBackend,
@@ -61,9 +57,6 @@ from repro.exec.store import (
 )
 
 __all__ = [
-    "AsyncLocalBackend",
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
     "Backend",
     "EngineStats",
     "ExecutionEngine",

@@ -1,8 +1,9 @@
-"""Pluggable execution backends for the engine.
+"""Execution backends for the engine.
 
 The :class:`~repro.exec.engine.ExecutionEngine` decides *what* to run
 (cache lookup, dedup, result accounting); a :class:`Backend` decides
-*how* the surviving unique jobs execute.  Three implementations ship:
+*how* the surviving unique jobs execute.  Two implementations ship, and
+the worker count picks between them (:func:`resolve_backend`):
 
 * :class:`SerialBackend` — in-process, one job at a time, streaming each
   result back as soon as it finishes (the deterministic reference path,
@@ -13,17 +14,11 @@ The :class:`~repro.exec.engine.ExecutionEngine` decides *what* to run
   jobs are grouped into chunks, all feeding one shared task queue that
   idle workers drain — so a long Monte-Carlo job never straggles behind
   a tail of short analytic ones, and per-task IPC overhead is amortised
-  over each chunk;
-* :class:`AsyncLocalBackend` — an asyncio event loop driving a local
-  thread-pool executor.  Functionally it adds nothing over the pool
-  today; structurally it is the extension point for future *remote*
-  backends (HTTP job services, cluster schedulers): such a backend only
-  has to turn ``submit`` into awaitable requests, and everything above
-  the :class:`Backend` protocol — engine, sweeps, searches — is unchanged.
+  over each chunk.
 
 Because :func:`execute_spec` is a pure function of the spec (seeded
 compilation, closed-form analytic noise, shot draws that are pure
-functions of ``(seed, index)``), every backend produces bit-identical
+functions of ``(seed, index)``), both backends produce bit-identical
 results; they differ only in wall-clock time (``tests/test_backends.py``
 pins this). The same purity lets the jobs of one loop share work: a
 serial batch, a pool chunk or the engine's serial fallback runs its jobs
@@ -31,15 +26,12 @@ through one :class:`CompileMemo`, so consecutive jobs lower a circuit,
 compile a program and build its shot sampler once (the engine orders
 jobs so that consecutive ones match).
 
-Selection: ``ExecutionEngine(backend=...)`` takes a name (``"serial"``,
-``"process"``, ``"async"``) or a :class:`Backend` instance; the
-``TILT_REPRO_BACKEND`` environment variable supplies the default name
-when none is given, mirroring ``TILT_REPRO_WORKERS`` for the pool size.
+Any other object satisfying the :class:`Backend` protocol can be handed
+to ``ExecutionEngine(backend=...)`` and is used exactly as constructed.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import os
 import time
@@ -66,12 +58,6 @@ from repro.sim.tilt_sim import TiltSimulator
 
 #: Environment variable holding the default worker count for new engines.
 WORKERS_ENV_VAR = "TILT_REPRO_WORKERS"
-
-#: Environment variable naming the default execution backend.
-BACKEND_ENV_VAR = "TILT_REPRO_BACKEND"
-
-#: Backend names :func:`resolve_backend` accepts.
-BACKEND_NAMES = ("serial", "process", "async")
 
 #: What backends consume: ``(content key, spec)`` pairs.
 Job = tuple[str, JobSpec]
@@ -348,7 +334,7 @@ def _execute_chunk(
 
 
 # ----------------------------------------------------------------------
-# The Backend protocol and its three local implementations
+# The Backend protocol and its two implementations
 # ----------------------------------------------------------------------
 @runtime_checkable
 class Backend(Protocol):
@@ -387,15 +373,10 @@ class SerialBackend:
     persisted by the engine) before the next job starts, so an
     interrupted serial run keeps everything it finished — the property
     the durable :class:`~repro.exec.store.RunStore` resume path builds
-    on.  The batch shares one :class:`CompileMemo`.  Accepts (and
-    ignores) a ``workers`` argument so every backend can be constructed
-    uniformly.
+    on.  The batch shares one :class:`CompileMemo`.
     """
 
     name = "serial"
-
-    def __init__(self, workers: int | None = None) -> None:
-        pass
 
     def submit(self, jobs: Sequence[Job]) -> Iterable[tuple[str, JobResult]]:
         memo = CompileMemo()
@@ -537,95 +518,16 @@ class ProcessPoolBackend:
         }
 
 
-class AsyncLocalBackend:
-    """An asyncio event loop driving a local thread-pool executor.
-
-    Each job becomes one ``run_in_executor`` task awaited with
-    ``asyncio.gather``, so the loop structure is exactly what a remote
-    backend needs — replace the executor call with an HTTP request (or
-    any awaitable) and the rest of the stack is untouched.  Threads
-    (not processes) back the executor: :func:`execute_spec` only touches
-    per-call state, results need no pickling, and thread workers exist
-    in every sandbox that forbids subprocesses.
-
-    ``submit`` must not be called from inside a running event loop (it
-    owns one via :func:`asyncio.run`); the engine only calls it from
-    synchronous batch code.  Unlike the serial and process backends,
-    results are gathered and returned together — durability with a
-    :class:`~repro.exec.store.RunStore` is per *batch*, not per job.
-    """
-
-    name = "async"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = resolve_workers(workers)
-
-    def submit(self, jobs: Sequence[Job]) -> Iterable[tuple[str, JobResult]]:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        # Executor threads share this process, so execute_spec sees the
-        # ambient trace directly; its spans start parentless (each thread
-        # has its own span stack) and the offline report re-parents them
-        # by spec key.
-        with current_trace().span(
-            "backend.submit", backend=self.name, jobs=len(jobs),
-            workers=min(self.workers, len(jobs)),
-        ):
-            return asyncio.run(self._drive(jobs))
-
-    async def _drive(self, jobs: list[Job]) -> list[tuple[str, JobResult]]:
-        loop = asyncio.get_running_loop()
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, len(jobs))
-        ) as pool:
-            results = await asyncio.gather(*(
-                loop.run_in_executor(pool, execute_spec, spec, key)
-                for key, spec in jobs
-            ))
-        return [(key, result) for (key, _), result in zip(jobs, results)]
-
-    def close(self) -> None:
-        pass
-
-    def describe(self) -> str:
-        return f"async-local(threads={self.workers})"
-
-    def describe_config(self) -> dict:
-        return {"backend": self.name, "executor": "thread",
-                "workers": self.workers}
-
-
-def resolve_backend(backend: "str | Backend | None",
+def resolve_backend(backend: Backend | None,
                     workers: int | None = None) -> Backend:
-    """Turn a backend selector into a :class:`Backend` instance.
+    """The :class:`Backend` a batch runs on.
 
-    ``backend`` may be an instance (returned as-is — it keeps the
-    parallelism it was constructed with, and ``workers`` is ignored), a
-    name from :data:`BACKEND_NAMES` (constructed with *workers*), or
-    ``None`` — in which case the ``TILT_REPRO_BACKEND`` environment
-    variable is consulted and, when that is unset too, the worker count
-    decides: ``workers <= 1`` runs serial, anything larger runs the
-    process pool (the engine's historical behaviour, so existing
-    callers see no change).
+    A given *backend* instance is returned as-is: it keeps the
+    parallelism it was constructed with, and *workers* is ignored.
+    Otherwise the worker count decides: ``workers <= 1`` runs serial,
+    anything larger runs the process pool.
     """
-    if backend is not None and not isinstance(backend, str):
+    if backend is not None:
         return backend
-    name = backend
-    if name is None:
-        raw = os.environ.get(BACKEND_ENV_VAR, "").strip()
-        name = raw or None
     count = resolve_workers(workers)
-    if name is None:
-        return SerialBackend() if count <= 1 else ProcessPoolBackend(count)
-    normalised = name.strip().lower()
-    if normalised == "serial":
-        return SerialBackend()
-    if normalised == "process":
-        return ProcessPoolBackend(count)
-    if normalised == "async":
-        return AsyncLocalBackend(count)
-    raise ReproError(
-        f"unknown execution backend {name!r}; expected one of "
-        f"{BACKEND_NAMES} (or a Backend instance)"
-    )
+    return SerialBackend() if count <= 1 else ProcessPoolBackend(count)

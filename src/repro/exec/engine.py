@@ -9,21 +9,20 @@ input order.  Work proceeds in three steps:
    durable :class:`~repro.exec.store.RunStore`, are served immediately;
 2. **deduplication** — remaining specs with equal hashes collapse to one
    execution;
-3. **execution** — unique specs are handed to a pluggable
-   :class:`~repro.exec.backends.Backend`: serial in-process, a chunked
-   work-stealing process pool, or an asyncio-driven local executor (the
-   extension point for future remote backends).  They arrive grouped by
-   circuit, compile key and sampler key, so consecutive jobs share one
-   lowering, compiled program and sampler
+3. **execution** — unique specs are handed to a
+   :class:`~repro.exec.backends.Backend`: serial in-process for one
+   worker, a chunked work-stealing process pool for more.  They arrive
+   grouped by circuit, compile key and sampler key, so consecutive jobs
+   share one lowering, compiled program and sampler
    (:class:`~repro.exec.backends.CompileMemo`).
 
 Because compilation is seeded, the analytic noise model is closed-form
 and every draw of stochastic sampling is a pure function of ``(seed,
-global shot index)``, every backend produces bit-identical results; they
-differ only in wall-clock time.  Batch-level counters (cache hits/misses,
-jobs executed, per-job timings) accumulate on the engine for the
-acceptance checks and the progress report; ``engine.stats.reset()``
-zeroes them between measurement phases.
+global shot index)``, serial and pooled batches produce bit-identical
+results; they differ only in wall-clock time.  Batch-level counters
+(cache hits/misses, jobs executed, per-job timings) accumulate on the
+engine for the acceptance checks and the progress report;
+``engine.stats.reset()`` zeroes them between measurement phases.
 
 Opt-in structured tracing (``ExecutionEngine(trace=...)`` or
 ``TILT_REPRO_TRACE=<path>``) records each batch as a span tree —
@@ -43,7 +42,6 @@ from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import ReproError
 from repro.exec.backends import (
-    BACKEND_ENV_VAR,
     Backend,
     CompileMemo,
     WORKERS_ENV_VAR,
@@ -56,12 +54,10 @@ from repro.exec.cache import ResultCache
 from repro.exec.jobs import JobResult, JobSpec, spec_key
 from repro.exec.store import RunStore, collect_provenance
 from repro.obs.history import RunLedger, new_record, resolve_ledger
-from repro.obs.live import auto_attach
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullRecorder, TraceRecorder, activate, resolve_trace
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "EngineStats",
     "ExecutionEngine",
     "WORKERS_ENV_VAR",
@@ -201,9 +197,9 @@ class ExecutionEngine:
     Parameters
     ----------
     workers:
-        Parallelism for backends the engine constructs itself.  ``1``
-        (the default) selects the serial backend — fully deterministic;
-        ``0`` means "one per CPU"; ``None`` defers to the
+        The one execution choice.  ``1`` (the default) selects the
+        serial backend — fully deterministic; more selects the process
+        pool; ``0`` means "one per CPU"; ``None`` defers to the
         ``TILT_REPRO_WORKERS`` environment variable.
     store:
         The one persistence knob: a :class:`~repro.exec.store.RunStore`
@@ -213,10 +209,9 @@ class ExecutionEngine:
         ``None`` (the default) keeps results in a private in-memory
         :class:`ResultCache` for the engine's lifetime.
     backend:
-        Execution backend: a name (``"serial"``, ``"process"``,
-        ``"async"``), a :class:`~repro.exec.backends.Backend` instance,
-        or ``None`` — which consults ``TILT_REPRO_BACKEND`` and falls
-        back to serial-or-pool by worker count.
+        A :class:`~repro.exec.backends.Backend` instance to run every
+        batch on, used exactly as constructed; ``None`` (the default)
+        lets *workers* pick serial or pool per batch.
     progress:
         Optional callback invoked after every finished job with
         ``(jobs done, total, result)``.
@@ -238,7 +233,7 @@ class ExecutionEngine:
 
     def __init__(self, *, workers: int | None = 1,
                  store: RunStore | str | os.PathLike[str] | None = None,
-                 backend: str | Backend | None = None,
+                 backend: Backend | None = None,
                  progress: ProgressCallback | None = None,
                  trace: TraceRecorder | NullRecorder | str
                         | os.PathLike[str] | None = None,
@@ -246,9 +241,6 @@ class ExecutionEngine:
                           | os.PathLike[str] | None = None) -> None:
         self.workers = resolve_workers(workers)
         self.trace = resolve_trace(trace)
-        # env-driven live monitoring (heartbeat JSONL / stderr line)
-        # piggybacks on the trace stream; off unless asked for
-        self.monitor = auto_attach(self.trace)
         self.history = resolve_ledger(history)
         self._history_provenance: dict[str, object] | None = None
         if store is None:
@@ -280,11 +272,7 @@ class ExecutionEngine:
         configuration of a run is machine-readable.
         """
         count = self.workers if workers is None else resolve_workers(workers)
-        resolved = resolve_backend(self.backend, count)
-        describe_config = getattr(resolved, "describe_config", None)
-        if describe_config is None:  # a minimal third-party Backend
-            return {"backend": getattr(resolved, "name", "unknown")}
-        return describe_config()
+        return resolve_backend(self.backend, count).describe_config()
 
     def append_history(self, kind: str, *, label: str | None = None,
                        metrics: dict[str, object] | None = None,
@@ -331,16 +319,13 @@ class ExecutionEngine:
         return self.run([spec])[0]
 
     def run(self, specs: Sequence[JobSpec], *,
-            workers: int | None = None,
-            backend: str | Backend | None = None) -> list[JobResult]:
+            workers: int | None = None) -> list[JobResult]:
         """Run *specs*, returning one result per spec in input order.
 
-        ``workers`` and ``backend`` override the engine's configuration
-        for this batch only (engine state is not mutated).  ``workers``
-        applies when the backend is resolved *by name* (engine default,
-        env var, or a name passed here); a :class:`Backend` *instance*
-        owns its parallelism and is used exactly as constructed —
-        ``workers`` does not reconfigure it.
+        ``workers`` overrides the engine's worker count for this batch
+        only (engine state is not mutated).  A :class:`Backend` instance
+        given to the engine owns its parallelism and is used exactly as
+        constructed — ``workers`` does not reconfigure it.
         """
         trace = self.trace
         batch_start = time.perf_counter()
@@ -388,9 +373,7 @@ class ExecutionEngine:
             batch_executed = 0
             batch_exec_time = 0.0
             with trace.span("engine.dispatch", jobs=len(unique)):
-                for key, result in self._execute_all(
-                    unique, batch_workers, backend,
-                ):
+                for key, result in self._execute_all(unique, batch_workers):
                     indices = pending.pop(key, None)
                     if indices is None:
                         raise ReproError(
@@ -457,7 +440,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def _execute_all(
         self, unique: list[tuple[str, JobSpec]], workers: int,
-        backend: str | Backend | None = None,
     ) -> Iterable[tuple[str, JobResult]]:
         """Yield each unique job's result as its backend finishes it.
 
@@ -478,8 +460,7 @@ class ExecutionEngine:
         """
         if not unique:
             return
-        chosen = backend if backend is not None else self.backend
-        resolved = resolve_backend(chosen, workers)
+        resolved = resolve_backend(self.backend, workers)
         ordered = sharing_order(unique)
         try:
             done: set[str] = set()
@@ -493,7 +474,7 @@ class ExecutionEngine:
                     if key not in done:
                         yield key, execute_spec(spec, key, memo)
         finally:
-            if resolved is not chosen:  # engine-constructed: release it
+            if resolved is not self.backend:  # engine-constructed: release it
                 resolved.close()
 
 
@@ -507,8 +488,8 @@ def default_engine() -> ExecutionEngine:
     """The process-wide shared engine (created on first use).
 
     Its in-memory cache is what makes repeated sweep invocations inside
-    one process free; its worker count comes from ``TILT_REPRO_WORKERS``
-    and its backend from ``TILT_REPRO_BACKEND`` (default: serial).
+    one process free; its worker count, and with it serial or pool,
+    comes from ``TILT_REPRO_WORKERS`` (default: serial).
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
@@ -524,14 +505,12 @@ def reset_default_engine() -> None:
 
 def run_jobs(specs: Sequence[JobSpec], *,
              workers: int | None = None,
-             backend: str | Backend | None = None,
              engine: ExecutionEngine | None = None) -> list[JobResult]:
     """Run *specs* on *engine* (default: the shared engine).
 
-    ``workers`` and ``backend`` override the engine's pool size and
-    execution backend for this call only, so callers can opt into
-    parallelism (or a different dispatch strategy) without reconfiguring
-    the engine.
+    ``workers`` overrides the engine's worker count for this call only,
+    so callers can opt into parallelism without reconfiguring the
+    engine.
     """
     chosen = engine if engine is not None else default_engine()
-    return chosen.run(specs, workers=workers, backend=backend)
+    return chosen.run(specs, workers=workers)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.exceptions import ReproError
-from repro.exec.backends import Backend
 from repro.exec.engine import (
     ExecutionEngine,
     default_engine,
@@ -64,7 +63,6 @@ def shard_sampling_spec(spec: JobSpec, shards: int) -> list[JobSpec]:
 
 def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
                     workers: int | None = None,
-                    exec_backend: str | Backend | None = None,
                     engine: ExecutionEngine | None = None) -> JobResult:
     """Run one sampled job, sharded across the execution engine.
 
@@ -81,13 +79,9 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         pool; the default is additionally capped so every shard keeps at
         least :data:`MIN_SHOTS_PER_SHARD` shots for the vectorized
         sampler to batch over.
-    exec_backend:
-        Execution backend for the shard batch (name or
-        :class:`~repro.exec.backends.Backend` instance; ``exec_`` prefix
-        because ``spec.backend`` already names the *toolchain*).  Shard
-        merging is bit-identical under every backend.
     workers, engine:
         Standard engine controls (see :func:`~repro.exec.engine.run_jobs`).
+        Shard merging is bit-identical for any worker count.
 
     Returns
     -------
@@ -115,14 +109,6 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         blocks = -(-spec.shots // MIN_SHOTS_PER_SHARD)
         shards = max(1, min(shards, blocks))
     shard_specs = shard_sampling_spec(spec, shards)
-    # Announce the plan *before* executing it: live monitors subscribed
-    # to the trace stream (repro.obs.live) see the fan-out size the
-    # moment it is decided, not when the first shard finishes.
-    if chosen.trace.enabled:
-        chosen.trace.event(
-            "sampling.planned", spec_key=spec_key(spec), label=spec.label,
-            shots=spec.shots, shards=len(shard_specs),
-        )
     # Span on the chosen engine's recorder (same thread), so the batch
     # the shards run as nests under this fan-out in the trace; per-shard
     # timing comes from each shard's own job.execute span.
@@ -130,8 +116,7 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         "sampling.fanout", spec_key=spec_key(spec), label=spec.label,
         shots=spec.shots, shards=len(shard_specs),
     ) as span:
-        results = run_jobs(shard_specs, workers=workers,
-                           backend=exec_backend, engine=chosen)
+        results = run_jobs(shard_specs, workers=workers, engine=chosen)
         merged = merge_shot_results(
             [result.shot for result in results if result.shot is not None]
         )

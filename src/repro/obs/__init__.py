@@ -1,6 +1,6 @@
-"""Operational observability: tracing, metrics, history, live monitoring.
+"""Operational observability: tracing, metrics, history, profiling.
 
-Five planes, all opt-in and all forbidden from ever touching results:
+Four planes, all opt-in and all forbidden from ever touching results:
 
 * :mod:`repro.obs.trace` — hierarchical spans and events written as
   append-only, torn-line-tolerant JSONL (``ExecutionEngine(trace=...)``
@@ -14,11 +14,6 @@ Five planes, all opt-in and all forbidden from ever touching results:
   every traced batch, search and benchmark-gate run appends one
   summarized record, and ``python -m repro.obs.history`` renders
   per-metric trends, cross-run diffs and a ``--check`` trend gate;
-* :mod:`repro.obs.live` — an in-process :class:`~repro.obs.live.ProgressMonitor`
-  subscribed to the trace stream: throughput, ETA, rolling cache-hit
-  ratio, straggler alerts and per-backend heartbeat JSONL
-  (``TILT_REPRO_LIVE=<path>``) plus an opt-in single-line stderr
-  renderer (``TILT_REPRO_LIVE_STDERR=1``);
 * :mod:`repro.obs.profile` — opt-in per-job resource profiling
   (``TILT_REPRO_PROFILE=1`` or ``tracemalloc``): CPU time, peak RSS and
   top allocation sites attached to each ``job.execute`` span.
@@ -40,12 +35,6 @@ from repro.obs.history import (
     load_ledger,
     new_record,
     resolve_ledger,
-)
-from repro.obs.live import (
-    LIVE_ENV_VAR,
-    LIVE_STDERR_ENV_VAR,
-    ProgressMonitor,
-    auto_attach,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import (
@@ -72,18 +61,14 @@ __all__ = [
     "HISTORY_ENV_VAR",
     "Histogram",
     "JobProfiler",
-    "LIVE_ENV_VAR",
-    "LIVE_STDERR_ENV_VAR",
     "MetricsRegistry",
     "NULL_TRACE",
     "NullRecorder",
     "PROFILE_ENV_VAR",
-    "ProgressMonitor",
     "RunLedger",
     "TRACE_ENV_VAR",
     "TraceRecorder",
     "activate",
-    "auto_attach",
     "current_trace",
     "load_ledger",
     "load_records",

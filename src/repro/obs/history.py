@@ -109,8 +109,8 @@ class RunLedger:
     instance's appends land in a private sidecar segment next to it, so
     any number of concurrent processes can append to "the same ledger"
     without a lock or a torn line.  Appends within one process are
-    serialised by an instance lock (the async backend's executor
-    threads share the engine, hence the ledger).
+    serialised by an instance lock, so threads sharing one engine (and
+    hence one ledger) never interleave their records.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:

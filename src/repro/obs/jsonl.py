@@ -1,12 +1,11 @@
 """Append-only JSONL segments: the one on-disk record discipline.
 
 Job results (:class:`~repro.exec.store.RunStore`), the run ledger
-(:mod:`repro.obs.history`), traces and their worker sidecars
-(:mod:`repro.obs.trace`) and live heartbeats (:mod:`repro.obs.live`)
-all persist the same way.  Each writer appends one compact JSON line per
-record to a file of its own (:func:`append_record`), so concurrent
-writers never share a file and a killed one tears at most its last
-line.  Readers keep the records of their own version and skip torn,
+(:mod:`repro.obs.history`), and traces and their worker sidecars
+(:mod:`repro.obs.trace`) all persist the same way.  Each writer
+appends one compact JSON line per record to a file of its own
+(:func:`append_record`), so concurrent writers never share a file and
+a killed one tears at most its last line.  Readers keep the records of their own version and skip torn,
 blank and foreign lines (:func:`read_records`); mergers claim a finished
 segment by unlinking it before appending its records elsewhere
 (:func:`claim_records`), so none is merged twice.  Telemetry keeps its

@@ -160,12 +160,6 @@ class NullRecorder:
     def metrics(self, snapshot: dict[str, Any]) -> None:
         pass
 
-    def subscribe(self, listener) -> None:
-        pass
-
-    def unsubscribe(self, listener) -> None:
-        pass
-
     def merge_segments(self) -> int:
         return 0
 
@@ -182,11 +176,11 @@ class TraceRecorder:
 
     One recorder per trace path per process (see :func:`resolve_trace`);
     appends are serialised by a lock and each record is written, flushed
-    and closed in one go, so concurrent *threads* (the async backend)
-    interleave whole lines, never fragments.  Span parenthood follows a
-    thread-local stack: spans opened on the same thread nest, spans on
-    executor threads (or in pool workers) start parentless and are
-    re-parented offline via their ``spec_key``.
+    and closed in one go, so concurrent threads interleave whole lines,
+    never fragments.  Span parenthood follows a thread-local stack:
+    spans opened on the same thread nest, spans on other threads (or in
+    pool workers) start parentless and are re-parented offline via
+    their ``spec_key``.
     """
 
     enabled = True
@@ -199,7 +193,6 @@ class TraceRecorder:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._counter = itertools.count()
-        self._listeners: tuple = ()
         self._write({
             "v": TRACE_VERSION,
             "kind": "meta",
@@ -228,36 +221,6 @@ class TraceRecorder:
     def _write(self, record: dict[str, Any]) -> None:
         with self._lock:
             append_record(self._path, record)
-        # Notify subscribers (live monitors) after the file append and
-        # outside the lock.  The listener tuple is copy-on-write, so
-        # iterating a stale snapshot is safe; listeners receive the
-        # record dict by reference and must treat it as read-only.
-        for listener in self._listeners:
-            try:
-                listener(record)
-            except Exception:
-                # Telemetry observers must never break the traced run; a
-                # broken monitor loses its own heartbeats, nothing else.
-                pass
-
-    def subscribe(self, listener) -> None:
-        """Register *listener* to receive every record as it is written.
-
-        Listeners are called synchronously from the writing thread with
-        the record dict (after the file append); they must be fast,
-        must not mutate the record, and exceptions they raise are
-        swallowed — observation can never fail the observed run.
-        """
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners = (*self._listeners, listener)
-
-    def unsubscribe(self, listener) -> None:
-        """Remove *listener* (a no-op when it was never subscribed)."""
-        with self._lock:
-            self._listeners = tuple(
-                entry for entry in self._listeners if entry != listener
-            )
 
     def span(self, name: str, **attrs: Any) -> Span:
         """A new span context manager (recorded when it exits)."""
@@ -329,7 +292,6 @@ class _WorkerRecorder(TraceRecorder):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._counter = itertools.count()
-        self._listeners: tuple = ()  # monitors live in the parent only
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,7 @@ batch (every candidate's jobs, shards included, submitted together), so
 with no strategy-side code.  Results are assembled in candidate order
 from a batch the engine returns in submission order, and no wall-clock
 timing lands on the points, so a search is bit-identical for any
-``workers=`` split or ``exec_backend=`` choice (pinned by
-``tests/test_search.py`` and ``tests/test_backends.py``).
+``workers=`` split (pinned by ``tests/test_search.py``).
 
 Long searches run durably: ``run_search(..., store=<dir>)`` backs the
 engine with a :class:`~repro.exec.store.RunStore` and keeps a
@@ -31,7 +30,6 @@ from typing import Sequence
 
 from repro.exceptions import ReproError
 from repro.exec import ExecutionEngine, JobResult, run_jobs
-from repro.exec.backends import Backend
 from repro.exec.engine import default_engine
 from repro.exec.jobs import spec_key
 from repro.exec.store import (
@@ -103,7 +101,6 @@ def _point_from_results(space: SearchSpace, candidate: Candidate,
 def run_search(space: SearchSpace, strategy: SearchStrategy, *,
                engine: ExecutionEngine | None = None,
                workers: int | None = None,
-               exec_backend: str | Backend | None = None,
                store: RunStore | str | None = None,
                resume: RunManifest | str | None = None) -> SearchResult:
     """Explore *space* with *strategy* through the execution engine.
@@ -117,11 +114,10 @@ def run_search(space: SearchSpace, strategy: SearchStrategy, *,
         A :class:`~repro.search.strategies.SearchStrategy` — grid,
         random, successive halving, or anything implementing the
         protocol.
-    engine, workers, exec_backend:
+    engine, workers:
         Standard engine controls (see :func:`repro.exec.run_jobs`): an
         explicit engine shares its cache with other callers; ``workers``
-        and ``exec_backend`` override the pool size / execution backend
-        for this search's batches only.
+        overrides the worker count for this search's batches only.
     store:
         A :class:`~repro.exec.store.RunStore` (or directory path) making
         the search durable: every finished job is appended immediately
@@ -178,8 +174,7 @@ def run_search(space: SearchSpace, strategy: SearchStrategy, *,
         # workers=None defers to TILT_REPRO_WORKERS (default serial), so
         # a durable search honours the env var exactly like the shared
         # default engine does; the per-batch workers= override still wins.
-        chosen = ExecutionEngine(workers=None, store=run_store,
-                                 backend=exec_backend)
+        chosen = ExecutionEngine(workers=None, store=run_store)
     else:
         chosen = engine if engine is not None else default_engine()
     before = chosen.stats.to_dict()
@@ -237,8 +232,7 @@ def run_search(space: SearchSpace, strategy: SearchStrategy, *,
                 # name exactly the unfinished work.
                 submitted_keys.extend(spec_key(spec) for spec in specs)
                 write_manifest("running")
-            results = run_jobs(specs, workers=workers, backend=exec_backend,
-                               engine=chosen)
+            results = run_jobs(specs, workers=workers, engine=chosen)
             points: list[SearchPoint] = []
             offset = 0
             for candidate, count in chunks:

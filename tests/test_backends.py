@@ -1,5 +1,6 @@
-"""Backend invariance: serial, process-pool and async-local execution
-produce byte-identical spec keys, results and merged ShotResults."""
+"""Backend invariance: serial (``workers=1``) and process-pool
+(``workers=2``) execution produce byte-identical spec keys, results and
+merged ShotResults."""
 
 import dataclasses
 
@@ -11,7 +12,6 @@ from repro.arch.tilt import TiltDevice
 from repro.compiler.pipeline import CompilerConfig
 from repro.exceptions import ReproError
 from repro.exec import (
-    AsyncLocalBackend,
     ExecutionEngine,
     JobSpec,
     ProcessPoolBackend,
@@ -20,13 +20,14 @@ from repro.exec import (
     run_sampled_job,
     spec_key,
 )
-from repro.exec.backends import BACKEND_ENV_VAR
 from repro.exec.engine import reset_default_engine
 from repro.noise.parameters import NoiseParameters
+from repro.obs.report import load_trace
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
 
-BACKEND_NAMES = ("serial", "process", "async")
+#: One worker runs serial, two run the process pool.
+WORKER_COUNTS = (1, 2)
 
 
 @pytest.fixture(autouse=True)
@@ -91,15 +92,15 @@ class TestBackendInvariance:
         specs = _mixed_batch()
         keys = [spec_key(spec) for spec in specs]
         reference = None
-        for name in BACKEND_NAMES:
-            engine = ExecutionEngine(workers=2, backend=name)
+        for workers in WORKER_COUNTS:
+            engine = ExecutionEngine(workers=workers)
             results = engine.run(specs)
             assert [result.key for result in results] == keys
             structural = [_structural(result) for result in results]
             if reference is None:
                 reference = structural
             else:
-                assert structural == reference, f"backend {name} diverged"
+                assert structural == reference, f"workers={workers} diverged"
 
     def test_shared_compiles_bit_identical_in_pool_chunks(self):
         # analytic jobs that differ only in noise share one lowering and
@@ -124,8 +125,8 @@ class TestBackendInvariance:
 
     def test_sampled_job_merge_invariant_across_backends(self):
         # serial shards share one memo's sampler, pooled shards are
-        # singleton tasks and async jobs each build their own; worst_case
-        # takes the correlated path
+        # singleton tasks that each build their own; worst_case takes
+        # the correlated path
         ideal = JobSpec(
             circuit=qft_workload(6),
             device=IdealTrappedIonDevice(num_qubits=6),
@@ -139,25 +140,27 @@ class TestBackendInvariance:
                      for base in (ideal, tilt)
                      for scenario in ("baseline", "worst_case")):
             merged = {
-                name: run_sampled_job(
-                    spec, shards=4, exec_backend=name,
-                    engine=ExecutionEngine(workers=2),
+                workers: run_sampled_job(
+                    spec, shards=4, engine=ExecutionEngine(workers=workers),
                 )
-                for name in BACKEND_NAMES
+                for workers in WORKER_COUNTS
             }
-            assert merged["process"].shot == merged["serial"].shot
-            assert merged["async"].shot == merged["serial"].shot
-            assert (merged["process"].key == merged["async"].key
-                    == merged["serial"].key == spec_key(spec))
+            assert merged[2].shot == merged[1].shot
+            assert merged[2].key == merged[1].key == spec_key(spec)
 
-    def test_per_batch_backend_override(self):
-        engine = ExecutionEngine(workers=2)  # would default to the pool
+    def test_per_batch_backend_override(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        engine = ExecutionEngine(workers=2, trace=path)  # defaults to the pool
         specs = _mixed_batch()[:3]
-        serial = engine.run(specs, backend="serial")
-        override = engine.run(specs, backend="async")
-        # second run is all cache hits, so the override exercised lookup
+        serial = engine.run(specs, workers=1)
+        pooled = engine.run(specs)
+        # the override ran the first batch serially without reconfiguring
+        # the engine; the second run is all cache hits
+        submits = load_trace(str(path)).named("backend.submit")
+        assert [span.attrs["backend"] for span in submits] == ["serial"]
+        assert engine.workers == 2
         assert engine.stats.cache_hits == len(specs)
-        assert [r.simulation for r in override] == [
+        assert [r.simulation for r in pooled] == [
             r.simulation for r in serial
         ]
 
@@ -167,32 +170,18 @@ class TestBackendSelection:
         assert isinstance(resolve_backend(None, 1), SerialBackend)
         assert isinstance(resolve_backend(None, 4), ProcessPoolBackend)
 
-    def test_names_resolve(self):
-        assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("process", 4), ProcessPoolBackend)
-        assert isinstance(resolve_backend("async", 4), AsyncLocalBackend)
-
     def test_instance_passes_through(self):
-        backend = AsyncLocalBackend(workers=3)
+        backend = ProcessPoolBackend(workers=3)
         assert resolve_backend(backend, 1) is backend
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "async")
-        assert isinstance(resolve_backend(None, 1), AsyncLocalBackend)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "nope")
-        with pytest.raises(ReproError):
-            resolve_backend(None, 1)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_backend("magic", 1)
 
     def test_describe_backend(self):
         assert ExecutionEngine(workers=1).describe_backend() == "serial"
         assert "process" in ExecutionEngine(workers=4).describe_backend()
-        assert "async" in ExecutionEngine(
-            workers=2, backend="async"
-        ).describe_backend()
+        # an injected instance is described as constructed
+        backend = ProcessPoolBackend(workers=3, chunk_size=2)
+        assert ExecutionEngine(
+            workers=1, backend=backend
+        ).describe_backend() == "process(workers=3, chunk_size=2)"
 
 
 class TestProcessPoolDispatch:

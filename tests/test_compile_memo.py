@@ -232,10 +232,10 @@ class TestIncompleteBatches:
                  for n in (3, 2)]
         backend = _DroppingBackend()
         with pytest.raises(ReproError, match="no result") as excinfo:
-            ExecutionEngine(workers=1).run(specs, backend=backend)
+            ExecutionEngine(workers=1, backend=backend).run(specs)
         assert backend.dropped in str(excinfo.value)
 
     def test_result_for_an_unsubmitted_key_raises(self):
         with pytest.raises(ReproError, match="did not submit"):
-            ExecutionEngine(workers=1).run([_tilt(bv_workload(8))],
-                                           backend=_ForeignKeyBackend())
+            ExecutionEngine(workers=1, backend=_ForeignKeyBackend()).run(
+                [_tilt(bv_workload(8))])

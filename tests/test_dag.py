@@ -1,55 +1,17 @@
-"""Unit tests for circuit dependency analysis (CircuitDAG, FrontierTracker)."""
+"""Unit tests for circuit dependency analysis (FrontierTracker)."""
 
 import random
 
 import pytest
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.dag import CircuitDAG, FrontierTracker
+from repro.circuits.dag import FrontierTracker
 from repro.exceptions import CircuitError
 
 
 def sample_circuit() -> Circuit:
     """h(0); h(1); cx(0,1); x(1); cx(1,2)."""
     return Circuit(3).h(0).h(1).cx(0, 1).x(1).cx(1, 2)
-
-
-class TestCircuitDAG:
-    def test_front_layer(self):
-        dag = CircuitDAG(sample_circuit())
-        assert dag.front_layer() == [0, 1]
-
-    def test_predecessors_and_successors(self):
-        dag = CircuitDAG(sample_circuit())
-        assert dag.predecessors(2) == [0, 1]
-        assert dag.successors(2) == [3]
-        assert dag.successors(4) == []
-
-    def test_topological_order_is_valid(self):
-        dag = CircuitDAG(sample_circuit())
-        order = dag.topological_order()
-        position = {node: i for i, node in enumerate(order)}
-        for node in range(len(sample_circuit())):
-            for pred in dag.predecessors(node):
-                assert position[pred] < position[node]
-
-    def test_layers_match_depth(self):
-        circuit = sample_circuit()
-        dag = CircuitDAG(circuit)
-        layers = dag.layers()
-        assert sum(len(layer) for layer in layers) == len(circuit)
-        assert len(layers) == circuit.depth()
-
-    def test_depth_index_monotone_along_edges(self):
-        dag = CircuitDAG(sample_circuit())
-        depth = dag.depth_index()
-        for a, b in dag.graph.edges:
-            assert depth[a] < depth[b]
-
-    def test_gate_accessor(self):
-        circuit = sample_circuit()
-        dag = CircuitDAG(circuit)
-        assert dag.gate(2) == circuit[2]
 
 
 class TestFrontierTracker:

@@ -164,7 +164,7 @@ class TestExecutionEngine:
         serial = ExecutionEngine(workers=1).run(specs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_semaphores)
-        engine = ExecutionEngine(workers=2, backend="process")
+        engine = ExecutionEngine(workers=2)
         pooled = engine.run(specs)
         assert engine.stats.jobs_executed == 3
         assert [r.simulation for r in pooled] == [

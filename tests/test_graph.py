@@ -86,12 +86,11 @@ class TestRepoGraph:
     @pytest.mark.parametrize("backend_submit", [
         "repro.exec.backends.SerialBackend.submit",
         "repro.exec.backends.ProcessPoolBackend.submit",
-        "repro.exec.backends.AsyncLocalBackend.submit",
     ])
     def test_execute_spec_reachable_from_every_backend(
             self, repo_graph, backend_submit):
         """The acceptance property: each backend's submit reaches the
-        task entry point — serially by direct call, the pool backends
+        task entry point — serially by direct call, the pool backend
         through the function object handed to the executor."""
         reach = repo_graph.reachable_from([backend_submit])
         assert "repro.exec.backends.execute_spec" in reach

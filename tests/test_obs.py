@@ -8,9 +8,9 @@ Four layers:
 * trace recorder — JSONL round trips, torn-line tolerance, span
   nesting, activation scoping, worker sidecar segments and their merge;
 * traced execution — the span tree a traced engine writes, worker spans
-  from the process pool, **bit-identity of traced vs untraced runs on
-  every backend** (the invariant that tracing only observes), and the
-  structured ``describe_config`` / manifest provenance plumbing;
+  from the process pool, **bit-identity of traced vs untraced runs,
+  serial and pooled** (the invariant that tracing only observes), and
+  the structured ``describe_config`` / manifest provenance plumbing;
 * the offline report — re-parenting by spec key, golden output on the
   committed fixture trace, and the cross-run diff.
 """
@@ -30,7 +30,6 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.tilt import TiltDevice
 from repro.exceptions import ReproError
 from repro.exec import (
-    AsyncLocalBackend,
     ExecutionEngine,
     JobSpec,
     ProcessPoolBackend,
@@ -41,7 +40,6 @@ from repro.exec.sampling import run_sampled_job
 from repro.exec.store import RunManifest, RunStore, collect_provenance
 from repro.noise.parameters import NoiseParameters
 from repro.obs import profile as obs_profile
-from repro.obs.live import ProgressMonitor
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import format_diff, format_report, load_trace
 from repro.obs.trace import (
@@ -295,7 +293,7 @@ class TestTracedEngine:
 
     def test_process_pool_worker_spans_merge_back(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        engine = ExecutionEngine(workers=2, backend="process", trace=path)
+        engine = ExecutionEngine(workers=2, trace=path)
         engine.run(_small_batch())
         assert glob.glob(str(path) + ".*") == []  # no leftover sidecars
         view = load_trace(str(path))
@@ -308,25 +306,21 @@ class TestTracedEngine:
         for job in jobs:
             assert job.parent in view.spans
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "async"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_traced_and_untraced_results_are_bit_identical(
-            self, backend, tmp_path, monkeypatch):
+            self, workers, tmp_path, monkeypatch):
         specs = _small_batch()
-        plain = ExecutionEngine(workers=2, backend=backend).run(specs)
+        plain = ExecutionEngine(workers=workers).run(specs)
         traced = ExecutionEngine(
-            workers=2, backend=backend, trace=tmp_path / "t.jsonl",
+            workers=workers, trace=tmp_path / "t.jsonl",
         ).run(specs)
-        # full instrumentation — live monitor, per-job profiling and a
-        # history ledger — must stay pure observation too
+        # full instrumentation — per-job profiling and a history
+        # ledger — must stay pure observation too
         monkeypatch.setenv(obs_profile.PROFILE_ENV_VAR, "1")
         obs_profile.refresh_mode()
         try:
-            trace = TraceRecorder(tmp_path / "m.jsonl")
-            ProgressMonitor(
-                trace, heartbeat_path=tmp_path / "hb.jsonl",
-            ).attach()
-            monitored = ExecutionEngine(
-                workers=2, backend=backend, trace=trace,
+            profiled = ExecutionEngine(
+                workers=workers, trace=tmp_path / "p.jsonl",
                 history=tmp_path / "history.jsonl",
             ).run(specs)
         finally:
@@ -334,7 +328,7 @@ class TestTracedEngine:
             obs_profile.refresh_mode()
         assert ([_structural(r) for r in plain]
                 == [_structural(r) for r in traced]
-                == [_structural(r) for r in monitored])
+                == [_structural(r) for r in profiled])
 
     def test_sampling_fanout_span_wraps_the_shard_batch(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -369,12 +363,9 @@ class TestDescribeConfig:
         assert process["workers"] == 3
         assert process["chunk_size"] is None
         assert process["chunk_groups_per_worker"] == 4
-        assert AsyncLocalBackend(workers=2).describe_config() == {
-            "backend": "async", "executor": "thread", "workers": 2,
-        }
 
     def test_engine_reports_resolved_backend_config(self):
-        engine = ExecutionEngine(workers=2, backend="process")
+        engine = ExecutionEngine(workers=2)
         config = engine.describe_backend_config()
         assert config["backend"] == "process"
         assert config["workers"] == 2
@@ -477,7 +468,7 @@ class TestReport:
     def test_report_on_a_real_traced_run(self, tmp_path):
         """A live end-to-end check: trace a run, render its report."""
         path = tmp_path / "t.jsonl"
-        engine = ExecutionEngine(workers=2, backend="process", trace=path)
+        engine = ExecutionEngine(workers=2, trace=path)
         engine.run(_small_batch())
         engine.run(_small_batch())
         rendered = format_report(load_trace(str(path)))

@@ -40,7 +40,6 @@ def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
         "benchmarks/bench_lint.py::test_lint_whole_repo_graph": 1.3,
         "benchmarks/bench_obs.py::test_untraced_engine_batch": 0.02,
         "benchmarks/bench_obs.py::test_traced_engine_batch": 0.022,
-        "benchmarks/bench_obs.py::test_monitored_engine_batch": 0.023,
         "benchmarks/bench_obs.py::test_profiled_engine_batch": 0.024,
     }
     untracked = {f"benchmarks/bench_other.py::test_{i}": 0.01 * (i + 1)

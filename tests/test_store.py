@@ -173,8 +173,7 @@ class TestRunStore:
             if done == 1:
                 raise KeyboardInterrupt("simulated kill after first result")
 
-        dying = ExecutionEngine(workers=2, backend="process", store=root,
-                                progress=explode)
+        dying = ExecutionEngine(workers=2, store=root, progress=explode)
         with pytest.raises(KeyboardInterrupt):
             dying.run(specs)
         assert len(RunStore(root)) >= 1  # streamed before the kill
@@ -198,8 +197,7 @@ class TestRunStore:
             return execute(spec, key, memo)
 
         monkeypatch.setattr(backends, "execute_spec", dies_in_a_worker)
-        pooled = ExecutionEngine(workers=2, backend="process",
-                                 store=root).run(specs)
+        pooled = ExecutionEngine(workers=2, store=root).run(specs)
         monkeypatch.undo()
         assert [_outcome(r) for r in pooled] == serial
 
