@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis import experiments
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
 from repro.compiler.pipeline import LinQCompiler, lower_to_native
 from repro.compiler.qccd_compiler import QccdCompiler
 from repro.noise.parameters import NoiseParameters
@@ -30,9 +29,10 @@ def _bench_analytic_run(benchmark, simulator, *args, **kwargs):
 
 
 def test_native_decomposition(benchmark, scale):
+    """The production lowering: barrier strip, native rewrite and fused
+    rotations in one streaming pass."""
     circuit = build_workload("QFT", scale)
-    native = benchmark(lambda: merge_adjacent_rotations(
-        decompose_to_native(circuit)))
+    native = benchmark(lambda: lower_to_native(circuit))
     assert native.num_two_qubit_gates() > 0
 
 

@@ -12,6 +12,10 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   per segment (``bench_table3_compilation.py::test_tape_scheduling_time``
   at small scale and ``…_paper_width`` on QFT-64, each the median of
   several rounds with a fresh scheduler each);
+* ``lower``             — the native lowering, one streaming pass that
+  expands each gate and fuses rotations as it goes
+  (``bench_compiler_passes.py::test_native_decomposition``, timing
+  ``lower_to_native``);
 * ``route``             — swap insertion by both routers, whose lookahead
   window and trial circuits are built only when used
   (``bench_table3_compilation.py::test_swap_insertion_time``, the
@@ -83,6 +87,8 @@ import sys
 TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
     ("schedule",
      r"bench_table3_compilation\.py::test_tape_scheduling_time"),
+    ("lower",
+     r"bench_compiler_passes\.py::test_native_decomposition"),
     ("route",
      r"bench_table3_compilation\.py::test_swap_insertion_time"),
     ("analytic",

@@ -1,11 +1,29 @@
 """Setuptools entry point.
 
-The build configuration lives in ``setup.cfg``; this file exists so that
-``pip install -e .`` works with the legacy (non-PEP-517) code path, which is
-the only editable-install path available in fully offline environments
-without the ``wheel`` package.
+The package metadata lives here, so ``pip install -e .`` works with the
+legacy (non-PEP-517) code path, which is the only editable-install path
+available in fully offline environments without the ``wheel`` package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "version.py").read_text(
+        encoding="utf-8"),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="TILT: a trapped-ion linear-tape architecture and its "
+                "LinQ compiler, reproduced",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

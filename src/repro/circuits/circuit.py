@@ -196,16 +196,24 @@ class Circuit:
         """
         level = [0] * self._num_qubits
         for g in self._gates:
+            qubits = g.qubits
             if g.name == "barrier":
-                if g.qubits:
-                    top = max(level[q] for q in g.qubits)
-                    for q in g.qubits:
+                if qubits:
+                    top = max(level[q] for q in qubits)
+                    for q in qubits:
                         level[q] = top
                 continue
             counts = 0 if (two_qubit_only and not g.is_two_qubit) else 1
-            top = max(level[q] for q in g.qubits) + counts
-            for q in g.qubits:
-                level[q] = top
+            if len(qubits) == 1:
+                level[qubits[0]] += counts
+            elif len(qubits) == 2:
+                a, b = qubits
+                top = (level[a] if level[a] > level[b] else level[b]) + counts
+                level[a] = level[b] = top
+            else:
+                top = max(level[q] for q in qubits) + counts
+                for q in qubits:
+                    level[q] = top
         return max(level) if level else 0
 
     def active_qubits(self) -> set[int]:

@@ -134,9 +134,15 @@ class Gate:
         return max(self.qubits) - min(self.qubits)
 
     def remapped(self, mapping: Sequence[int] | Mapping[int, int]) -> "Gate":
-        """Return a copy of the gate with qubits relabelled through *mapping*."""
-        return Gate(self.name, tuple([mapping[q] for q in self.qubits]),
-                    self.params)
+        """The gate with qubits relabelled through *mapping*.
+
+        A gate the mapping leaves in place is returned as is: it is
+        immutable and was validated when built.
+        """
+        qubits = tuple([mapping[q] for q in self.qubits])
+        if qubits == self.qubits:
+            return self
+        return Gate(self.name, qubits, self.params)
 
     def inverse(self) -> "Gate":
         """Return the inverse gate.

@@ -11,142 +11,114 @@ Two levels are provided:
   the paper's listing because of the rotation-sign convention used here
   (``r*(theta) = exp(-i theta P / 2)``, ``xx(theta) = exp(+i theta XX)``) —
   the decomposition is verified against the exact CX unitary in the tests.
+
+Both levels share one set of CX-level rewrite rules (:func:`_rewrite_to_cx`).
+The native level streams: each source gate expands straight to native
+gates, and with ``merge_rotations`` adjacent same-axis rotations fuse in
+the same pass, so no intermediate circuit is built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.exceptions import CompilationError
 
 _PI = math.pi
+_TWO_PI = 2 * _PI
+
+#: Parameter-free single-qubit gates as native rotations ``(axis, angle)``,
+#: in the order they are applied.
+_FIXED_ROTATIONS: dict[str, tuple[tuple[str, float], ...]] = {
+    "id": (),
+    "x": (("rx", _PI),),
+    "y": (("ry", _PI),),
+    "z": (("rz", _PI),),
+    "h": (("rz", _PI), ("ry", _PI / 2)),
+    "s": (("rz", _PI / 2),),
+    "sdg": (("rz", -_PI / 2),),
+    "t": (("rz", _PI / 4),),
+    "tdg": (("rz", -_PI / 4),),
+    "sx": (("rx", _PI / 2),),
+}
+
+_ROTATIONS = ("rx", "ry", "rz")
 
 
-def _one_qubit_to_native(gate: Gate) -> Iterator[Gate]:
-    """Rewrite a single-qubit gate as rz/ry/rx rotations."""
-    (q,) = gate.qubits
+def _rewrite_to_cx(gate: Gate,
+                   sink: "_CxLevelCircuit | _NativeWriter") -> None:
+    """Rewrite a multi-qubit gate other than ``cx`` into CX plus
+    single-qubit gates, passed in program order to
+    ``sink.one_qubit(name, qubit, *params)`` and
+    ``sink.cx(control, target)``."""
     name = gate.name
-    if name == "id":
+    if name == "ccx":  # the standard 6-CX Toffoli
+        c1, c2, target = gate.qubits
+        sink.one_qubit("h", target)
+        sink.cx(c2, target)
+        sink.one_qubit("tdg", target)
+        sink.cx(c1, target)
+        sink.one_qubit("t", target)
+        sink.cx(c2, target)
+        sink.one_qubit("tdg", target)
+        sink.cx(c1, target)
+        sink.one_qubit("t", c2)
+        sink.one_qubit("t", target)
+        sink.one_qubit("h", target)
+        sink.cx(c1, c2)
+        sink.one_qubit("t", c1)
+        sink.one_qubit("tdg", c2)
+        sink.cx(c1, c2)
         return
-    if name in ("rx", "ry", "rz"):
-        yield gate
-        return
-    if name == "x":
-        yield Gate("rx", (q,), (_PI,))
-    elif name == "y":
-        yield Gate("ry", (q,), (_PI,))
-    elif name == "z":
-        yield Gate("rz", (q,), (_PI,))
-    elif name == "h":
-        yield Gate("rz", (q,), (_PI,))
-        yield Gate("ry", (q,), (_PI / 2,))
-    elif name == "s":
-        yield Gate("rz", (q,), (_PI / 2,))
-    elif name == "sdg":
-        yield Gate("rz", (q,), (-_PI / 2,))
-    elif name == "t":
-        yield Gate("rz", (q,), (_PI / 4,))
-    elif name == "tdg":
-        yield Gate("rz", (q,), (-_PI / 4,))
-    elif name == "sx":
-        yield Gate("rx", (q,), (_PI / 2,))
-    elif name == "p":
-        yield Gate("rz", (q,), (gate.params[0],))
-    elif name == "u3":
-        theta, phi, lam = gate.params
-        yield Gate("rz", (q,), (lam,))
-        yield Gate("ry", (q,), (theta,))
-        yield Gate("rz", (q,), (phi,))
-    else:  # pragma: no cover - defensive
-        raise CompilationError(f"no native decomposition for 1q gate {name!r}")
-
-
-def _cx_to_native(control: int, target: int) -> Iterator[Gate]:
-    """Molmer-Sorensen CX construction (paper Section IV-B)."""
-    yield Gate("ry", (control,), (_PI / 2,))
-    yield Gate("xx", (control, target), (_PI / 4,))
-    yield Gate("rx", (control,), (_PI / 2,))
-    yield Gate("rx", (target,), (_PI / 2,))
-    yield Gate("ry", (control,), (-_PI / 2,))
-
-
-def _two_qubit_to_cx(gate: Gate) -> Iterator[Gate]:
-    """Rewrite a two-qubit gate into CX plus single-qubit gates."""
-    name = gate.name
     q1, q2 = gate.qubits
-    if name == "cx":
-        yield gate
-    elif name == "cz":
-        yield Gate("h", (q2,))
-        yield Gate("cx", (q1, q2))
-        yield Gate("h", (q2,))
+    if name == "cz":
+        sink.one_qubit("h", q2)
+        sink.cx(q1, q2)
+        sink.one_qubit("h", q2)
     elif name == "swap":
-        yield Gate("cx", (q1, q2))
-        yield Gate("cx", (q2, q1))
-        yield Gate("cx", (q1, q2))
+        sink.cx(q1, q2)
+        sink.cx(q2, q1)
+        sink.cx(q1, q2)
     elif name == "cp":
         theta = gate.params[0]
-        yield Gate("p", (q1,), (theta / 2,))
-        yield Gate("cx", (q1, q2))
-        yield Gate("p", (q2,), (-theta / 2,))
-        yield Gate("cx", (q1, q2))
-        yield Gate("p", (q2,), (theta / 2,))
+        sink.one_qubit("p", q1, theta / 2)
+        sink.cx(q1, q2)
+        sink.one_qubit("p", q2, -theta / 2)
+        sink.cx(q1, q2)
+        sink.one_qubit("p", q2, theta / 2)
     elif name == "rzz":
         theta = gate.params[0]
-        yield Gate("cx", (q1, q2))
-        yield Gate("rz", (q2,), (theta,))
-        yield Gate("cx", (q1, q2))
-    elif name == "rxx":
-        theta = gate.params[0]
-        yield Gate("h", (q1,))
-        yield Gate("h", (q2,))
-        yield Gate("cx", (q1, q2))
-        yield Gate("rz", (q2,), (theta,))
-        yield Gate("cx", (q1, q2))
-        yield Gate("h", (q1,))
-        yield Gate("h", (q2,))
-    elif name == "xx":
+        sink.cx(q1, q2)
+        sink.one_qubit("rz", q2, theta)
+        sink.cx(q1, q2)
+    elif name in ("rxx", "xx"):
         # xx(theta) = exp(+i theta XX) = rxx(-2 theta)
-        yield from _two_qubit_to_cx(Gate("rxx", (q1, q2), (-2.0 * gate.params[0],)))
+        theta = (-2.0 * gate.params[0] if name == "xx"
+                 else gate.params[0])
+        sink.one_qubit("h", q1)
+        sink.one_qubit("h", q2)
+        sink.cx(q1, q2)
+        sink.one_qubit("rz", q2, theta)
+        sink.cx(q1, q2)
+        sink.one_qubit("h", q1)
+        sink.one_qubit("h", q2)
     else:  # pragma: no cover - defensive
-        raise CompilationError(f"no CX decomposition for 2q gate {name!r}")
+        raise CompilationError(f"cannot decompose gate {name!r}")
 
 
-def _ccx_to_cx(c1: int, c2: int, target: int) -> Iterator[Gate]:
-    """Standard 6-CX Toffoli decomposition."""
-    yield Gate("h", (target,))
-    yield Gate("cx", (c2, target))
-    yield Gate("tdg", (target,))
-    yield Gate("cx", (c1, target))
-    yield Gate("t", (target,))
-    yield Gate("cx", (c2, target))
-    yield Gate("tdg", (target,))
-    yield Gate("cx", (c1, target))
-    yield Gate("t", (c2,))
-    yield Gate("t", (target,))
-    yield Gate("h", (target,))
-    yield Gate("cx", (c1, c2))
-    yield Gate("t", (c1,))
-    yield Gate("tdg", (c2,))
-    yield Gate("cx", (c1, c2))
+class _CxLevelCircuit:
+    """Appends each gate :func:`_rewrite_to_cx` derives to a circuit."""
 
+    def __init__(self, out: Circuit) -> None:
+        self._append = out.append
 
-def _gate_to_cx(gate: Gate, keep_xx: bool) -> Iterator[Gate]:
-    if gate.name in ("measure", "barrier"):
-        yield gate
-    elif gate.num_qubits == 1:
-        yield gate
-    elif gate.name == "ccx":
-        yield from _ccx_to_cx(*gate.qubits)
-    elif gate.name == "xx" and keep_xx:
-        yield gate
-    elif gate.num_qubits == 2:
-        yield from _two_qubit_to_cx(gate)
-    else:  # pragma: no cover - defensive
-        raise CompilationError(f"cannot decompose gate {gate.name!r}")
+    def one_qubit(self, name: str, qubit: int, *params: float) -> None:
+        self._append(Gate(name, (qubit,), params))
+
+    def cx(self, control: int, target: int) -> None:
+        self._append(Gate("cx", (control, target)))
 
 
 def decompose_to_cx(circuit: Circuit, *, keep_xx: bool = False) -> Circuit:
@@ -159,24 +131,129 @@ def decompose_to_cx(circuit: Circuit, *, keep_xx: bool = False) -> Circuit:
         the input is already partially native).
     """
     out = Circuit(circuit.num_qubits, f"{circuit.name}_cx")
+    sink = _CxLevelCircuit(out)
     for gate in circuit:
-        out.extend(_gate_to_cx(gate, keep_xx))
+        name = gate.name
+        if (gate.num_qubits == 1 or name in ("cx", "measure", "barrier")
+                or (name == "xx" and keep_xx)):
+            out.append(gate)
+        else:
+            _rewrite_to_cx(gate, sink)
     return out
 
 
-def decompose_to_native(circuit: Circuit) -> Circuit:
-    """Rewrite *circuit* into the TILT native gate set {rx, ry, rz, xx}."""
-    cx_level = decompose_to_cx(circuit, keep_xx=True)
+class _NativeWriter:
+    """Appends native gates to a circuit, optionally fusing rotations.
+
+    Without *merge* every rotation is appended as it comes.  With it,
+    each qubit holds a pending slot ``[axis, angle, source]``: a rotation
+    about the held axis adds its angle to the slot (left to right, in
+    program order), and anything else on that qubit flushes the slot
+    first.  A flushed slot becomes one rotation by the angle's remainder
+    modulo 2*pi, or nothing when that is within *tolerance* of 0.
+    *source* is the input gate of an unfused slot, reused when it already
+    says exactly that.  Slots left at the end flush in the order they
+    were opened.
+    """
+
+    def __init__(self, out: Circuit, *, merge: bool,
+                 tolerance: float = 1e-12) -> None:
+        self._append = out.append
+        self._merge = merge
+        self._tolerance = tolerance
+        self._pending: dict[int, list] = {}
+
+    def rotation(self, axis: str, qubit: int, angle: float,
+                 source: Gate | None = None) -> None:
+        """A rotation about *axis*; *source* is the input gate saying so."""
+        if not self._merge:
+            self._append(source if source is not None
+                         else Gate(axis, (qubit,), (angle,)))
+            return
+        held = self._pending.get(qubit)
+        if held is not None:
+            if held[0] == axis:
+                held[1] = held[1] + angle
+                held[2] = None
+                return
+            self._flush(qubit)
+        self._pending[qubit] = [axis, angle, source]
+
+    def gate(self, gate: Gate) -> None:
+        """A gate that is not a rotation: it ends its qubits' runs."""
+        pending = self._pending
+        if pending:
+            for qubit in gate.qubits:
+                if qubit in pending:
+                    self._flush(qubit)
+        self._append(gate)
+
+    def finish(self) -> None:
+        """Flush every slot still open."""
+        for qubit in list(self._pending):
+            self._flush(qubit)
+
+    def _flush(self, qubit: int) -> None:
+        axis, angle, source = self._pending.pop(qubit)
+        angle = math.remainder(angle, _TWO_PI)
+        if abs(angle) > self._tolerance:
+            if source is None or angle != source.params[0]:
+                source = Gate(axis, (qubit,), (angle,))
+            self._append(source)
+
+    # -- the CX-level sink, and the source gates ----------------------
+    def one_qubit(self, name: str, qubit: int, *params: float) -> None:
+        """A CX-level single-qubit gate (fixed, ``p`` or ``rz``)."""
+        fixed = _FIXED_ROTATIONS.get(name)
+        if fixed is None:
+            self.rotation("rz", qubit, params[0])
+            return
+        for axis, angle in fixed:
+            self.rotation(axis, qubit, angle)
+
+    def cx(self, control: int, target: int) -> None:
+        """The Molmer-Sorensen CX construction (paper Section IV-B)."""
+        self.rotation("ry", control, _PI / 2)
+        self.gate(Gate("xx", (control, target), (_PI / 4,)))
+        self.rotation("rx", control, _PI / 2)
+        self.rotation("rx", target, _PI / 2)
+        self.rotation("ry", control, -_PI / 2)
+
+    def lower(self, gate: Gate) -> None:
+        """Append *gate* rewritten into the native set."""
+        name = gate.name
+        if name in _ROTATIONS:
+            self.rotation(name, gate.qubits[0], gate.params[0], gate)
+        elif name in _FIXED_ROTATIONS:
+            self.one_qubit(name, gate.qubits[0])
+        elif name == "cx":
+            self.cx(*gate.qubits)
+        elif name in ("xx", "measure", "barrier"):
+            self.gate(gate)
+        elif name == "p":
+            self.rotation("rz", gate.qubits[0], gate.params[0])
+        elif name == "u3":
+            (qubit,) = gate.qubits
+            theta, phi, lam = gate.params
+            self.rotation("rz", qubit, lam)
+            self.rotation("ry", qubit, theta)
+            self.rotation("rz", qubit, phi)
+        else:
+            _rewrite_to_cx(gate, self)
+
+
+def decompose_to_native(circuit: Circuit, *,
+                        merge_rotations: bool = False) -> Circuit:
+    """Rewrite *circuit* into the TILT native gate set {rx, ry, rz, xx}.
+
+    With *merge_rotations* the result is what
+    :func:`merge_adjacent_rotations` makes of it, fused in the same pass.
+    """
     out = Circuit(circuit.num_qubits, f"{circuit.name}_native")
-    for gate in cx_level:
-        if gate.name in ("measure", "barrier", "xx"):
-            out.append(gate)
-        elif gate.name == "cx":
-            out.extend(_cx_to_native(*gate.qubits))
-        elif gate.num_qubits == 1:
-            out.extend(_one_qubit_to_native(gate))
-        else:  # pragma: no cover - defensive
-            raise CompilationError(f"unexpected gate {gate.name!r} after CX pass")
+    writer = _NativeWriter(out, merge=merge_rotations)
+    for gate in circuit:
+        writer.lower(gate)
+    writer.finish()
     return out
 
 
@@ -190,31 +267,11 @@ def merge_adjacent_rotations(circuit: Circuit, *,
     obviously redundant pulses into the fidelity model.
     """
     out = Circuit(circuit.num_qubits, circuit.name)
-    pending: dict[int, Gate] = {}
-
-    def flush(qubit: int) -> None:
-        gate = pending.pop(qubit, None)
-        if gate is None:
-            return
-        angle = math.remainder(gate.params[0], 2 * _PI)
-        if abs(angle) > angle_tolerance:
-            out.append(Gate(gate.name, gate.qubits, (angle,)))
-
+    writer = _NativeWriter(out, merge=True, tolerance=angle_tolerance)
     for gate in circuit:
-        if gate.name in ("rx", "ry", "rz"):
-            (q,) = gate.qubits
-            held = pending.get(q)
-            if held is not None and held.name == gate.name:
-                pending[q] = Gate(
-                    gate.name, gate.qubits, (held.params[0] + gate.params[0],)
-                )
-                continue
-            flush(q)
-            pending[q] = gate
-            continue
-        for q in gate.qubits:
-            flush(q)
-        out.append(gate)
-    for q in list(pending):
-        flush(q)
+        if gate.name in _ROTATIONS:
+            writer.rotation(gate.name, gate.qubits[0], gate.params[0], gate)
+        else:
+            writer.gate(gate)
+    writer.finish()
     return out

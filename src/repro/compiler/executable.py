@@ -101,38 +101,58 @@ class ExecutableProgram:
     def validate(self) -> None:
         """Check the schedule is complete, windowed and dependency-correct.
 
+        One walk over the segments checks each scheduled index names a
+        gate of the circuit, no more than once, under its segment's
+        window, and after every earlier gate on the same qubits; a count
+        at the end finds gates never scheduled.
+
         Raises
         ------
         SchedulingError
-            If a gate is missing/duplicated, lies outside its segment's
-            window, or runs before one of its predecessors.
+            If a gate index is out of range, a gate is missing or
+            duplicated, lies outside its segment's window, or runs before
+            one of its predecessors.
         """
-        scheduled: list[int] = []
+        gates = self.circuit.gates
+        num_gates = len(gates)
+        seen = bytearray(num_gates)
+        last_seen_on_qubit = [-1] * self.circuit.num_qubits
+        scheduled = 0
         for segment in self.segments:
             window = self.device.window(segment.position)
+            low, high = window.start, window.stop
             for gate_index in segment.gate_indices:
-                gate = self.circuit[gate_index]
-                if any(q not in window for q in gate.qubits):
+                if not 0 <= gate_index < num_gates:
                     raise SchedulingError(
-                        f"gate {gate_index} ({gate}) outside window of "
-                        f"position {segment.position}"
+                        f"segment at position {segment.position} names gate "
+                        f"{gate_index}, but the circuit has {num_gates} gates"
                     )
-                scheduled.append(gate_index)
-        if sorted(scheduled) != list(range(len(self.circuit))):
+                if seen[gate_index]:
+                    raise SchedulingError(
+                        "schedule does not cover every gate exactly once"
+                    )
+                seen[gate_index] = 1
+                gate = gates[gate_index]
+                qubits = gate.qubits
+                for qubit in qubits:
+                    if not low <= qubit < high:
+                        raise SchedulingError(
+                            f"gate {gate_index} ({gate}) outside window of "
+                            f"position {segment.position}"
+                        )
+                for qubit in qubits:
+                    previous = last_seen_on_qubit[qubit]
+                    if previous > gate_index:
+                        raise SchedulingError(
+                            f"gate {gate_index} runs after later gate "
+                            f"{previous} on qubit {qubit}"
+                        )
+                    last_seen_on_qubit[qubit] = gate_index
+            scheduled += len(segment.gate_indices)
+        if scheduled != num_gates:
             raise SchedulingError(
                 "schedule does not cover every gate exactly once"
             )
-        last_seen_on_qubit: dict[int, int] = {}
-        for gate_index in scheduled:
-            gate = self.circuit[gate_index]
-            for qubit in gate.qubits:
-                previous = last_seen_on_qubit.get(qubit)
-                if previous is not None and previous > gate_index:
-                    raise SchedulingError(
-                        f"gate {gate_index} runs after later gate {previous} "
-                        f"on qubit {qubit}"
-                    )
-                last_seen_on_qubit[qubit] = gate_index
 
     def summary(self) -> str:
         """Human-readable one-line summary."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.circuits.gate import GATE_SPECS, TWO_QUBIT_GATE_NAMES
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.routing import RoutingResult
 
@@ -63,17 +64,16 @@ def collect_stats(
 ) -> CompileStats:
     """Assemble :class:`CompileStats` from the routing and scheduling outputs."""
     circuit = program.circuit
-    num_two_qubit = circuit.num_two_qubit_gates()
-    num_gates = circuit.num_gates()
-    num_one_qubit = sum(
-        1 for gate in circuit if gate.num_qubits == 1 and gate.is_unitary
-    )
-    num_other = sum(
-        1 for gate in circuit
-        if not gate.is_unitary and gate.name != "barrier"
-    )
+    counts = circuit.count_ops()
+    num_two_qubit = num_one_qubit = 0
+    for name, count in counts.items():
+        if name in TWO_QUBIT_GATE_NAMES:
+            num_two_qubit += count
+        elif GATE_SPECS[name][0] == 1 and name != "measure":
+            num_one_qubit += count
+    num_other = counts.get("measure", 0)
     return CompileStats(
-        num_gates=num_gates,
+        num_gates=len(circuit) - counts.get("barrier", 0),
         num_two_qubit_gates=num_two_qubit,
         num_one_qubit_gates=num_one_qubit,
         num_other_ops=num_other,

@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+# merge_adjacent_rotations is not called here: the lowering fuses in
+# decompose_to_native.  It stays importable from this module, where
+# layer tracers look up the lowering's names.
+from repro.compiler.decompose import (
+    decompose_to_native,
+    merge_adjacent_rotations,
+)
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.layout import QubitMapping
 from repro.compiler.mapping import make_mapper
@@ -78,13 +84,13 @@ def lower_to_native(circuit: Circuit, *, strip_barriers: bool = True,
                     merge_rotations: bool = True) -> Circuit:
     """Lower *circuit* to the TILT native gate set.
 
-    Strips barriers, decomposes every gate to native rotations and MS
-    gates, then fuses adjacent same-axis rotations.  Each toolchain
-    starts from this circuit, so one lowering can feed all of them.
+    Strips barriers, then decomposes every gate to native rotations and
+    MS gates, fusing adjacent same-axis rotations in the same pass.  Each
+    toolchain starts from this circuit, so one lowering can feed all of
+    them.
     """
     working = circuit.without(["barrier"]) if strip_barriers else circuit
-    native = decompose_to_native(working)
-    return merge_adjacent_rotations(native) if merge_rotations else native
+    return decompose_to_native(working, merge_rotations=merge_rotations)
 
 
 @dataclass

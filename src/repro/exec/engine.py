@@ -38,7 +38,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.exceptions import ReproError
 from repro.exec.backends import (
@@ -53,9 +53,12 @@ from repro.exec.backends import (
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import JobResult, JobSpec, spec_key
 from repro.exec.store import RunStore, collect_provenance
-from repro.obs.history import RunLedger, new_record, resolve_ledger
+from repro.obs import HISTORY_ENV_VAR
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullRecorder, TraceRecorder, activate, resolve_trace
+
+if TYPE_CHECKING:
+    from repro.obs.history import RunLedger
 
 __all__ = [
     "EngineStats",
@@ -241,7 +244,13 @@ class ExecutionEngine:
                           | os.PathLike[str] | None = None) -> None:
         self.workers = resolve_workers(workers)
         self.trace = resolve_trace(trace)
-        self.history = resolve_ledger(history)
+        # With history off, the ledger module (and its CLI imports) is
+        # never loaded.
+        self.history: RunLedger | None = None
+        if history is not None or os.environ.get(HISTORY_ENV_VAR, "").strip():
+            from repro.obs.history import resolve_ledger
+
+            self.history = resolve_ledger(history)
         self._history_provenance: dict[str, object] | None = None
         if store is None:
             self.cache: ResultCache | RunStore = ResultCache()
@@ -297,6 +306,8 @@ class ExecutionEngine:
             self._history_provenance = collect_provenance(
                 trace=self.trace.path if self.trace.enabled else None,
             )
+        from repro.obs.history import new_record
+
         record = new_record(
             kind,
             label=label,
@@ -334,7 +345,8 @@ class ExecutionEngine:
         with activate(trace), trace.span(
             "engine.batch", jobs=len(specs), workers=batch_workers,
         ) as batch_span:
-            keys = [spec_key(spec) for spec in specs]
+            circuits: dict[int, bytes] = {}  # each circuit encoded once
+            keys = [spec_key(spec, circuits) for spec in specs]
             results: list[JobResult | None] = [None] * len(specs)
             done = 0
             total = len(specs)

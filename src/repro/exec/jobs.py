@@ -178,11 +178,23 @@ def _dataclass_payload(value: object | None) -> dict[str, Any] | None:
     return payload
 
 
-def spec_key(spec: JobSpec) -> str:
-    """Content hash of a spec: equal keys imply equal execution outcomes."""
-    payload = {
-        "backend": spec.backend,
-        "circuit": _circuit_payload(spec.circuit),
+def _canonical_json(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def spec_key(spec: JobSpec,
+             circuits: dict[int, bytes] | None = None) -> str:
+    """Content hash of a spec: equal keys imply equal execution outcomes.
+
+    The key is the SHA-256 of the spec's canonical JSON.  *circuits*, when
+    given, memoises each circuit's JSON (the bulk of it) by object id;
+    the caller keeps those circuits alive while it holds the memo, as
+    ``ExecutionEngine.run`` does for one batch.  Canonical JSON sorts its
+    keys, and ``"backend"`` < ``"circuit"`` < every other key, so hashing
+    ``{"backend":…,"circuit":``, the circuit, then the rest gives the
+    same key with or without the memo.
+    """
+    rest: dict[str, Any] = {
         "device": _dataclass_payload(spec.device),
         "config": _dataclass_payload(spec.config),
         "noise": _dataclass_payload(spec.noise),
@@ -191,7 +203,7 @@ def spec_key(spec: JobSpec) -> str:
     if spec.shots:
         # Only sampled jobs hash these knobs, so every purely analytic
         # key (and any on-disk cache of one) is unchanged.
-        payload["sampling"] = {
+        rest["sampling"] = {
             "shots": spec.shots,
             "seed": spec.seed,
             "shot_offset": spec.shot_offset,
@@ -202,9 +214,19 @@ def spec_key(spec: JobSpec) -> str:
         # *resolved* scenario is hashed (not just its name), so
         # re-registering a name with different knobs cannot serve stale
         # results from a persistent cache.
-        payload["scenario"] = _dataclass_payload(get_scenario(spec.scenario))
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        rest["scenario"] = _dataclass_payload(get_scenario(spec.scenario))
+    circuit = (None if circuits is None
+               else circuits.get(id(spec.circuit)))
+    if circuit is None:
+        circuit = _canonical_json(
+            _circuit_payload(spec.circuit)).encode("utf-8")
+        if circuits is not None:
+            circuits[id(spec.circuit)] = circuit
+    head = '{"backend":' + _canonical_json(spec.backend) + ',"circuit":'
+    digest = hashlib.sha256(head.encode("utf-8"))
+    digest.update(circuit)
+    digest.update(("," + _canonical_json(rest)[1:]).encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

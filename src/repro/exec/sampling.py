@@ -109,11 +109,12 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         blocks = -(-spec.shots // MIN_SHOTS_PER_SHARD)
         shards = max(1, min(shards, blocks))
     shard_specs = shard_sampling_spec(spec, shards)
+    key = spec_key(spec)
     # Span on the chosen engine's recorder (same thread), so the batch
     # the shards run as nests under this fan-out in the trace; per-shard
     # timing comes from each shard's own job.execute span.
     with chosen.trace.span(
-        "sampling.fanout", spec_key=spec_key(spec), label=spec.label,
+        "sampling.fanout", spec_key=key, label=spec.label,
         shots=spec.shots, shards=len(shard_specs),
     ) as span:
         results = run_jobs(shard_specs, workers=workers, engine=chosen)
@@ -126,7 +127,7 @@ def run_sampled_job(spec: JobSpec, *, shards: int | None = None,
         )
     first = results[0]
     return JobResult(
-        key=spec_key(spec),
+        key=key,
         backend=spec.backend,
         label=spec.label,
         stats=first.stats,

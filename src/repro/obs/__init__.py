@@ -27,55 +27,13 @@ analysis: span tree, per-backend queue/execute breakdown, cache/dedup
 ratios, straggler and critical-path analysis, the per-job resource
 table when profiling was on, and a cross-run diff of two traces
 (``--diff``).
+
+The package re-exports nothing: import from the submodule that owns a
+name, so importing one plane loads no other.
 """
 
-from repro.obs.history import (
-    HISTORY_ENV_VAR,
-    RunLedger,
-    load_ledger,
-    new_record,
-    resolve_ledger,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import (
-    PROFILE_ENV_VAR,
-    JobProfiler,
-    profile_enabled,
-    start_job_profile,
-)
-from repro.obs.trace import (
-    NULL_TRACE,
-    NullRecorder,
-    TRACE_ENV_VAR,
-    TraceRecorder,
-    activate,
-    current_trace,
-    load_records,
-    resolve_trace,
-    worker_recorder,
-)
+#: Environment variable naming the default run ledger for new engines.
+#: It lives here rather than in :mod:`repro.obs.history`, so the engine
+#: can tell whether history is on without importing the ledger.
+HISTORY_ENV_VAR = "TILT_REPRO_HISTORY"
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "HISTORY_ENV_VAR",
-    "Histogram",
-    "JobProfiler",
-    "MetricsRegistry",
-    "NULL_TRACE",
-    "NullRecorder",
-    "PROFILE_ENV_VAR",
-    "RunLedger",
-    "TRACE_ENV_VAR",
-    "TraceRecorder",
-    "activate",
-    "current_trace",
-    "load_ledger",
-    "load_records",
-    "new_record",
-    "profile_enabled",
-    "resolve_ledger",
-    "resolve_trace",
-    "start_job_profile",
-    "worker_recorder",
-]

@@ -43,6 +43,7 @@ import time
 import uuid
 from typing import Any, Iterable
 
+from repro.obs import HISTORY_ENV_VAR
 from repro.obs.jsonl import (
     SEGMENT_SUFFIX,
     append_record,
@@ -60,9 +61,6 @@ __all__ = [
     "new_record",
     "resolve_ledger",
 ]
-
-#: Environment variable naming the default run ledger for new engines.
-HISTORY_ENV_VAR = "TILT_REPRO_HISTORY"
 
 #: Layout marker for ledger records.
 HISTORY_VERSION = 1

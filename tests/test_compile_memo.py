@@ -39,9 +39,9 @@ def counts(monkeypatch):
     linq_compile = LinQCompiler.compile
     qccd_compile = QccdCompiler.compile
 
-    def counting_decompose(circuit):
+    def counting_decompose(circuit, **kwargs):
         seen["lowerings"] += 1
-        return decompose(circuit)
+        return decompose(circuit, **kwargs)
 
     def counting_linq(self, *args, **kwargs):
         seen["linq"] += 1

@@ -2,10 +2,12 @@
 
 A bare ``import repro`` must not load modules that no code path runs
 (``asyncio`` came only with the retired thread-pool backend, ``networkx``
-only with the retired ``CircuitDAG``), and each CLI must start under
+only with the retired ``CircuitDAG``, and the run ledger loads only when
+history is on), and each CLI must start under
 ``-W error::RuntimeWarning``: runpy warns, then runs the module a second
 time as ``__main__``, when a package ``__init__`` already imported the
-module it is asked to run.
+module it is asked to run.  ``setup.py`` must name the package, so
+``pip install -e .`` installs something importable.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_import_repro_loads_no_unused_modules():
     completed = _python("-c", (
         "import sys, repro; "
-        "print(sorted({'asyncio', 'networkx'} & set(sys.modules)))"
+        "print(sorted({'asyncio', 'networkx', 'repro.obs.history'}"
+        " & set(sys.modules)))"
     ))
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]"
@@ -40,12 +43,16 @@ def test_import_repro_loads_no_unused_modules():
 @pytest.mark.parametrize("module", [
     "repro.analysis.search_study",
     "repro.analysis.report",
-    pytest.param("repro.obs.history", marks=pytest.mark.xfail(
-        strict=True,
-        reason="import repro loads the engine, which imports the ledger, "
-               "so runpy finds repro.obs.history in sys.modules",
-    )),
+    "repro.obs.history",
 ])
 def test_cli_starts_without_runtime_warning(module):
     completed = _python("-W", "error::RuntimeWarning", "-m", module, "--help")
     assert completed.returncode == 0, completed.stderr
+
+
+def test_setup_py_names_the_package():
+    from repro.version import __version__
+
+    completed = _python("setup.py", "--name", "--version")
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split()[-2:] == ["repro", __version__]

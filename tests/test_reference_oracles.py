@@ -1,18 +1,26 @@
-"""Differential oracles for the routers and the analytic simulators.
+"""Differential oracles for the compile stages, simulators and spec keys.
 
 The production routers build a gate's lookahead window only when it needs
 a SWAP, score candidates from an index of that window, and (baseline)
 build the routed circuit of the winning trial only.  The simulators read
 Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable`.  The
-references below are the direct forms they replaced — a full-window Eq. 1
-scan for every two-qubit gate, a complete routed circuit per baseline
-trial, and a per-gate ``gate_fidelity`` / ``gate_time_us`` loop — and the
-production results must equal them exactly.
+lowering expands each gate straight to native gates and fuses rotations
+in the same pass; compile stats count in one walk, schedule validation
+checks in one walk, and spec keys encode each circuit once per batch.
+The references below are the direct forms they replaced — a full-window
+Eq. 1 scan for every two-qubit gate, a complete routed circuit per
+baseline trial, a per-gate ``gate_fidelity`` / ``gate_time_us`` loop, a
+three-circuit lowering, four counting walks, a two-walk validation and a
+whole-spec encoding — and the production results must equal them exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -21,8 +29,11 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
+from repro.circuits.gate import GATE_SPECS, Gate
+from repro.compiler.decompose import decompose_to_cx, merge_adjacent_rotations
+from repro.compiler.executable import ExecutableProgram, TapeSegment
 from repro.compiler.layout import QubitMapping
+from repro.compiler.metrics import CompileStats, collect_stats
 from repro.compiler.pipeline import (
     CompilerConfig,
     LinQCompiler,
@@ -35,8 +46,11 @@ from repro.compiler.routing import (
     classify_opposing,
     pending_two_qubit_gates,
 )
+from repro.compiler.schedule import TapeScheduler
 from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
+from repro.exceptions import SchedulingError
+from repro.exec import ExecutionEngine, JobSpec, spec_key
 from repro.noise.fidelity import (
     FidelityTable,
     SuccessRateAccumulator,
@@ -45,7 +59,7 @@ from repro.noise.fidelity import (
 from repro.noise.gate_times import gate_time_us, two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState, quanta_after_moves
 from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import GatePoint, resolve_scenario
+from repro.noise.scenarios import GatePoint, get_scenario, resolve_scenario
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import (
     COOLING_TIME_US,
@@ -55,7 +69,10 @@ from repro.sim.qccd_sim import (
     QccdSimulator,
 )
 from repro.sim.tilt_sim import TiltSimulator
+from repro.workloads.bv import bv_workload
+from repro.workloads.qft import qft_workload
 from repro.workloads.suite import build_workload, standard_suite
+from tests.test_spec_keys import representative_specs
 
 SMALL_SUITE = [spec.name for spec in standard_suite()]
 
@@ -492,3 +509,534 @@ class TestFidelityTable:
         hot = FidelityTable(NoiseParameters.paper_defaults().with_overrides(
             background_heating_rate_per_us=0.01))
         assert calm.fidelity(gate, 0.0) > hot.fidelity(gate, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Lowering references: the three-circuit lowering the streaming pass
+# replaced (a CX-level circuit, a native circuit, then a merged one)
+# ----------------------------------------------------------------------
+def _reference_one_qubit_to_native(gate: Gate):
+    (q,) = gate.qubits
+    name = gate.name
+    if name == "id":
+        return
+    if name in ("rx", "ry", "rz"):
+        yield gate
+        return
+    if name == "x":
+        yield Gate("rx", (q,), (math.pi,))
+    elif name == "y":
+        yield Gate("ry", (q,), (math.pi,))
+    elif name == "z":
+        yield Gate("rz", (q,), (math.pi,))
+    elif name == "h":
+        yield Gate("rz", (q,), (math.pi,))
+        yield Gate("ry", (q,), (math.pi / 2,))
+    elif name == "s":
+        yield Gate("rz", (q,), (math.pi / 2,))
+    elif name == "sdg":
+        yield Gate("rz", (q,), (-math.pi / 2,))
+    elif name == "t":
+        yield Gate("rz", (q,), (math.pi / 4,))
+    elif name == "tdg":
+        yield Gate("rz", (q,), (-math.pi / 4,))
+    elif name == "sx":
+        yield Gate("rx", (q,), (math.pi / 2,))
+    elif name == "p":
+        yield Gate("rz", (q,), (gate.params[0],))
+    elif name == "u3":
+        theta, phi, lam = gate.params
+        yield Gate("rz", (q,), (lam,))
+        yield Gate("ry", (q,), (theta,))
+        yield Gate("rz", (q,), (phi,))
+    else:
+        raise AssertionError(f"no native form for {name!r}")
+
+
+def _reference_cx_to_native(control: int, target: int):
+    yield Gate("ry", (control,), (math.pi / 2,))
+    yield Gate("xx", (control, target), (math.pi / 4,))
+    yield Gate("rx", (control,), (math.pi / 2,))
+    yield Gate("rx", (target,), (math.pi / 2,))
+    yield Gate("ry", (control,), (-math.pi / 2,))
+
+
+def _reference_two_qubit_to_cx(gate: Gate):
+    name = gate.name
+    q1, q2 = gate.qubits
+    if name == "cx":
+        yield gate
+    elif name == "cz":
+        yield Gate("h", (q2,))
+        yield Gate("cx", (q1, q2))
+        yield Gate("h", (q2,))
+    elif name == "swap":
+        yield Gate("cx", (q1, q2))
+        yield Gate("cx", (q2, q1))
+        yield Gate("cx", (q1, q2))
+    elif name == "cp":
+        theta = gate.params[0]
+        yield Gate("p", (q1,), (theta / 2,))
+        yield Gate("cx", (q1, q2))
+        yield Gate("p", (q2,), (-theta / 2,))
+        yield Gate("cx", (q1, q2))
+        yield Gate("p", (q2,), (theta / 2,))
+    elif name == "rzz":
+        theta = gate.params[0]
+        yield Gate("cx", (q1, q2))
+        yield Gate("rz", (q2,), (theta,))
+        yield Gate("cx", (q1, q2))
+    elif name == "rxx":
+        theta = gate.params[0]
+        yield Gate("h", (q1,))
+        yield Gate("h", (q2,))
+        yield Gate("cx", (q1, q2))
+        yield Gate("rz", (q2,), (theta,))
+        yield Gate("cx", (q1, q2))
+        yield Gate("h", (q1,))
+        yield Gate("h", (q2,))
+    elif name == "xx":
+        yield from _reference_two_qubit_to_cx(
+            Gate("rxx", (q1, q2), (-2.0 * gate.params[0],)))
+    else:
+        raise AssertionError(f"no CX form for {name!r}")
+
+
+def _reference_ccx_to_cx(c1: int, c2: int, target: int):
+    yield Gate("h", (target,))
+    yield Gate("cx", (c2, target))
+    yield Gate("tdg", (target,))
+    yield Gate("cx", (c1, target))
+    yield Gate("t", (target,))
+    yield Gate("cx", (c2, target))
+    yield Gate("tdg", (target,))
+    yield Gate("cx", (c1, target))
+    yield Gate("t", (c2,))
+    yield Gate("t", (target,))
+    yield Gate("h", (target,))
+    yield Gate("cx", (c1, c2))
+    yield Gate("t", (c1,))
+    yield Gate("tdg", (c2,))
+    yield Gate("cx", (c1, c2))
+
+
+def reference_decompose_to_cx(circuit: Circuit, *,
+                              keep_xx: bool = False) -> Circuit:
+    out = Circuit(circuit.num_qubits, f"{circuit.name}_cx")
+    for gate in circuit:
+        if gate.name in ("measure", "barrier") or gate.num_qubits == 1:
+            out.append(gate)
+        elif gate.name == "ccx":
+            out.extend(_reference_ccx_to_cx(*gate.qubits))
+        elif gate.name == "xx" and keep_xx:
+            out.append(gate)
+        else:
+            out.extend(_reference_two_qubit_to_cx(gate))
+    return out
+
+
+def reference_decompose_to_native(circuit: Circuit) -> Circuit:
+    """A CX-level circuit, then each of its gates rewritten natively."""
+    out = Circuit(circuit.num_qubits, f"{circuit.name}_native")
+    for gate in reference_decompose_to_cx(circuit, keep_xx=True):
+        if gate.name in ("measure", "barrier", "xx"):
+            out.append(gate)
+        elif gate.name == "cx":
+            out.extend(_reference_cx_to_native(*gate.qubits))
+        else:
+            out.extend(_reference_one_qubit_to_native(gate))
+    return out
+
+
+def reference_merge_adjacent_rotations(circuit: Circuit, *,
+                                       angle_tolerance: float = 1e-12
+                                       ) -> Circuit:
+    """A third circuit, with a new gate for every fused rotation."""
+    out = Circuit(circuit.num_qubits, circuit.name)
+    pending: dict[int, Gate] = {}
+
+    def flush(qubit: int) -> None:
+        gate = pending.pop(qubit, None)
+        if gate is None:
+            return
+        angle = math.remainder(gate.params[0], 2 * math.pi)
+        if abs(angle) > angle_tolerance:
+            out.append(Gate(gate.name, gate.qubits, (angle,)))
+
+    for gate in circuit:
+        if gate.name in ("rx", "ry", "rz"):
+            (q,) = gate.qubits
+            held = pending.get(q)
+            if held is not None and held.name == gate.name:
+                pending[q] = Gate(gate.name, gate.qubits,
+                                  (held.params[0] + gate.params[0],))
+                continue
+            flush(q)
+            pending[q] = gate
+            continue
+        for q in gate.qubits:
+            flush(q)
+        out.append(gate)
+    for q in list(pending):
+        flush(q)
+    return out
+
+
+def reference_lower(circuit: Circuit, *, strip_barriers: bool,
+                    merge_rotations: bool) -> Circuit:
+    working = circuit.without(["barrier"]) if strip_barriers else circuit
+    native = reference_decompose_to_native(working)
+    return (reference_merge_adjacent_rotations(native) if merge_rotations
+            else native)
+
+
+def assert_same_gates(actual: Circuit, expected: Circuit) -> None:
+    """Gate for gate: name, qubits and params (with ``==``, all floats)."""
+    assert actual.name == expected.name
+    assert actual.num_qubits == expected.num_qubits
+    assert len(actual) == len(expected)
+    for index, (got, want) in enumerate(zip(actual, expected)):
+        assert (got.name, got.qubits, got.params) == (
+            want.name, want.qubits, want.params), index
+        assert all(type(param) is float for param in got.params), index
+
+
+#: Angles that fuse to exact multiples of 2*pi, fall under the merge
+#: tolerance, sit on the remainder's boundaries or lie outside
+#: [-pi, pi], so the remainder differs from the angle.
+_SPECIAL_ANGLES = (0.0, 1e-13, math.pi, -math.pi, math.pi / 2,
+                   2 * math.pi, 3 * math.pi / 2, -7.5)
+
+
+@functools.lru_cache(maxsize=None)
+def random_source_circuit(seed: int, num_qubits: int = 5,
+                          num_gates: int = 60) -> Circuit:
+    """Every gate of :data:`GATE_SPECS`, with partial and full barriers."""
+    rng = random.Random(seed)
+    names = sorted(GATE_SPECS)
+    circuit = Circuit(num_qubits, f"source{seed}")
+    for _ in range(num_gates):
+        name = rng.choice(names)
+        arity, num_params = GATE_SPECS[name]
+        if arity < 0:
+            arity = rng.randint(1, num_qubits)
+        params = tuple(rng.choice(_SPECIAL_ANGLES) if rng.random() < 0.3
+                       else rng.uniform(-10.0, 10.0)
+                       for _ in range(num_params))
+        circuit.append(Gate(name, tuple(rng.sample(range(num_qubits),
+                                                   arity)), params))
+    return circuit
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_circuit(name: str, scale: str) -> Circuit:
+    return build_workload(name, scale)
+
+
+LOWERING_SETTINGS = [(strip, merge) for strip in (True, False)
+                     for merge in (True, False)]
+
+#: Every setting at small scale; paper scale under the settings every
+#: toolchain lowers with (the ``lower_to_native`` defaults).
+SUITE_LOWERINGS = ([("small", *setting) for setting in LOWERING_SETTINGS]
+                   + [("paper", True, True)])
+
+RANDOM_SEEDS = range(60)
+
+
+class TestLoweringMatchesReference:
+    @pytest.mark.parametrize("scale,strip_barriers,merge_rotations",
+                             SUITE_LOWERINGS)
+    @pytest.mark.parametrize("name", SMALL_SUITE)
+    def test_suite(self, name, scale, strip_barriers, merge_rotations):
+        circuit = _suite_circuit(name, scale)
+        assert_same_gates(
+            lower_to_native(circuit, strip_barriers=strip_barriers,
+                            merge_rotations=merge_rotations),
+            reference_lower(circuit, strip_barriers=strip_barriers,
+                            merge_rotations=merge_rotations))
+
+    @pytest.mark.parametrize("strip_barriers,merge_rotations",
+                             LOWERING_SETTINGS)
+    def test_random_circuits(self, strip_barriers, merge_rotations):
+        for seed in RANDOM_SEEDS:
+            circuit = random_source_circuit(seed)
+            assert_same_gates(
+                lower_to_native(circuit, strip_barriers=strip_barriers,
+                                merge_rotations=merge_rotations),
+                reference_lower(circuit, strip_barriers=strip_barriers,
+                                merge_rotations=merge_rotations))
+
+    def test_random_circuits_use_every_gate(self):
+        used = set()
+        for seed in RANDOM_SEEDS:
+            used.update(gate.name for gate in random_source_circuit(seed))
+        assert used == set(GATE_SPECS)
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-3, 0.5])
+    def test_merge_adjacent_rotations(self, tolerance):
+        for seed in RANDOM_SEEDS[:30]:
+            native = reference_decompose_to_native(random_source_circuit(seed))
+            assert_same_gates(
+                merge_adjacent_rotations(native, angle_tolerance=tolerance),
+                reference_merge_adjacent_rotations(
+                    native, angle_tolerance=tolerance))
+
+    @pytest.mark.parametrize("keep_xx", [False, True])
+    def test_decompose_to_cx(self, keep_xx):
+        for seed in RANDOM_SEEDS[:30]:
+            circuit = random_source_circuit(seed)
+            assert_same_gates(decompose_to_cx(circuit, keep_xx=keep_xx),
+                              reference_decompose_to_cx(circuit,
+                                                        keep_xx=keep_xx))
+
+
+# ----------------------------------------------------------------------
+# Compile bookkeeping references: counts, depth and schedule validation
+# ----------------------------------------------------------------------
+def reference_depth(circuit: Circuit, *, two_qubit_only: bool = False) -> int:
+    level = [0] * circuit.num_qubits
+    for gate in circuit:
+        if gate.name == "barrier":
+            top = max(level[q] for q in gate.qubits)
+            for q in gate.qubits:
+                level[q] = top
+            continue
+        counts = 0 if (two_qubit_only and not gate.is_two_qubit) else 1
+        top = max(level[q] for q in gate.qubits) + counts
+        for q in gate.qubits:
+            level[q] = top
+    return max(level)
+
+
+def reference_collect_stats(routing: RoutingResult, program) -> CompileStats:
+    """Four counting walks plus :func:`reference_depth`."""
+    circuit = program.circuit
+    return CompileStats(
+        num_gates=sum(1 for gate in circuit if gate.name != "barrier"),
+        num_two_qubit_gates=sum(1 for gate in circuit if gate.is_two_qubit),
+        num_one_qubit_gates=sum(1 for gate in circuit
+                                if gate.num_qubits == 1 and gate.is_unitary),
+        num_other_ops=sum(1 for gate in circuit
+                          if not gate.is_unitary and gate.name != "barrier"),
+        num_swaps=routing.num_swaps,
+        num_opposing_swaps=routing.num_opposing_swaps,
+        opposing_swap_ratio=routing.opposing_swap_ratio,
+        max_swap_span=routing.max_swap_span(),
+        num_moves=program.num_moves,
+        move_distance_ions=program.move_distance_ions,
+        move_distance_um=program.move_distance_um,
+        depth=reference_depth(circuit),
+        time_decompose_s=0.0,
+        time_swap_s=0.0,
+        time_schedule_s=0.0,
+    )
+
+
+def reference_validate(program) -> None:
+    """A window walk, a sorted coverage check, then a dependency walk."""
+    scheduled: list[int] = []
+    for segment in program.segments:
+        window = program.device.window(segment.position)
+        for gate_index in segment.gate_indices:
+            gate = program.circuit[gate_index]
+            if any(q not in window for q in gate.qubits):
+                raise SchedulingError("outside window")
+            scheduled.append(gate_index)
+    if sorted(scheduled) != list(range(len(program.circuit))):
+        raise SchedulingError("not covered exactly once")
+    last_seen_on_qubit: dict[int, int] = {}
+    for gate_index in scheduled:
+        for qubit in program.circuit[gate_index].qubits:
+            previous = last_seen_on_qubit.get(qubit)
+            if previous is not None and previous > gate_index:
+                raise SchedulingError("dependency")
+            last_seen_on_qubit[qubit] = gate_index
+
+
+def _validates(check, program) -> bool:
+    try:
+        check(program)
+    except SchedulingError:
+        return False
+    return True
+
+
+def scheduled_random_program(seed: int, num_qubits: int = 10,
+                             num_gates: int = 120):
+    """A scheduled random circuit with narrow barriers and measures, and
+    its routing.  Every gate fits under the head, so routing inserts no
+    SWAP and the barriers stay narrow."""
+    rng = random.Random(seed)
+    circuit = Circuit(num_qubits, f"scheduled{seed}")
+    for _ in range(num_gates):
+        roll = rng.random()
+        if roll < 0.4:
+            a = rng.randrange(num_qubits - 3)
+            pair = (a, a + rng.randint(1, 3))
+            if rng.random() < 0.5:
+                pair = pair[::-1]
+            circuit.append(Gate("xx", pair, (rng.uniform(-1, 1),)))
+        elif roll < 0.8:
+            circuit.append(Gate(rng.choice(["rx", "ry", "rz"]),
+                                (rng.randrange(num_qubits),),
+                                (rng.uniform(-1, 1),)))
+        elif roll < 0.9:
+            low = rng.randrange(num_qubits - 2)
+            circuit.append(Gate("barrier",
+                                tuple(range(low, low + rng.randint(1, 3)))))
+        else:
+            circuit.append(Gate("measure", (rng.randrange(num_qubits),)))
+    device = TiltDevice(num_qubits=num_qubits, head_size=4)
+    routing = LinqSwapInserter(device).route(circuit)
+    return routing, TapeScheduler(device).schedule(routing.circuit)
+
+
+def _mutated_schedule(program, rng: random.Random):
+    """*program* with one random fault: indices swapped, moved, dropped
+    or duplicated, or a segment moved to another head position."""
+    segments = [list(segment.gate_indices) for segment in program.segments]
+    positions = [segment.position for segment in program.segments]
+    kind = rng.randrange(5)
+    s1, s2 = rng.randrange(len(segments)), rng.randrange(len(segments))
+    i1 = rng.randrange(len(segments[s1]))
+    i2 = rng.randrange(len(segments[s2]))
+    if kind == 0:
+        segments[s1][i1], segments[s2][i2] = segments[s2][i2], segments[s1][i1]
+    elif kind == 1:
+        segments[s2].insert(i2, segments[s1].pop(i1))
+    elif kind == 2:
+        segments[s1].pop(i1)
+    elif kind == 3:
+        segments[s2].insert(i2, segments[s1][i1])
+    else:
+        positions[s1] = rng.choice(program.device.head_positions())
+    return dataclasses.replace(program, segments=[
+        TapeSegment(position, tuple(indices))
+        for position, indices in zip(positions, segments)])
+
+
+class TestCompileBookkeepingMatchesReference:
+    @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
+    def test_suite_stats(self, name):
+        circuit = _oracle_circuit(name)
+        device = _small_device(circuit)
+        config = CompilerConfig(strip_barriers=name != BARRIER_CASE)
+        compiled = LinQCompiler(device, config).compile(circuit)
+        program = compiled.program
+        assert collect_stats(compiled.routing, program, time_decompose_s=0.0,
+                             time_swap_s=0.0, time_schedule_s=0.0
+                             ) == reference_collect_stats(compiled.routing,
+                                                          program)
+        assert _validates(reference_validate, program)
+        program.validate()
+
+    @pytest.mark.parametrize("two_qubit_only", [False, True])
+    def test_depth_of_random_circuits(self, two_qubit_only):
+        for seed in range(100):
+            circuit = random_source_circuit(seed)
+            assert circuit.depth(two_qubit_only=two_qubit_only) == (
+                reference_depth(circuit, two_qubit_only=two_qubit_only))
+
+    def test_random_schedules(self):
+        outcomes = set()
+        for seed in range(20):
+            routing, program = scheduled_random_program(seed)
+            assert collect_stats(routing, program, time_decompose_s=0.0,
+                                 time_swap_s=0.0, time_schedule_s=0.0
+                                 ) == reference_collect_stats(routing, program)
+            assert _validates(reference_validate, program)
+            rng = random.Random(seed)
+            for _ in range(40):
+                mutated = _mutated_schedule(program, rng)
+                expected = _validates(reference_validate, mutated)
+                assert _validates(ExecutableProgram.validate,
+                                  mutated) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+# ----------------------------------------------------------------------
+# Spec keys: the batch memo against the one-payload encoding
+# ----------------------------------------------------------------------
+def _reference_dataclass_payload(value):
+    if value is None:
+        return None
+    payload = dataclasses.asdict(value)
+    payload["__type__"] = type(value).__name__
+    return payload
+
+
+def reference_spec_key(spec: JobSpec) -> str:
+    """The SHA-256 of the whole spec's canonical JSON, encoded at once."""
+    payload = {
+        "backend": spec.backend,
+        "circuit": {
+            "num_qubits": spec.circuit.num_qubits,
+            "name": spec.circuit.name,
+            "gates": [[gate.name, list(gate.qubits), list(gate.params)]
+                      for gate in spec.circuit],
+        },
+        "device": _reference_dataclass_payload(spec.device),
+        "config": _reference_dataclass_payload(spec.config),
+        "noise": _reference_dataclass_payload(spec.noise),
+        "simulate": bool(spec.simulate),
+    }
+    if spec.shots:
+        payload["sampling"] = {"shots": spec.shots, "seed": spec.seed,
+                               "shot_offset": spec.shot_offset}
+    if spec.scenario != "baseline":
+        payload["scenario"] = _reference_dataclass_payload(
+            get_scenario(spec.scenario))
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _repeating_batch() -> list[JobSpec]:
+    """Specs that share circuits across backends, shots and scenarios,
+    with an equal circuit under a second object."""
+    bv, qft = bv_workload(8), qft_workload(6)
+    noise = NoiseParameters.paper_defaults()
+    specs = []
+    for circuit in (bv, qft, bv_workload(8)):
+        n = circuit.num_qubits
+        tilt = TiltDevice(num_qubits=n, head_size=4)
+        specs += [
+            JobSpec(circuit=circuit, device=tilt),
+            JobSpec(circuit=circuit, device=tilt, noise=noise,
+                    config=CompilerConfig(max_swap_len=2)),
+            JobSpec(circuit=circuit, device=tilt, simulate=False),
+            JobSpec(circuit=circuit, device=tilt, shots=64, seed=3),
+            JobSpec(circuit=circuit, device=tilt, shots=32, seed=3,
+                    shot_offset=32, scenario="crosstalk"),
+            JobSpec(circuit=circuit, device=tilt, scenario="leakage"),
+            JobSpec(circuit=circuit,
+                    device=QccdDevice(num_qubits=n, trap_capacity=3),
+                    backend="qccd"),
+            JobSpec(circuit=circuit,
+                    device=IdealTrappedIonDevice(num_qubits=n),
+                    backend="ideal", shots=16),
+        ]
+    return specs
+
+
+class TestSpecKeyMemoMatchesReference:
+    def test_golden_specs(self):
+        for spec in representative_specs().values():
+            expected = reference_spec_key(spec)
+            assert spec_key(spec) == expected
+            assert spec_key(spec, {}) == expected
+
+    def test_batch_repeating_circuits(self):
+        specs = _repeating_batch()
+        circuits: dict[int, bytes] = {}
+        assert [spec_key(spec, circuits) for spec in specs] == [
+            reference_spec_key(spec) for spec in specs]
+        assert len(circuits) == 3  # one encoding per circuit object
+
+    def test_engine_keys(self):
+        specs = [spec for spec in _repeating_batch()
+                 if spec.backend == "ideal"]
+        results = ExecutionEngine(workers=1).run(specs)
+        assert [result.key for result in results] == [
+            reference_spec_key(spec) for spec in specs]

@@ -132,6 +132,17 @@ class TestExecutableProgram:
         with pytest.raises(SchedulingError):
             program.validate()
 
+    @pytest.mark.parametrize("segments,message", [
+        ([TapeSegment(0, (0, 1, 5))], "names gate 5"),
+        ([TapeSegment(0, (0, 1, -1))], "names gate -1"),
+        ([TapeSegment(0, (0, 1)), TapeSegment(1, (1,))], "exactly once"),
+    ])
+    def test_validate_rejects_bad_gate_index(self, tilt8, segments, message):
+        circuit = Circuit(8).cx(0, 1).cx(1, 2)
+        program = ExecutableProgram(circuit, tilt8, segments)
+        with pytest.raises(SchedulingError, match=message):
+            program.validate()
+
     def test_validate_rejects_dependency_violation(self, tilt8):
         circuit = Circuit(8).rz(0.1, 0).rx(0.2, 0)
         program = ExecutableProgram(
