@@ -1,14 +1,10 @@
 """Benchmark of the invariant linter itself.
 
 The lint step is blocking in CI, so its wall time is a developer-facing
-hot path: track whole-repo lint time (parse + tokenize + all five
-per-file rules over ``src``/``tests``/``benchmarks``/``examples``) in
-the regression gate so a rule that goes accidentally quadratic fails
-the build instead of quietly taxing every PR.  The ``--graph`` run is
-tracked as its own group (``lint_graph``): whole-program analysis
-(import graph + call graph + worker-reachable set + RPR006-RPR009) is
-the expensive half, and its natural failure mode — resolution work
-growing superlinearly in project size — deserves a dedicated gate.
+hot path: track whole-repo lint time (parse + tokenize + all nine
+rules over ``src``/``tests``/``benchmarks``/``examples``) in the
+regression gate so a rule that goes accidentally quadratic fails the
+build instead of quietly taxing every PR.
 """
 
 from __future__ import annotations
@@ -30,16 +26,6 @@ def test_lint_whole_repo(benchmark):
     # means the blocking CI lint step is about to fail too
     assert report.active == [], [v.format() for v in report.active]
     assert report.files_scanned > 100
-
-
-def test_lint_whole_repo_graph(benchmark):
-    """Full lint plus the whole-program pass — what CI actually runs."""
-    report = benchmark(lambda: run_lint(_LINT_PATHS, graph=True))
-    assert report.active == [], [v.format() for v in report.active]
-    assert report.graph is not None
-    # the worker-reachable set is the product the graph rules consume;
-    # an empty one here means the analysis silently broke
-    assert "repro.exec.backends.execute_spec" in report.graph.worker_reachable
 
 
 def test_lint_single_rule_overhead(benchmark):

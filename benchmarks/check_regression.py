@@ -47,11 +47,8 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 * ``obs_overhead``      — the engine batch with tracing off, on, and
   with per-job profiling on (``bench_obs.py``): instrumentation must
   stay near-free when off and cheap at every opt-in level;
-* ``lint`` / ``lint_graph`` — the blocking CI lint step, per-file and
-  with the whole-program ``--graph`` pass
-  (``bench_lint.py::test_lint_whole_repo`` /
-  ``::test_lint_whole_repo_graph``): graph construction must not grow
-  superlinearly in project size.
+* ``lint``              — the blocking CI lint step, all nine rules over
+  the repo (``bench_lint.py::test_lint_whole_repo``).
 
 CI machines are not the machine the baseline was recorded on, so raw
 medians are not comparable run to run.  The gate therefore normalises:
@@ -113,8 +110,6 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_stochastic\.py::test_batched_statevector_patterns"),
     ("lint",
      r"bench_lint\.py::test_lint_whole_repo$"),
-    ("lint_graph",
-     r"bench_lint\.py::test_lint_whole_repo_graph"),
     ("obs_overhead",
      r"bench_obs\.py::test_untraced_engine_batch"),
     ("obs_overhead",

@@ -2,10 +2,12 @@
 
 The linter is a small static-analysis framework: every file is parsed
 once into an :mod:`ast` tree plus a comment stream, wrapped in a
-:class:`FileContext`, and handed to each enabled :class:`Rule`.  Rules
-never import or execute the code they inspect — everything is pure AST
-and token analysis, so linting a file with missing optional dependencies
-(or deliberately broken corpus code) is safe.
+:class:`FileContext`, and handed to each enabled :class:`Rule`; after
+the last file, each rule's :meth:`Rule.finish` reports what needs every
+file at once (RPR006's import-cycle ban).  Rules never import or
+execute the code they inspect — everything is pure AST and token
+analysis, so linting a file with missing optional dependencies (or
+deliberately broken corpus code) is safe.
 
 Two comment directives drive the engine:
 
@@ -32,7 +34,7 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Rule id reserved for the linter's own hygiene findings: syntax errors
 #: in scanned files, malformed suppressions, unknown rule ids in a
@@ -51,6 +53,24 @@ _TREAT_AS_RE = re.compile(r"treat-as=(?P<path>\S+)$")
 #: are linted only when named explicitly (as the corpus tests do).
 SKIP_DIR_NAMES = frozenset(
     {"__pycache__", ".git", ".venv", "node_modules", "lint_corpus"}
+)
+
+#: The code a pool worker executes: the paper's toolchain (devices,
+#: circuits, compiler, noise, simulators), the engine's task side, and
+#: the three ``repro.obs`` modules a traced or profiled job touches.
+#: RPR007's ambient-handle check and RPR008 judge every function under
+#: these paths; ``tests/test_lint.py`` checks the list against the files
+#: ``_execute_chunk`` really executes.
+WORKER_PATHS = (
+    "src/repro/arch/",
+    "src/repro/circuits/",
+    "src/repro/compiler/",
+    "src/repro/exec/",
+    "src/repro/noise/",
+    "src/repro/sim/",
+    "src/repro/obs/trace.py",
+    "src/repro/obs/profile.py",
+    "src/repro/obs/jsonl.py",
 )
 
 
@@ -132,7 +152,8 @@ class Rule:
 
     Subclasses set :attr:`rule_id` / :attr:`description`, narrow
     :meth:`applies_to` when they are path-scoped, and yield
-    :class:`Violation` objects from :meth:`check`.
+    :class:`Violation` objects from :meth:`check` (one file) and, when a
+    finding needs every file, from :meth:`finish`.
     """
 
     rule_id: str = ""
@@ -143,6 +164,14 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
         raise NotImplementedError
+
+    def finish(self) -> Iterable[Violation]:
+        """Findings over every file :meth:`check` saw, once per run.
+
+        A rule that keeps state across files resets it here, so one
+        instance can serve several runs.
+        """
+        return ()
 
     def violation(self, ctx: FileContext, node: ast.AST,
                   message: str) -> Violation:
@@ -211,6 +240,116 @@ def canonical_call_name(node: ast.Call,
     if resolved is None:
         return name
     return f"{resolved}.{tail}" if tail else resolved
+
+
+# ----------------------------------------------------------------------
+# Module structure shared by RPR006-RPR009
+# ----------------------------------------------------------------------
+def module_name_for(rel: str) -> str | None:
+    """The dotted module a project-relative path maps to, or ``None``.
+
+    Only ``src/repro/**.py`` files are project modules; ``__init__.py``
+    maps to its package.  Works on the *scoping* path, so a corpus file
+    with ``treat-as=src/repro/exec/backends.py`` becomes that module.
+    """
+    if not rel.startswith("src/") or not rel.endswith(".py"):
+        return None
+    parts = rel[len("src/"):-len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    if not parts or parts[0] != "repro":
+        return None
+    return ".".join(parts)
+
+
+def package_of(module: str) -> str:
+    """Top-level subpackage of a module (``""`` for ``repro`` itself)."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else ""
+
+
+def repro_imports(
+    ctx: FileContext,
+) -> Iterator[tuple[ast.Import | ast.ImportFrom, str]]:
+    """``(statement, module)`` for every import of a ``repro`` module.
+
+    Function-scoped imports are included; a relative ``from`` import is
+    resolved against the module *ctx* scopes as, and ``import a, b``
+    yields one pair per module.
+    """
+    module = module_name_for(ctx.rel) or ""
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                base = module.split(".")
+                # `from . import x` in a plain module resolves against
+                # its package; __init__ modules resolve against themselves
+                if not ctx.rel.endswith("/__init__.py"):
+                    base = base[:-1]
+                base = base[:len(base) - (node.level - 1)]
+                source = ".".join(base + source.split(".")).rstrip(".")
+            targets = [source]
+        else:
+            continue
+        for target in targets:
+            if target == "repro" or target.startswith("repro."):
+                yield node, target
+
+
+def imported_symbols(ctx: FileContext) -> dict[str, tuple[str, str]]:
+    """Local name -> ``(module, name)`` for each ``from repro… import``."""
+    symbols: dict[str, tuple[str, str]] = {}
+    for node, source in repro_imports(ctx):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "*":
+                    symbols[alias.asname or alias.name] = (source,
+                                                           alias.name)
+    return symbols
+
+
+def import_time_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node that runs at import time: all but the bodies of
+    functions and lambdas (whose own nodes are included)."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def module_functions(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """``(qualname, node)`` for top-level functions and the methods of
+    top-level classes; a nested function belongs to its encloser."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    yield f"{stmt.name}.{member.name}", member
+
+
+def module_globals(tree: ast.Module) -> dict[str, ast.expr]:
+    """Module-level assignments: name -> value expression (last wins)."""
+    values: dict[str, ast.expr] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    values[target.id] = stmt.value
+        elif (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+              and isinstance(stmt.target, ast.Name)):
+            values[stmt.target.id] = stmt.value
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -343,12 +482,10 @@ def apply_suppressions(ctx: FileContext,
 class LintReport:
     """Outcome of one lint run: every finding plus scan bookkeeping.
 
-    ``rule_seconds`` is wall time per rule id (plus ``graph_build`` when
-    the whole-program pass ran); ``file_counts`` is per-file
-    active/suppressed totals.  Both feed the JSON ``profile`` section —
-    the report stays byte-deterministic *except* for the timing values.
-    ``graph`` holds the :class:`~repro.devtools.graph.ProjectGraph` when
-    graph rules ran (for ``--graph-json``); it is not serialized here.
+    ``rule_seconds`` is wall time per rule id; ``file_counts`` is
+    per-file active/suppressed totals.  Both feed the JSON ``profile``
+    section — the report stays byte-deterministic *except* for the
+    timing values.
     """
 
     violations: list[Violation] = field(default_factory=list)
@@ -356,7 +493,6 @@ class LintReport:
     rules: tuple[str, ...] = ()
     rule_seconds: dict[str, float] = field(default_factory=dict)
     file_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    graph: Any = None
 
     @property
     def active(self) -> list[Violation]:
@@ -438,31 +574,19 @@ def run_lint(paths: Sequence[str | Path], *,
              rules: Sequence[Rule] | None = None,
              select: Sequence[str] | None = None,
              ignore: Sequence[str] | None = None,
-             root: str | Path | None = None,
-             graph: bool = False) -> LintReport:
+             root: str | Path | None = None) -> LintReport:
     """Lint *paths* with the given (or registered) rule set.
 
     ``select`` keeps only the named rule ids, ``ignore`` drops the named
     ones; :data:`META_RULE` hygiene findings are always reported.
     Unknown ids in either list raise ``ValueError`` so a typo in CI
-    cannot silently disable a gate.
-
-    ``graph=True`` adds the whole-program rules (RPR006-RPR009): after
-    the per-file pass, every scanned file that maps into the ``repro``
-    package joins one :class:`~repro.devtools.graph.ProjectGraph` and
-    each graph rule runs once over it.  Graph findings route through
-    the suppression directives of the file they are anchored in,
-    exactly like per-file findings.  Passing graph rules explicitly via
-    ``rules`` also enables the pass.
+    cannot silently disable a gate.  Findings from :meth:`Rule.finish`
+    route through the suppression directives of the file they are
+    anchored in, exactly like per-file findings.
     """
-    from repro.devtools.rules import all_graph_rules, all_rules
+    from repro.devtools.rules import all_rules
 
-    if rules is not None:
-        chosen = list(rules)
-    else:
-        chosen = all_rules()
-        if graph:
-            chosen.extend(all_graph_rules())
+    chosen = list(rules) if rules is not None else all_rules()
     known = {rule.rule_id for rule in chosen} | {META_RULE}
     for requested in (*(select or ()), *(ignore or ())):
         if requested not in known:
@@ -474,11 +598,6 @@ def run_lint(paths: Sequence[str | Path], *,
         chosen = [rule for rule in chosen if rule.rule_id in set(select)]
     if ignore:
         chosen = [rule for rule in chosen if rule.rule_id not in set(ignore)]
-
-    per_file_rules = [rule for rule in chosen
-                      if not getattr(rule, "requires_graph", False)]
-    graph_rules = [rule for rule in chosen
-                   if getattr(rule, "requires_graph", False)]
 
     report = LintReport(rules=tuple(rule.rule_id for rule in chosen))
     timings = {rule.rule_id: 0.0 for rule in chosen}
@@ -495,7 +614,7 @@ def run_lint(paths: Sequence[str | Path], *,
         report.files_scanned += 1
         contexts[ctx.real_rel] = ctx
         findings: list[Violation] = []
-        for rule in per_file_rules:
+        for rule in chosen:
             if rule.applies_to(ctx):
                 started = time.perf_counter()
                 found = list(rule.check(ctx))
@@ -503,28 +622,14 @@ def run_lint(paths: Sequence[str | Path], *,
                 findings.extend(found)
         report.violations.extend(apply_suppressions(ctx, findings))
 
-    if graph_rules:
-        from repro.devtools.graph import build_graph
-
+    for rule in chosen:
         started = time.perf_counter()
-        project = build_graph(contexts.values())
-        timings["graph_build"] = time.perf_counter() - started
-        report.graph = project
-        for rule in graph_rules:
-            started = time.perf_counter()
-            found = list(rule.check_project(project))
-            timings[rule.rule_id] += time.perf_counter() - started
-            by_path: dict[str, list[Violation]] = {}
-            for violation in found:
-                by_path.setdefault(violation.path, []).append(violation)
-            for vpath in sorted(by_path):
-                anchor_ctx = contexts.get(vpath)
-                if anchor_ctx is not None:
-                    report.violations.extend(
-                        apply_suppressions(anchor_ctx, by_path[vpath])
-                    )
-                else:
-                    report.violations.extend(by_path[vpath])
+        found = list(rule.finish())
+        timings[rule.rule_id] += time.perf_counter() - started
+        for violation in found:
+            report.violations.extend(
+                apply_suppressions(contexts[violation.path], [violation])
+            )
 
     report.rule_seconds = timings
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))

@@ -15,13 +15,6 @@ Exit-code contract (what the CI step keys off):
 * ``2`` — usage error: unknown rule id in ``--select``/``--ignore``,
   or a path that does not exist.
 
-``--graph`` adds the whole-program pass (RPR006-RPR009): the scanned
-``src/repro`` files are joined into one import/call graph, the
-worker-reachable set is computed, and the cross-module rules run over
-it.  ``--graph-json FILE`` (implies ``--graph``) dumps the import
-graph, call graph, import cycles and worker-reachable set as a
-deterministic artifact for CI diffing.
-
 The ``--json`` report is deterministic (no timestamps, sorted
 violations) so two runs on the same tree are byte-identical — except
 the ``profile.rule_seconds`` wall times, which exist precisely to show
@@ -37,7 +30,7 @@ import sys
 from typing import Sequence
 
 from repro.devtools.core import META_RULE, LintReport, run_lint
-from repro.devtools.rules import all_graph_rules, all_rules
+from repro.devtools.rules import all_rules
 
 #: What a bare ``python -m repro.devtools.lint`` lints.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -47,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description="AST-based linter for the repo's architecture "
-                    "invariants (RPR001-RPR005 per file, RPR006-RPR009 "
-                    "whole-program with --graph).",
+                    "invariants (RPR001-RPR009).",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
@@ -66,16 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", dest="json_path",
         help="also write the machine-readable report to FILE "
              "('-' for stdout)",
-    )
-    parser.add_argument(
-        "--graph", action="store_true",
-        help="also run the whole-program rules (RPR006-RPR009) over "
-             "the project import/call graph",
-    )
-    parser.add_argument(
-        "--graph-json", metavar="FILE", dest="graph_json_path",
-        help="write the import graph, call graph and worker-reachable "
-             "set to FILE ('-' for stdout); implies --graph",
     )
     parser.add_argument(
         "--show-suppressed", action="store_true",
@@ -103,8 +85,6 @@ def list_rules() -> str:
              f"unjustified suppressions (always on, never suppressable)"]
     for rule in all_rules():
         lines.append(f"{rule.rule_id}  {rule.description}")
-    for rule in all_graph_rules():
-        lines.append(f"{rule.rule_id}  [--graph] {rule.description}")
     return "\n".join(lines)
 
 
@@ -132,13 +112,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         print(list_rules())
         return 0
-    graph = bool(args.graph or args.graph_json_path)
     try:
         report = run_lint(
             args.paths,
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
-            graph=graph,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
@@ -151,15 +129,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(payload)
         else:
             with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-    if args.graph_json_path and report.graph is not None:
-        payload = json.dumps(report.graph.to_json(), indent=2,
-                             sort_keys=True)
-        if args.graph_json_path == "-":
-            print(payload)
-        else:
-            with open(args.graph_json_path, "w",
-                      encoding="utf-8") as handle:
                 handle.write(payload + "\n")
     return report.exit_code
 

@@ -2,13 +2,11 @@
 
 Each rule lives in its own module and pins one ROADMAP architecture
 invariant; :func:`all_rules` builds a fresh instance list in id order.
-RPR001-RPR005 are per-file; RPR006-RPR009 are whole-program rules over
-the :mod:`repro.devtools.graph` project graph and come from
-:func:`all_graph_rules` (enabled by ``run_lint(..., graph=True)`` /
-``lint --graph``).  Adding a rule = a new module with a
-:class:`~repro.devtools.core.Rule` subclass, an entry here,
-positive/negative corpus files under ``tests/lint_corpus/``, and a row
-in the README rule table.
+Every rule judges one file at a time; RPR006 also bans import cycles
+across files from its :meth:`~repro.devtools.core.Rule.finish` hook.
+Adding a rule = a new module with a :class:`~repro.devtools.core.Rule`
+subclass, an entry here, positive/negative corpus files under
+``tests/lint_corpus/``, and a row in the README rule table.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "SpecKeyStabilityRule",
     "SwallowedExceptionRule",
     "WorkerBoundaryRule",
-    "all_graph_rules",
     "all_rules",
 ]
 
@@ -44,9 +41,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     SpecKeyStabilityRule,
     ScenarioRegistrationRule,
     SwallowedExceptionRule,
-)
-
-_GRAPH_RULE_CLASSES: tuple[type[Rule], ...] = (
     LayeringRule,
     WorkerBoundaryRule,
     SharedStateRule,
@@ -55,10 +49,5 @@ _GRAPH_RULE_CLASSES: tuple[type[Rule], ...] = (
 
 
 def all_rules() -> list[Rule]:
-    """Fresh instances of every per-file rule, in rule-id order."""
+    """Fresh instances of every rule, in rule-id order."""
     return [rule_class() for rule_class in _RULE_CLASSES]
-
-
-def all_graph_rules() -> list[Rule]:
-    """Fresh instances of the whole-program rules, in rule-id order."""
-    return [rule_class() for rule_class in _GRAPH_RULE_CLASSES]

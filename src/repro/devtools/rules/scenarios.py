@@ -3,9 +3,8 @@
 Pool workers re-import the library: a
 :class:`~repro.noise.scenarios.NoiseScenario` registered inside a
 function is invisible to :class:`~repro.exec.backends.ProcessPoolBackend`
-workers (and to any future remote worker), so ``JobSpec(scenario=...)``
-construction fails — or worse, succeeds locally and dies only when the
-batch is sharded.  The ROADMAP invariant: *scenario names must be
+workers, so ``JobSpec(scenario=...)`` construction fails — or worse,
+succeeds locally and dies only when the batch is sharded.  The ROADMAP invariant: *scenario names must be
 registered at import time to be visible in pool workers*.
 
 Two checks, on non-test code (pytest files register transient scenarios
@@ -58,7 +57,7 @@ class ScenarioRegistrationRule(Rule):
                             ctx, inner,
                             f"{_REGISTER}() inside a function runs only "
                             f"in this process; hoist it to module level "
-                            f"so pool/remote workers re-importing the "
+                            f"so pool workers re-importing the "
                             f"module see the scenario",
                         )
 

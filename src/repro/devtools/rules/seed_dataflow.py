@@ -19,8 +19,8 @@ Violations:
 * a **constant** seed (``default_rng(1234)``): every call site shares
   one stream, so sharding silently correlates shots;
 * any **ambient** leaf (module global, imported symbol, anything not
-  rooted in a parameter): the stream depends on process state that a
-  remote worker will not share;
+  rooted in a parameter): the stream depends on process state that
+  another worker process need not share;
 * **module-level** RNG construction: the generator's stream position
   becomes import-order state.
 
@@ -39,17 +39,13 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.devtools.core import (
+    FileContext,
+    Rule,
     Violation,
     canonical_call_name,
     import_aliases,
-)
-from repro.devtools.graph import (
-    MODULE_BODY,
-    FunctionInfo,
-    GraphRule,
-    ModuleInfo,
-    ProjectGraph,
-    _function_body_nodes,
+    import_time_nodes,
+    module_functions,
 )
 
 #: Terminal names of RNG constructors whose seed argument we audit.
@@ -62,11 +58,6 @@ COUNTER_MIX = "mix"
 DERIVED = "derived"
 CONSTANT = "constant"
 AMBIENT = "ambient"
-
-
-def _in_scope(module: ModuleInfo) -> bool:
-    return (module.ctx.in_dir("src/repro/sim/")
-            or module.ctx.is_file("src/repro/exec/sampling.py"))
 
 
 def _name_leaves(expr: ast.expr) -> Iterator[str]:
@@ -97,10 +88,10 @@ def _name_leaves(expr: ast.expr) -> Iterator[str]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _parameters(fn: FunctionInfo) -> set[str]:
+def _parameters(fn: ast.AST) -> set[str]:
     """Parameter names of *fn* and of every function nested in it."""
     params: set[str] = set()
-    for node in _function_body_nodes(fn):
+    for node in ast.walk(fn):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
             continue
@@ -117,12 +108,12 @@ def _parameters(fn: FunctionInfo) -> set[str]:
 class _Dataflow:
     """Flow-insensitive name classification inside one function."""
 
-    def __init__(self, fn: FunctionInfo) -> None:
+    def __init__(self, fn: ast.AST) -> None:
         self.derived: set[str] = _parameters(fn)
         self.constant: set[str] = set()
         # everything else (module globals, imports, unknowns) is ambient
         assignments: list[tuple[ast.expr, ast.expr]] = []
-        for node in _function_body_nodes(fn):
+        for node in ast.walk(fn):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     assignments.append((target, node.value))
@@ -172,7 +163,7 @@ class _Dataflow:
         return CONSTANT
 
 
-class SeedDataflowRule(GraphRule):
+class SeedDataflowRule(Rule):
     rule_id = "RPR009"
     description = (
         "seed dataflow: every mix/default_rng/Random seed argument in "
@@ -181,47 +172,28 @@ class SeedDataflowRule(GraphRule):
         "module state"
     )
 
-    def check_project(self, project: ProjectGraph) -> Iterable[Violation]:
-        for name in sorted(project.modules):
-            module = project.modules[name]
-            if not _in_scope(module):
-                continue
-            aliases = import_aliases(module.ctx.tree)
-            for qualname in sorted(module.functions):
-                fn = module.functions[qualname]
-                yield from self._check_function(module, fn, aliases)
+    def applies_to(self, ctx: FileContext) -> bool:
+        return (ctx.in_dir("src/repro/sim/")
+                or ctx.is_file("src/repro/exec/sampling.py"))
 
-    def _check_function(self, module: ModuleInfo, fn: FunctionInfo,
-                        aliases: dict[str, str]) -> Iterable[Violation]:
-        rng_calls = []
-        for node in _function_body_nodes(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = canonical_call_name(node, aliases)
-            if callee is None:
-                continue
-            terminal = callee.rsplit(".", 1)[-1]
-            if terminal in RNG_CONSTRUCTORS:
-                rng_calls.append((node, callee,
-                                  [*node.args,
-                                   *(kw.value for kw in node.keywords)]))
-            elif terminal == COUNTER_MIX:
-                rng_calls.append((node, callee, [
-                    *node.args[:1],
-                    *(kw.value for kw in node.keywords if kw.arg == "seed"),
-                ]))
-        if not rng_calls:
-            return
-        if fn.qualname == MODULE_BODY:
-            for call, callee, _ in rng_calls:
-                yield self.violation(
-                    module.ctx, call,
-                    f"module-level {callee}(...) makes the stream "
-                    f"position import-order state; construct "
-                    f"generators inside the function that uses them, "
-                    f"seeded from its parameters",
-                )
-            return
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        aliases = import_aliases(ctx.tree)
+        for call, callee, _ in _rng_calls(
+                import_time_nodes(ctx.tree), aliases):
+            yield self.violation(
+                ctx, call,
+                f"module-level {callee}(...) makes the stream position "
+                f"import-order state; construct generators inside the "
+                f"function that uses them, seeded from its parameters",
+            )
+        for qualname, fn in module_functions(ctx.tree):
+            rng_calls = _rng_calls(ast.walk(fn), aliases)
+            if rng_calls:
+                yield from self._check_function(ctx, qualname, fn,
+                                                rng_calls)
+
+    def _check_function(self, ctx: FileContext, qualname: str,
+                        fn: ast.AST, rng_calls: list) -> Iterable[Violation]:
         flow = _Dataflow(fn)
         for call, callee, seed_args in rng_calls:
             if not seed_args:
@@ -229,19 +201,40 @@ class SeedDataflowRule(GraphRule):
             categories = [flow.classify(arg) for arg in seed_args]
             if AMBIENT in categories:
                 yield self.violation(
-                    module.ctx, call,
-                    f"{callee}(...) in {fn.qualname}() is seeded from "
+                    ctx, call,
+                    f"{callee}(...) in {qualname}() is seeded from "
                     f"ambient state (a module global or import, not a "
-                    f"function parameter); a remote worker cannot "
-                    f"reproduce this stream — derive the seed from "
-                    f"parameters, e.g. (seed, shot_index)",
+                    f"function parameter), so the stream follows "
+                    f"process state instead of the spec — derive the "
+                    f"seed from parameters, e.g. (seed, shot_index)",
                 )
             elif DERIVED not in categories:
                 yield self.violation(
-                    module.ctx, call,
-                    f"{callee}(...) in {fn.qualname}() uses a "
+                    ctx, call,
+                    f"{callee}(...) in {qualname}() uses a "
                     f"constant seed: every call site shares one "
                     f"stream, so sharded shots silently correlate; "
                     f"derive the seed from function parameters, e.g. "
                     f"(seed, shot_index)",
                 )
+
+
+def _rng_calls(nodes: Iterable[ast.AST], aliases: dict[str, str]) -> list:
+    """``(call, callee, seed arguments)`` for each audited RNG call."""
+    found = []
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        callee = canonical_call_name(node, aliases)
+        if callee is None:
+            continue
+        terminal = callee.rsplit(".", 1)[-1]
+        if terminal in RNG_CONSTRUCTORS:
+            found.append((node, callee,
+                          [*node.args, *(kw.value for kw in node.keywords)]))
+        elif terminal == COUNTER_MIX:
+            found.append((node, callee, [
+                *node.args[:1],
+                *(kw.value for kw in node.keywords if kw.arg == "seed"),
+            ]))
+    return found

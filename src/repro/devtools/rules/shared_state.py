@@ -1,10 +1,10 @@
 """RPR008 — shared-state hazards: worker code must not write globals.
 
-A module-level mutable global written from worker-reachable code is a
-fork-divergence hazard today (each pool worker mutates its own copy-on-
-write copy, the parent never sees it — or worse, ``fork`` timing makes
-it *look* shared in tests) and a silent wrong answer on N remote
-machines tomorrow.  The sanctioned channels for cross-process state are
+A module-level mutable global written from worker code (any function
+under :data:`~repro.devtools.core.WORKER_PATHS`) is a fork-divergence
+hazard: each pool worker mutates its own copy-on-write copy and the
+parent never sees it — or worse, ``fork`` timing makes it *look* shared
+in tests.  The sanctioned channels for cross-process state are
 architectural, not ad hoc:
 
 * results flow back through the engine cache / ``RunStore`` (instance
@@ -12,21 +12,21 @@ architectural, not ad hoc:
 * worker-side traces flow through the ``worker_recorder`` sidecar files
   (:data:`SANCTIONED_GLOBAL_WRITES` exempts the ``repro.obs.trace``
   registries that *implement* that channel);
-* scenario registration happens at **import time** (the module body
-  pseudo-node is not worker-reachable, so re-import registration in a
-  spawned worker is automatically legal — RPR004 already polices that
-  it stays at import time).
+* scenario registration happens at **import time**: module-level code
+  is not a function, so a worker that re-imports the library repeats
+  it, and RPR004 polices that ``register_scenario`` (whose
+  ``_REGISTRY`` write is sanctioned) is only called there.
 
 Detected write shapes, for globals whose module-level initialiser is a
 mutable container (dict/list/set literal or comprehension, or a
-``dict()``/``list()``/``set()``/``defaultdict()``/… constructor):
+``dict()``/``list()``/``set()``/``defaultdict()``/… constructor), and
+for every name imported from a ``repro`` module (one file cannot see
+another file's initialiser, so an imported name counts as shared):
 
 * rebinding under a ``global`` declaration (``global X; X = …``,
   ``X += …``);
 * item assignment (``X[k] = v``, ``del X[k]``, ``X[k] += v``);
-* mutator method calls (``X.append(…)``, ``X.update(…)``, …);
-* the same shapes through an imported alias
-  (``from repro.noise.scenarios import _REGISTRY; _REGISTRY[k] = v``).
+* mutator method calls (``X.append(…)``, ``X.update(…)``, …).
 
 Names rebound locally without a ``global`` declaration are locals and
 are skipped.
@@ -37,14 +37,16 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.core import Violation, dotted_name
-from repro.devtools.graph import (
-    MODULE_BODY,
-    FunctionInfo,
-    GraphRule,
-    ModuleInfo,
-    ProjectGraph,
-    _function_body_nodes,
+from repro.devtools.core import (
+    WORKER_PATHS,
+    FileContext,
+    Rule,
+    Violation,
+    dotted_name,
+    imported_symbols,
+    module_functions,
+    module_globals,
+    module_name_for,
 )
 
 #: Constructors producing mutable containers.
@@ -66,14 +68,17 @@ MUTATOR_METHODS = frozenset({
 
 #: (module, global) pairs that ARE the sanctioned cross-process
 #: channels: the trace-recorder registries behind ``worker_recorder``,
-#: and the per-process profiling-mode cache (read-mostly memo of an
+#: the per-process profiling-mode cache (read-mostly memo of an
 #: environment variable — each worker caching its own parse is the
-#: intended behaviour, not a divergence hazard).
+#: intended behaviour, not a divergence hazard), and the scenario
+#: registry, written by the import-time ``register_scenario`` calls
+#: RPR004 polices.
 SANCTIONED_GLOBAL_WRITES = frozenset({
     ("repro.obs.trace", "_ACTIVE"),
     ("repro.obs.trace", "_RECORDERS"),
     ("repro.obs.trace", "_WORKER_RECORDERS"),
     ("repro.obs.profile", "_MODE_CACHE"),
+    ("repro.noise.scenarios", "_REGISTRY"),
 })
 
 
@@ -88,14 +93,7 @@ def _is_mutable_initialiser(value: ast.expr) -> bool:
     return False
 
 
-def _mutable_globals(module: ModuleInfo) -> set[str]:
-    return {
-        name for name, value in module.module_globals.items()
-        if _is_mutable_initialiser(value)
-    }
-
-
-def _local_rebinds(fn: FunctionInfo, global_decls: set[str]) -> set[str]:
+def _local_rebinds(fn: ast.AST, global_decls: set[str]) -> set[str]:
     """Names bound as plain locals (no ``global``) inside *fn*."""
     locals_: set[str] = set()
 
@@ -108,7 +106,7 @@ def _local_rebinds(fn: FunctionInfo, global_decls: set[str]) -> set[str]:
         elif isinstance(target, ast.Starred):
             bind(target.value)
 
-    for node in _function_body_nodes(fn):
+    for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 bind(target)
@@ -126,52 +124,46 @@ def _local_rebinds(fn: FunctionInfo, global_decls: set[str]) -> set[str]:
     return locals_ - global_decls
 
 
-class SharedStateRule(GraphRule):
+class SharedStateRule(Rule):
     rule_id = "RPR008"
     description = (
         "shared-state hazards: module-level mutable globals must not "
-        "be written inside worker-reachable functions (route results "
-        "through the engine cache/RunStore, traces through "
-        "worker_recorder sidecars, registration through import time)"
+        "be written inside worker functions (route results through "
+        "the engine cache/RunStore, traces through worker_recorder "
+        "sidecars, registration through import time)"
     )
 
-    def check_project(self, project: ProjectGraph) -> Iterable[Violation]:
-        mutable: dict[str, set[str]] = {
-            name: _mutable_globals(module)
-            for name, module in project.modules.items()
+    def applies_to(self, ctx: FileContext) -> bool:
+        return ctx.in_dir(*WORKER_PATHS)
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        module = module_name_for(ctx.rel)
+        shared: dict[str, tuple[str, str]] = {
+            name: (module, name)
+            for name, value in module_globals(ctx.tree).items()
+            if _is_mutable_initialiser(value)
         }
-        for function_id in sorted(project.worker_reachable):
-            fn = project.functions[function_id]
-            if fn.qualname == MODULE_BODY:
-                continue
-            module = project.modules[fn.module]
-            yield from self._check_function(module, fn, mutable)
+        shared.update(imported_symbols(ctx))
+        for qualname, fn in module_functions(ctx.tree):
+            yield from self._check_function(ctx, qualname, fn, shared)
 
     def _check_function(
-        self, module: ModuleInfo, fn: FunctionInfo,
-        mutable: dict[str, set[str]],
+        self, ctx: FileContext, qualname: str, fn: ast.AST,
+        shared: dict[str, tuple[str, str]],
     ) -> Iterable[Violation]:
         global_decls: set[str] = set()
-        for node in _function_body_nodes(fn):
+        for node in ast.walk(fn):
             if isinstance(node, ast.Global):
                 global_decls.update(node.names)
         local_names = _local_rebinds(fn, global_decls)
 
         def origin(name: str) -> tuple[str, str] | None:
-            """(module, global) a name refers to, if a mutable global."""
-            if name in local_names:
-                return None
-            if name in mutable.get(fn.module, ()):
-                return (fn.module, name)
-            binding = module.symbols.get(name)
-            if (binding is not None and binding[0] == "symbol"
-                    and binding[2] in mutable.get(binding[1], ())):
-                return (binding[1], binding[2])
-            return None
+            """(module, global) a name refers to, if shared state."""
+            return None if name in local_names else shared.get(name)
 
         flagged: set[tuple[str, str, int]] = set()
 
-        def report(node: ast.AST, name: str, owner: tuple[str, str],
+        def report(node: ast.AST, owner: tuple[str, str],
                    how: str) -> Violation | None:
             if owner in SANCTIONED_GLOBAL_WRITES:
                 return None
@@ -181,17 +173,16 @@ class SharedStateRule(GraphRule):
             flagged.add(key)
             owner_module, owner_name = owner
             return self.violation(
-                module.ctx, node,
-                f"worker-reachable function {fn.qualname}() {how} "
-                f"module-level mutable global "
-                f"{owner_module}.{owner_name}: the write stays in the "
-                f"worker process (fork) or machine (remote) and is a "
-                f"shared-state race; return the data and merge it in "
-                f"the parent, or route it through the engine "
-                f"cache/RunStore or a worker_recorder sidecar",
+                ctx, node,
+                f"worker function {qualname}() {how} module-level "
+                f"mutable global {owner_module}.{owner_name}: the write "
+                f"stays in the worker process and is a shared-state "
+                f"race; return the data and merge it in the parent, or "
+                f"route it through the engine cache/RunStore or a "
+                f"worker_recorder sidecar",
             )
 
-        for node in _function_body_nodes(fn):
+        for node in ast.walk(fn):
             found: list[Violation | None] = []
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
@@ -201,15 +192,13 @@ class SharedStateRule(GraphRule):
                             and target.id in global_decls):
                         owner = origin(target.id)
                         if owner is not None:
-                            found.append(report(node, target.id, owner,
-                                                "rebinds"))
+                            found.append(report(node, owner, "rebinds"))
                     elif isinstance(target, ast.Subscript) and \
                             isinstance(target.value, ast.Name):
                         owner = origin(target.value.id)
                         if owner is not None:
                             found.append(report(
-                                node, target.value.id, owner,
-                                "writes an item of"))
+                                node, owner, "writes an item of"))
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) and \
@@ -217,8 +206,7 @@ class SharedStateRule(GraphRule):
                         owner = origin(target.value.id)
                         if owner is not None:
                             found.append(report(
-                                node, target.value.id, owner,
-                                "deletes an item of"))
+                                node, owner, "deletes an item of"))
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr in MUTATOR_METHODS
@@ -226,7 +214,6 @@ class SharedStateRule(GraphRule):
                 owner = origin(node.func.value.id)
                 if owner is not None:
                     found.append(report(
-                        node, node.func.value.id, owner,
-                        f"calls .{node.func.attr}() on",
+                        node, owner, f"calls .{node.func.attr}() on",
                     ))
             yield from (v for v in found if v is not None)

@@ -1,30 +1,28 @@
 """RPR007 — worker-boundary serialization safety.
 
-Everything crossing ``Backend.submit`` must survive pickling today
-(process pool) and JSON/wire serialization tomorrow (``RemoteBackend``).
-Three statically checkable hazards:
+Everything crossing ``Backend.submit`` must survive pickling into a
+process-pool worker.  Three statically checkable hazards:
 
 * **closures over the boundary** — a lambda or locally defined function
   passed to a dispatch call (``pool.submit(...)``,
   ``loop.run_in_executor(...)``, ``Backend.submit``) cannot be pickled
-  by the process pool and can never be shipped to a remote worker; task
-  functions must be module level (that is why ``execute_spec`` and
-  ``_execute_chunk`` live at module scope);
+  by the process pool; task functions must be module level (that is why
+  ``execute_spec`` and ``_execute_chunk`` live at module scope);
 * **non-serializable ``JobSpec`` fields** — every field annotation of a
   spec class (:data:`SPEC_CLASSES`, in ``exec/``) must be built from
   :data:`SERIALIZABLE_ANNOTATIONS`: plain data, or the project
   dataclasses with pinned JSON round trips.  A ``Callable``, file
   object, lock or recorder field would make every spec batch
   unpicklable the day it is populated;
-* **ambient handle capture** — worker-reachable code (see
-  :data:`~repro.devtools.graph.WORKER_ROOTS`) may not read module-level
+* **ambient handle capture** — functions under
+  :data:`~repro.devtools.core.WORKER_PATHS` may not read module-level
   globals holding live OS handles: ``open(...)`` results,
   ``threading.Lock``-family objects, or parent-process
   ``TraceRecorder`` handles (:data:`PARENT_HANDLE_GLOBALS`).  Under
   ``fork`` these are silently shared with the parent (a held lock
   deadlocks, a shared file descriptor interleaves writes); under
-  ``spawn``/remote they simply do not exist.  ``repro.obs.trace`` is
-  the sanctioned channel implementation (workers write private sidecar
+  ``spawn`` they simply do not exist.  ``repro.obs.trace`` is the
+  sanctioned channel implementation (workers write private sidecar
   segments via ``worker_recorder``) and is exempt as a module.
 """
 
@@ -33,17 +31,21 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.core import Violation, dotted_name
-from repro.devtools.graph import (
-    MODULE_BODY,
-    GraphRule,
-    ModuleInfo,
-    ProjectGraph,
-    _function_body_nodes,
+from repro.devtools.core import (
+    WORKER_PATHS,
+    FileContext,
+    Rule,
+    Violation,
+    dotted_name,
+    imported_symbols,
+    import_time_nodes,
+    module_functions,
+    module_globals,
+    module_name_for,
 )
 
 #: Call attributes that hand work (and therefore arguments) to another
-#: process/thread/machine.
+#: process or thread.
 BOUNDARY_CALL_ATTRS = frozenset({"submit", "run_in_executor"})
 
 #: Spec classes whose fields cross the worker boundary by value.
@@ -65,8 +67,7 @@ HANDLE_CONSTRUCTORS = frozenset({
 })
 
 #: (module, global name) pairs that hold *parent-process* trace handles;
-#: worker-reachable code outside the sanctioned channel module must not
-#: touch them.
+#: worker code outside the sanctioned channel module must not touch them.
 PARENT_HANDLE_GLOBALS = frozenset({
     ("repro.obs.trace", "_ACTIVE"),
     ("repro.obs.trace", "_RECORDERS"),
@@ -114,10 +115,10 @@ def _annotation_atoms(node: ast.expr) -> Iterable[str]:
         yield ast.dump(node)
 
 
-def _handle_globals(module: ModuleInfo) -> dict[str, str]:
+def _handle_globals(tree: ast.Module) -> dict[str, str]:
     """Module-level names bound to live handles, with the ctor name."""
     handles: dict[str, str] = {}
-    for name, value in module.module_globals.items():
+    for name, value in module_globals(tree).items():
         if not isinstance(value, ast.Call):
             continue
         ctor = dotted_name(value.func)
@@ -127,29 +128,32 @@ def _handle_globals(module: ModuleInfo) -> dict[str, str]:
     return handles
 
 
-class WorkerBoundaryRule(GraphRule):
+class WorkerBoundaryRule(Rule):
     rule_id = "RPR007"
     description = (
         "worker-boundary serialization safety: no lambdas/closures "
         "submitted to backends, spec-class fields statically "
-        "pickle/JSON-safe, worker-reachable code free of ambient "
+        "pickle/JSON-safe, worker code free of ambient "
         "file/lock/parent-TraceRecorder handles"
     )
 
-    def check_project(self, project: ProjectGraph) -> Iterable[Violation]:
-        for name in sorted(project.modules):
-            module = project.modules[name]
-            yield from self._check_boundary_closures(module)
-            yield from self._check_spec_fields(module)
-        yield from self._check_ambient_handles(project)
+    def applies_to(self, ctx: FileContext) -> bool:
+        return module_name_for(ctx.rel) is not None
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        yield from self._check_boundary_closures(ctx)
+        yield from self._check_spec_fields(ctx)
+        yield from self._check_ambient_handles(ctx)
 
     # ------------------------------------------------------------------
     # (a) lambdas / nested functions handed to dispatch calls
     # ------------------------------------------------------------------
     def _check_boundary_closures(
-            self, module: ModuleInfo) -> Iterable[Violation]:
-        module_level = set(module.functions)
-        for node in ast.walk(module.ctx.tree):
+            self, ctx: FileContext) -> Iterable[Violation]:
+        module_level = {name for name, _ in module_functions(ctx.tree)}
+        # outermost functions: a nested one's calls are judged (once)
+        # with its encloser's, which also sees its nested definitions
+        for node in import_time_nodes(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             nested = {
@@ -172,17 +176,16 @@ class WorkerBoundaryRule(GraphRule):
                             *(kw.value for kw in call.keywords)):
                     if isinstance(arg, ast.Lambda):
                         yield self.violation(
-                            module.ctx, arg,
+                            ctx, arg,
                             f"lambda passed to {attr}() cannot cross "
-                            f"the worker boundary (unpicklable, never "
-                            f"wire-serializable); hoist it to a "
-                            f"module-level function",
+                            f"the worker boundary (unpicklable); hoist "
+                            f"it to a module-level function",
                         )
                     elif (isinstance(arg, ast.Name)
                           and arg.id in nested
                           and arg.id not in module_level):
                         yield self.violation(
-                            module.ctx, arg,
+                            ctx, arg,
                             f"locally defined function {arg.id!r} "
                             f"passed to {attr}() closes over its "
                             f"enclosing frame and cannot cross the "
@@ -193,11 +196,13 @@ class WorkerBoundaryRule(GraphRule):
     # ------------------------------------------------------------------
     # (b) spec-class field annotations
     # ------------------------------------------------------------------
-    def _check_spec_fields(self, module: ModuleInfo) -> Iterable[Violation]:
-        if not module.ctx.in_dir("src/repro/exec/"):
+    def _check_spec_fields(self, ctx: FileContext) -> Iterable[Violation]:
+        if not ctx.in_dir("src/repro/exec/"):
             return
-        for class_name in sorted(SPEC_CLASSES & set(module.classes)):
-            class_node = module.classes[class_name].node
+        for class_node in ctx.tree.body:
+            if not (isinstance(class_node, ast.ClassDef)
+                    and class_node.name in SPEC_CLASSES):
+                continue
             for stmt in class_node.body:
                 if not (isinstance(stmt, ast.AnnAssign)
                         and isinstance(stmt.target, ast.Name)):
@@ -208,9 +213,9 @@ class WorkerBoundaryRule(GraphRule):
                 )
                 if bad:
                     yield self.violation(
-                        module.ctx, stmt,
-                        f"{class_name}.{stmt.target.id} is annotated "
-                        f"with non-serializable type(s) "
+                        ctx, stmt,
+                        f"{class_node.name}.{stmt.target.id} is "
+                        f"annotated with non-serializable type(s) "
                         f"{', '.join(bad)}; spec fields cross the "
                         f"worker boundary by value and must be plain "
                         f"data or a pinned-round-trip project "
@@ -219,51 +224,34 @@ class WorkerBoundaryRule(GraphRule):
                     )
 
     # ------------------------------------------------------------------
-    # (c) ambient handles read by worker-reachable code
+    # (c) ambient handles read by worker code
     # ------------------------------------------------------------------
     def _check_ambient_handles(
-            self, project: ProjectGraph) -> Iterable[Violation]:
-        handle_names: dict[str, dict[str, str]] = {
-            name: _handle_globals(module)
-            for name, module in project.modules.items()
-        }
-        for function_id in sorted(project.worker_reachable):
-            fn = project.functions[function_id]
-            if fn.module in SANCTIONED_CHANNEL_MODULES:
-                continue
-            if fn.qualname == MODULE_BODY:
-                continue
-            module = project.modules[fn.module]
-            own_handles = handle_names.get(fn.module, {})
+            self, ctx: FileContext) -> Iterable[Violation]:
+        module = module_name_for(ctx.rel)
+        if (not ctx.in_dir(*WORKER_PATHS)
+                or module in SANCTIONED_CHANNEL_MODULES):
+            return
+        own_handles = _handle_globals(ctx.tree)
+        symbols = imported_symbols(ctx)
+        for qualname, fn in module_functions(ctx.tree):
             flagged: set[str] = set()
-            for node in _function_body_nodes(fn):
-                if not isinstance(node, ast.Name):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Name) or node.id in flagged:
                     continue
-                if node.id in flagged:
-                    continue
-                origin: tuple[str, str] | None = None
                 if node.id in own_handles:
-                    origin = (own_handles[node.id], fn.module)
+                    kind, where = own_handles[node.id], module
+                elif symbols.get(node.id) in PARENT_HANDLE_GLOBALS:
+                    kind = "parent TraceRecorder registry"
+                    where = symbols[node.id][0]
                 else:
-                    binding = module.symbols.get(node.id)
-                    if (binding is not None and binding[0] == "symbol"
-                            and (binding[1], binding[2])
-                            in PARENT_HANDLE_GLOBALS):
-                        origin = ("parent TraceRecorder registry",
-                                  binding[1])
-                    elif (fn.module, node.id) in PARENT_HANDLE_GLOBALS:
-                        origin = ("parent TraceRecorder registry",
-                                  fn.module)
-                if origin is None:
                     continue
                 flagged.add(node.id)
-                kind, where = origin
                 yield self.violation(
-                    module.ctx, node,
-                    f"worker-reachable function {fn.qualname}() "
-                    f"captures ambient handle {node.id!r} "
-                    f"({kind}, module {where}): fork shares it with "
-                    f"the parent and spawn/remote workers never have "
-                    f"it; take the resource as an argument or route "
-                    f"through the worker_recorder sidecar channel",
+                    ctx, node,
+                    f"worker function {qualname}() captures ambient "
+                    f"handle {node.id!r} ({kind}, module {where}): fork "
+                    f"shares it with the parent and spawn workers never "
+                    f"have it; take the resource as an argument or "
+                    f"route through the worker_recorder sidecar channel",
                 )

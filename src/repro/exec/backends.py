@@ -285,9 +285,7 @@ def execute_spec(spec: JobSpec, key: str | None = None,
             if isinstance(program, CompileResult):
                 stats = program.stats
         if spec.simulate or spec.backend == "ideal":
-            # the annotation types the receiver for the call-graph linter
-            simulator: TiltSimulator | IdealSimulator | QccdSimulator = (
-                _SIMULATORS[spec.backend](spec.device, noise))
+            simulator = _SIMULATORS[spec.backend](spec.device, noise)
             if spec.shots:
                 shot = simulator.run_stochastic(
                     program, shots=spec.shots, seed=spec.seed,

@@ -230,7 +230,9 @@ def run_search(space: SearchSpace, strategy: SearchStrategy, *,
                 # Record the round's plan *before* executing it, so a run
                 # killed mid-round leaves a manifest whose pending_keys
                 # name exactly the unfinished work.
-                submitted_keys.extend(spec_key(spec) for spec in specs)
+                circuits: dict[int, bytes] = {}  # each circuit encoded once
+                submitted_keys.extend(spec_key(spec, circuits)
+                                      for spec in specs)
                 write_manifest("running")
             results = run_jobs(specs, workers=workers, engine=chosen)
             points: list[SearchPoint] = []

@@ -12,7 +12,7 @@ from repro.exec.backends import resolve_backend
 # RPR006: circuits may not import a driver layer
 from repro.analysis.experiments import sweep_records
 
-# RPR006: obs is a leaf reserved for exec/search
+# RPR006: obs is a leaf reserved for exec
 from repro.obs.trace import span
 
 # RPR006: runtime code may never import devtools

@@ -1,8 +1,8 @@
 # repro-lint: treat-as=src/repro/exec/backends.py
 """RPR007 positives: everything that cannot cross the worker boundary.
 
-Impersonates ``repro.exec.backends`` so ``execute_spec`` below is a
-worker root and the ambient-handle check fires on it.
+Impersonates ``repro.exec.backends``, a file under ``WORKER_PATHS``, so
+the ambient-handle check fires on ``execute_spec`` below.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class JobSpec:
 
 
 def execute_spec(spec: JobSpec, key: str) -> JobSpec:
-    # RPR007: worker-reachable code capturing a module-level lock
+    # RPR007: worker code capturing a module-level lock
     with _STATE_LOCK:
         # RPR007: ... and a module-level file handle
         _AUDIT_LOG.write(key)

@@ -1,9 +1,9 @@
 # repro-lint: treat-as=src/repro/exec/backends.py
-"""RPR008 positives: worker-reachable writes to module-level state.
+"""RPR008 positives: worker writes to module-level state.
 
-Impersonates ``repro.exec.backends`` so ``execute_spec`` is a worker
-root; every write below lands in the worker's private copy (fork) or
-machine (remote) and silently diverges from the parent.
+Impersonates ``repro.exec.backends``, a file under ``WORKER_PATHS``;
+every write below lands in the worker's private copy and silently
+diverges from the parent.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ _STATS = dict(executed=0)
 
 
 def _note(key: str) -> None:
-    # RPR008: transitively worker-reachable (called by execute_spec)
+    # RPR008: every function under WORKER_PATHS is worker code
     _STATS.update(executed=_STATS["executed"] + 1)
 
 

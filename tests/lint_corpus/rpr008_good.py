@@ -1,8 +1,8 @@
 # repro-lint: treat-as=src/repro/exec/backends.py
 """RPR008 negatives: state handled through the sanctioned channels.
 
-Registry writes happen at import time (the module body is not a worker
-root — a re-importing worker re-runs them deterministically); worker
+Registry writes happen at import time (module-level code is not a
+function — a re-importing worker re-runs it deterministically); worker
 code builds *local* containers and returns them for the parent to
 merge.
 """

@@ -1,14 +1,13 @@
 # repro-lint: treat-as=src/repro/obs/profile.py
-"""RPR008 sanctioned-channel half: the profiling-mode cache.
+"""RPR008 sanctioned channel: the profiling-mode cache.
 
-Linted together with ``rpr008_profile_driver.py`` (which impersonates
-``repro.exec.backends`` and calls :func:`resolve_mode` from its worker
-root), ``_MODE_CACHE`` becomes a worker-reachable global write — and
-stays clean, because ``("repro.obs.profile", "_MODE_CACHE")`` is on the
-RPR008 sanctioned list: each process memoising its own parse of the
-profiling environment variable is the intended behaviour.  The
-``_LEAK`` write right next to it proves the sanction does not leak —
-it must fire exactly one RPR008 finding.
+``repro.obs.profile`` is under ``WORKER_PATHS`` (a profiled job runs
+it), so ``_MODE_CACHE`` is a worker global write — and stays clean,
+because ``("repro.obs.profile", "_MODE_CACHE")`` is on the RPR008
+sanctioned list: each process memoising its own parse of the profiling
+environment variable is the intended behaviour.  The ``_LEAK`` write
+right next to it proves the sanction does not leak — it must fire
+exactly one RPR008 finding.
 """
 
 from __future__ import annotations

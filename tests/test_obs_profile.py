@@ -9,6 +9,7 @@ jobs are never profiled.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(autouse=True)
 def _profile_env_off(monkeypatch):
     """Each test starts (and ends) with profiling resolved back to off;
-    tests opt in explicitly."""
+    tests opt in explicitly.  The profiler leaves the interpreter-wide
+    allocation tracer running once started, so a test that started it
+    stops it: every later test would otherwise run traced, several
+    times slower."""
     monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
     refresh_mode()
+    was_tracing = tracemalloc.is_tracing()
     yield
     monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
     refresh_mode()
+    if not was_tracing and tracemalloc.is_tracing():
+        tracemalloc.stop()
 
 
 def _specs() -> list[JobSpec]:

@@ -19,7 +19,7 @@ from repro.exec import (
     read_manifest,
     spec_key,
 )
-from repro.exec import backends
+from repro.exec import backends, jobs
 from repro.exec.engine import reset_default_engine
 from repro.exec.jobs import RESULT_SEMANTICS_VERSION, result_to_json
 from repro.noise.parameters import NoiseParameters
@@ -265,6 +265,23 @@ class TestSearchResume:
         assert manifest.pending_keys == []
         assert manifest.backend == "serial"
         assert read_manifest(root).status == "complete"
+
+    def test_durable_round_encodes_each_circuit_once(self, tmp_path,
+                                                     monkeypatch):
+        """A grid round keys its manifest, then its engine batch, with
+        one encoding of the shared circuit each — not one per spec."""
+        encoded = []
+        payload = jobs._circuit_payload
+
+        def counting(circuit):
+            encoded.append(circuit)
+            return payload(circuit)
+
+        monkeypatch.setattr(jobs, "_circuit_payload", counting)
+        result = run_search(_space([7, 6, 5, 4]), GridStrategy(),
+                            store=str(tmp_path / "run"))
+        assert len(result.manifest.spec_keys) == 4
+        assert len(encoded) == 2
 
     def test_resume_skips_exactly_the_completed_jobs(self, tmp_path):
         root = tmp_path / "run"
