@@ -3,8 +3,9 @@
 Tracks the cost of the scenario machinery on top of the PR-1/PR-2 stack:
 the analytic scenario-comparison study (site expansion + the exact burst
 dynamic program for every workload × scenario cell), the throughput of
-correlated-noise stochastic sampling, and the acceptance behaviour that
-baseline scenario keys leave the content-hash cache untouched.
+worst-case and leakage stochastic sampling, and the acceptance
+behaviour that baseline scenario keys leave the content-hash cache
+untouched.
 """
 
 from __future__ import annotations
@@ -84,6 +85,27 @@ def test_correlated_sampling_shots_per_second(benchmark, scale, noise):
     benchmark.extra_info["sampled_success"] = result.shot.success_rate
     benchmark.extra_info["analytic_success"] = (
         result.shot.expected_success_rate
+    )
+
+
+def test_leakage_sampling_shots_per_second(benchmark, scale, noise):
+    """Throughput of leakage sampling: the skip scan plus the per-shot
+    leak rule, where worst-case sampling above takes the per-site loop.
+
+    Each round gets a fresh engine, as above.
+    """
+    spec = _spec(scale, noise, "leakage", shots=BENCH_SHOTS)
+
+    def fresh_engine():
+        return (spec,), {"shards": 1, "engine": ExecutionEngine(workers=1)}
+
+    result = benchmark.pedantic(run_sampled_job, setup=fresh_engine,
+                                rounds=ROUNDS)
+    assert result.shot is not None and result.shot.shots == BENCH_SHOTS
+    assert result.shot.mechanism_counts.get("leakage")
+    benchmark.extra_info["shots"] = BENCH_SHOTS
+    benchmark.extra_info["shots_per_second"] = round(
+        BENCH_SHOTS / benchmark.stats.stats.mean
     )
 
 

@@ -35,9 +35,11 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   phase is the warm, all-cache-hits sweep);
 * ``stochastic_shots``  — Monte-Carlo sampling throughput
   (``bench_stochastic.py::test_serial_shots_per_second``, sampling-only
-  through the vectorized shot kernels, and the correlated-scenario
-  variant in ``bench_scenarios.py``, whose burst-scaled probabilities
-  are a table lookup; both the median of several rounds);
+  through the vectorized shot kernels, and two scenario variants in
+  ``bench_scenarios.py``: worst-case sampling, whose heating bursts take
+  the per-site loop with burst-scaled probabilities read from a table,
+  and leakage sampling, the skip scan plus the per-shot leak rule; each
+  the median of several rounds);
 * ``sampler_sharing``   — a cold 4-shard serial run of a few-shot
   crosstalk job, whose shards share one compile and one built sampler
   (``bench_stochastic.py::test_sharded_sampling_shares_one_sampler``,
@@ -104,6 +106,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_stochastic\.py::test_serial_shots_per_second"),
     ("stochastic_shots",
      r"bench_scenarios\.py::test_correlated_sampling_shots_per_second"),
+    ("stochastic_shots",
+     r"bench_scenarios\.py::test_leakage_sampling_shots_per_second"),
     ("sampler_sharing",
      r"bench_stochastic\.py::test_sharded_sampling_shares_one_sampler"),
     ("statevector_batch",

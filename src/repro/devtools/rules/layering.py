@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
+from pathlib import Path
 from typing import Iterable
 
 from repro.devtools.core import (
@@ -142,9 +143,9 @@ class LayeringRule(Rule):
         modules, self._modules = self._modules, {}
         # each import statement -> the scanned modules it lands on
         lands = {
-            name: [(node, _landing(node, target, modules) - {name})
+            name: [(node, _landing(node, target, modules, ctx.root) - {name})
                    for node, target in imports]
-            for name, (_, imports) in modules.items()
+            for name, (ctx, imports) in modules.items()
         }
         edges = {name: set().union(*(targets for _, targets in found))
                  for name, found in lands.items()}
@@ -165,24 +166,39 @@ class LayeringRule(Rule):
             )
 
 
-def _landing(node: ast.stmt, target: str, modules: dict) -> set[str]:
+def _landing(node: ast.stmt, target: str, modules: dict,
+             root: Path) -> set[str]:
     """The scanned modules one import statement really lands on.
 
     ``from repro.analysis import experiments`` lands on the submodule
     ``repro.analysis.experiments``, not on the package ``__init__``
-    (which would fabricate a cycle out of the standard package layout);
-    any other name, or a plain ``import``, lands on *target* or its
-    nearest scanned ancestor.
+    (which would fabricate a cycle out of the standard package layout).
+    A module that exists under ``root/src`` but was not scanned, as in a
+    lint of part of a package, is a landing that reaches nothing.  Any
+    other name, or a plain ``import``, lands on *target*; a target
+    neither scanned nor on disk lands on its nearest scanned ancestor.
     """
+    def lands_on(module: str) -> set[str] | None:
+        if module in modules:
+            return {module}
+        path = root.joinpath("src", *module.split("."))
+        if (path.with_suffix(".py").is_file()
+                or (path / "__init__.py").is_file()):
+            return set()
+        return None
+
     names = ([alias.name for alias in node.names]
              if isinstance(node, ast.ImportFrom) else [])
-    landed = {f"{target}.{name}" for name in names} & modules.keys()
-    if not names or len(landed) < len(names):
+    submodules = [lands_on(f"{target}.{name}") for name in names]
+    landed = set().union(*(found for found in submodules if found))
+    if names and None not in submodules:
+        return landed
+    found = lands_on(target)
+    if found is None:
         while target and target not in modules:
             target = target.rpartition(".")[0]
-        if target:
-            landed.add(target)
-    return landed
+        found = {target} if target else set()
+    return landed | found
 
 
 def _import_cycles(edges: dict[str, set[str]]) -> list[tuple[str, ...]]:

@@ -47,39 +47,43 @@ class ScenarioRegistrationRule(Rule):
         return not ctx.is_test_code()
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
-        # --- function-nested register_scenario calls -------------------
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(node):
-                    if (isinstance(inner, ast.Call)
-                            and _call_tail(inner) == _REGISTER):
+        # both checks match a call by its name as written
+        if _REGISTER not in ctx.source and _CONSTRUCT not in ctx.source:
+            return
+        # One walk of the tree.  A register_scenario call at function
+        # depth > 0 is flagged; the calls of each module-level statement
+        # outside any def or class body feed the registration check.
+        registered_names: set[str] = set()
+        consumed: set[ast.Call] = set()
+        constructions: list[tuple[ast.Call, str | None]] = []
+        for stmt in ctx.tree.body:
+            module_level = not isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+            stmt_constructs: list[ast.Call] = []
+            registers: list[ast.Call] = []
+            stack: list[tuple[ast.AST, int]] = [(stmt, 0)]
+            while stack:
+                node, depth = stack.pop()
+                if isinstance(node, ast.Call):
+                    tail = _call_tail(node)
+                    if tail == _REGISTER and depth:
                         yield self.violation(
-                            ctx, inner,
+                            ctx, node,
                             f"{_REGISTER}() inside a function runs only "
                             f"in this process; hoist it to module level "
                             f"so pool workers re-importing the "
                             f"module see the scenario",
                         )
-
-        # --- module-level constructions that never get registered ------
-        registered_names: set[str] = set()
-        consumed: set[ast.Call] = set()
-        constructions: list[tuple[ast.Call, str | None]] = []
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                # constructions inside a def/class body are not import-time
-                # registrations; function-nested *register* calls are
-                # already flagged above
-                continue
-            stmt_constructs = [
-                node for node in ast.walk(stmt)
-                if isinstance(node, ast.Call) and _call_tail(node) == _CONSTRUCT
-            ]
-            registers = [
-                node for node in ast.walk(stmt)
-                if isinstance(node, ast.Call) and _call_tail(node) == _REGISTER
-            ]
+                    elif module_level and not depth:
+                        if tail == _REGISTER:
+                            registers.append(node)
+                        elif tail == _CONSTRUCT:
+                            stmt_constructs.append(node)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    depth += 1
+                stack.extend((child, depth)
+                             for child in ast.iter_child_nodes(node))
             if registers:
                 # every construction inside a registering statement flows
                 # into the registry (directly or via compose_scenarios)

@@ -245,8 +245,12 @@ def spec_key(spec: JobSpec,
 #:    before it is stamped 1, including those holding version-3
 #:    semantics, so all of them are recomputed;
 #: 5. counter-based shot randomness (``repro.sim.stochastic.mix``):
-#:    sampled results change, analytic ones do not.
-RESULT_SEMANTICS_VERSION = 5
+#:    sampled results change, analytic ones do not;
+#: 6. crosstalk and leakage timelines are skip-sampled, with leakage as
+#:    a per-shot rule over the triggers: their sampled results change,
+#:    while heating-burst timelines, baseline sampling and every
+#:    analytic result do not.
+RESULT_SEMANTICS_VERSION = 6
 
 
 def result_to_json(result: JobResult) -> dict[str, Any]:

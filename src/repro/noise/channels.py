@@ -69,7 +69,12 @@ BURST_SCALED_KINDS = frozenset({PAULI_1Q, PAULI_2Q, CROSSTALK, LEAKAGE})
 LABEL_KINDS = frozenset({PAULI_1Q, PAULI_2Q, CROSSTALK})
 
 #: Kinds that only appear on correlated (scenario) timelines.  Their
-#: presence switches the sampler to the correlated draw discipline.
+#: presence makes the sampler's expected success rate the scenario's
+#: per-window form (:func:`repro.noise.scenarios.expected_success_rate`).
+#: Trigger sampling keys on :data:`HEATING_BURST` alone: a burst raises
+#: later probabilities, so its timeline draws once per site, while
+#: crosstalk and leakage timelines keep the skip scan (a leak only
+#: removes later triggers).
 CORRELATED_KINDS = frozenset({CROSSTALK, LEAKAGE, HEATING_BURST})
 
 #: Non-identity Pauli labels of the single-qubit depolarizing channel.
@@ -147,6 +152,10 @@ class ErrorSite:
         if not 0.0 <= self.probability <= 1.0:
             raise SimulationError(
                 f"error probability {self.probability} outside [0, 1]"
+            )
+        if self.kind == LEAKAGE and len(self.qubits) != 1:
+            raise SimulationError(
+                f"a leakage site leaks exactly one qubit, got {self.qubits}"
             )
 
 
@@ -226,7 +235,7 @@ class SiteTable:
 
     @property
     def correlated(self) -> bool:
-        """True when any site needs the correlated draw discipline."""
+        """True when any site is of a :data:`CORRELATED_KINDS` kind."""
         return bool(self.correlated_mask.any())
 
     def lookup_labels(self, positions: np.ndarray,

@@ -117,7 +117,7 @@ class NoiseScenario:
             raise SimulationError(
                 "burst_probability > 0 with burst_error_multiplier = 1 is "
                 "silently inert: bursts would trigger (and cost the "
-                "correlated sampling path) without scaling any error"
+                "per-site sampling path) without scaling any error"
             )
 
     # ------------------------------------------------------------------

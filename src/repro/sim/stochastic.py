@@ -15,20 +15,29 @@ Every random number the sampler consumes is a pure function of four
 integers, ``u = mix(seed, shot, stream, counter)``, where *shot* is the
 global shot index and *stream* says what the number decides:
 
-* :data:`TRIGGER_STREAM` — whether sites trigger.  Independent
-  (baseline) sites use inverse-CDF *skip sampling*: draw number ``k``
-  (the counter) jumps straight to the shot's next triggered site through
-  a ``searchsorted`` over the cumulative ``-log1p(-p)`` hazard table, so
-  a shot consumes ``1 + number of triggers`` draws instead of one per
-  site (sites with ``probability >= 1`` trigger without a draw, sites
-  with ``probability == 0`` never).  Correlated (scenario) sites draw
-  once per site, with the site position as the counter.
+* :data:`TRIGGER_STREAM` — whether sites trigger.  Every timeline
+  without a heating burst (baseline, crosstalk, leakage) uses
+  inverse-CDF *skip sampling*: draw number ``k`` (the counter) jumps
+  straight to the shot's next triggered site through a ``searchsorted``
+  over the cumulative ``-log1p(-p)`` hazard table, so a shot consumes
+  ``1 + number of triggers`` draws instead of one per site (sites with
+  ``probability >= 1`` trigger without a draw, sites with
+  ``probability == 0`` never).  A timeline with heating bursts draws
+  once per site, with the site position as the counter, because a fired
+  burst raises the probability of later sites in its window.
 * :data:`LABEL_STREAM` — the label of a triggered site (counter = site
   position), looked up in :data:`~repro.noise.channels.LABEL_TABLE`.
 * :data:`OUTCOME_STREAM` — counts mode's measurement-outcome draw
   (counter 0).
 * :data:`LEAK_STREAM` — counts mode's fair coin for the readout of a
   leaked qubit (counter = qubit).
+
+Leakage is one deterministic rule over each shot's triggers, applied
+after either trigger path: walking the shot in position order, a
+trigger whose site touches a qubit that an earlier surviving leakage
+trigger leaked is dropped.  A leak only removes later triggers, never
+adds one, so every site stays an independent Bernoulli draw and leakage
+timelines keep the skip scan.
 
 :func:`mix` is stateless — two SplitMix64 finalizer rounds over uint64
 arrays, in the spirit of the counter-based generators of Salmon et al.,
@@ -98,7 +107,7 @@ _FMIX_2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SHIFT = np.uint64(56)
 _DOUBLE_SCALE = 2.0 ** -53
 
-#: Correlated trigger draws are made for a block of sites at a time,
+#: Burst timelines draw their triggers a block of sites at a time,
 #: about this many uniforms per block: enough to amortise the per-call
 #: cost of :func:`mix` at small shot counts, few enough that each
 #: transient array stays at half a megabyte.
@@ -507,7 +516,7 @@ class StochasticSampler:
     max_statevector_qubits: int = MAX_STATEVECTOR_QUBITS
     _table: SiteTable = field(init=False, repr=False, compare=False)
     _probabilities: np.ndarray = field(init=False, repr=False)
-    _correlated: bool = field(init=False, repr=False)
+    _bursts: bool = field(init=False, repr=False)
     _expected_success_rate: float = field(init=False, repr=False)
     #: Diagnostics of the most recent :meth:`run`: counts-mode statevector
     #: ``resimulations`` and ``distinct_patterns``.
@@ -516,14 +525,20 @@ class StochasticSampler:
     )
     _scan_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None \
         = field(default=None, init=False, repr=False, compare=False)
+    _kind_cache: tuple[tuple[str, np.ndarray], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _qubit_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._table = SiteTable.from_sites(self.sites)
         self._probabilities = self._table.probabilities
-        # Scenario sites (crosstalk/leakage/bursts) switch trigger
-        # sampling to the correlated per-site draws; plain Eq. 4 sites
-        # keep the skip-sampling scan.
-        self._correlated = self._table.correlated
+        # Only heating bursts need one trigger draw per site: a fired
+        # burst raises later probabilities.  Every other timeline takes
+        # the skip-sampling scan.
+        self._bursts = bool(self._table.burst_mask.any())
         # Computed once: the correlated form runs the per-window burst
         # DP, which is too heavy to redo on every property access.
         self._expected_success_rate = self._compute_expected_success_rate()
@@ -534,7 +549,7 @@ class StochasticSampler:
     def _compute_expected_success_rate(self) -> float:
         if self.expected_rate is not None:
             return self.expected_rate
-        if self._correlated:
+        if self._table.correlated:
             return correlated_expected_success_rate(
                 self.sites, self.burst_multiplier
             )
@@ -581,24 +596,27 @@ class StochasticSampler:
             raise SimulationError("global shot indices must fit in 64 bits")
         shot_indices = np.arange(shot_offset, shot_offset + shots,
                                  dtype=np.uint64)
-        if self._correlated:
-            trigger_shots, trigger_positions, mechanism_counts, \
-                mechanism_shots = self._correlated_triggers(seed,
-                                                            shot_indices)
+        fired = None
+        if self._bursts:
+            trigger_shots, trigger_positions, fired = self._burst_triggers(
+                seed, shot_indices
+            )
         else:
             trigger_shots, trigger_positions = (
                 self._independent_triggers(seed, shot_indices)
             )
-            mechanism_counts, mechanism_shots = self._trigger_telemetry(
-                trigger_shots, trigger_positions
-            )
+        trigger_shots, trigger_positions = self._suppress_leaked(
+            trigger_shots, trigger_positions
+        )
+        mechanism_counts, mechanism_shots = self._trigger_telemetry(
+            trigger_shots, trigger_positions, fired
+        )
         counts_per_shot = np.bincount(trigger_shots, minlength=shots)
-        starts = np.zeros(shots + 1, dtype=np.int64)
-        np.cumsum(counts_per_shot, out=starts[1:])
-        recorded = np.flatnonzero(counts_per_shot)[:max_records]
+        bounds = [0, *np.cumsum(counts_per_shot).tolist()]
+        recorded = np.flatnonzero(counts_per_shot)[:max_records].tolist()
         # triggers are sorted by shot, so the recorded shots' triggers
         # are a prefix of them; counts mode labels every trigger
-        labelled = int(starts[recorded[-1] + 1]) if recorded.size else 0
+        labelled = bounds[recorded[-1] + 1] if recorded else 0
         if sample_counts:
             labelled = trigger_shots.size
         positions = trigger_positions[:labelled]
@@ -610,12 +628,12 @@ class StochasticSampler:
         errors = list(zip(self._table.indices[positions].tolist(), labels))
         records = tuple(
             ShotRecord(shot=shot_offset + shot,
-                       errors=tuple(errors[starts[shot]:starts[shot + 1]]))
-            for shot in recorded.tolist()
+                       errors=tuple(errors[bounds[shot]:bounds[shot + 1]]))
+            for shot in recorded
         )
         self.last_stats = {"resimulations": 0, "distinct_patterns": 0}
         counts = (self._sample_counts(seed, shot_indices, trigger_shots,
-                                      trigger_positions, starts, labels)
+                                      trigger_positions, bounds, labels)
                   if sample_counts else None)
         return ShotResult(
             architecture=self.architecture,
@@ -728,43 +746,23 @@ class StochasticSampler:
                 table[active] = 1.0
         return table[active_counts]
 
-    def _correlated_triggers(
+    def _burst_triggers(
         self, seed: int, shot_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, int], dict[str, int]]:
-        """Correlated-noise sampling, site by site over all shots at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Burst-timeline sampling, site by site over all shots at once.
 
         Site ``p`` triggers where ``mix(seed, shot, TRIGGER_STREAM, p)``
         falls below its probability.  Sites are processed in execution
-        order: a triggered heating burst scales the probability of every
-        later burst-scalable site in its window, and a leaked qubit
-        suppresses every later site whose own qubits touch it (the shot
-        already failed — later gates on the leaked qubit act as
-        identity-with-error).  Crosstalk kicks from a gate with a leaked
-        operand still fire: the laser pulses either way.  Returns
-        lexsorted sparse triggers plus the mechanism telemetry (bursts
-        are counted there, though they are not error events).
+        order, because a fired heating burst scales the probability of
+        every later burst-scalable site in its window.  Returns the
+        lexsorted sparse triggers of the error sites, before the leak
+        rule, and each shot's number of fired bursts (bursts are
+        telemetry, not error events).
         """
         shots = shot_indices.shape[0]
         bursts_active: dict[int, np.ndarray] = {}
-        leaked: dict[int, np.ndarray] = {}
-        mechanism_counts: dict[str, int] = {}
-        kind_masks: dict[str, np.ndarray] = {}
         shot_parts: list[np.ndarray] = []
         position_parts: list[np.ndarray] = []
-
-        def tally(kind: str, triggered: np.ndarray) -> int:
-            total = int(np.count_nonzero(triggered))
-            if total:
-                mechanism_counts[kind] = (
-                    mechanism_counts.get(kind, 0) + total
-                )
-                mask = kind_masks.get(kind)
-                if mask is None:
-                    kind_masks[kind] = triggered.copy()
-                else:
-                    mask |= triggered
-            return total
-
         block = max(1, _DRAW_BLOCK // shots)
         for position, site in enumerate(self.sites):
             if position % block == 0:
@@ -774,7 +772,7 @@ class StochasticSampler:
             draws = rows[position % block]
             if site.kind == HEATING_BURST:
                 triggered = draws < site.probability
-                if tally(HEATING_BURST, triggered):
+                if triggered.any():
                     window = bursts_active.get(site.window)
                     if window is None:
                         window = np.zeros(shots, dtype=np.int64)
@@ -788,55 +786,99 @@ class StochasticSampler:
             else:
                 triggered = draws < self._burst_scaled(site.probability,
                                                        window)
-            suppressed: np.ndarray | None = None
-            for qubit in site.qubits:
-                qubit_leaked = leaked.get(qubit)
-                if qubit_leaked is not None:
-                    suppressed = (qubit_leaked if suppressed is None
-                                  else suppressed | qubit_leaked)
-            if suppressed is not None:
-                triggered = triggered & ~suppressed
-            if site.kind == LEAKAGE:
-                for qubit in site.qubits:
-                    qubit_leaked = leaked.get(qubit)
-                    if qubit_leaked is None:
-                        leaked[qubit] = triggered.copy()
-                    else:
-                        qubit_leaked |= triggered
-            if tally(site.kind, triggered):
-                shots_hit = np.flatnonzero(triggered)
+            shots_hit = np.flatnonzero(triggered)
+            if shots_hit.size:
                 shot_parts.append(shots_hit)
                 position_parts.append(
                     np.full(shots_hit.size, position, dtype=np.int64)
                 )
-        mechanism_shots = {
-            kind: int(np.count_nonzero(mask))
-            for kind, mask in kind_masks.items()
-        }
-        trigger_shots, trigger_positions = _lexsorted(shot_parts,
-                                                      position_parts)
-        return (trigger_shots, trigger_positions, mechanism_counts,
-                mechanism_shots)
+        fired = np.zeros(shots, dtype=np.int64)
+        for window in bursts_active.values():
+            fired += window
+        return (*_lexsorted(shot_parts, position_parts), fired)
+
+    def _site_qubits(self) -> np.ndarray:
+        """Each site's qubits, one row per site padded with -1 (cached)."""
+        cached = self._qubit_cache
+        if cached is None:
+            width = max(len(site.qubits) for site in self.sites)
+            cached = np.array(
+                [site.qubits + (-1,) * (width - len(site.qubits))
+                 for site in self.sites],
+                dtype=np.int64,
+            )
+            self._qubit_cache = cached
+        return cached
+
+    def _suppress_leaked(
+        self, trigger_shots: np.ndarray, trigger_positions: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The per-shot leak rule over lexsorted sparse triggers.
+
+        Walking each shot's triggers in position order, a trigger whose
+        site touches a qubit that an earlier surviving leakage trigger
+        leaked is dropped: the shot already failed, and later gates on
+        the leaked qubit act as identity-with-error.  Crosstalk kicks
+        from a gate with a leaked operand still fire (their site is the
+        spectator ion): the laser pulses either way.  A leakage site
+        leaks its one qubit, so a shot's first leak of each qubit always
+        survives and the walk is one lookup per trigger and qubit.
+        """
+        leaks = self._table.leak_mask[trigger_positions]
+        if not leaks.any():
+            return trigger_shots, trigger_positions
+        qubits = self._site_qubits()
+        stride = int(qubits.max()) + 1
+        # (shot, qubit) keys of the leaks; np.unique keeps each key's
+        # first occurrence, which is its earliest leak in the shot
+        leak_keys, first = np.unique(
+            trigger_shots[leaks] * stride
+            + qubits[trigger_positions[leaks], 0],
+            return_index=True,
+        )
+        leaked_at = trigger_positions[leaks][first]
+        touched = qubits[trigger_positions]
+        probes = trigger_shots[:, None] * stride + touched
+        slots = np.minimum(np.searchsorted(leak_keys, probes),
+                           leak_keys.size - 1)
+        dropped = ((leak_keys[slots] == probes) & (touched >= 0)
+                   & (leaked_at[slots] < trigger_positions[:, None]))
+        keep = ~dropped.any(axis=1)
+        return trigger_shots[keep], trigger_positions[keep]
+
+    def _kind_selectors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """Per error kind in site order, which sites carry it (cached)."""
+        cached = self._kind_cache
+        if cached is None:
+            kinds = np.array(self._table.kinds)
+            cached = tuple(
+                (kind, kinds == kind)
+                for kind in dict.fromkeys(self._table.kinds)
+                if kind != HEATING_BURST
+            )
+            self._kind_cache = cached
+        return cached
 
     def _trigger_telemetry(
         self, trigger_shots: np.ndarray, trigger_positions: np.ndarray,
+        fired: np.ndarray | None,
     ) -> tuple[dict[str, int], dict[str, int]]:
-        """Mechanism telemetry aggregated from sparse triggers."""
+        """Mechanism telemetry aggregated from sparse triggers and each
+        shot's fired bursts."""
         mechanism_counts: dict[str, int] = {}
         mechanism_shots: dict[str, int] = {}
         if trigger_shots.size:
-            site_kinds = self._table.kinds
-            for kind in dict.fromkeys(site_kinds):
-                selector = np.array(
-                    [site_kind == kind for site_kind in site_kinds],
-                    dtype=bool,
-                )[trigger_positions]
+            for kind, sites in self._kind_selectors():
+                selector = sites[trigger_positions]
                 total = int(np.count_nonzero(selector))
                 if total:
                     mechanism_counts[kind] = total
                     mechanism_shots[kind] = int(
                         np.unique(trigger_shots[selector]).size
                     )
+        if fired is not None and fired.any():
+            mechanism_counts[HEATING_BURST] = int(fired.sum())
+            mechanism_shots[HEATING_BURST] = int(np.count_nonzero(fired))
         return mechanism_counts, mechanism_shots
 
     # ------------------------------------------------------------------
@@ -844,7 +886,7 @@ class StochasticSampler:
     # ------------------------------------------------------------------
     def _sample_counts(self, seed: int, shot_indices: np.ndarray,
                        trigger_shots: np.ndarray,
-                       trigger_positions: np.ndarray, starts: np.ndarray,
+                       trigger_positions: np.ndarray, bounds: list[int],
                        labels: list[str]) -> dict[str, int]:
         """The measurement histogram of the sampled shots.
 
@@ -869,7 +911,6 @@ class StochasticSampler:
         # pattern grouping is the one walk over shots
         groups: dict[tuple[Any, Any], list[int]] = {}
         positions = trigger_positions.tolist()
-        bounds = starts.tolist()
         for shot in np.unique(trigger_shots[patterned]).tolist():
             paulis: list[tuple[int, str]] = []
             leaked_at: dict[int, int] = {}

@@ -83,6 +83,14 @@ class TestCorpus:
         report = lint_one(f"{rule_id.lower()}_bad.py", ignore=[rule_id])
         assert report.active == [], [v.format() for v in report.active]
 
+    def test_nested_register_fires_once(self):
+        """A registration nested in two functions is one finding, not
+        one per enclosing function."""
+        report = lint_one("rpr004_nested_bad.py")
+        assert [(v.rule, v.line) for v in report.active] == [
+            ("RPR004", 14)
+        ]
+
     def test_import_cycle_fixture_fires_once(self):
         """The two cycle halves linted together yield one RPR006
         finding, anchored at the alphabetically-smallest member's
@@ -253,6 +261,36 @@ class TestImportCycles:
         report = self._lint(package, convergence, experiments,
                               tmp_path=tmp_path)
         assert report.violations == []
+
+    def test_partial_package_lint_finds_no_cycle(self):
+        """Linting two files of ``repro.analysis``: the submodules they
+        import but the lint did not scan are not the package
+        ``__init__``."""
+        report = run_lint([REPO_ROOT / "src/repro/analysis/__init__.py",
+                           REPO_ROOT / "src/repro/analysis/convergence.py"],
+                          select=["RPR006"])
+        assert report.violations == [], [
+            v.format() for v in report.violations
+        ]
+
+    def test_partial_lint_still_reports_a_real_cycle(self, tmp_path):
+        """An unscanned submodule on disk lands on nothing, while a name
+        the package ``__init__`` defines still lands on the package."""
+        package = tmp_path / "src" / "repro" / "sim"
+        package.mkdir(parents=True)
+        _write(package, "other.py", "VALUE = 1\n")
+        init = _write(package, "__init__.py",
+                      "from repro.sim.a import run\nHELPER = 2\n")
+        a = _write(package, "a.py", "from repro.sim import other\n")
+        assert self._lint(init, a, tmp_path=tmp_path).violations == []
+        _write(package, "a.py", "from repro.sim import other, HELPER\n")
+        report = self._lint(init, a, tmp_path=tmp_path)
+        assert [(v.path, v.line) for v in report.active] == [
+            ("src/repro/sim/__init__.py", 1)
+        ]
+        assert "repro.sim -> repro.sim.a -> repro.sim" in (
+            report.active[0].message
+        )
 
     def test_cycle_through_package_import_anchors_at_import(self, tmp_path):
         """A cycle closed by ``from repro.sim import cyc_b`` is reported

@@ -97,6 +97,14 @@ def representative_specs() -> dict[str, JobSpec]:
             circuit=qft_workload(12), device=tilt, config=config,
             noise=noise, shots=128, seed=7, shot_offset=128,
         ),
+        "sampled_crosstalk_tilt_qft12": JobSpec(
+            circuit=qft_workload(12), device=tilt, config=config,
+            noise=noise, shots=256, seed=7, scenario="crosstalk",
+        ),
+        "sampled_leakage_tilt_qft12": JobSpec(
+            circuit=qft_workload(12), device=tilt, config=config,
+            noise=noise, shots=256, seed=7, scenario="leakage",
+        ),
         "scenario_crosstalk_tilt_bv16": JobSpec(
             circuit=bv_workload(16), device=tilt, config=config,
             noise=noise, scenario="crosstalk",

@@ -23,7 +23,7 @@ from repro.exec import (
 from repro.exec.engine import reset_default_engine
 from repro.noise.channels import (
     BURST_SCALED_KINDS,
-    CORRELATED_KINDS,
+    CROSSTALK,
     HEATING_BURST,
     LABEL_TABLE,
     LEAKAGE,
@@ -134,6 +134,10 @@ class TestChannels:
     def test_two_qubit_labels_cover_15_paulis(self):
         assert len(PAULI_LABELS_2Q) == 15
         assert "II" not in PAULI_LABELS_2Q
+
+    def test_leakage_site_leaks_one_qubit(self):
+        with pytest.raises(SimulationError):
+            ErrorSite(index=0, kind=LEAKAGE, qubits=(0, 1), probability=0.1)
 
     def test_pauli_gates_skip_identity_factors(self):
         site = ErrorSite(index=0, kind="pauli2", qubits=(4, 7),
@@ -421,14 +425,15 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
     """``sampler.run`` one shot at a time with scalar draws.
 
     The differential oracle: the draw definitions of the vectorized
-    sampler (skip-sampling scan or one trigger draw per correlated site,
-    Pauli labels, counts-mode outcome and leak coins, each
-    ``mix(seed, shot, stream, counter)``) executed with plain per-shot
-    control flow and one fresh statevector run per erroneous shot.
+    sampler (skip-sampling scan, or one trigger draw per site when the
+    timeline has heating bursts; Pauli labels, counts-mode outcome and
+    leak coins, each ``mix(seed, shot, stream, counter)``) and its
+    per-shot leak rule, executed with plain per-shot control flow and
+    one fresh statevector run per erroneous shot.
     """
     sites = list(sampler.sites)
     p = np.array([site.probability for site in sites], dtype=float)
-    correlated = any(site.kind in CORRELATED_KINDS for site in sites)
+    bursty = any(site.kind == HEATING_BURST for site in sites)
     scan = np.flatnonzero((p > 0.0) & (p < 1.0))
     hazards = np.cumsum(-np.log1p(-p[scan]))
     n = sampler.num_qubits
@@ -442,16 +447,13 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
         def draw(stream, counter):
             return float(mix(seed, shot, stream, counter)[0])
 
-        triggered, kinds, leaked_at, bursts = [], [], {}, {}
-        if correlated:
+        triggered, bursts = [], {}
+        if bursty:
             for position, site in enumerate(sites):
                 u = draw(TRIGGER_STREAM, position)
                 if site.kind == HEATING_BURST:
                     if u < site.probability:
                         bursts[site.window] = bursts.get(site.window, 0) + 1
-                        kinds.append(HEATING_BURST)
-                    continue
-                if any(qubit in leaked_at for qubit in site.qubits):
                     continue
                 probability = site.probability
                 active = (bursts.get(site.window, 0)
@@ -465,10 +467,6 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
                         probability = 1.0
                 if u < probability:
                     triggered.append(position)
-                    kinds.append(site.kind)
-                    if site.kind == LEAKAGE:
-                        for qubit in site.qubits:
-                            leaked_at.setdefault(qubit, site.index)
         else:
             triggered = np.flatnonzero(p >= 1.0).tolist()
             resume = draws = 0
@@ -482,7 +480,19 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
                 triggered.append(int(scan[jump]))
                 resume = jump + 1
             triggered.sort()
-            kinds = [sites[position].kind for position in triggered]
+        # the leak rule: a leaked qubit silences every later site on it
+        survivors, leaked_at = [], {}
+        for position in triggered:
+            site = sites[position]
+            if any(qubit in leaked_at for qubit in site.qubits):
+                continue
+            survivors.append(position)
+            if site.kind == LEAKAGE:
+                for qubit in site.qubits:
+                    leaked_at.setdefault(qubit, site.index)
+        triggered = survivors
+        kinds = ([HEATING_BURST] * sum(bursts.values())
+                 + [sites[position].kind for position in triggered])
         errors = []
         for position in triggered:
             row = LABEL_TABLE[sites[position].kind]
@@ -577,6 +587,25 @@ def _burst_edge_sampler(multiplier):
                              burst_multiplier=multiplier)
 
 
+def _leak_rule_sampler():
+    """Leaks that silence later sites on their qubit, later leaks of the
+    same qubit among them, beside a spectator kick they leave alone."""
+    sites = [
+        ErrorSite(0, PAULI_2Q, (0, 1), 0.3),
+        ErrorSite(0, LEAKAGE, (0,), 0.3),
+        ErrorSite(0, LEAKAGE, (1,), 0.3),
+        ErrorSite(1, CROSSTALK, (2,), 0.3),
+        ErrorSite(1, PAULI_2Q, (1, 2), 0.3),
+        ErrorSite(1, LEAKAGE, (1,), 0.3),
+        ErrorSite(1, LEAKAGE, (2,), 0.3),
+        ErrorSite(2, PAULI_1Q, (2,), 0.3),
+        ErrorSite(3, MEASURE_FLIP, (0,), 0.3),
+        ErrorSite(3, MEASURE_FLIP, (2,), 0.3),
+    ]
+    return StochasticSampler(architecture="synthetic", circuit_name="leaks",
+                             sites=sites, num_qubits=3)
+
+
 class TestVectorizedReference:
     """The vectorized sampler is pinned bit-identical to
     :func:`reference_run` — the same draws, one shot at a time — across
@@ -631,6 +660,88 @@ class TestVectorizedReference:
             vectorized = sampler.run(300, seed=seed)
             assert vectorized.mechanism_counts.get(LEAKAGE)
             assert vectorized == reference_run(sampler, 300, seed=seed)
+
+    @pytest.mark.parametrize("scenario", ["crosstalk", "leakage"])
+    def test_skip_sampled_scenario_counts_bit_identity(self, scenario, noise):
+        # without bursts the scenario takes the skip scan, then the leak
+        # rule, and counts mode reads the leaked qubits' coins
+        sampler = _qft8_tilt_sampler(noise, scenario=scenario)
+        vectorized = sampler.run(300, seed=5, sample_counts=True)
+        assert vectorized.mechanism_counts.get(scenario)
+        assert vectorized == reference_run(sampler, 300, seed=5,
+                                           sample_counts=True)
+
+    def test_leak_rule_bit_identity(self):
+        sampler = _leak_rule_sampler()
+        for seed in (5, 2021):
+            vectorized = sampler.run(400, seed=seed)
+            raw, _ = sampler._independent_triggers(
+                seed, np.arange(400, dtype=np.uint64)
+            )
+            assert sum(vectorized.errors_per_shot) < raw.size
+            assert vectorized == reference_run(sampler, 400, seed=seed)
+
+    def test_leakage_reference_shards_merge_into_the_serial_run(
+            self, qft16_compiled, noise):
+        device, compiled = qft16_compiled
+        simulator = TiltSimulator(device, noise)
+        sampler = simulator.build_sampler(compiled, scenario="leakage")
+        serial = sampler.run(600, seed=11)
+        assert serial.mechanism_counts.get(LEAKAGE)
+        shards = [
+            reference_run(sampler, width, seed=11, shot_offset=offset)
+            for offset, width in ((0, 250), (250, 100), (350, 250))
+        ]
+        assert merge_shot_results(shards) == serial
+
+    @pytest.mark.parametrize("scenario", ["crosstalk", "leakage"])
+    def test_qccd_and_ideal_scenario_bit_identity(self, scenario, noise):
+        qccd_device = QccdDevice(num_qubits=8, trap_capacity=4)
+        program = QccdCompiler(qccd_device).compile(qft_workload(8))
+        ideal_device = IdealTrappedIonDevice(num_qubits=8)
+        samplers = [
+            QccdSimulator(qccd_device, noise).build_sampler(
+                program, circuit_name="qft", scenario=scenario),
+            IdealSimulator(ideal_device, noise).build_sampler(
+                qft_workload(8), scenario=scenario),
+        ]
+        for sampler in samplers:
+            vectorized = sampler.run(400, seed=13)
+            assert vectorized.mechanism_counts
+            assert vectorized == reference_run(sampler, 400, seed=13)
+
+    @pytest.mark.parametrize("scenario", ["crosstalk", "leakage"])
+    def test_skip_sampled_scenarios_draw_per_trigger(
+            self, scenario, qft16_compiled, noise, monkeypatch):
+        # one trigger uniform per shot plus one per scan trigger (the
+        # scan's triggers, before the leak rule drops any), not one per
+        # site per shot
+        from repro.sim import stochastic
+
+        drawn, scanned = [0], [0]
+
+        def counting_mix(seed, shot, stream, counter):
+            uniforms = mix(seed, shot, stream, counter)
+            if stream == TRIGGER_STREAM:
+                drawn[0] += uniforms.size
+            return uniforms
+
+        scan = StochasticSampler._independent_triggers
+
+        def counting_scan(self, seed, shot_indices):
+            triggers = scan(self, seed, shot_indices)
+            scanned[0] += triggers[0].size
+            return triggers
+
+        monkeypatch.setattr(stochastic, "mix", counting_mix)
+        monkeypatch.setattr(StochasticSampler, "_independent_triggers",
+                            counting_scan)
+        device, compiled = qft16_compiled
+        result = TiltSimulator(device, noise).run_stochastic(
+            compiled, shots=4096, seed=2021, scenario=scenario
+        )
+        assert sum(result.errors_per_shot) <= scanned[0]
+        assert 4096 < drawn[0] <= 4096 + scanned[0]
 
     def test_ideal_backend_bit_identity(self, noise):
         device = IdealTrappedIonDevice(num_qubits=6)
