@@ -105,6 +105,16 @@ def representative_specs() -> dict[str, JobSpec]:
             circuit=qft_workload(12), device=tilt, config=config,
             noise=noise, shots=256, seed=7, scenario="leakage",
         ),
+        "sampled_heating_burst_tilt_qft12": JobSpec(
+            circuit=qft_workload(12), device=tilt, config=config,
+            noise=noise, shots=256, seed=7, scenario="heating_burst",
+        ),
+        "sampled_worst_case_qccd_qft12": JobSpec(
+            circuit=qft_workload(12),
+            device=QccdDevice(num_qubits=12, trap_capacity=5),
+            backend="qccd", noise=noise, shots=256, seed=7,
+            scenario="worst_case",
+        ),
         "scenario_crosstalk_tilt_bv16": JobSpec(
             circuit=bv_workload(16), device=tilt, config=config,
             noise=noise, scenario="crosstalk",
