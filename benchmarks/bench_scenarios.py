@@ -89,8 +89,8 @@ def test_correlated_sampling_shots_per_second(benchmark, scale, noise):
 
 
 def test_leakage_sampling_shots_per_second(benchmark, scale, noise):
-    """Throughput of leakage sampling: the skip scan plus the per-shot
-    leak rule, where worst-case sampling above takes the per-site loop.
+    """Throughput of leakage sampling: one scan group plus the per-shot
+    leak rule, where worst-case sampling above also climbs burst rows.
 
     Each round gets a fresh engine, as above.
     """

@@ -36,10 +36,10 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 * ``stochastic_shots``  — Monte-Carlo sampling throughput
   (``bench_stochastic.py::test_serial_shots_per_second``, sampling-only
   through the vectorized shot kernels, and two scenario variants in
-  ``bench_scenarios.py``: worst-case sampling, whose heating bursts take
-  the per-site loop with burst-scaled probabilities read from a table,
-  and leakage sampling, the skip scan plus the per-shot leak rule; each
-  the median of several rounds);
+  ``bench_scenarios.py``: worst-case sampling, whose heating bursts move
+  shots between the skip scan's per-window hazard rows, and leakage
+  sampling, the skip scan plus the per-shot leak rule; each the median
+  of several rounds);
 * ``sampler_sharing``   — a cold 4-shard serial run of a few-shot
   crosstalk job, whose shards share one compile and one built sampler
   (``bench_stochastic.py::test_sharded_sampling_shares_one_sampler``,

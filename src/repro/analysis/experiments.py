@@ -3,8 +3,8 @@
 Every driver takes a ``scale`` argument:
 
 * ``"paper"`` — the exact workload sizes of the paper (64/78-qubit circuits,
-  head sizes 16 and 32).  A full paper-scale run of every experiment takes a
-  few minutes of pure-Python compilation.
+  head sizes 16 and 32).  A full paper-scale run of every experiment takes
+  several seconds, most of it pure-Python compilation.
 * ``"small"`` — the same circuit families at roughly one quarter of the
   width (16/20 qubits, head sizes 4 and 8), preserving the head/chain ratio
   so every qualitative effect survives.  This is the default for the test

@@ -249,8 +249,12 @@ def spec_key(spec: JobSpec,
 #: 6. crosstalk and leakage timelines are skip-sampled, with leakage as
 #:    a per-shot rule over the triggers: their sampled results change,
 #:    while heating-burst timelines, baseline sampling and every
-#:    analytic result do not.
-RESULT_SEMANTICS_VERSION = 6
+#:    analytic result do not;
+#: 7. heating-burst timelines take the skip scan too, one scan group
+#:    per burst-coupling window and one hazard row per active-burst
+#:    count: their sampled results change, while every timeline without
+#:    a burst and every analytic result do not.
+RESULT_SEMANTICS_VERSION = 7
 
 
 def result_to_json(result: JobResult) -> dict[str, Any]:

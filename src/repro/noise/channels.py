@@ -71,10 +71,9 @@ LABEL_KINDS = frozenset({PAULI_1Q, PAULI_2Q, CROSSTALK})
 #: Kinds that only appear on correlated (scenario) timelines.  Their
 #: presence makes the sampler's expected success rate the scenario's
 #: per-window form (:func:`repro.noise.scenarios.expected_success_rate`).
-#: Trigger sampling keys on :data:`HEATING_BURST` alone: a burst raises
-#: later probabilities, so its timeline draws once per site, while
-#: crosstalk and leakage timelines keep the skip scan (a leak only
-#: removes later triggers).
+#: Every timeline takes the sampler's skip scan; a :data:`HEATING_BURST`
+#: site splits it into one scan group per window with one hazard row per
+#: active-burst count, and leakage is a per-shot rule over the triggers.
 CORRELATED_KINDS = frozenset({CROSSTALK, LEAKAGE, HEATING_BURST})
 
 #: Non-identity Pauli labels of the single-qubit depolarizing channel.

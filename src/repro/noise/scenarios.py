@@ -47,7 +47,6 @@ from repro.noise.channels import (
     LEAKAGE,
     MEASURE_FLIP,
     ErrorSite,
-    SiteTable,
     error_site_for_gate,
 )
 
@@ -116,8 +115,8 @@ class NoiseScenario:
         if self.burst_probability > 0.0 and self.burst_error_multiplier == 1.0:
             raise SimulationError(
                 "burst_probability > 0 with burst_error_multiplier = 1 is "
-                "silently inert: bursts would trigger (and cost the "
-                "per-site sampling path) without scaling any error"
+                "silently inert: bursts would fire (each costing the "
+                "sampler a draw) without scaling any error"
             )
 
     # ------------------------------------------------------------------
@@ -385,18 +384,6 @@ def build_scenario_sites(points: Sequence[TimelinePoint],
                     probability=rate, window=point.window,
                 ))
     return sites
-
-
-def scenario_site_table(points: Sequence[TimelinePoint],
-                        scenario: NoiseScenario) -> SiteTable:
-    """Columnar :class:`~repro.noise.channels.SiteTable` of a timeline.
-
-    The array form of :func:`build_scenario_sites` — per-site
-    probability/window/kind-mask columns in the same execution order —
-    for analytics or sampling code that wants vectorized access to a
-    scenario's site probabilities without re-walking the object list.
-    """
-    return SiteTable.from_sites(build_scenario_sites(points, scenario))
 
 
 # ----------------------------------------------------------------------

@@ -116,7 +116,6 @@ class IdealSimulator:
 
     def build_sampler(self, circuit: Circuit, *,
                       native: Circuit | None = None,
-                      analytic: SimulationResult | None = None,
                       scenario: NoiseScenario | str | None = None,
                       ) -> StochasticSampler:
         """The :class:`StochasticSampler` of *circuit* on the ideal device.
@@ -137,17 +136,15 @@ class IdealSimulator:
                 site = error_site_for_gate(index, gate, fidelity)
                 if site is not None:
                     sites.append(site)
-            if analytic is None:
-                analytic = self._result_from_native(circuit.name, native)
+            analytic = self._result_from_native(circuit.name, native)
         else:
             sites = build_scenario_sites(
                 self.scenario_points(native, scenario), scenario
             )
             analytics = scenario_analytics(sites, scenario)
             expected_rate = analytics.success_rate
-            if analytic is None:
-                base = self._result_from_native(circuit.name, native)
-                analytic = analytics.apply_to(base)
+            base = self._result_from_native(circuit.name, native)
+            analytic = analytics.apply_to(base)
         return StochasticSampler(
             architecture="Ideal TI",
             circuit_name=circuit.name,
@@ -163,7 +160,6 @@ class IdealSimulator:
                        shot_offset: int = 0, sample_counts: bool = False,
                        max_records: int = DEFAULT_MAX_RECORDS,
                        native: Circuit | None = None,
-                       analytic: SimulationResult | None = None,
                        scenario: NoiseScenario | str | None = None,
                        sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
@@ -177,7 +173,7 @@ class IdealSimulator:
         """
         if sampler is None:
             sampler = self.build_sampler(circuit, native=native,
-                                         analytic=analytic, scenario=scenario)
+                                         scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records)

@@ -255,7 +255,6 @@ class QccdSimulator:
 
     def build_sampler(self, program: QccdProgram, *,
                       circuit_name: str = "circuit",
-                      analytic: SimulationResult | None = None,
                       scenario: NoiseScenario | str | None = None,
                       ) -> StochasticSampler:
         """The :class:`StochasticSampler` of one QCCD program.
@@ -275,15 +274,13 @@ class QccdSimulator:
                 site = error_site_for_gate(index, gate, fidelity)
                 if site is not None:
                     sites.append(site)
-            if analytic is None:
-                analytic = self._result_from_trace(trace, circuit_name)
+            analytic = self._result_from_trace(trace, circuit_name)
         else:
             sites = build_scenario_sites(trace.points, scenario)
             analytics = scenario_analytics(sites, scenario)
             expected_rate = analytics.success_rate
-            if analytic is None:
-                base = self._result_from_trace(trace, circuit_name)
-                analytic = analytics.apply_to(base)
+            base = self._result_from_trace(trace, circuit_name)
+            analytic = analytics.apply_to(base)
         return StochasticSampler(
             architecture="QCCD",
             circuit_name=circuit_name,
@@ -300,7 +297,6 @@ class QccdSimulator:
                        sample_counts: bool = False,
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str = "circuit",
-                       analytic: SimulationResult | None = None,
                        scenario: NoiseScenario | str | None = None,
                        sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
@@ -316,7 +312,7 @@ class QccdSimulator:
         """
         if sampler is None:
             sampler = self.build_sampler(program, circuit_name=circuit_name,
-                                         analytic=analytic, scenario=scenario)
+                                         scenario=scenario)
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records)

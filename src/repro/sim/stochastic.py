@@ -15,16 +15,19 @@ Every random number the sampler consumes is a pure function of four
 integers, ``u = mix(seed, shot, stream, counter)``, where *shot* is the
 global shot index and *stream* says what the number decides:
 
-* :data:`TRIGGER_STREAM` — whether sites trigger.  Every timeline
-  without a heating burst (baseline, crosstalk, leakage) uses
-  inverse-CDF *skip sampling*: draw number ``k`` (the counter) jumps
-  straight to the shot's next triggered site through a ``searchsorted``
-  over the cumulative ``-log1p(-p)`` hazard table, so a shot consumes
-  ``1 + number of triggers`` draws instead of one per site (sites with
-  ``probability >= 1`` trigger without a draw, sites with
-  ``probability == 0`` never).  A timeline with heating bursts draws
-  once per site, with the site position as the counter, because a fired
-  burst raises the probability of later sites in its window.
+* :data:`TRIGGER_STREAM` — whether sites trigger, by inverse-CDF *skip
+  sampling*: each draw jumps straight to the shot's next triggered site
+  through a ``searchsorted`` over a cumulative ``-log1p(-p)`` hazard
+  row, so a shot consumes about one draw per trigger instead of one per
+  site (error sites with ``probability >= 1`` trigger without a draw,
+  sites with ``probability == 0`` never).  A timeline without a heating
+  burst is one scan group.  With bursts, each burst-coupling window is
+  one, with one hazard row per active-burst count ``k``: a scaled site
+  reads ``min(1, p * multiplier ** k)`` there, and a certain site
+  carries :data:`CERTAIN_HAZARD`, so the scan always stops at it.  A
+  fired burst moves the shot to row ``k + 1``; the scan is memoryless,
+  so it resumes there with a fresh draw.  Draw ``r`` of group ``g``
+  uses counter ``r * G + g`` for ``G`` groups.
 * :data:`LABEL_STREAM` — the label of a triggered site (counter = site
   position), looked up in :data:`~repro.noise.channels.LABEL_TABLE`.
 * :data:`OUTCOME_STREAM` — counts mode's measurement-outcome draw
@@ -33,11 +36,10 @@ global shot index and *stream* says what the number decides:
   leaked qubit (counter = qubit).
 
 Leakage is one deterministic rule over each shot's triggers, applied
-after either trigger path: walking the shot in position order, a
-trigger whose site touches a qubit that an earlier surviving leakage
-trigger leaked is dropped.  A leak only removes later triggers, never
-adds one, so every site stays an independent Bernoulli draw and leakage
-timelines keep the skip scan.
+after the scan: walking the shot in position order, a trigger whose
+site touches a qubit that an earlier surviving leakage trigger leaked
+is dropped.  A leak only removes later triggers, never adds one, so it
+changes no probability the scan reads.
 
 :func:`mix` is stateless — two SplitMix64 finalizer rounds over uint64
 arrays, in the spirit of the counter-based generators of Salmon et al.,
@@ -107,11 +109,10 @@ _FMIX_2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SHIFT = np.uint64(56)
 _DOUBLE_SCALE = 2.0 ** -53
 
-#: Burst timelines draw their triggers a block of sites at a time,
-#: about this many uniforms per block: enough to amortise the per-call
-#: cost of :func:`mix` at small shot counts, few enough that each
-#: transient array stays at half a megabyte.
-_DRAW_BLOCK = 1 << 16
+#: The skip-scan hazard of a site that triggers with certainty: above
+#: ``53 ln 2 ≈ 36.74``, the largest increment ``-log1p(-u)`` a 53-bit
+#: uniform reaches, with room for rounding.
+CERTAIN_HAZARD = 64.0
 
 
 def wilson_interval(successes: int, shots: int,
@@ -516,14 +517,13 @@ class StochasticSampler:
     max_statevector_qubits: int = MAX_STATEVECTOR_QUBITS
     _table: SiteTable = field(init=False, repr=False, compare=False)
     _probabilities: np.ndarray = field(init=False, repr=False)
-    _bursts: bool = field(init=False, repr=False)
     _expected_success_rate: float = field(init=False, repr=False)
     #: Diagnostics of the most recent :meth:`run`: counts-mode statevector
     #: ``resimulations`` and ``distinct_patterns``.
     last_stats: dict[str, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _scan_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None \
+    _scan_cache: tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]] | None \
         = field(default=None, init=False, repr=False, compare=False)
     _kind_cache: tuple[tuple[str, np.ndarray], ...] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -535,10 +535,6 @@ class StochasticSampler:
     def __post_init__(self) -> None:
         self._table = SiteTable.from_sites(self.sites)
         self._probabilities = self._table.probabilities
-        # Only heating bursts need one trigger draw per site: a fired
-        # burst raises later probabilities.  Every other timeline takes
-        # the skip-sampling scan.
-        self._bursts = bool(self._table.burst_mask.any())
         # Computed once: the correlated form runs the per-window burst
         # DP, which is too heavy to redo on every property access.
         self._expected_success_rate = self._compute_expected_success_rate()
@@ -596,20 +592,14 @@ class StochasticSampler:
             raise SimulationError("global shot indices must fit in 64 bits")
         shot_indices = np.arange(shot_offset, shot_offset + shots,
                                  dtype=np.uint64)
-        fired = None
-        if self._bursts:
-            trigger_shots, trigger_positions, fired = self._burst_triggers(
-                seed, shot_indices
-            )
-        else:
-            trigger_shots, trigger_positions = (
-                self._independent_triggers(seed, shot_indices)
-            )
+        trigger_shots, trigger_positions, burst_shots = self._scan_triggers(
+            seed, shot_indices
+        )
         trigger_shots, trigger_positions = self._suppress_leaked(
             trigger_shots, trigger_positions
         )
         mechanism_counts, mechanism_shots = self._trigger_telemetry(
-            trigger_shots, trigger_positions, fired
+            trigger_shots, trigger_positions, burst_shots
         )
         counts_per_shot = np.bincount(trigger_shots, minlength=shots)
         bounds = [0, *np.cumsum(counts_per_shot).tolist()]
@@ -656,146 +646,150 @@ class StochasticSampler:
     # ------------------------------------------------------------------
     # Trigger sampling
     # ------------------------------------------------------------------
-    def _scan_table(self) -> tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]:
-        """Cumulative-hazard tables of the independent sites (cached).
+    def _scan_groups(self) -> tuple[np.ndarray,
+                                    tuple[tuple[np.ndarray, ...], ...]]:
+        """The skip scan's tables (cached).
 
-        ``scan_positions`` are the sites with ``0 < p < 1`` in execution
-        order; ``hazards[k]`` is the cumulative ``-log1p(-p)`` hazard
-        through scan site ``k`` (strictly increasing), and
-        ``boundaries`` is the same table shifted right by one so entry
-        ``r`` is the hazard already consumed when the scan resumes at
-        scan index ``r``.  ``sure_positions`` (``p >= 1``) trigger on
-        every shot without consuming a draw; ``p <= 0`` sites never
-        trigger and are excluded entirely.
+        Error sites with ``p >= 1`` trigger on every shot without a draw
+        (``sure_positions``) and ``p <= 0`` sites never trigger; every
+        other site is scanned.  A timeline without a heating burst is
+        one scan group, and a timeline with bursts has one per
+        burst-coupling window.  Each group is ``(positions, bursts,
+        hazards, boundaries)``: its scanned sites in execution order,
+        which of them are bursts, one cumulative hazard row per
+        active-burst count (:meth:`_hazard_rows`), and the same rows
+        shifted right by one, so ``boundaries[k, r]`` is the hazard
+        already consumed when the scan resumes at scan index ``r``.
         """
         cached = self._scan_cache
         if cached is None:
+            table = self._table
             probabilities = self._probabilities
-            scan_mask = (probabilities > 0.0) & (probabilities < 1.0)
-            scan_positions = np.flatnonzero(scan_mask)
-            sure_positions = np.flatnonzero(probabilities >= 1.0)
-            hazards = np.cumsum(-np.log1p(-probabilities[scan_positions]))
-            boundaries = np.concatenate(([0.0], hazards))
-            cached = (scan_positions, sure_positions, hazards, boundaries)
+            bursts = table.burst_mask
+            scanned = (probabilities > 0.0) & ((probabilities < 1.0) | bursts)
+            if bursts.any():
+                scalable = np.array([kind in BURST_SCALED_KINDS
+                                     for kind in table.kinds], dtype=bool)
+                members = [table.windows == window
+                           for window in np.unique(table.windows).tolist()]
+            else:
+                # one scan group, and no burst to scale any site
+                scalable = bursts
+                members = [scanned]
+            groups = []
+            for member in members:
+                positions = np.flatnonzero(scanned & member)
+                hazards = self._hazard_rows(probabilities[positions],
+                                            scalable[positions],
+                                            int(bursts[positions].sum()))
+                boundaries = np.concatenate(
+                    (np.zeros((hazards.shape[0], 1)), hazards), axis=1
+                )
+                groups.append((positions, bursts[positions], hazards,
+                               boundaries))
+            sure_positions = np.flatnonzero(~bursts & (probabilities >= 1.0))
+            cached = (sure_positions, tuple(groups))
             self._scan_cache = cached
         return cached
 
-    def _independent_triggers(
-        self, seed: int, shot_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse ``(shot, site position)`` triggers, lexsorted by shot.
+    def _hazard_rows(self, probabilities: np.ndarray, scalable: np.ndarray,
+                     num_bursts: int) -> np.ndarray:
+        """Cumulative ``-log1p(-p)`` hazard rows of one scan group.
 
-        The skip-sampling scan over all shots at once: round ``k`` draws
-        trigger uniform ``k`` of every still-active shot, converts it to
-        an exponential hazard increment and jumps straight to the shot's
-        next triggered site via ``searchsorted`` on the cumulative
-        hazard table.  Shots whose jump passes the last scan site
-        retire, so a shot consumes ``1 + number of triggers`` draws
-        however many sites exist.
+        Row ``k`` is read by shots with ``k`` active bursts: a
+        burst-scalable site's ``p`` there is ``min(1, p * multiplier **
+        k)``, an overflowing power saturating to 1, and a certain site
+        carries :data:`CERTAIN_HAZARD`.  Rows stop at the group's burst
+        count, or at the first ``k`` where every scalable site is
+        certain, since every later row would equal that one.
         """
-        scan_positions, sure_positions, hazards, boundaries = (
-            self._scan_table()
-        )
+        rows = [probabilities]
+        while (len(rows) <= num_bursts
+               and not (rows[-1][scalable] >= 1.0).all()):
+            try:
+                scale = float(self.burst_multiplier ** len(rows))
+            except OverflowError:
+                scale = math.inf
+            row = probabilities.copy()
+            row[scalable] = np.minimum(1.0, probabilities[scalable] * scale)
+            rows.append(row)
+        rows = np.array(rows)
+        hazards = np.full(rows.shape, CERTAIN_HAZARD)
+        uncertain = rows < 1.0
+        hazards[uncertain] = -np.log1p(-rows[uncertain])
+        return np.cumsum(hazards, axis=1)
+
+    def _scan_triggers(
+        self, seed: int, shot_indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse ``(shot, site position)`` error triggers, lexsorted by
+        shot, and the shot of every fired burst.
+
+        The skip scan over all shots at once, one group and one hazard
+        row at a time: a shot's next draw becomes an exponential hazard
+        increment and jumps via ``searchsorted`` straight to its next
+        triggered site.  A shot that stops at a burst moves on to the
+        next row (the last row keeps it), resuming after the burst with
+        a fresh draw; a shot whose jump passes the group's last site
+        retires.  Draw ``r`` of group ``g`` uses counter ``r * G + g``.
+        Bursts are telemetry, not error events, so they are returned
+        apart from the triggers.
+        """
+        sure_positions, groups = self._scan_groups()
         shots = shot_indices.shape[0]
-        num_scan = hazards.shape[0]
         shot_parts: list[np.ndarray] = []
         position_parts: list[np.ndarray] = []
-        if num_scan:
-            active = np.arange(shots, dtype=np.int64)
-            resume = np.zeros(shots, dtype=np.int64)
-            draw = 0
-            while active.size:
-                uniforms = mix(seed, shot_indices[active], TRIGGER_STREAM,
-                               draw)
-                draw += 1
-                targets = boundaries[resume[active]] - np.log1p(-uniforms)
-                jumps = np.searchsorted(hazards, targets, side="right")
-                hit = jumps < num_scan
-                hit_shots = active[hit]
-                hit_jumps = jumps[hit]
-                shot_parts.append(hit_shots)
-                position_parts.append(scan_positions[hit_jumps])
-                resume[hit_shots] = hit_jumps + 1
-                active = hit_shots[hit_jumps + 1 < num_scan]
+        burst_parts: list[np.ndarray] = []
+        for group, (positions, bursts, hazards, boundaries) in enumerate(
+            groups
+        ):
+            num_scan = positions.shape[0]
+            last_row = hazards.shape[0] - 1
+            # one column per shot entering a row: the shot, the scan
+            # index it resumes at and the draws it made in this group
+            state = np.zeros((3, shots if num_scan else 0), dtype=np.int64)
+            state[0] = np.arange(state.shape[1])
+            hits = []
+            for row in range(last_row + 1):
+                climbed = []
+                while state.shape[1]:
+                    active, resume, draws = state
+                    # every shot in row 0 has made the same number of draws
+                    uniforms = mix(seed, shot_indices[active], TRIGGER_STREAM,
+                                   (draws[:1] if row == 0 else draws)
+                                   * len(groups) + group)
+                    jumps = np.searchsorted(
+                        hazards[row],
+                        boundaries[row][resume] - np.log1p(-uniforms),
+                        side="right",
+                    )
+                    state[1] = jumps + 1
+                    state[2] += 1
+                    state = state.compress(jumps < num_scan, axis=1)
+                    hits.append(state[:2])
+                    going = state[1] < num_scan
+                    if row < last_row:
+                        climbing = going & bursts[state[1] - 1]
+                        climbed.append(state.compress(climbing, axis=1))
+                        going &= ~climbing
+                    state = state.compress(going, axis=1)
+                if climbed:
+                    state = np.concatenate(climbed, axis=1)
+            if hits:
+                hit_shots, resumed = np.concatenate(hits, axis=1)
+                burst = bursts[resumed - 1]
+                burst_parts.append(hit_shots[burst])
+                shot_parts.append(hit_shots[~burst])
+                position_parts.append(positions[resumed[~burst] - 1])
         if sure_positions.size:
             shot_parts.append(
                 np.repeat(np.arange(shots, dtype=np.int64),
                           sure_positions.size)
             )
             position_parts.append(np.tile(sure_positions, shots))
-        return _lexsorted(shot_parts, position_parts)
-
-    def _burst_scaled(self, probability: float,
-                      active_counts: np.ndarray) -> np.ndarray:
-        """Per-shot burst-scaled trigger probability.
-
-        A lookup table indexed by each shot's active-burst count: entry
-        ``k`` is ``min(1.0, p * multiplier ** k)`` in scalar arithmetic,
-        overflow saturating to 1.0, for every ``k`` up to the largest
-        count (entry 0 is ``p`` itself).
-        """
-        table = np.empty(int(active_counts.max()) + 1)
-        table[0] = probability
-        for active in range(1, table.shape[0]):
-            try:
-                table[active] = min(
-                    1.0, probability * self.burst_multiplier ** active
-                )
-            except OverflowError:
-                table[active] = 1.0
-        return table[active_counts]
-
-    def _burst_triggers(
-        self, seed: int, shot_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Burst-timeline sampling, site by site over all shots at once.
-
-        Site ``p`` triggers where ``mix(seed, shot, TRIGGER_STREAM, p)``
-        falls below its probability.  Sites are processed in execution
-        order, because a fired heating burst scales the probability of
-        every later burst-scalable site in its window.  Returns the
-        lexsorted sparse triggers of the error sites, before the leak
-        rule, and each shot's number of fired bursts (bursts are
-        telemetry, not error events).
-        """
-        shots = shot_indices.shape[0]
-        bursts_active: dict[int, np.ndarray] = {}
-        shot_parts: list[np.ndarray] = []
-        position_parts: list[np.ndarray] = []
-        block = max(1, _DRAW_BLOCK // shots)
-        for position, site in enumerate(self.sites):
-            if position % block == 0:
-                rows = mix(seed, shot_indices, TRIGGER_STREAM, np.arange(
-                    position, min(position + block, len(self.sites))
-                )[:, None])
-            draws = rows[position % block]
-            if site.kind == HEATING_BURST:
-                triggered = draws < site.probability
-                if triggered.any():
-                    window = bursts_active.get(site.window)
-                    if window is None:
-                        window = np.zeros(shots, dtype=np.int64)
-                        bursts_active[site.window] = window
-                    window += triggered
-                continue
-            window = (bursts_active.get(site.window)
-                      if site.kind in BURST_SCALED_KINDS else None)
-            if window is None:
-                triggered = draws < site.probability
-            else:
-                triggered = draws < self._burst_scaled(site.probability,
-                                                       window)
-            shots_hit = np.flatnonzero(triggered)
-            if shots_hit.size:
-                shot_parts.append(shots_hit)
-                position_parts.append(
-                    np.full(shots_hit.size, position, dtype=np.int64)
-                )
-        fired = np.zeros(shots, dtype=np.int64)
-        for window in bursts_active.values():
-            fired += window
-        return (*_lexsorted(shot_parts, position_parts), fired)
+        burst_shots = (np.concatenate(burst_parts) if burst_parts
+                       else np.empty(0, dtype=np.int64))
+        return (*_lexsorted(shot_parts, position_parts), burst_shots)
 
     def _site_qubits(self) -> np.ndarray:
         """Each site's qubits, one row per site padded with -1 (cached)."""
@@ -861,10 +855,10 @@ class StochasticSampler:
 
     def _trigger_telemetry(
         self, trigger_shots: np.ndarray, trigger_positions: np.ndarray,
-        fired: np.ndarray | None,
+        burst_shots: np.ndarray,
     ) -> tuple[dict[str, int], dict[str, int]]:
-        """Mechanism telemetry aggregated from sparse triggers and each
-        shot's fired bursts."""
+        """Mechanism telemetry aggregated from sparse triggers and the
+        shots of the fired bursts."""
         mechanism_counts: dict[str, int] = {}
         mechanism_shots: dict[str, int] = {}
         if trigger_shots.size:
@@ -876,9 +870,9 @@ class StochasticSampler:
                     mechanism_shots[kind] = int(
                         np.unique(trigger_shots[selector]).size
                     )
-        if fired is not None and fired.any():
-            mechanism_counts[HEATING_BURST] = int(fired.sum())
-            mechanism_shots[HEATING_BURST] = int(np.count_nonzero(fired))
+        if burst_shots.size:
+            mechanism_counts[HEATING_BURST] = burst_shots.size
+            mechanism_shots[HEATING_BURST] = np.unique(burst_shots).size
         return mechanism_counts, mechanism_shots
 
     # ------------------------------------------------------------------

@@ -201,7 +201,6 @@ class TiltSimulator:
     # ------------------------------------------------------------------
     def build_sampler(self, program: ExecutableProgram | CompileResult,
                       *, circuit_name: str | None = None,
-                      analytic: SimulationResult | None = None,
                       scenario: NoiseScenario | str | None = None,
                       ) -> StochasticSampler:
         """The :class:`StochasticSampler` of one executed program.
@@ -225,8 +224,7 @@ class TiltSimulator:
                 site = error_site_for_gate(index, gate, fidelity)
                 if site is not None:
                     sites.append(site)
-            if analytic is None:
-                analytic = self._replay(program, name)
+            analytic = self._replay(program, name)
         else:
             points = self.scenario_points(program, scenario)
             gates = [point.gate for point in points
@@ -236,8 +234,7 @@ class TiltSimulator:
             # sampler's expected rate — the burst DP never runs twice
             analytics = scenario_analytics(sites, scenario)
             expected_rate = analytics.success_rate
-            if analytic is None:
-                analytic = analytics.apply_to(self._replay(program, name))
+            analytic = analytics.apply_to(self._replay(program, name))
         return StochasticSampler(
             architecture=f"TILT head {self.device.head_size}",
             circuit_name=name,
@@ -254,7 +251,6 @@ class TiltSimulator:
                        sample_counts: bool = False,
                        max_records: int = DEFAULT_MAX_RECORDS,
                        circuit_name: str | None = None,
-                       analytic: SimulationResult | None = None,
                        scenario: NoiseScenario | str | None = None,
                        sampler: StochasticSampler | None = None,
                        ) -> ShotResult:
@@ -287,7 +283,7 @@ class TiltSimulator:
                    if isinstance(program, CompileResult) else None)
         if sampler is None:
             sampler = self.build_sampler(program, circuit_name=circuit_name,
-                                         analytic=analytic, scenario=scenario)
+                                         scenario=scenario)
         result = sampler.run(shots, seed=seed, shot_offset=shot_offset,
                              sample_counts=sample_counts,
                              max_records=max_records)

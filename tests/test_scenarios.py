@@ -359,6 +359,25 @@ class TestCorrelatedSampling:
         result = sampler.run(3, seed=0)
         assert result.successes == 0  # saturated probability always fires
         assert result.expected_success_rate == pytest.approx(0.0)
+        # 1e-6 * 2 ** 20 >= 1 makes the Pauli site certain from 20
+        # active bursts on, so the window keeps 21 hazard rows, not 1,201
+        (_, _, hazards, _), = sampler._scan_groups()[1]
+        assert hazards.shape[0] == 21
+
+    def test_overflowing_burst_scale_saturates_an_unsaturated_site(self):
+        # 5e-324 * 10.0 ** 308 is still far below 1 and 10.0 ** 309
+        # overflows: the site must turn certain at 309 active bursts
+        sites = [
+            ErrorSite(index=i, kind=HEATING_BURST, qubits=(),
+                      probability=1.0, window=0)
+            for i in range(309)
+        ] + [ErrorSite(index=309, kind="pauli1", qubits=(0,),
+                       probability=5e-324, window=0)]
+        sampler = StochasticSampler(architecture="x", circuit_name="y",
+                                    sites=sites, burst_multiplier=10.0)
+        result = sampler.run(3, seed=0)
+        assert result.successes == 0
+        assert result.expected_success_rate == 0.0
 
     def test_leaked_qubit_suppresses_later_sites(self):
         sites = [

@@ -40,6 +40,7 @@ from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.statevector import StatevectorSimulator
 from repro.sim.stochastic import (
+    CERTAIN_HAZARD,
     DEFAULT_MAX_RECORDS,
     LABEL_STREAM,
     LEAK_STREAM,
@@ -425,17 +426,14 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
     """``sampler.run`` one shot at a time with scalar draws.
 
     The differential oracle: the draw definitions of the vectorized
-    sampler (skip-sampling scan, or one trigger draw per site when the
-    timeline has heating bursts; Pauli labels, counts-mode outcome and
-    leak coins, each ``mix(seed, shot, stream, counter)``) and its
-    per-shot leak rule, executed with plain per-shot control flow and
-    one fresh statevector run per erroneous shot.
+    sampler (the skip scan of :class:`_ReferenceScan`; Pauli labels,
+    counts-mode outcome and leak coins, each ``mix(seed, shot, stream,
+    counter)``) and its per-shot leak rule, executed with plain
+    per-shot control flow and one fresh statevector run per erroneous
+    shot.
     """
     sites = list(sampler.sites)
-    p = np.array([site.probability for site in sites], dtype=float)
-    bursty = any(site.kind == HEATING_BURST for site in sites)
-    scan = np.flatnonzero((p > 0.0) & (p < 1.0))
-    hazards = np.cumsum(-np.log1p(-p[scan]))
+    scan = _ReferenceScan(sampler)
     n = sampler.num_qubits
     ideal = None
     if sample_counts:
@@ -447,39 +445,7 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
         def draw(stream, counter):
             return float(mix(seed, shot, stream, counter)[0])
 
-        triggered, bursts = [], {}
-        if bursty:
-            for position, site in enumerate(sites):
-                u = draw(TRIGGER_STREAM, position)
-                if site.kind == HEATING_BURST:
-                    if u < site.probability:
-                        bursts[site.window] = bursts.get(site.window, 0) + 1
-                    continue
-                probability = site.probability
-                active = (bursts.get(site.window, 0)
-                          if site.kind in BURST_SCALED_KINDS else 0)
-                if active:
-                    try:
-                        probability = min(
-                            1.0, probability
-                            * sampler.burst_multiplier ** active)
-                    except OverflowError:
-                        probability = 1.0
-                if u < probability:
-                    triggered.append(position)
-        else:
-            triggered = np.flatnonzero(p >= 1.0).tolist()
-            resume = draws = 0
-            while resume < len(scan):
-                consumed = hazards[resume - 1] if resume else 0.0
-                target = consumed - np.log1p(-draw(TRIGGER_STREAM, draws))
-                draws += 1
-                jump = int(np.searchsorted(hazards, target, side="right"))
-                if jump >= len(scan):
-                    break
-                triggered.append(int(scan[jump]))
-                resume = jump + 1
-            triggered.sort()
+        triggered, bursts = scan.triggers(seed, shot)
         # the leak rule: a leaked qubit silences every later site on it
         survivors, leaked_at = [], {}
         for position in triggered:
@@ -544,6 +510,84 @@ def reference_run(sampler, shots, *, seed, shot_offset=0,
         mechanism_counts=mechanism_counts,
         mechanism_shots=mechanism_shots,
     )
+
+
+class _ReferenceScan:
+    """The skip scan of one sampler, run for one shot at a time.
+
+    A timeline without a heating burst is one scan group; with bursts,
+    each window is one.  A group scans its sites with ``p > 0``, except
+    error sites with ``p >= 1``, which trigger without a draw.  A shot
+    with ``k`` active bursts in the group reads the cumulative hazards
+    of the probabilities ``min(1.0, p * multiplier ** k)`` of its
+    burst-scalable sites (``OverflowError`` giving 1.0), with
+    ``CERTAIN_HAZARD`` for a certain site; draw ``r`` of group ``g``
+    uses trigger counter ``r * G + g``.
+    """
+
+    def __init__(self, sampler):
+        self.sites = list(sampler.sites)
+        self.multiplier = sampler.burst_multiplier
+        bursty = any(site.kind == HEATING_BURST for site in self.sites)
+        windows = (sorted({site.window for site in self.sites}) if bursty
+                   else [None])
+        self.groups = [
+            [position for position, site in enumerate(self.sites)
+             if (window is None or site.window == window)
+             and site.probability > 0.0
+             and (site.probability < 1.0 or site.kind == HEATING_BURST)]
+            for window in windows
+        ]
+        self.sure = [position for position, site in enumerate(self.sites)
+                     if site.kind != HEATING_BURST
+                     and site.probability >= 1.0]
+        self.rows = {}
+
+    def hazards(self, group, active):
+        """Group *group*'s cumulative hazards at *active* bursts."""
+        if (group, active) not in self.rows:
+            probabilities = []
+            for position in self.groups[group]:
+                site = self.sites[position]
+                probability = site.probability
+                if active and site.kind in BURST_SCALED_KINDS:
+                    try:
+                        probability = min(
+                            1.0, probability * self.multiplier ** active)
+                    except OverflowError:
+                        probability = 1.0
+                probabilities.append(probability)
+            p = np.array(probabilities, dtype=float)
+            hazard = np.full(p.size, CERTAIN_HAZARD)
+            hazard[p < 1.0] = -np.log1p(-p[p < 1.0])
+            self.rows[group, active] = np.cumsum(hazard)
+        return self.rows[group, active]
+
+    def triggers(self, seed, shot):
+        """The shot's triggered error sites in position order, before
+        the leak rule, and its fired bursts per window."""
+        triggered, bursts = list(self.sure), {}
+        for group, scan in enumerate(self.groups):
+            active = resume = draws = 0
+            while resume < len(scan):
+                hazards = self.hazards(group, active)
+                consumed = hazards[resume - 1] if resume else 0.0
+                uniform = float(mix(seed, shot, TRIGGER_STREAM,
+                                    draws * len(self.groups) + group)[0])
+                draws += 1
+                jump = int(np.searchsorted(hazards,
+                                           consumed - np.log1p(-uniform),
+                                           side="right"))
+                if jump >= len(scan):
+                    break
+                site = self.sites[scan[jump]]
+                if site.kind == HEATING_BURST:
+                    active += 1
+                    bursts[site.window] = bursts.get(site.window, 0) + 1
+                else:
+                    triggered.append(scan[jump])
+                resume = jump + 1
+        return sorted(triggered), bursts
 
 
 def _circuit_of(sampler, injected, leaked_at):
@@ -640,8 +684,8 @@ class TestVectorizedReference:
         assert vectorized.counts is not None
 
     def test_scenario_counts_bit_identity(self, noise):
-        # worst_case routes through the correlated per-site draws
-        # (bursts, leakage suppression, crosstalk) and the leak coins
+        # worst_case scans burst rows (bursts, leakage suppression,
+        # crosstalk) and reads the leak coins
         sampler = _qft8_tilt_sampler(noise, scenario="worst_case")
         vectorized = sampler.run(100, seed=5, sample_counts=True)
         assert vectorized.mechanism_counts.get(LEAKAGE)
@@ -653,10 +697,10 @@ class TestVectorizedReference:
         # 3.0 saturates every scaled Pauli site at 1.0 from two active
         # bursts on; 1e200 ** 2 raises OverflowError, which saturates too
         sampler = _burst_edge_sampler(multiplier)
+        scan = _ReferenceScan(sampler)
         for seed in (5, 2021):
-            bursts = mix(seed, np.arange(300), TRIGGER_STREAM,
-                         np.arange(3)[:, None]) < 0.5
-            assert (bursts.sum(axis=0) >= 2).any()
+            assert any(scan.triggers(seed, shot)[1].get(0, 0) >= 2
+                       for shot in range(300))
             vectorized = sampler.run(300, seed=seed)
             assert vectorized.mechanism_counts.get(LEAKAGE)
             assert vectorized == reference_run(sampler, 300, seed=seed)
@@ -675,7 +719,7 @@ class TestVectorizedReference:
         sampler = _leak_rule_sampler()
         for seed in (5, 2021):
             vectorized = sampler.run(400, seed=seed)
-            raw, _ = sampler._independent_triggers(
+            raw, _, _ = sampler._scan_triggers(
                 seed, np.arange(400, dtype=np.uint64)
             )
             assert sum(vectorized.errors_per_shot) < raw.size
@@ -710,15 +754,16 @@ class TestVectorizedReference:
             assert vectorized.mechanism_counts
             assert vectorized == reference_run(sampler, 400, seed=13)
 
-    @pytest.mark.parametrize("scenario", ["crosstalk", "leakage"])
+    @pytest.mark.parametrize("scenario", ["crosstalk", "leakage",
+                                          "heating_burst", "worst_case"])
     def test_skip_sampled_scenarios_draw_per_trigger(
             self, scenario, qft16_compiled, noise, monkeypatch):
-        # one trigger uniform per shot plus one per scan trigger (the
-        # scan's triggers, before the leak rule drops any), not one per
-        # site per shot
+        # per scan group, one trigger uniform per shot plus one per
+        # fired burst and per scan trigger (before the leak rule drops
+        # any), not one per site per shot
         from repro.sim import stochastic
 
-        drawn, scanned = [0], [0]
+        drawn, scanned, fired = [0], [0], [0]
 
         def counting_mix(seed, shot, stream, counter):
             uniforms = mix(seed, shot, stream, counter)
@@ -726,22 +771,55 @@ class TestVectorizedReference:
                 drawn[0] += uniforms.size
             return uniforms
 
-        scan = StochasticSampler._independent_triggers
+        scan = StochasticSampler._scan_triggers
 
         def counting_scan(self, seed, shot_indices):
             triggers = scan(self, seed, shot_indices)
             scanned[0] += triggers[0].size
+            fired[0] += triggers[2].size
             return triggers
 
         monkeypatch.setattr(stochastic, "mix", counting_mix)
-        monkeypatch.setattr(StochasticSampler, "_independent_triggers",
+        monkeypatch.setattr(StochasticSampler, "_scan_triggers",
                             counting_scan)
         device, compiled = qft16_compiled
-        result = TiltSimulator(device, noise).run_stochastic(
-            compiled, shots=4096, seed=2021, scenario=scenario
+        sampler = TiltSimulator(device, noise).build_sampler(
+            compiled, scenario=scenario
         )
+        groups = (len({site.window for site in sampler.sites})
+                  if any(site.kind == HEATING_BURST for site in sampler.sites)
+                  else 1)
+        result = sampler.run(4096, seed=2021)
         assert sum(result.errors_per_shot) <= scanned[0]
-        assert 4096 < drawn[0] <= 4096 + scanned[0]
+        assert (fired[0] > 0) == (scenario in ("heating_burst", "worst_case"))
+        assert 4096 < drawn[0] <= 4096 * groups + fired[0] + scanned[0]
+
+    def test_qccd_worst_case_bit_identity(self, noise):
+        # QCCD traps are separate burst-coupling windows: one scan group
+        # each, with interleaved counters
+        device = QccdDevice(num_qubits=8, trap_capacity=4)
+        program = QccdCompiler(device).compile(qft_workload(8))
+        sampler = QccdSimulator(device, noise).build_sampler(
+            program, circuit_name="qft", scenario="worst_case")
+        windows = {site.window for site in sampler.sites
+                   if site.kind == HEATING_BURST}
+        assert len(windows) > 1
+        vectorized = sampler.run(400, seed=13)
+        assert vectorized.mechanism_counts.get(HEATING_BURST)
+        assert vectorized == reference_run(sampler, 400, seed=13)
+
+    def test_burst_reference_shards_merge_into_the_serial_run(
+            self, qft16_compiled, noise):
+        device, compiled = qft16_compiled
+        simulator = TiltSimulator(device, noise)
+        sampler = simulator.build_sampler(compiled, scenario="worst_case")
+        serial = sampler.run(600, seed=11)
+        assert serial.mechanism_counts.get(HEATING_BURST)
+        shards = [
+            reference_run(sampler, width, seed=11, shot_offset=offset)
+            for offset, width in ((0, 250), (250, 100), (350, 250))
+        ]
+        assert merge_shot_results(shards) == serial
 
     def test_ideal_backend_bit_identity(self, noise):
         device = IdealTrappedIonDevice(num_qubits=6)
