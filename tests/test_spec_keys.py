@@ -115,6 +115,22 @@ def representative_specs() -> dict[str, JobSpec]:
             backend="qccd", noise=noise, shots=256, seed=7,
             scenario="worst_case",
         ),
+        "sampled_qccd_qft12": JobSpec(
+            circuit=qft_workload(12),
+            device=QccdDevice(num_qubits=12, trap_capacity=5),
+            backend="qccd", noise=noise, shots=256, seed=7,
+        ),
+        "sampled_ideal_qft12": JobSpec(
+            circuit=qft_workload(12),
+            device=IdealTrappedIonDevice(num_qubits=12),
+            backend="ideal", noise=noise, shots=256, seed=7,
+        ),
+        "sampled_crosstalk_ideal_qft12": JobSpec(
+            circuit=qft_workload(12),
+            device=IdealTrappedIonDevice(num_qubits=12),
+            backend="ideal", noise=noise, shots=256, seed=7,
+            scenario="crosstalk",
+        ),
         "scenario_crosstalk_tilt_bv16": JobSpec(
             circuit=bv_workload(16), device=tilt, config=config,
             noise=noise, scenario="crosstalk",
