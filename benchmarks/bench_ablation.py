@@ -1,8 +1,8 @@
 """Ablation benchmarks beyond the paper's figures.
 
-DESIGN.md calls out three design choices of this reproduction whose impact
-is worth quantifying: the initial-mapping heuristic, the Eq. 1 lookahead
-window, and the Eq. 1 discount factor alpha.  These benches time each
+Three design choices of this reproduction have an impact worth
+quantifying: the initial-mapping heuristic, the Eq. 1 lookahead window,
+and the Eq. 1 discount factor alpha.  These benches time each
 configuration and record the resulting swap/move counts so regressions in
 the heuristics are visible.
 """

@@ -13,9 +13,10 @@ simulators' ``build_sampler`` seam so the timed region is exactly
 sampling) is recorded separately by
 ``test_end_to_end_job_shots_per_second``, and
 ``test_batched_statevector_patterns`` covers the batched pattern
-re-simulation kernel of :mod:`repro.sim.statevector`, and
+re-simulation kernel of :mod:`repro.sim.statevector`,
 ``test_sharded_sampling_shares_one_sampler`` a sharded few-shot job
-whose shards share one compile and one sampler.
+whose shards share one compile and one sampler, and
+``test_sampler_build`` the sampler builds of all three simulators.
 """
 
 from __future__ import annotations
@@ -24,9 +25,18 @@ import dataclasses
 import time
 
 from repro.analysis import experiments
+from repro.arch.ideal import IdealTrappedIonDevice
+from repro.arch.qccd import QccdDevice
 from repro.circuits.gate import Gate
-from repro.compiler.pipeline import CompilerConfig, LinQCompiler
+from repro.compiler.pipeline import (
+    CompilerConfig,
+    LinQCompiler,
+    lower_to_native,
+)
+from repro.compiler.qccd_compiler import QccdCompiler
 from repro.exec import ExecutionEngine, JobSpec, run_sampled_job
+from repro.sim.ideal_sim import IdealSimulator
+from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.statevector import batch_probabilities_with_insertions
 from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.qft import qft_workload
@@ -117,6 +127,38 @@ def test_sharded_sampling_shares_one_sampler(benchmark, scale, noise):
                                 rounds=7, warmup_rounds=1)
     assert result.shot is not None and result.shot.shots == SHARED_SHOTS
     benchmark.extra_info["shards"] = SHARDS
+
+
+def test_sampler_build(benchmark, scale, noise):
+    """Baseline and crosstalk sampler builds of QFT on TILT, QCCD and
+    the ideal device, from programs compiled outside the timer.
+
+    Each build replays its program into one timeline and expands it
+    into error sites; in a scenario-sampling pass these builds cost
+    about as much as drawing the shots.
+    """
+    circuit = build_workload("QFT", scale)
+    tilt = experiments.device_for(scale, "QFT")
+    qccd = QccdDevice(num_qubits=circuit.num_qubits,
+                      trap_capacity=17 if scale == "paper" else 5)
+    programs = [
+        (TiltSimulator(tilt, noise),
+         LinQCompiler(tilt, CompilerConfig()).compile(circuit), {}),
+        (QccdSimulator(qccd, noise), QccdCompiler(qccd).compile(circuit),
+         {"circuit_name": circuit.name}),
+        (IdealSimulator(IdealTrappedIonDevice(circuit.num_qubits), noise),
+         circuit, {"native": lower_to_native(circuit)}),
+    ]
+
+    def build_all():
+        return [simulator.build_sampler(program, scenario=scenario,
+                                        **inputs)
+                for scenario in ("baseline", "crosstalk")
+                for simulator, program, inputs in programs]
+
+    samplers = benchmark.pedantic(build_all, rounds=9, warmup_rounds=1)
+    assert len(samplers) == 6
+    benchmark.extra_info["sites"] = sum(len(s.sites) for s in samplers)
 
 
 def test_batched_statevector_patterns(benchmark):

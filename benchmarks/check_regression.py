@@ -40,10 +40,14 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   shots between the skip scan's per-window hazard rows, and leakage
   sampling, the skip scan plus the per-shot leak rule; each the median
   of several rounds);
-* ``sampler_sharing``   — a cold 4-shard serial run of a few-shot
-  crosstalk job, whose shards share one compile and one built sampler
+* ``sampler_sharing``   — building samplers and sharing them: a cold
+  4-shard serial run of a few-shot crosstalk job, whose shards share one
+  compile and one built sampler
   (``bench_stochastic.py::test_sharded_sampling_shares_one_sampler``,
-  the median of several rounds with a fresh engine each);
+  the median of several rounds with a fresh engine each), and the
+  baseline and crosstalk builds of all three simulators, each one
+  timeline expanded into error sites by the one shared builder
+  (``bench_stochastic.py::test_sampler_build``);
 * ``statevector_batch`` — the batched pattern re-simulation kernel
   (``bench_stochastic.py::test_batched_statevector_patterns``);
 * ``obs_overhead``      — the engine batch with tracing off, on, and
@@ -110,6 +114,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_scenarios\.py::test_leakage_sampling_shots_per_second"),
     ("sampler_sharing",
      r"bench_stochastic\.py::test_sharded_sampling_shares_one_sampler"),
+    ("sampler_sharing",
+     r"bench_stochastic\.py::test_sampler_build"),
     ("statevector_batch",
      r"bench_stochastic\.py::test_batched_statevector_patterns"),
     ("lint",

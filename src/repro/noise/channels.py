@@ -22,9 +22,12 @@ This module holds the channel vocabulary: :class:`ErrorSite` (one
 potential error location with its trigger probability), its columnar
 companion :class:`SiteTable` (the same site list as numpy arrays, the
 form the vectorized sampler consumes) and the label table a triggered
-site draws its record label from.  The per-architecture site extraction
-lives with each simulator, because only the simulator knows the heating
-state a gate runs under.
+site draws its record label from.  Each simulator replays its program
+into an execution timeline, because only the simulator knows the heating
+state a gate runs under; :func:`repro.noise.scenarios.build_scenario_sites`
+expands every timeline into sites, and
+:meth:`repro.sim.stochastic.StochasticSampler.from_timeline` builds
+every sampler, baseline included, from that expansion.
 """
 
 from __future__ import annotations

@@ -18,16 +18,18 @@ This module is declarative: a :class:`NoiseScenario` names one
 configuration of the three mechanisms, a process-wide registry maps names
 (``"baseline"``, ``"crosstalk"``, ``"leakage"``, ``"heating_burst"``,
 ``"worst_case"``) to configs, and :func:`build_scenario_sites` expands a
-simulator-produced execution timeline into the extra
+simulator-produced execution timeline into the
 :class:`~repro.noise.channels.ErrorSite` records the stochastic sampler
-consumes.  The analytic counterpart, :func:`scenario_analytics`, computes
-the *exact* closed-form success rate of the correlated model — bursts are
-handled by a per-window dynamic program over the number of active bursts,
-so the analytic and sampled paths agree by construction, not by
+consumes: each gate's Eq. 4 site plus the scenario's extra ones.  The
+analytic counterpart, :func:`scenario_analytics`, computes the *exact*
+closed-form success rate of the correlated model — bursts are handled
+by a per-window dynamic program over the number of active bursts, so
+the analytic and sampled paths agree by construction, not by
 approximation.
 
-Adding a new mechanism means adding a new ``ErrorSite`` kind (see
-ROADMAP.md) plus its expansion rule here — never a new simulator.
+Adding a new mechanism means adding a new ``ErrorSite`` kind (see the
+README section "Adding a new ErrorSite kind") plus its expansion rule
+here — never a new simulator.
 """
 
 from __future__ import annotations
@@ -350,14 +352,20 @@ def build_scenario_sites(points: Sequence[TimelinePoint],
     crosstalk kicks (by spectator index), then leakage sites (by operand
     order).
     """
+    burst_probability = scenario.burst_probability
+    crosstalk = scenario.crosstalk_strength > 0.0
+    leakage_rate_1q = scenario.leakage_rate_1q
+    leakage_rate_2q = scenario.leakage_rate_2q
+    # whether any gate can carry a site beyond its base one
+    gate_mechanisms = (crosstalk or leakage_rate_1q > 0.0
+                       or leakage_rate_2q > 0.0)
     sites: list[ErrorSite] = []
     for point in points:
         if isinstance(point, ShuttlePoint):
-            if scenario.burst_probability > 0.0:
+            if burst_probability > 0.0:
                 sites.append(ErrorSite(
                     index=point.move, kind=HEATING_BURST, qubits=(),
-                    probability=scenario.burst_probability,
-                    window=point.window,
+                    probability=burst_probability, window=point.window,
                 ))
             continue
         gate = point.gate
@@ -365,9 +373,9 @@ def build_scenario_sites(points: Sequence[TimelinePoint],
                                    window=point.window)
         if base is not None:
             sites.append(base)
-        if gate.name in ("barrier", "measure"):
+        if not gate_mechanisms or gate.name in ("barrier", "measure"):
             continue
-        if scenario.crosstalk_strength > 0.0 and _is_entangling(gate):
+        if crosstalk and _is_entangling(gate):
             for ion, distance in point.spectators:
                 probability = scenario.crosstalk_probability(distance)
                 if probability > 0.0:
@@ -375,8 +383,7 @@ def build_scenario_sites(points: Sequence[TimelinePoint],
                         index=point.index, kind=CROSSTALK, qubits=(ion,),
                         probability=probability, window=point.window,
                     ))
-        rate = (scenario.leakage_rate_2q if gate.num_qubits == 2
-                else scenario.leakage_rate_1q)
+        rate = leakage_rate_2q if gate.num_qubits == 2 else leakage_rate_1q
         if rate > 0.0:
             for qubit in gate.qubits:
                 sites.append(ErrorSite(

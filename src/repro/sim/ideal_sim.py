@@ -13,7 +13,6 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
-from repro.noise.channels import error_site_for_gate
 from repro.noise.fidelity import FidelityTable
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
@@ -126,34 +125,9 @@ class IdealSimulator:
         """
         scenario = resolve_scenario(scenario)
         native = self._native(circuit, native)
-        gates = list(native)
-        expected_rate = None
-        if scenario.is_baseline:
-            sites = []
-            table = FidelityTable(self.params)
-            for index, gate in enumerate(gates):
-                fidelity = table.fidelity(gate, 0.0)
-                site = error_site_for_gate(index, gate, fidelity)
-                if site is not None:
-                    sites.append(site)
-            analytic = self._result_from_native(circuit.name, native)
-        else:
-            sites = build_scenario_sites(
-                self.scenario_points(native, scenario), scenario
-            )
-            analytics = scenario_analytics(sites, scenario)
-            expected_rate = analytics.success_rate
-            base = self._result_from_native(circuit.name, native)
-            analytic = analytics.apply_to(base)
-        return StochasticSampler(
-            architecture="Ideal TI",
-            circuit_name=circuit.name,
-            sites=sites,
-            gates=gates,
-            num_qubits=native.num_qubits,
-            analytic=analytic,
-            burst_multiplier=scenario.burst_error_multiplier,
-            expected_rate=expected_rate,
+        return StochasticSampler.from_timeline(
+            self.scenario_points(native, scenario), scenario,
+            self._result_from_native(circuit.name, native), native.num_qubits,
         )
 
     def run_stochastic(self, circuit: Circuit, *, shots: int, seed: int = 0,

@@ -10,8 +10,7 @@ coolant ions, so (unlike a full-tape shuttle) their motional energy does not
 grow without bound.  Ion extraction is modelled as a split at the ion's
 position (the recorded ``swap_to_edge_gates`` are reported but carry no gate
 error).  This is a simplified re-implementation of the Murali et al. [64]
-QCCD cost model sufficient for the Figure 8 architecture comparison; see
-DESIGN.md for the substitution notes.
+QCCD cost model sufficient for the Figure 8 architecture comparison.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.qccd import QccdDevice
-from repro.circuits.gate import Gate
 from repro.compiler.qccd_compiler import (
     QccdGateEvent,
     QccdProgram,
     QccdShuttleEvent,
 )
 from repro.exceptions import SimulationError
-from repro.noise.channels import error_site_for_gate
 from repro.noise.fidelity import (
     FidelityTable,
     GateCost,
@@ -62,20 +59,19 @@ COOLING_TIME_US = 100.0
 
 @dataclass
 class QccdTrace:
-    """Flattened replay of a QCCD program: gates with their fidelities.
+    """Flattened replay of a QCCD program.
 
-    One record per executed gate (in event order) plus the aggregate time,
-    the success fold, the transport count and heating state; both the
-    analytic estimator and the stochastic sampler are built from this
-    single replay.  ``points`` is the correlated-noise timeline (gates
-    with spectators and their trap as burst-coupling window, transports
-    as shuttle points; only materialised when the replay runs under a
-    non-baseline scenario) and ``telemetry`` carries the per-trap heating
-    counters that survive every sympathetic-cooling event.
+    Gate counts, the aggregate time, the success fold, the transport
+    count and heating state; both the analytic estimator and the
+    stochastic sampler are built from this single replay.  ``points`` is
+    the execution timeline (gates with their fidelity, spectators and
+    trap as burst-coupling window, in event order; transports as shuttle
+    points), built only when the replay runs under a scenario, and
+    ``telemetry`` carries the per-trap heating counters that survive
+    every sympathetic-cooling event.
     """
 
-    gates: list[Gate] = field(default_factory=list)
-    fidelities: list[float] = field(default_factory=list)
+    num_gates: int = 0
     num_two_qubit: int = 0
     num_transports: int = 0
     execution_time_us: float = 0.0
@@ -96,15 +92,17 @@ class QccdSimulator:
 
     def trace(self, program: QccdProgram,
               scenario: NoiseScenario | None = None) -> QccdTrace:
-        """Replay *program*, recording per-gate fidelities under heating.
+        """Replay *program*, folding per-gate fidelities under heating.
 
-        The replay also produces the correlated-noise timeline: crosstalk
-        spectators are the other ions sharing the trap at gate time (with
-        their in-chain distance to the nearest operand), the trap index
-        is the burst-coupling window, and every transport is a shuttle
-        point.  QCCD's per-transport sympathetic cooling is *partial*
-        (``qccd_cooling_factor``), so it never clears an active burst —
-        windows span the whole program.
+        Given a *scenario*, baseline included, the replay also builds the
+        execution timeline ``points`` that :meth:`build_sampler` reads:
+        crosstalk spectators are the other ions sharing the trap at gate
+        time (with their in-chain distance to the nearest operand), the
+        trap index is the burst-coupling window, and every transport is
+        a shuttle point.  QCCD's per-transport sympathetic cooling is
+        *partial* (``qccd_cooling_factor``), so it never clears an active
+        burst — windows span the whole program.  Without a scenario (an
+        analytic baseline :meth:`run`) no point is built.
         """
         if program.device != self.device:
             raise SimulationError(
@@ -117,9 +115,7 @@ class QccdSimulator:
             trap: ChainHeatingState(self.params, max(1, len(ions)))
             for trap, ions in enumerate(members)
         }
-        # The timeline is only materialised for correlated scenarios;
-        # baseline replays (every pre-existing study) stay allocation-free.
-        want_points = scenario is not None and not scenario.is_baseline
+        want_points = scenario is not None
         want_spectators = want_points and scenario.crosstalk_strength > 0.0
         cost_of = FidelityTable(self.params).cost
         # Gates that heating cannot reach cost the same everywhere: by name.
@@ -152,14 +148,13 @@ class QccdSimulator:
                             scenario.crosstalk_range,
                         )
                     trace.points.append(GatePoint(
-                        index=len(trace.gates),
+                        index=trace.num_gates,
                         gate=gate,
                         fidelity=fidelity,
                         spectators=spectators,
                         window=event.trap,
                     ))
-                trace.gates.append(gate)
-                trace.fidelities.append(fidelity)
+                trace.num_gates += 1
                 execution_time += duration
             elif isinstance(event, QccdShuttleEvent):
                 execution_time += self._shuttle_time_us(event)
@@ -226,14 +221,14 @@ class QccdSimulator:
         site telemetry in ``extras``.
         """
         scenario = resolve_scenario(scenario)
-        trace = self.trace(program, scenario)
-        result = self._result_from_trace(trace, circuit_name)
         if scenario.is_baseline:
-            return result
+            return self._result_from_trace(self.trace(program), circuit_name)
+        trace = self.trace(program, scenario)
         analytics = scenario_analytics(
             build_scenario_sites(trace.points, scenario), scenario
         )
-        return analytics.apply_to(result)
+        return analytics.apply_to(
+            self._result_from_trace(trace, circuit_name))
 
     def _result_from_trace(self, trace: QccdTrace,
                            circuit_name: str) -> SimulationResult:
@@ -244,7 +239,7 @@ class QccdSimulator:
             success_rate=accumulator.success_rate,
             log10_success_rate=accumulator.log10_success_rate,
             execution_time_us=trace.execution_time_us,
-            num_gates=len(trace.gates),
+            num_gates=trace.num_gates,
             num_two_qubit_gates=trace.num_two_qubit,
             num_moves=trace.num_transports,
             move_distance_um=0.0,
@@ -265,31 +260,10 @@ class QccdSimulator:
         """
         scenario = resolve_scenario(scenario)
         trace = self.trace(program, scenario)
-        expected_rate = None
-        if scenario.is_baseline:
-            sites = []
-            for index, (gate, fidelity) in enumerate(
-                zip(trace.gates, trace.fidelities)
-            ):
-                site = error_site_for_gate(index, gate, fidelity)
-                if site is not None:
-                    sites.append(site)
-            analytic = self._result_from_trace(trace, circuit_name)
-        else:
-            sites = build_scenario_sites(trace.points, scenario)
-            analytics = scenario_analytics(sites, scenario)
-            expected_rate = analytics.success_rate
-            base = self._result_from_trace(trace, circuit_name)
-            analytic = analytics.apply_to(base)
-        return StochasticSampler(
-            architecture="QCCD",
-            circuit_name=circuit_name,
-            sites=sites,
-            gates=trace.gates,
-            num_qubits=self.device.num_qubits,
-            analytic=analytic,
-            burst_multiplier=scenario.burst_error_multiplier,
-            expected_rate=expected_rate,
+        return StochasticSampler.from_timeline(
+            trace.points, scenario,
+            self._result_from_trace(trace, circuit_name),
+            self.device.num_qubits,
         )
 
     def run_stochastic(self, program: QccdProgram,

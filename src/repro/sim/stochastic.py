@@ -84,7 +84,12 @@ from repro.noise.channels import (
     pauli_gates,
 )
 from repro.noise.scenarios import (
+    GatePoint,
+    NoiseScenario,
+    TimelinePoint,
+    build_scenario_sites,
     expected_success_rate as correlated_expected_success_rate,
+    scenario_analytics,
 )
 from repro.sim.result import SimulationResult
 from repro.sim.statevector import MAX_STATEVECTOR_QUBITS, StatevectorSimulator
@@ -485,8 +490,8 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
 class StochasticSampler:
     """Monte-Carlo sampler over a fixed list of error sites.
 
-    The producing simulator supplies the executed gate sequence and the
-    error sites derived from its heating-aware fidelities; the sampler is
+    Every simulator builds its sampler with :meth:`from_timeline`, from
+    the execution timeline its replay produced; the sampler is
     architecture-agnostic from there on.
 
     Parameters
@@ -538,6 +543,40 @@ class StochasticSampler:
         # Computed once: the correlated form runs the per-window burst
         # DP, which is too heavy to redo on every property access.
         self._expected_success_rate = self._compute_expected_success_rate()
+
+    @classmethod
+    def from_timeline(cls, points: Sequence[TimelinePoint],
+                      scenario: NoiseScenario, analytic: SimulationResult,
+                      num_qubits: int) -> "StochasticSampler":
+        """The sampler of one simulator's execution timeline.
+
+        *analytic* is the baseline result of the replay that produced
+        *points*; the sampler carries its labels.  The sites are
+        :func:`~repro.noise.scenarios.build_scenario_sites` of the
+        timeline and the gates are its gate points, in order.  A
+        non-baseline *scenario* runs the exact
+        :func:`~repro.noise.scenarios.scenario_analytics` once, for the
+        expected rate and the adjusted *analytic*; under baseline the
+        expected rate is the sites' survival product.
+        """
+        sites = build_scenario_sites(points, scenario)
+        gates = [point.gate for point in points
+                 if isinstance(point, GatePoint)]
+        expected_rate = None
+        if not scenario.is_baseline:
+            analytics = scenario_analytics(sites, scenario)
+            expected_rate = analytics.success_rate
+            analytic = analytics.apply_to(analytic)
+        return cls(
+            architecture=analytic.architecture,
+            circuit_name=analytic.circuit_name,
+            sites=sites,
+            gates=gates,
+            num_qubits=num_qubits,
+            analytic=analytic,
+            burst_multiplier=scenario.burst_error_multiplier,
+            expected_rate=expected_rate,
+        )
 
     # ------------------------------------------------------------------
     # The analytic reference
@@ -671,7 +710,7 @@ class StochasticSampler:
                 scalable = np.array([kind in BURST_SCALED_KINDS
                                      for kind in table.kinds], dtype=bool)
                 members = [table.windows == window
-                           for window in np.unique(table.windows).tolist()]
+                           for window in sorted(set(table.windows.tolist()))]
             else:
                 # one scan group, and no burst to scale any site
                 scalable = bursts
@@ -867,12 +906,14 @@ class StochasticSampler:
                 total = int(np.count_nonzero(selector))
                 if total:
                     mechanism_counts[kind] = total
-                    mechanism_shots[kind] = int(
-                        np.unique(trigger_shots[selector]).size
-                    )
+                    mechanism_shots[kind] = int(np.count_nonzero(
+                        np.bincount(trigger_shots[selector])
+                    ))
         if burst_shots.size:
             mechanism_counts[HEATING_BURST] = burst_shots.size
-            mechanism_shots[HEATING_BURST] = np.unique(burst_shots).size
+            mechanism_shots[HEATING_BURST] = int(
+                np.count_nonzero(np.bincount(burst_shots))
+            )
         return mechanism_counts, mechanism_shots
 
     # ------------------------------------------------------------------
@@ -905,7 +946,9 @@ class StochasticSampler:
         # pattern grouping is the one walk over shots
         groups: dict[tuple[Any, Any], list[int]] = {}
         positions = trigger_positions.tolist()
-        for shot in np.unique(trigger_shots[patterned]).tolist():
+        for shot in np.flatnonzero(
+            np.bincount(trigger_shots[patterned])
+        ).tolist():
             paulis: list[tuple[int, str]] = []
             leaked_at: dict[int, int] = {}
             for trigger in range(bounds[shot], bounds[shot + 1]):

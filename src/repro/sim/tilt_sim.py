@@ -13,14 +13,11 @@ also counts them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
 
 from repro.arch.tilt import TiltDevice
-from repro.circuits.gate import Gate
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
-from repro.noise.channels import error_site_for_gate
 from repro.noise.fidelity import FidelityTable
 from repro.noise.heating import quanta_after_moves
 from repro.noise.parameters import NoiseParameters
@@ -66,21 +63,6 @@ class TiltSimulator:
                 f"this simulator's {self.device!r}"
             )
         return program, name
-
-    def gate_fidelities(
-        self, program: ExecutableProgram
-    ) -> Iterator[tuple[Gate, float]]:
-        """Yield ``(gate, fidelity)`` in execution order under Eq. 4 heating.
-
-        The sampler's error sites read these; results come from
-        :meth:`_replay`.
-        """
-        chain_length = self.device.num_qubits
-        quanta = [quanta_after_moves(moves, chain_length, self.params)
-                  for moves in range(len(program.segments))]
-        table = FidelityTable(self.params)
-        for gate, moves_before in program.gates_with_move_counts():
-            yield gate, table.fidelity(gate, quanta[moves_before])
 
     def run(self, program: ExecutableProgram | CompileResult,
             *, circuit_name: str | None = None,
@@ -213,37 +195,9 @@ class TiltSimulator:
         """
         program, name = self._resolve(program, circuit_name)
         scenario = resolve_scenario(scenario)
-        expected_rate = None
-        if scenario.is_baseline:
-            gates = []
-            sites = []
-            for index, (gate, fidelity) in enumerate(
-                self.gate_fidelities(program)
-            ):
-                gates.append(gate)
-                site = error_site_for_gate(index, gate, fidelity)
-                if site is not None:
-                    sites.append(site)
-            analytic = self._replay(program, name)
-        else:
-            points = self.scenario_points(program, scenario)
-            gates = [point.gate for point in points
-                     if isinstance(point, GatePoint)]
-            sites = build_scenario_sites(points, scenario)
-            # one analytics pass serves both the analytic result and the
-            # sampler's expected rate — the burst DP never runs twice
-            analytics = scenario_analytics(sites, scenario)
-            expected_rate = analytics.success_rate
-            analytic = analytics.apply_to(self._replay(program, name))
-        return StochasticSampler(
-            architecture=f"TILT head {self.device.head_size}",
-            circuit_name=name,
-            sites=sites,
-            gates=gates,
-            num_qubits=program.circuit.num_qubits,
-            analytic=analytic,
-            burst_multiplier=scenario.burst_error_multiplier,
-            expected_rate=expected_rate,
+        return StochasticSampler.from_timeline(
+            self.scenario_points(program, scenario), scenario,
+            self._replay(program, name), program.circuit.num_qubits,
         )
 
     def run_stochastic(self, program: ExecutableProgram | CompileResult,

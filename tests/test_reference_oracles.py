@@ -3,15 +3,17 @@
 The production routers build a gate's lookahead window only when it needs
 a SWAP, score candidates from an index of that window, and (baseline)
 build the routed circuit of the winning trial only.  The simulators read
-Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable`.  The
+Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable` and
+build every sampler, baseline included, from one execution timeline.  The
 lowering expands each gate straight to native gates and fuses rotations
 in the same pass; compile stats count in one walk, schedule validation
 checks in one walk, and spec keys encode each circuit once per batch.
 The references below are the direct forms they replaced — a full-window
 Eq. 1 scan for every two-qubit gate, a complete routed circuit per
-baseline trial, a per-gate ``gate_fidelity`` / ``gate_time_us`` loop, a
-three-circuit lowering, four counting walks, a two-walk validation and a
-whole-spec encoding — and the production results must equal them exactly.
+baseline trial, a per-gate ``gate_fidelity`` / ``gate_time_us`` loop, one
+``error_site_for_gate`` per executed gate, a three-circuit lowering, four
+counting walks, a two-walk validation and a whole-spec encoding — and the
+production results must equal them exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
 from repro.exceptions import SchedulingError
 from repro.exec import ExecutionEngine, JobSpec, spec_key
+from repro.noise.channels import ErrorSite, error_site_for_gate
 from repro.noise.fidelity import (
     FidelityTable,
     SuccessRateAccumulator,
@@ -374,6 +377,41 @@ def reference_qccd(simulator: QccdSimulator, program):
     return fidelities, total_time
 
 
+def reference_baseline_sites(gates, fidelities) -> list[ErrorSite]:
+    """The baseline error sites of an executed gate sequence: one
+    ``error_site_for_gate`` per gate and its fidelity, in execution
+    order."""
+    sites = []
+    for index, (gate, fidelity) in enumerate(zip(gates, fidelities,
+                                                 strict=True)):
+        site = error_site_for_gate(index, gate, fidelity)
+        if site is not None:
+            sites.append(site)
+    return sites
+
+
+def _assert_baseline_sampler(sampler, result, gates, fidelities) -> None:
+    """*sampler* carries the reference baseline sites, the executed gates
+    and the analytic *result* unchanged, and expects the sites' plain
+    survival product.  Windows are left out: no baseline site's window
+    is read."""
+    def columns(sites):
+        return [(site.index, site.kind, site.qubits, site.probability)
+                for site in sites]
+
+    sites = reference_baseline_sites(gates, fidelities)
+    assert columns(sampler.sites) == columns(sites)
+    assert list(sampler.gates) == gates
+    assert sampler.analytic == result
+    log_survival = 0.0
+    for site in sites:
+        if site.probability >= 1.0:
+            assert sampler.expected_success_rate == 0.0
+            return
+        log_survival += math.log1p(-site.probability)
+    assert sampler.expected_success_rate == math.exp(log_survival)
+
+
 NOISE_CASES = {
     "paper": NoiseParameters.paper_defaults(),
     "cooling": NoiseParameters.paper_defaults().with_overrides(
@@ -433,8 +471,11 @@ class TestSimulatorsMatchReference:
                                                     compiled.program)
         assert result == _with_fidelities(result, fidelities, execution_time)
         _assert_counts(result, compiled.program.circuit)
-        assert [f for _, f in simulator.gate_fidelities(compiled.program)
-                ] == fidelities
+        _assert_baseline_sampler(
+            simulator.build_sampler(compiled), result,
+            [gate for gate, _ in compiled.program.gates_with_move_counts()],
+            fidelities,
+        )
         points = simulator.scenario_points(compiled.program,
                                            resolve_scenario("crosstalk"))
         assert _gate_point_fidelities(points) == fidelities
@@ -452,6 +493,10 @@ class TestSimulatorsMatchReference:
         fidelities, execution_time = reference_ideal(simulator, native)
         assert result == _with_fidelities(result, fidelities, execution_time)
         _assert_counts(result, native)
+        _assert_baseline_sampler(
+            simulator.build_sampler(circuit, native=native), result,
+            list(native), fidelities,
+        )
         points = simulator.scenario_points(native,
                                            resolve_scenario("crosstalk"))
         assert _gate_point_fidelities(points) == fidelities
@@ -467,8 +512,14 @@ class TestSimulatorsMatchReference:
         result = simulator.run(program, circuit_name=circuit.name)
         fidelities, execution_time = reference_qccd(simulator, program)
         assert result == _with_fidelities(result, fidelities, execution_time)
+        _assert_baseline_sampler(
+            simulator.build_sampler(program, circuit_name=circuit.name),
+            result,
+            [event.gate for event in program.events
+             if isinstance(event, QccdGateEvent)],
+            fidelities,
+        )
         trace = simulator.trace(program, resolve_scenario("crosstalk"))
-        assert trace.fidelities == fidelities
         assert _gate_point_fidelities(trace.points) == fidelities
 
     def test_hit_zero_case_clamps(self):

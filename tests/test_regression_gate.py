@@ -35,6 +35,7 @@ def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
         "benchmarks/bench_engine.py::test_sweep_cache_hit_rate[QFT]": 0.0008,
         "benchmarks/bench_stochastic.py::test_serial_shots_per_second": 0.5,
         "benchmarks/bench_stochastic.py::test_sharded_sampling_shares_one_sampler": 0.12,
+        "benchmarks/bench_stochastic.py::test_sampler_build": 0.03,
         "benchmarks/bench_stochastic.py::test_batched_statevector_patterns": 0.04,
         "benchmarks/bench_scenarios.py::test_correlated_sampling_shots_per_second": 9.0,
         "benchmarks/bench_scenarios.py::test_leakage_sampling_shots_per_second": 0.3,
