@@ -74,7 +74,7 @@ class IdealSimulator:
 
     def scenario_points(self, native: Circuit,
                         scenario: NoiseScenario) -> list[TimelinePoint]:
-        """The correlated-noise timeline of a native circuit.
+        """The execution timeline of a native circuit.
 
         Every ion has its own laser pair but all ions share one chain, so
         crosstalk spectators are the chain neighbours of the gate's

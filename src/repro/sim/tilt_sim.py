@@ -93,7 +93,7 @@ class TiltSimulator:
     # ------------------------------------------------------------------
     def scenario_points(self, program: ExecutableProgram,
                         scenario: NoiseScenario) -> list[TimelinePoint]:
-        """The execution timeline the scenario machinery consumes.
+        """The timeline samplers and scenario results are built from.
 
         Gates carry their Eq. 4 fidelity, the spectator ions currently
         under the laser head (crosstalk targets) and their burst-coupling
