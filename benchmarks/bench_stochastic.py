@@ -156,7 +156,7 @@ def test_sampler_build(benchmark, scale, noise):
                 for scenario in ("baseline", "crosstalk")
                 for simulator, program, inputs in programs]
 
-    samplers = benchmark.pedantic(build_all, rounds=9, warmup_rounds=1)
+    samplers = benchmark.pedantic(build_all, rounds=15, warmup_rounds=1)
     assert len(samplers) == 6
     benchmark.extra_info["sites"] = sum(len(s.sites) for s in samplers)
 
