@@ -61,17 +61,17 @@ COOLING_TIME_US = 100.0
 class QccdTrace:
     """Flattened replay of a QCCD program.
 
-    Gate counts, the aggregate time, the success fold, the transport
-    count and heating state; both the analytic estimator and the
-    stochastic sampler are built from this single replay.  ``points`` is
-    the execution timeline (gates with their fidelity, spectators and
-    trap as burst-coupling window, in event order; transports as shuttle
-    points), built only when the replay runs under a scenario, and
-    ``telemetry`` carries the per-trap heating counters that survive
-    every sympathetic-cooling event.
+    The success fold (which counts the gates), the two-qubit gate
+    count, the aggregate time, the transport count and heating state;
+    both the analytic estimator and the stochastic sampler are built
+    from this single replay.  ``points`` is the execution timeline
+    (gates with their fidelity, spectators and trap as burst-coupling
+    window, in event order; transports as shuttle points), built only
+    when the replay runs under a scenario, and ``telemetry`` carries
+    the per-trap heating counters that survive every
+    sympathetic-cooling event.
     """
 
-    num_gates: int = 0
     num_two_qubit: int = 0
     num_transports: int = 0
     execution_time_us: float = 0.0
@@ -139,7 +139,6 @@ class QccdSimulator:
                     if cost is None:
                         cost = resting[gate.name] = cost_of(gate, 0.0)
                     fidelity, log_term, duration, _, _ = cost
-                fold(fidelity, log_term)
                 if want_points:
                     spectators = ()
                     if want_spectators and gate.num_qubits == 2:
@@ -148,13 +147,13 @@ class QccdSimulator:
                             scenario.crosstalk_range,
                         )
                     trace.points.append(GatePoint(
-                        index=trace.num_gates,
+                        index=trace.success.num_gates,
                         gate=gate,
                         fidelity=fidelity,
                         spectators=spectators,
                         window=event.trap,
                     ))
-                trace.num_gates += 1
+                fold(fidelity, log_term)
                 execution_time += duration
             elif isinstance(event, QccdShuttleEvent):
                 execution_time += self._shuttle_time_us(event)
@@ -239,7 +238,7 @@ class QccdSimulator:
             success_rate=accumulator.success_rate,
             log10_success_rate=accumulator.log10_success_rate,
             execution_time_us=trace.execution_time_us,
-            num_gates=trace.num_gates,
+            num_gates=accumulator.num_gates,
             num_two_qubit_gates=trace.num_two_qubit,
             num_moves=trace.num_transports,
             move_distance_um=0.0,
