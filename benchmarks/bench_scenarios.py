@@ -2,10 +2,11 @@
 
 Tracks the cost of the scenario machinery on top of the PR-1/PR-2 stack:
 the analytic scenario-comparison study (site expansion + the exact burst
-dynamic program for every workload × scenario cell), the throughput of
-worst-case and leakage stochastic sampling, and the acceptance
-behaviour that baseline scenario keys leave the content-hash cache
-untouched.
+dynamic program for every workload × scenario cell), the analytic
+``run(scenario=)`` of all three simulators on precompiled programs (the
+paper-scale search's hot path), the throughput of worst-case and
+leakage stochastic sampling, and the acceptance behaviour that baseline
+scenario keys leave the content-hash cache untouched.
 """
 
 from __future__ import annotations
@@ -16,8 +17,18 @@ from repro.analysis.scenario_study import (
     attribution_rows,
     scenario_comparison,
 )
-from repro.compiler.pipeline import CompilerConfig
+from repro.arch.ideal import IdealTrappedIonDevice
+from repro.arch.qccd import QccdDevice
+from repro.compiler.pipeline import (
+    CompilerConfig,
+    LinQCompiler,
+    lower_to_native,
+)
+from repro.compiler.qccd_compiler import QccdCompiler
 from repro.exec import ExecutionEngine, JobSpec, run_sampled_job, spec_key
+from repro.sim.ideal_sim import IdealSimulator
+from repro.sim.qccd_sim import QccdSimulator
+from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.suite import build_workload
 
 #: Enough shots that correlated sampling (not compilation) dominates.
@@ -60,6 +71,41 @@ def test_scenario_study_smoke(benchmark, scale, noise):
     benchmark.extra_info["cells"] = len(rows)
     benchmark.extra_info["max_combined_loss_decades"] = max(
         row.loss_decades for row in combined
+    )
+
+
+def test_scenario_analytics(benchmark, scale, noise):
+    """Analytic ``run(scenario=)`` of QFT on TILT, QCCD and the ideal
+    device under crosstalk, leakage and heating bursts, from programs
+    compiled outside the timer.
+
+    Each run replays its program once into a timeline, expands it into
+    error sites and solves the exact per-window analytics.
+    """
+    circuit = build_workload("QFT", scale)
+    tilt = experiments.device_for(scale, "QFT")
+    qccd = QccdDevice(num_qubits=circuit.num_qubits,
+                      trap_capacity=17 if scale == "paper" else 5)
+    programs = [
+        (TiltSimulator(tilt, noise),
+         LinQCompiler(tilt, CompilerConfig()).compile(circuit), {}),
+        (QccdSimulator(qccd, noise), QccdCompiler(qccd).compile(circuit),
+         {"circuit_name": circuit.name}),
+        (IdealSimulator(IdealTrappedIonDevice(circuit.num_qubits), noise),
+         circuit, {"native": lower_to_native(circuit)}),
+    ]
+
+    def run_all():
+        return [simulator.run(program, scenario=scenario, **inputs)
+                for scenario in ("crosstalk", "leakage", "heating_burst")
+                for simulator, program, inputs in programs]
+
+    results = benchmark.pedantic(run_all, rounds=15, warmup_rounds=1)
+    assert len(results) == 9
+    benchmark.extra_info["sites"] = sum(
+        int(sum(value for key, value in result.extras.items()
+                if key.startswith("sites_")))
+        for result in results
     )
 
 

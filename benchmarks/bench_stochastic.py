@@ -133,9 +133,8 @@ def test_sampler_build(benchmark, scale, noise):
     """Baseline and crosstalk sampler builds of QFT on TILT, QCCD and
     the ideal device, from programs compiled outside the timer.
 
-    Each build replays its program into one timeline and expands it
-    into error sites; in a scenario-sampling pass these builds cost
-    about as much as drawing the shots.
+    Each build replays its program once, recording its timeline as
+    columns, and expands those into the sampler's site table.
     """
     circuit = build_workload("QFT", scale)
     tilt = experiments.device_for(scale, "QFT")
@@ -158,7 +157,7 @@ def test_sampler_build(benchmark, scale, noise):
 
     samplers = benchmark.pedantic(build_all, rounds=15, warmup_rounds=1)
     assert len(samplers) == 6
-    benchmark.extra_info["sites"] = sum(len(s.sites) for s in samplers)
+    benchmark.extra_info["sites"] = sum(len(s.table) for s in samplers)
 
 
 def test_batched_statevector_patterns(benchmark):

@@ -47,7 +47,10 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
   the median of several rounds with a fresh engine each), and the
   baseline and crosstalk builds of all three simulators, each one
   timeline expanded into error sites by the one shared builder
-  (``bench_stochastic.py::test_sampler_build``);
+  (``bench_stochastic.py::test_sampler_build``), and the analytic
+  ``run(scenario=)`` of all three under crosstalk, leakage and heating
+  bursts, which shares that expansion
+  (``bench_scenarios.py::test_scenario_analytics``);
 * ``statevector_batch`` — the batched pattern re-simulation kernel
   (``bench_stochastic.py::test_batched_statevector_patterns``);
 * ``obs_overhead``      — the engine batch with tracing off, on, and
@@ -116,6 +119,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_stochastic\.py::test_sharded_sampling_shares_one_sampler"),
     ("sampler_sharing",
      r"bench_stochastic\.py::test_sampler_build"),
+    ("sampler_sharing",
+     r"bench_scenarios\.py::test_scenario_analytics"),
     ("statevector_batch",
      r"bench_stochastic\.py::test_batched_statevector_patterns"),
     ("lint",

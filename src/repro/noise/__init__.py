@@ -5,12 +5,10 @@ correlated-noise scenario registry (crosstalk / leakage / heating bursts)."""
 from repro.noise.channels import (
     LABEL_TABLE,
     ErrorSite,
-    error_site_for_gate,
     pauli_gates,
 )
 from repro.noise.scenarios import (
     NoiseScenario,
-    build_scenario_sites,
     compose_scenarios,
     expected_log10_success,
     get_scenario,
@@ -42,9 +40,7 @@ __all__ = [
     "NoiseScenario",
     "SuccessRateAccumulator",
     "XX_GATES_PER_SWAP",
-    "build_scenario_sites",
     "compose_scenarios",
-    "error_site_for_gate",
     "expected_log10_success",
     "gate_fidelity",
     "gate_time_us",

@@ -57,6 +57,10 @@ HEATING_BURST = "heating_burst"
 SITE_KINDS = (PAULI_1Q, PAULI_2Q, MEASURE_FLIP, CROSSTALK, LEAKAGE,
               HEATING_BURST)
 
+#: Each kind's code, its position in :data:`SITE_KINDS`: the form a
+#: :class:`SiteTable` stores kinds in.
+KIND_CODES = {kind: code for code, kind in enumerate(SITE_KINDS)}
+
 #: Kinds whose trigger is an *error event* (a shot fails iff one of these
 #: triggers).  A heating burst is not itself an error — it only raises the
 #: probability of later ones — so it is deliberately absent.
@@ -101,15 +105,15 @@ LABEL_TABLE: dict[str, tuple[str, ...]] = {
     HEATING_BURST: ("BURST",),
 }
 
-#: :data:`LABEL_TABLE` flattened in :data:`SITE_KINDS` order, and where
-#: each kind's row starts in it.
+#: :data:`LABEL_TABLE` flattened in :data:`SITE_KINDS` order, and per
+#: kind code (see :data:`KIND_CODES`) how many labels its row holds and
+#: where the row starts.
 _FLAT_LABELS = np.array(
     [label for kind in SITE_KINDS for label in LABEL_TABLE[kind]]
 )
-_ROW_STARTS = dict(zip(
-    SITE_KINDS,
-    np.cumsum([0] + [len(LABEL_TABLE[kind]) for kind in SITE_KINDS]).tolist(),
-))
+_ROW_COUNTS = np.array([len(LABEL_TABLE[kind]) for kind in SITE_KINDS],
+                       dtype=np.int64)
+_ROW_STARTS = np.cumsum(_ROW_COUNTS) - _ROW_COUNTS
 
 
 @dataclass(frozen=True)
@@ -161,27 +165,37 @@ class ErrorSite:
             )
 
 
+def kind_mask(codes: np.ndarray, kinds: frozenset[str]) -> np.ndarray:
+    """Which of the kind *codes* stand for one of *kinds*."""
+    flags = np.array([kind in kinds for kind in SITE_KINDS], dtype=bool)
+    return flags[codes]
+
+
 @dataclass(frozen=True)
 class SiteTable:
-    """Columnar (structure-of-arrays) view of an error-site sequence.
+    """Columnar (structure-of-arrays) form of an error-site sequence.
 
     The vectorized sampler needs per-site *columns* — one probability,
     window and kind-class entry per site, aligned with the site's
     position in execution order — rather than a list of
-    :class:`ErrorSite` objects.  Building those columns once per sampler
-    keeps every hot shot-block free of per-site Python iteration.
+    :class:`ErrorSite` objects.  A simulator's timeline expands straight
+    into these columns (:meth:`repro.noise.scenarios.Timeline.site_table`);
+    :meth:`from_sites` builds them from records, and :meth:`site` and
+    :meth:`sites` give the records back on demand.
 
     All arrays are marked read-only: the table is shared between the
     trigger kernels, the hazard-table cache and telemetry, and none of
-    them may mutate it.  ``kinds`` keeps the raw kind string per site
-    for telemetry grouping; ``indices`` is each site's
-    :attr:`ErrorSite.index`.
+    them may mutate it.  ``codes`` is each site's kind as its
+    :data:`KIND_CODES` code, ``indices`` its :attr:`ErrorSite.index`
+    and ``qubits`` its qubits, one row per site padded with ``-1`` to
+    the widest site.
     """
 
+    codes: np.ndarray
     probabilities: np.ndarray
     windows: np.ndarray
     indices: np.ndarray
-    kinds: tuple[str, ...]
+    qubits: np.ndarray
     #: Per-site boolean columns classifying the kind (aligned with
     #: ``probabilities``): injects a sampled Pauli, classical readout
     #: flip, leakage, heating burst, any correlated-only kind.
@@ -196,49 +210,101 @@ class SiteTable:
     label_counts: np.ndarray
 
     @classmethod
+    def from_columns(cls, codes: np.ndarray, probabilities: np.ndarray,
+                     windows: np.ndarray, indices: np.ndarray,
+                     qubits: np.ndarray) -> "SiteTable":
+        """The table of sites given column by column, in execution order.
+
+        Every check of :class:`ErrorSite` runs here, once per column.
+        """
+        if codes.size and (codes.min() < 0
+                           or codes.max() >= len(SITE_KINDS)):
+            raise SimulationError("unknown error-site kind code")
+        outside = ~((probabilities >= 0.0) & (probabilities <= 1.0))
+        if outside.any():
+            raise SimulationError(
+                f"error probability {probabilities[outside][0]} "
+                f"outside [0, 1]"
+            )
+        leak_mask = codes == KIND_CODES[LEAKAGE]
+        leak_widths = (qubits[leak_mask] >= 0).sum(axis=1)
+        if (leak_widths != 1).any():
+            raise SimulationError(
+                "a leakage site leaks exactly one qubit, got "
+                f"{leak_widths[leak_widths != 1][0]} qubits"
+            )
+        columns = {
+            "codes": codes,
+            "probabilities": probabilities,
+            "windows": windows,
+            "indices": indices,
+            "qubits": qubits,
+            "label_mask": kind_mask(codes, LABEL_KINDS),
+            "flip_mask": codes == KIND_CODES[MEASURE_FLIP],
+            "leak_mask": leak_mask,
+            "burst_mask": codes == KIND_CODES[HEATING_BURST],
+            "correlated_mask": kind_mask(codes, CORRELATED_KINDS),
+            "label_starts": _ROW_STARTS[codes],
+            "label_counts": _ROW_COUNTS[codes],
+        }
+        for array in columns.values():
+            array.setflags(write=False)
+        return cls(**columns)
+
+    @classmethod
     def from_sites(cls, sites: Sequence[ErrorSite]) -> "SiteTable":
         """Build the columns of *sites* (kept in execution order)."""
-        kinds = tuple(site.kind for site in sites)
-        probabilities = np.array(
-            [site.probability for site in sites], dtype=float
+        width = max((len(site.qubits) for site in sites), default=0)
+        return cls.from_columns(
+            codes=np.array([KIND_CODES[site.kind] for site in sites],
+                           dtype=np.int64),
+            probabilities=np.array([site.probability for site in sites],
+                                   dtype=float),
+            windows=np.array([site.window for site in sites],
+                             dtype=np.int64),
+            indices=np.array([site.index for site in sites], dtype=np.int64),
+            qubits=np.array(
+                [site.qubits + (-1,) * (width - len(site.qubits))
+                 for site in sites], dtype=np.int64,
+            ).reshape(len(sites), width),
         )
-        windows = np.array([site.window for site in sites], dtype=np.int64)
-        indices = np.array([site.index for site in sites], dtype=np.int64)
-        columns = {
-            "label_mask": np.array(
-                [kind in LABEL_KINDS for kind in kinds], dtype=bool
-            ),
-            "flip_mask": np.array(
-                [kind == MEASURE_FLIP for kind in kinds], dtype=bool
-            ),
-            "leak_mask": np.array(
-                [kind == LEAKAGE for kind in kinds], dtype=bool
-            ),
-            "burst_mask": np.array(
-                [kind == HEATING_BURST for kind in kinds], dtype=bool
-            ),
-            "correlated_mask": np.array(
-                [kind in CORRELATED_KINDS for kind in kinds], dtype=bool
-            ),
-            "label_starts": np.array(
-                [_ROW_STARTS[kind] for kind in kinds], dtype=np.int64
-            ),
-            "label_counts": np.array(
-                [len(LABEL_TABLE[kind]) for kind in kinds], dtype=np.int64
-            ),
-        }
-        for array in (probabilities, windows, indices, *columns.values()):
-            array.setflags(write=False)
-        return cls(probabilities=probabilities, windows=windows,
-                   indices=indices, kinds=kinds, **columns)
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.codes.shape[0]
 
     @property
     def correlated(self) -> bool:
         """True when any site is of a :data:`CORRELATED_KINDS` kind."""
         return bool(self.correlated_mask.any())
+
+    def kinds_in_order(self) -> list[str]:
+        """The kinds present, in the order each first appears."""
+        codes = self.codes
+        firsts = [(int(np.argmax(codes == code)), code)
+                  for code in np.flatnonzero(np.bincount(
+                      codes, minlength=len(SITE_KINDS))).tolist()]
+        return [SITE_KINDS[code] for _, code in sorted(firsts)]
+
+    def site(self, position: int) -> ErrorSite:
+        """The :class:`ErrorSite` record of site *position*."""
+        return self._records(slice(position, position + 1))[0]
+
+    def sites(self) -> tuple[ErrorSite, ...]:
+        """Every site as an :class:`ErrorSite` record, in order."""
+        return self._records(slice(None))
+
+    def _records(self, rows: slice) -> tuple[ErrorSite, ...]:
+        return tuple(
+            ErrorSite(index=index, kind=SITE_KINDS[code],
+                      qubits=tuple(q for q in qubits if q >= 0),
+                      probability=probability, window=window)
+            for index, code, qubits, probability, window in zip(
+                self.indices[rows].tolist(), self.codes[rows].tolist(),
+                self.qubits[rows].tolist(),
+                self.probabilities[rows].tolist(),
+                self.windows[rows].tolist(),
+            )
+        )
 
     def lookup_labels(self, positions: np.ndarray,
                       uniforms: np.ndarray) -> np.ndarray:
@@ -253,32 +319,6 @@ class SiteTable:
         choices = np.minimum((uniforms * counts).astype(np.int64),
                              counts - 1)
         return _FLAT_LABELS[self.label_starts[positions] + choices]
-
-
-def error_site_for_gate(index: int, gate: Gate, fidelity: float,
-                        window: int = 0) -> ErrorSite | None:
-    """The error site of one executed gate, or ``None`` if it cannot fail.
-
-    Barriers and gates with fidelity 1 produce no site (zero-probability
-    sites would only slow the sampler down).
-    """
-    if not 0.0 <= fidelity <= 1.0:
-        raise SimulationError(f"fidelity {fidelity} outside [0, 1]")
-    if gate.name == "barrier" or fidelity >= 1.0:
-        return None
-    if gate.name == "measure":
-        kind = MEASURE_FLIP
-    elif gate.num_qubits == 1:
-        kind = PAULI_1Q
-    elif gate.num_qubits == 2:
-        kind = PAULI_2Q
-    else:
-        raise SimulationError(
-            f"gate {gate.name!r} must be decomposed before stochastic "
-            "noise evaluation"
-        )
-    return ErrorSite(index=index, kind=kind, qubits=gate.qubits,
-                     probability=1.0 - fidelity, window=window)
 
 
 def pauli_gates(site: ErrorSite, label: str) -> list[Gate]:

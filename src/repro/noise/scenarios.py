@@ -15,29 +15,33 @@ physically dominant threats at scale (Sections II-B, IV-E, VII):
   next cooling event re-grounds the chain.
 
 This module is declarative: a :class:`NoiseScenario` names one
-configuration of the three mechanisms, a process-wide registry maps names
-(``"baseline"``, ``"crosstalk"``, ``"leakage"``, ``"heating_burst"``,
-``"worst_case"``) to configs, and :func:`build_scenario_sites` expands a
-simulator-produced execution timeline into the
-:class:`~repro.noise.channels.ErrorSite` records the stochastic sampler
+configuration of the three mechanisms, and a process-wide registry maps
+names (``"baseline"``, ``"crosstalk"``, ``"leakage"``,
+``"heating_burst"``, ``"worst_case"``) to configs.  A simulator's one
+replay emits its execution timeline as columns (a :class:`Timeline`: per
+executed gate its fidelity and burst-coupling window, the spectators a
+crosstalk kick can reach, the shuttles), and :meth:`Timeline.site_table`
+expands those columns with numpy into the
+:class:`~repro.noise.channels.SiteTable` the stochastic sampler
 consumes: each gate's Eq. 4 site plus the scenario's extra ones.  The
-analytic counterpart, :func:`scenario_analytics`, computes the *exact*
-closed-form success rate of the correlated model — bursts are handled
-by a per-window dynamic program over the number of active bursts, so
-the analytic and sampled paths agree by construction, not by
-approximation.
+analytic counterpart, :func:`scenario_analytics`, reads the same table
+and computes the *exact* closed-form success rate of the correlated
+model — bursts are handled by a per-window dynamic program over the
+number of active bursts, so the analytic and sampled paths agree by
+construction, not by approximation.
 
 Adding a new mechanism means adding a new ``ErrorSite`` kind (see the
-README section "Adding a new ErrorSite kind") plus its expansion rule
-here — never a new simulator.
+README section "Adding a new ErrorSite kind") plus its site family in
+:meth:`Timeline.site_table` — never a new simulator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -46,10 +50,12 @@ from repro.exceptions import SimulationError
 from repro.noise.channels import (
     CROSSTALK,
     HEATING_BURST,
+    KIND_CODES,
     LEAKAGE,
     MEASURE_FLIP,
-    ErrorSite,
-    error_site_for_gate,
+    PAULI_1Q,
+    PAULI_2Q,
+    SiteTable,
 )
 
 #: Mechanism names, in the order attribution tables report them.
@@ -286,111 +292,196 @@ register_scenario(compose_scenarios(
 # ----------------------------------------------------------------------
 # Execution timeline -> error sites
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GatePoint:
-    """One executed gate on a simulator's timeline.
-
-    ``index`` is the gate's position in execution order (it doubles as
-    the injection index for counts sampling), ``spectators`` lists the
-    ``(ion, distance)`` pairs a crosstalk kick can reach, and ``window``
-    is the burst-coupling window the gate runs in.
-    """
-
-    index: int
-    gate: Gate
-    fidelity: float
-    spectators: tuple[tuple[int, int], ...] = ()
-    window: int = 0
-
-
-@dataclass(frozen=True)
-class ShuttlePoint:
-    """One shuttle (tape move / QCCD transport) on the timeline.
-
-    ``move`` is the 1-based move/transport number (recorded as the burst
-    site's ``index``); ``window`` is the burst-coupling window the
-    deposited burst lives in.
-    """
-
-    move: int
-    window: int = 0
-
-
-TimelinePoint = Union[GatePoint, ShuttlePoint]
-
-
-def chain_spectators(qubits: tuple[int, ...], window_ions: Iterable[int],
+def chain_spectators(qubits: Sequence[int], window: range,
                      max_distance: int) -> tuple[tuple[int, int], ...]:
     """The ``(ion, distance)`` spectator pairs of a gate in a chain window.
 
+    *window* is the contiguous run of ions the gate's chain exposes.
     Distance is the ion's separation from the nearest gate operand; only
     spectators within *max_distance* are returned, sorted by ion index.
+    Only ions within *max_distance* of an operand can qualify, so those
+    are the only ones looked at, operand by operand from the left.
     """
-    operands = set(qubits)
+    operands = sorted(set(qubits))
     spectators = []
-    for ion in window_ions:
-        if ion in operands:
-            continue
-        distance = min(abs(ion - q) for q in operands)
-        if 1 <= distance <= max_distance:
-            spectators.append((ion, distance))
-    return tuple(sorted(spectators))
+    start = window.start
+    for operand in operands:
+        for ion in range(max(start, operand - max_distance),
+                         min(window.stop, operand + max_distance + 1)):
+            distance = min([abs(ion - qubit) for qubit in operands])
+            if distance:
+                spectators.append((ion, distance))
+        start = max(start, operand + max_distance + 1)
+    return tuple(spectators)
 
 
-def _is_entangling(gate: Gate) -> bool:
-    return gate.num_qubits == 2 and gate.name not in ("barrier",)
+@dataclass
+class Timeline:
+    """A simulator replay's execution timeline, as columns.
 
+    Row ``i`` of the per-gate columns is the ``i``-th executed gate: the
+    gate itself, its Eq. 4 fidelity and the burst-coupling window it
+    runs in (its row number doubles as the injection index for counts
+    sampling).  ``spectators`` holds flat ``(gate, ion, distance)``
+    triples, the ions a crosstalk kick from that gate can reach, and is
+    only filled when ``crosstalk_range`` is positive.  ``shuttles``
+    holds flat ``(gate position, move, window)`` triples: the 1-based
+    move (TILT tape move, QCCD transport) runs before the gate of that
+    row, and the burst it may deposit lives in that window.
 
-def build_scenario_sites(points: Sequence[TimelinePoint],
-                         scenario: NoiseScenario) -> list[ErrorSite]:
-    """Expand a timeline into the full (base + scenario) error-site list.
-
-    Sites come out in execution order — the order the stochastic sampler
-    processes them in, and the order the burst dynamic program relies on:
-    a burst only scales sites that appear *after* it in the list and
-    share its window.  Per gate the order is: the base Eq. 4 site, then
-    crosstalk kicks (by spectator index), then leakage sites (by operand
-    order).
+    A replay given a timeline appends to it as it executes;
+    :meth:`site_table` expands it into error sites.
     """
-    burst_probability = scenario.burst_probability
-    crosstalk = scenario.crosstalk_strength > 0.0
-    leakage_rate_1q = scenario.leakage_rate_1q
-    leakage_rate_2q = scenario.leakage_rate_2q
-    # whether any gate can carry a site beyond its base one
-    gate_mechanisms = (crosstalk or leakage_rate_1q > 0.0
-                       or leakage_rate_2q > 0.0)
-    sites: list[ErrorSite] = []
-    for point in points:
-        if isinstance(point, ShuttlePoint):
-            if burst_probability > 0.0:
-                sites.append(ErrorSite(
-                    index=point.move, kind=HEATING_BURST, qubits=(),
-                    probability=burst_probability, window=point.window,
-                ))
-            continue
-        gate = point.gate
-        base = error_site_for_gate(point.index, gate, point.fidelity,
-                                   window=point.window)
-        if base is not None:
-            sites.append(base)
-        if not gate_mechanisms or gate.name in ("barrier", "measure"):
-            continue
-        if crosstalk and _is_entangling(gate):
-            for ion, distance in point.spectators:
-                probability = scenario.crosstalk_probability(distance)
-                if probability > 0.0:
-                    sites.append(ErrorSite(
-                        index=point.index, kind=CROSSTALK, qubits=(ion,),
-                        probability=probability, window=point.window,
-                    ))
-        rate = leakage_rate_2q if gate.num_qubits == 2 else leakage_rate_1q
-        if rate > 0.0:
-            for qubit in gate.qubits:
-                sites.append(ErrorSite(
-                    index=point.index, kind=LEAKAGE, qubits=(qubit,),
-                    probability=rate, window=point.window,
-                ))
-    return sites
+
+    crosstalk_range: int = 0
+    gates: list[Gate] = field(default_factory=list)
+    fidelities: list[float] = field(default_factory=list)
+    windows: list[int] = field(default_factory=list)
+    spectators: list[int] = field(default_factory=list)
+    shuttles: list[int] = field(default_factory=list)
+
+    @classmethod
+    def for_scenario(cls, scenario: NoiseScenario) -> "Timeline":
+        """An empty timeline that records what *scenario* reads."""
+        crosstalk = scenario.crosstalk_strength > 0.0
+        return cls(crosstalk_range=scenario.crosstalk_range if crosstalk
+                   else 0)
+
+    def add_shuttle(self, move: int, window: int) -> None:
+        """Record move *move*, run before the next gate, in *window*."""
+        self.shuttles.extend((len(self.gates), move, window))
+
+    def add_spectators(self, gate: int,
+                       pairs: Sequence[tuple[int, int]]) -> None:
+        """Record the ``(ion, distance)`` spectators of gate row *gate*."""
+        for ion, distance in pairs:
+            self.spectators.extend((gate, ion, distance))
+
+    def close_block(self, window: int, ions: range) -> None:
+        """Put every gate recorded since the last call in *window*, and
+        record the spectators of its two-qubit gates among *ions*."""
+        start = len(self.windows)
+        gates = self.gates
+        self.windows.extend([window] * (len(gates) - start))
+        if self.crosstalk_range:
+            for row in range(start, len(gates)):
+                gate = gates[row]
+                if len(gate.qubits) == 2 and gate.name != "barrier":
+                    self.add_spectators(row, chain_spectators(
+                        gate.qubits, ions, self.crosstalk_range))
+
+    def site_table(self, scenario: NoiseScenario) -> SiteTable:
+        """The full (base + scenario) error-site table of the timeline.
+
+        Sites come out in execution order — the order the stochastic
+        sampler processes them in, and the order the burst dynamic
+        program relies on: a burst only scales sites that appear *after*
+        it and share its window.  Per gate the order is: the base Eq. 4
+        site (``1 - fidelity``; none for a barrier or a perfect gate),
+        then crosstalk kicks (by spectator ion), then leakage sites (by
+        operand order); each burst sits at its shuttle, before the next
+        gate's sites.  Barriers and measurements carry no crosstalk or
+        leakage site.
+        """
+        gates = self.gates
+        count = len(gates)
+        fidelities = np.array(self.fidelities, dtype=float)
+        windows = np.array(self.windows, dtype=np.int64)
+        if fidelities.shape != (count,) or windows.shape != (count,):
+            raise SimulationError(
+                "a timeline needs one fidelity and one window per gate"
+            )
+        qubit_lists = [gate.qubits for gate in gates]
+        names = np.array([gate.name for gate in gates], dtype=str)
+        widths = np.fromiter(map(len, qubit_lists), dtype=np.int64,
+                             count=count)
+        barrier = names == "barrier"
+        measure = names == "measure"
+        pair = (widths == 2) & ~barrier
+        leakage_rate_1q = scenario.leakage_rate_1q
+        leakage_rate_2q = scenario.leakage_rate_2q
+        leakage = leakage_rate_1q > 0.0 or leakage_rate_2q > 0.0
+        # the checks of the per-gate expansion, first failure first
+        bad_fidelity = ~((fidelities >= 0.0) & (fidelities <= 1.0))
+        undecomposed = (~barrier & (widths != 1) & (widths != 2)
+                        & ((fidelities < 1.0) | leakage))
+        failed = np.flatnonzero(bad_fidelity | undecomposed)
+        if failed.size:
+            first = int(failed[0])
+            if bad_fidelity[first]:
+                raise SimulationError(
+                    f"fidelity {self.fidelities[first]} outside [0, 1]"
+                )
+            raise SimulationError(
+                f"gate {gates[first].name!r} must be decomposed before "
+                "stochastic noise evaluation"
+            )
+        operands = np.full((count, 2), -1, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(qubit_lists), dtype=np.int64,
+                           count=int(widths.sum()))
+        starts = np.cumsum(widths) - widths
+        for column, present in enumerate(((widths == 1) | (widths == 2),
+                                          widths == 2)):
+            operands[present, column] = flat[starts[present] + column]
+
+        # One part per site family, each in gate order: (sort key, kind
+        # code, probability, window, index, qubits).  The key orders
+        # sites by gate row, then burst, base, crosstalk and leakage.
+        parts = []
+
+        def gate_sites(rows, rank, codes, probabilities, qubits):
+            parts.append((rows * 4 + rank, codes, probabilities,
+                          windows[rows], rows, qubits))
+
+        if scenario.burst_probability > 0.0:
+            shuttles = np.array(self.shuttles, dtype=np.int64).reshape(-1, 3)
+            parts.append((
+                shuttles[:, 0] * 4,
+                np.full(len(shuttles), KIND_CODES[HEATING_BURST]),
+                np.full(len(shuttles), scenario.burst_probability),
+                shuttles[:, 2], shuttles[:, 1],
+                np.full((len(shuttles), 2), -1, dtype=np.int64),
+            ))
+        base = np.flatnonzero(~barrier & (fidelities < 1.0))
+        gate_sites(base, 1,
+                   np.where(measure[base], KIND_CODES[MEASURE_FLIP],
+                            np.where(widths[base] == 2, KIND_CODES[PAULI_2Q],
+                                     KIND_CODES[PAULI_1Q])),
+                   1.0 - fidelities[base], operands[base])
+        if scenario.crosstalk_strength > 0.0:
+            triples = np.array(self.spectators, dtype=np.int64).reshape(-1, 3)
+            triples = triples[pair[triples[:, 0]]]
+            distances = sorted(set(triples[:, 2].tolist()))
+            kicks = np.array([scenario.crosstalk_probability(distance)
+                              for distance in distances], dtype=float)[
+                np.searchsorted(distances, triples[:, 2])]
+            reached = kicks > 0.0
+            gate_sites(triples[reached, 0], 2,
+                       np.full(int(reached.sum()), KIND_CODES[CROSSTALK]),
+                       kicks[reached], _single(triples[reached, 1]))
+        if leakage:
+            rates = np.where(widths == 2, leakage_rate_2q, leakage_rate_1q)
+            leaky = ~barrier & ~measure & (rates > 0.0)
+            for column in (0, 1):
+                rows = np.flatnonzero(leaky & (operands[:, column] >= 0))
+                gate_sites(rows, 3, np.full(rows.size, KIND_CODES[LEAKAGE]),
+                           rates[rows], _single(operands[rows, column]))
+
+        keys, codes, probabilities, site_windows, indices, qubits = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        order = np.argsort(keys, kind="stable")
+        width = int((qubits >= 0).sum(axis=1).max(initial=0))
+        return SiteTable.from_columns(
+            codes[order], probabilities[order], site_windows[order],
+            indices[order], qubits[order, :width],
+        )
+
+
+def _single(qubits: np.ndarray) -> np.ndarray:
+    """One-qubit rows of a two-column qubit table (``-1`` padded)."""
+    return np.stack((qubits, np.full(qubits.size, -1, dtype=np.int64)),
+                    axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +495,7 @@ LOG10_E = math.log10(math.e)
 _DP_RESCALE_FLOOR = 1e-150
 
 
-def _window_log10_success(sites: Sequence[ErrorSite],
+def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
                           multiplier: float) -> float:
     """log10 P(no error event) for the sites of one burst-coupling window.
 
@@ -415,30 +506,30 @@ def _window_log10_success(sites: Sequence[ErrorSite],
     processed so far survived; burst sites branch the distribution, error
     sites multiply in their (burst-scaled) survival factor.
     """
-    if not any(site.kind == HEATING_BURST for site in sites):
+    burst = KIND_CODES[HEATING_BURST]
+    if not (codes == burst).any():
+        if (probabilities >= 1.0).any():
+            return float("-inf")
         log_total = 0.0
-        for site in sites:
-            if site.probability >= 1.0:
-                return float("-inf")
-            log_total += math.log1p(-site.probability)
+        for probability in probabilities.tolist():
+            log_total += math.log1p(-probability)
         return log_total * LOG10_E
 
+    flip = KIND_CODES[MEASURE_FLIP]
     weights = np.array([1.0])
     log10_total = 0.0
     with np.errstate(over="ignore"):
-        scale = multiplier ** np.arange(len(sites) + 1, dtype=float)
-    for site in sites:
-        if site.kind == HEATING_BURST:
-            p = site.probability
+        scale = multiplier ** np.arange(len(codes) + 1, dtype=float)
+    for code, p in zip(codes.tolist(), probabilities.tolist()):
+        if code == burst:
             grown = np.zeros(len(weights) + 1)
             grown[:-1] += weights * (1.0 - p)
             grown[1:] += weights * p
             weights = grown
-        elif site.kind == MEASURE_FLIP:
-            weights = weights * (1.0 - site.probability)
+        elif code == flip:
+            weights = weights * (1.0 - p)
         else:
-            scaled = np.minimum(1.0,
-                                site.probability * scale[:len(weights)])
+            scaled = np.minimum(1.0, p * scale[:len(weights)])
             weights = weights * (1.0 - scaled)
         total = float(weights.sum())
         if total <= 0.0:
@@ -449,27 +540,37 @@ def _window_log10_success(sites: Sequence[ErrorSite],
     return log10_total + math.log10(float(weights.sum()))
 
 
-def expected_log10_success(sites: Sequence[ErrorSite],
+def _window_groups(windows: np.ndarray) -> list[np.ndarray]:
+    """The site positions of each window, in order, windows in the order
+    each first appears."""
+    if not windows.size:
+        return []
+    order = np.argsort(windows, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(windows[order])) + 1)
+    groups.sort(key=lambda positions: positions[0])
+    return groups
+
+
+def expected_log10_success(table: SiteTable,
                            burst_multiplier: float = 1.0) -> float:
-    """Exact log10 success probability of a correlated-noise site list.
+    """Exact log10 success probability of a correlated-noise site table.
 
     Bursts in different windows are independent and scale disjoint site
     sets, so the success probability factorises over windows; each window
     is solved exactly by :func:`_window_log10_success`.
     """
-    windows: dict[int, list[ErrorSite]] = {}
-    for site in sites:
-        windows.setdefault(site.window, []).append(site)
     return sum(
-        _window_log10_success(window_sites, burst_multiplier)
-        for window_sites in windows.values()
+        _window_log10_success(table.codes[positions],
+                              table.probabilities[positions],
+                              burst_multiplier)
+        for positions in _window_groups(table.windows)
     )
 
 
-def expected_success_rate(sites: Sequence[ErrorSite],
+def expected_success_rate(table: SiteTable,
                           burst_multiplier: float = 1.0) -> float:
     """Linear-space companion of :func:`expected_log10_success`."""
-    log10 = expected_log10_success(sites, burst_multiplier)
+    log10 = expected_log10_success(table, burst_multiplier)
     if log10 == float("-inf"):
         return 0.0
     try:
@@ -523,17 +624,19 @@ class ScenarioAnalytics:
         )
 
 
-def scenario_analytics(sites: Sequence[ErrorSite],
+def scenario_analytics(table: SiteTable,
                        scenario: NoiseScenario) -> ScenarioAnalytics:
     """Exact analytic success rate plus per-mechanism site telemetry."""
     site_counts: dict[str, int] = {}
     expected_events: dict[str, float] = {}
-    for site in sites:
-        site_counts[site.kind] = site_counts.get(site.kind, 0) + 1
-        expected_events[site.kind] = (
-            expected_events.get(site.kind, 0.0) + site.probability
-        )
-    log10 = expected_log10_success(sites, scenario.burst_error_multiplier)
+    for kind in table.kinds_in_order():
+        probabilities = table.probabilities[table.codes == KIND_CODES[kind]]
+        site_counts[kind] = probabilities.size
+        expected = 0.0
+        for probability in probabilities.tolist():
+            expected += probability
+        expected_events[kind] = expected
+    log10 = expected_log10_success(table, scenario.burst_error_multiplier)
     rate = 0.0 if log10 == float("-inf") else math.pow(10.0, log10)
     return ScenarioAnalytics(
         success_rate=rate,

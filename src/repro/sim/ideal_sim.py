@@ -13,14 +13,10 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
-from repro.noise.fidelity import FidelityTable
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
-    GatePoint,
     NoiseScenario,
-    TimelinePoint,
-    build_scenario_sites,
-    chain_spectators,
+    Timeline,
     resolve_scenario,
     scenario_analytics,
 )
@@ -62,49 +58,29 @@ class IdealSimulator:
         """
         scenario = resolve_scenario(scenario)
         native = self._native(circuit, native)
-        result = self._result_from_native(circuit.name, native)
         if scenario.is_baseline:
-            return result
-        analytics = scenario_analytics(
-            build_scenario_sites(self.scenario_points(native, scenario),
-                                 scenario),
-            scenario,
-        )
-        return analytics.apply_to(result)
+            return self._result_from_native(circuit.name, native)
+        timeline = Timeline.for_scenario(scenario)
+        result = self._result_from_native(circuit.name, native, timeline)
+        return scenario_analytics(timeline.site_table(scenario),
+                                  scenario).apply_to(result)
 
-    def scenario_points(self, native: Circuit,
-                        scenario: NoiseScenario) -> list[TimelinePoint]:
-        """The execution timeline of a native circuit.
-
-        Every ion has its own laser pair but all ions share one chain, so
-        crosstalk spectators are the chain neighbours of the gate's
-        operands (by index distance); there are no shuttles and hence no
-        burst windows.
-        """
-        want_spectators = scenario.crosstalk_strength > 0.0
-        all_ions = range(native.num_qubits)
-        table = FidelityTable(self.params)
-        points: list[TimelinePoint] = []
-        for index, gate in enumerate(native):
-            spectators = ()
-            if want_spectators and gate.num_qubits == 2:
-                spectators = chain_spectators(
-                    gate.qubits, all_ions, scenario.crosstalk_range
-                )
-            points.append(GatePoint(
-                index=index,
-                gate=gate,
-                fidelity=table.fidelity(gate, 0.0),
-                spectators=spectators,
-            ))
-        return points
-
-    def _result_from_native(self, name: str,
-                            native: Circuit) -> SimulationResult:
+    def _result_from_native(self, name: str, native: Circuit,
+                            timeline: Timeline | None = None,
+                            ) -> SimulationResult:
         """Eq. 4 success, Eq. 5 time and gate counts of *native*, from one
-        pass over its gates (every gate at zero motional quanta)."""
-        replay = GateReplay(self.params)
+        pass over its gates (every gate at zero motional quanta).
+
+        Given a *timeline*, the pass also records the execution timeline:
+        every ion has its own laser pair but all ions share one chain, so
+        crosstalk spectators are the chain neighbours of the gate's
+        operands (by index distance); there are no shuttles and hence
+        one burst window.
+        """
+        replay = GateReplay(self.params, timeline)
         execution_time = replay.critical_path_us(native, 0.0)
+        if timeline is not None:
+            timeline.close_block(0, range(native.num_qubits))
         return replay.result(
             architecture="Ideal TI",
             circuit_name=name,
@@ -125,10 +101,10 @@ class IdealSimulator:
         """
         scenario = resolve_scenario(scenario)
         native = self._native(circuit, native)
-        return StochasticSampler.from_timeline(
-            self.scenario_points(native, scenario), scenario,
-            self._result_from_native(circuit.name, native), native.num_qubits,
-        )
+        timeline = Timeline.for_scenario(scenario)
+        analytic = self._result_from_native(circuit.name, native, timeline)
+        return StochasticSampler.from_timeline(timeline, scenario, analytic,
+                                               native.num_qubits)
 
     def run_stochastic(self, circuit: Circuit, *, shots: int, seed: int = 0,
                        shot_offset: int = 0, sample_counts: bool = False,

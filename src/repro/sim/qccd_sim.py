@@ -33,11 +33,8 @@ from repro.noise.gate_times import two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
-    GatePoint,
     NoiseScenario,
-    ShuttlePoint,
-    TimelinePoint,
-    build_scenario_sites,
+    Timeline,
     chain_spectators,
     resolve_scenario,
     scenario_analytics,
@@ -64,9 +61,9 @@ class QccdTrace:
     The success fold (which counts the gates), the two-qubit gate
     count, the aggregate time, the transport count and heating state;
     both the analytic estimator and the stochastic sampler are built
-    from this single replay.  ``points`` is the execution timeline
-    (gates with their fidelity, spectators and trap as burst-coupling
-    window, in event order; transports as shuttle points), built only
+    from this single replay.  ``timeline`` is the execution timeline
+    (gates with their fidelity and trap as burst-coupling window, in
+    event order, their spectators, and the transports), recorded only
     when the replay runs under a scenario, and ``telemetry`` carries
     the per-trap heating counters that survive every
     sympathetic-cooling event.
@@ -78,7 +75,7 @@ class QccdTrace:
     success: SuccessRateAccumulator = field(
         default_factory=SuccessRateAccumulator)
     final_quanta: dict[str, float] = field(default_factory=dict)
-    points: list[TimelinePoint] = field(default_factory=list)
+    timeline: Timeline | None = None
     telemetry: dict[str, float] = field(default_factory=dict)
 
 
@@ -94,15 +91,15 @@ class QccdSimulator:
               scenario: NoiseScenario | None = None) -> QccdTrace:
         """Replay *program*, folding per-gate fidelities under heating.
 
-        Given a *scenario*, baseline included, the replay also builds the
-        execution timeline ``points`` that :meth:`build_sampler` reads:
+        Given a *scenario*, baseline included, the replay also records
+        the execution ``timeline`` that :meth:`build_sampler` reads:
         crosstalk spectators are the other ions sharing the trap at gate
         time (with their in-chain distance to the nearest operand), the
         trap index is the burst-coupling window, and every transport is
-        a shuttle point.  QCCD's per-transport sympathetic cooling is
+        a shuttle.  QCCD's per-transport sympathetic cooling is
         *partial* (``qccd_cooling_factor``), so it never clears an active
         burst — windows span the whole program.  Without a scenario (an
-        analytic baseline :meth:`run`) no point is built.
+        analytic baseline :meth:`run`) no timeline is recorded.
         """
         if program.device != self.device:
             raise SimulationError(
@@ -115,12 +112,13 @@ class QccdSimulator:
             trap: ChainHeatingState(self.params, max(1, len(ions)))
             for trap, ions in enumerate(members)
         }
-        want_points = scenario is not None
-        want_spectators = want_points and scenario.crosstalk_strength > 0.0
+        timeline = None if scenario is None else Timeline.for_scenario(
+            scenario)
+        spectator_range = 0 if timeline is None else timeline.crosstalk_range
         cost_of = FidelityTable(self.params).cost
         # Gates that heating cannot reach cost the same everywhere: by name.
         resting: dict[str, GateCost] = {}
-        trace = QccdTrace()
+        trace = QccdTrace(timeline=timeline)
         fold = trace.success.fold
         execution_time = 0.0
         for event in program.events:
@@ -139,20 +137,17 @@ class QccdSimulator:
                     if cost is None:
                         cost = resting[gate.name] = cost_of(gate, 0.0)
                     fidelity, log_term, duration, _, _ = cost
-                if want_points:
-                    spectators = ()
-                    if want_spectators and gate.num_qubits == 2:
-                        spectators = self._trap_spectators(
-                            members[event.trap], gate.qubits,
-                            scenario.crosstalk_range,
+                if timeline is not None:
+                    timeline.gates.append(gate)
+                    timeline.fidelities.append(fidelity)
+                    timeline.windows.append(event.trap)
+                    if spectator_range and len(gate.qubits) == 2:
+                        timeline.add_spectators(
+                            len(timeline.gates) - 1,
+                            self._trap_spectators(members[event.trap],
+                                                  gate.qubits,
+                                                  spectator_range),
                         )
-                    trace.points.append(GatePoint(
-                        index=trace.success.num_gates,
-                        gate=gate,
-                        fidelity=fidelity,
-                        spectators=spectators,
-                        window=event.trap,
-                    ))
                 fold(fidelity, log_term)
                 execution_time += duration
             elif isinstance(event, QccdShuttleEvent):
@@ -167,15 +162,15 @@ class QccdSimulator:
                 execution_time += COOLING_TIME_US
                 # Membership only feeds crosstalk spectator lookup, so
                 # the per-transport maintenance is skipped otherwise.
-                if want_spectators and event.qubit in members[event.source_trap]:
+                if spectator_range and event.qubit in members[event.source_trap]:
                     members[event.source_trap].remove(event.qubit)
                     members[event.dest_trap].append(event.qubit)
                 trace.num_transports += 1
-                if want_points:
+                if timeline is not None:
                     # The deposited burst heats the chain the ion merged
                     # into.
-                    trace.points.append(ShuttlePoint(
-                        move=trace.num_transports, window=event.dest_trap))
+                    timeline.add_shuttle(trace.num_transports,
+                                         event.dest_trap)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown QCCD event {event!r}")
         trace.execution_time_us = execution_time
@@ -194,13 +189,10 @@ class QccdSimulator:
 
         Distance is measured along the trap's chain order (the membership
         list), mirroring how close a spectator physically sits to the MS
-        gate's laser pair: the shared :func:`chain_spectators` filter
-        runs in position space and the positions map back to ion ids.
+        gate's laser pair: the shared :func:`chain_spectators` runs in
+        position space and the positions map back to ion ids.
         """
-        positions = {ion: position for position, ion in enumerate(ions)}
-        operand_positions = tuple(
-            positions[q] for q in operands if q in positions
-        )
+        operand_positions = [ions.index(q) for q in operands if q in ions]
         if not operand_positions:  # pragma: no cover - defensive
             return ()
         pairs = chain_spectators(operand_positions, range(len(ions)),
@@ -223,9 +215,8 @@ class QccdSimulator:
         if scenario.is_baseline:
             return self._result_from_trace(self.trace(program), circuit_name)
         trace = self.trace(program, scenario)
-        analytics = scenario_analytics(
-            build_scenario_sites(trace.points, scenario), scenario
-        )
+        analytics = scenario_analytics(trace.timeline.site_table(scenario),
+                                       scenario)
         return analytics.apply_to(
             self._result_from_trace(trace, circuit_name))
 
@@ -260,7 +251,7 @@ class QccdSimulator:
         scenario = resolve_scenario(scenario)
         trace = self.trace(program, scenario)
         return StochasticSampler.from_timeline(
-            trace.points, scenario,
+            trace.timeline, scenario,
             self._result_from_trace(trace, circuit_name),
             self.device.num_qubits,
         )

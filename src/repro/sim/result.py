@@ -14,6 +14,7 @@ from repro.noise.fidelity import (
     SuccessRateAccumulator,
 )
 from repro.noise.parameters import NoiseParameters
+from repro.noise.scenarios import Timeline
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,20 @@ class GateReplay:
     replay's :class:`~repro.noise.fidelity.FidelityTable`, once per
     distinct gate; the same pass folds the success rate into
     ``success``, counts the gates and, per :meth:`critical_path_us`
-    call, the Eq. 5 per-qubit critical path.
+    call, the Eq. 5 per-qubit critical path.  Given a
+    :class:`~repro.noise.scenarios.Timeline`, the same pass appends every
+    gate and its fidelity to it; the caller closes each block of gates
+    with its window (:meth:`Timeline.close_block
+    <repro.noise.scenarios.Timeline.close_block>`).
     """
 
-    def __init__(self, params: NoiseParameters) -> None:
+    def __init__(self, params: NoiseParameters,
+                 timeline: Timeline | None = None) -> None:
         self.table = FidelityTable(params)
         self.success = SuccessRateAccumulator()
         self.num_gates = 0
         self.num_two_qubit_gates = 0
+        self.timeline = timeline
 
     def critical_path_us(self, gates: Iterable[Gate], quanta: float) -> float:
         """Fold *gates*, run in order under *quanta* motional quanta, and
@@ -132,6 +139,10 @@ class GateReplay:
         finish_at: dict[int, float] = {}
         path = 0.0
         num_gates = num_two_qubit_gates = 0
+        timeline = self.timeline
+        if timeline is not None:
+            record_gate = timeline.gates.append
+            record_fidelity = timeline.fidelities.append
         for gate in gates:
             qubits = gate.qubits
             key = (gate.name, abs(qubits[0] - qubits[-1]))
@@ -140,6 +151,9 @@ class GateReplay:
                 cost = costs[key] = table.cost(gate, quanta)
             fidelity, log_term, duration, counted, two_qubit = cost
             fold(fidelity, log_term)
+            if timeline is not None:
+                record_gate(gate)
+                record_fidelity(fidelity)
             num_gates += counted
             num_two_qubit_gates += two_qubit
             if len(qubits) == 1:

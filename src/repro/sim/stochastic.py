@@ -78,16 +78,15 @@ from repro.exceptions import SimulationError
 from repro.noise.channels import (
     BURST_SCALED_KINDS,
     HEATING_BURST,
-    LEAKAGE,
+    KIND_CODES,
     ErrorSite,
     SiteTable,
+    kind_mask,
     pauli_gates,
 )
 from repro.noise.scenarios import (
-    GatePoint,
     NoiseScenario,
-    TimelinePoint,
-    build_scenario_sites,
+    Timeline,
     expected_success_rate as correlated_expected_success_rate,
     scenario_analytics,
 )
@@ -488,7 +487,7 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
 
 @dataclass
 class StochasticSampler:
-    """Monte-Carlo sampler over a fixed list of error sites.
+    """Monte-Carlo sampler over a fixed table of error sites.
 
     Every simulator builds its sampler with :meth:`from_timeline`, from
     the execution timeline its replay produced; the sampler is
@@ -498,8 +497,11 @@ class StochasticSampler:
     ----------
     architecture, circuit_name:
         Labels carried onto the :class:`ShotResult`.
-    sites:
-        The fallible locations of the executed program.
+    table:
+        The fallible locations of the executed program, as columns
+        (:meth:`SiteTable.from_sites
+        <repro.noise.channels.SiteTable.from_sites>` builds one from
+        :class:`~repro.noise.channels.ErrorSite` records).
     gates:
         The executed gate sequence (dependency-respecting order).  Only
         needed for counts sampling.
@@ -511,7 +513,7 @@ class StochasticSampler:
 
     architecture: str
     circuit_name: str
-    sites: Sequence[ErrorSite]
+    table: SiteTable = field(repr=False, compare=False)
     gates: Sequence[Gate] | None = None
     num_qubits: int | None = None
     analytic: SimulationResult | None = None
@@ -520,8 +522,6 @@ class StochasticSampler:
     #: computed (the correlated burst DP is too heavy to run twice).
     expected_rate: float | None = None
     max_statevector_qubits: int = MAX_STATEVECTOR_QUBITS
-    _table: SiteTable = field(init=False, repr=False, compare=False)
-    _probabilities: np.ndarray = field(init=False, repr=False)
     _expected_success_rate: float = field(init=False, repr=False)
     #: Diagnostics of the most recent :meth:`run`: counts-mode statevector
     #: ``resimulations`` and ``distinct_patterns``.
@@ -533,50 +533,49 @@ class StochasticSampler:
     _kind_cache: tuple[tuple[str, np.ndarray], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _qubit_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        self._table = SiteTable.from_sites(self.sites)
-        self._probabilities = self._table.probabilities
         # Computed once: the correlated form runs the per-window burst
         # DP, which is too heavy to redo on every property access.
         self._expected_success_rate = self._compute_expected_success_rate()
 
     @classmethod
-    def from_timeline(cls, points: Sequence[TimelinePoint],
-                      scenario: NoiseScenario, analytic: SimulationResult,
+    def from_timeline(cls, timeline: Timeline, scenario: NoiseScenario,
+                      analytic: SimulationResult,
                       num_qubits: int) -> "StochasticSampler":
         """The sampler of one simulator's execution timeline.
 
-        *analytic* is the baseline result of the replay that produced
-        *points*; the sampler carries its labels.  The sites are
-        :func:`~repro.noise.scenarios.build_scenario_sites` of the
-        timeline and the gates are its gate points, in order.  A
-        non-baseline *scenario* runs the exact
-        :func:`~repro.noise.scenarios.scenario_analytics` once, for the
-        expected rate and the adjusted *analytic*; under baseline the
-        expected rate is the sites' survival product.
+        *analytic* is the baseline result of the replay that recorded
+        *timeline*; the sampler carries its labels.  The sites are
+        :meth:`Timeline.site_table
+        <repro.noise.scenarios.Timeline.site_table>` and the gates are
+        the timeline's, in order.  A non-baseline *scenario* runs the
+        exact :func:`~repro.noise.scenarios.scenario_analytics` once, for
+        the expected rate and the adjusted *analytic*; under baseline
+        the expected rate is the sites' survival product.
         """
-        sites = build_scenario_sites(points, scenario)
-        gates = [point.gate for point in points
-                 if isinstance(point, GatePoint)]
+        table = timeline.site_table(scenario)
         expected_rate = None
         if not scenario.is_baseline:
-            analytics = scenario_analytics(sites, scenario)
+            analytics = scenario_analytics(table, scenario)
             expected_rate = analytics.success_rate
             analytic = analytics.apply_to(analytic)
         return cls(
             architecture=analytic.architecture,
             circuit_name=analytic.circuit_name,
-            sites=sites,
-            gates=gates,
+            table=table,
+            gates=timeline.gates,
             num_qubits=num_qubits,
             analytic=analytic,
             burst_multiplier=scenario.burst_error_multiplier,
             expected_rate=expected_rate,
         )
+
+    @property
+    def sites(self) -> tuple[ErrorSite, ...]:
+        """The sites as :class:`~repro.noise.channels.ErrorSite` records,
+        built from the table on each access."""
+        return self.table.sites()
 
     # ------------------------------------------------------------------
     # The analytic reference
@@ -584,12 +583,12 @@ class StochasticSampler:
     def _compute_expected_success_rate(self) -> float:
         if self.expected_rate is not None:
             return self.expected_rate
-        if self._table.correlated:
+        if self.table.correlated:
             return correlated_expected_success_rate(
-                self.sites, self.burst_multiplier
+                self.table, self.burst_multiplier
             )
         log_total = 0.0
-        for probability in self._probabilities:
+        for probability in self.table.probabilities.tolist():
             if probability >= 1.0:
                 return 0.0
             log_total += math.log1p(-probability)
@@ -649,12 +648,12 @@ class StochasticSampler:
         if sample_counts:
             labelled = trigger_shots.size
         positions = trigger_positions[:labelled]
-        labels = self._table.lookup_labels(
+        labels = self.table.lookup_labels(
             positions,
             mix(seed, shot_indices[trigger_shots[:labelled]], LABEL_STREAM,
                 positions),
         ).tolist()
-        errors = list(zip(self._table.indices[positions].tolist(), labels))
+        errors = list(zip(self.table.indices[positions].tolist(), labels))
         records = tuple(
             ShotRecord(shot=shot_offset + shot,
                        errors=tuple(errors[bounds[shot]:bounds[shot + 1]]))
@@ -675,7 +674,7 @@ class StochasticSampler:
             records=records,
             max_records=max_records,
             counts=counts,
-            num_error_sites=len(self.sites),
+            num_error_sites=len(self.table),
             expected_success_rate=self.expected_success_rate,
             analytic=self.analytic,
             mechanism_counts=mechanism_counts,
@@ -702,13 +701,12 @@ class StochasticSampler:
         """
         cached = self._scan_cache
         if cached is None:
-            table = self._table
-            probabilities = self._probabilities
+            table = self.table
+            probabilities = table.probabilities
             bursts = table.burst_mask
             scanned = (probabilities > 0.0) & ((probabilities < 1.0) | bursts)
             if bursts.any():
-                scalable = np.array([kind in BURST_SCALED_KINDS
-                                     for kind in table.kinds], dtype=bool)
+                scalable = kind_mask(table.codes, BURST_SCALED_KINDS)
                 members = [table.windows == window
                            for window in sorted(set(table.windows.tolist()))]
             else:
@@ -830,19 +828,6 @@ class StochasticSampler:
                        else np.empty(0, dtype=np.int64))
         return (*_lexsorted(shot_parts, position_parts), burst_shots)
 
-    def _site_qubits(self) -> np.ndarray:
-        """Each site's qubits, one row per site padded with -1 (cached)."""
-        cached = self._qubit_cache
-        if cached is None:
-            width = max(len(site.qubits) for site in self.sites)
-            cached = np.array(
-                [site.qubits + (-1,) * (width - len(site.qubits))
-                 for site in self.sites],
-                dtype=np.int64,
-            )
-            self._qubit_cache = cached
-        return cached
-
     def _suppress_leaked(
         self, trigger_shots: np.ndarray, trigger_positions: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -857,10 +842,10 @@ class StochasticSampler:
         leaks its one qubit, so a shot's first leak of each qubit always
         survives and the walk is one lookup per trigger and qubit.
         """
-        leaks = self._table.leak_mask[trigger_positions]
+        leaks = self.table.leak_mask[trigger_positions]
         if not leaks.any():
             return trigger_shots, trigger_positions
-        qubits = self._site_qubits()
+        qubits = self.table.qubits
         stride = int(qubits.max()) + 1
         # (shot, qubit) keys of the leaks; np.unique keeps each key's
         # first occurrence, which is its earliest leak in the shot
@@ -883,10 +868,10 @@ class StochasticSampler:
         """Per error kind in site order, which sites carry it (cached)."""
         cached = self._kind_cache
         if cached is None:
-            kinds = np.array(self._table.kinds)
+            codes = self.table.codes
             cached = tuple(
-                (kind, kinds == kind)
-                for kind in dict.fromkeys(self._table.kinds)
+                (kind, codes == KIND_CODES[kind])
+                for kind in self.table.kinds_in_order()
                 if kind != HEATING_BURST
             )
             self._kind_cache = cached
@@ -938,7 +923,7 @@ class StochasticSampler:
         n = base_circuit.num_qubits
         ideal = _ideal_cumulative(n, tuple(self.gates),
                                   self.max_statevector_qubits)
-        table = self._table
+        table = self.table
         uniforms = mix(seed, shot_indices, OUTCOME_STREAM, 0)
         indices = np.searchsorted(ideal, uniforms, side="right")
         patterned = (table.label_mask[trigger_positions]
@@ -953,10 +938,9 @@ class StochasticSampler:
             leaked_at: dict[int, int] = {}
             for trigger in range(bounds[shot], bounds[shot + 1]):
                 position = positions[trigger]
-                site = self.sites[position]
-                if site.kind == LEAKAGE:
-                    for qubit in site.qubits:
-                        leaked_at.setdefault(qubit, site.index)
+                if table.leak_mask[position]:
+                    leaked_at.setdefault(int(table.qubits[position, 0]),
+                                         int(table.indices[position]))
                 elif table.label_mask[position]:
                     paulis.append((position, labels[trigger]))
             key = (tuple(paulis), tuple(sorted(leaked_at.items())))
@@ -965,7 +949,7 @@ class StochasticSampler:
         for (paulis, leaks), members in groups.items():
             injections: dict[int, list[Gate]] = {}
             for position, label in paulis:
-                site = self.sites[position]
+                site = table.site(position)
                 injections.setdefault(site.index, []).extend(
                     pauli_gates(site, label)
                 )
@@ -1005,10 +989,12 @@ class StochasticSampler:
 
     def _qubit_bits(self, mask: np.ndarray, n: int) -> np.ndarray:
         """Per-site outcome bits of the sites in *mask* (qubit 0 = MSB)."""
-        bits = np.zeros(len(self.sites), dtype=np.int64)
+        bits = np.zeros(len(self.table), dtype=np.int64)
+        qubits = self.table.qubits
         for position in np.flatnonzero(mask).tolist():
-            for qubit in self.sites[position].qubits:
-                bits[position] |= 1 << (n - 1 - qubit)
+            for qubit in qubits[position].tolist():
+                if qubit >= 0:
+                    bits[position] |= 1 << (n - 1 - qubit)
         return bits
 
     def _build_perturbed(self, injections: dict[int, list[Gate]],

@@ -18,16 +18,11 @@ from repro.arch.tilt import TiltDevice
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
-from repro.noise.fidelity import FidelityTable
 from repro.noise.heating import quanta_after_moves
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
-    GatePoint,
     NoiseScenario,
-    ShuttlePoint,
-    TimelinePoint,
-    build_scenario_sites,
-    chain_spectators,
+    Timeline,
     resolve_scenario,
     scenario_analytics,
 )
@@ -78,85 +73,47 @@ class TiltSimulator:
         """
         program, name = self._resolve(program, circuit_name)
         scenario = resolve_scenario(scenario)
-        base = self._replay(program, name)
         if scenario.is_baseline:
-            return base
-        analytics = scenario_analytics(
-            build_scenario_sites(self.scenario_points(program, scenario),
-                                 scenario),
-            scenario,
-        )
-        return analytics.apply_to(base)
+            return self._replay(program, name)
+        timeline = Timeline.for_scenario(scenario)
+        base = self._replay(program, name, timeline)
+        return scenario_analytics(timeline.site_table(scenario),
+                                  scenario).apply_to(base)
 
-    # ------------------------------------------------------------------
-    # Correlated-noise timeline
-    # ------------------------------------------------------------------
-    def scenario_points(self, program: ExecutableProgram,
-                        scenario: NoiseScenario) -> list[TimelinePoint]:
-        """The timeline samplers and scenario results are built from.
-
-        Gates carry their Eq. 4 fidelity, the spectator ions currently
-        under the laser head (crosstalk targets) and their burst-coupling
-        window; every tape move between segments is a
-        :class:`ShuttlePoint`.  Windows follow the sympathetic-cooling
-        intervals: moves ``1..interval`` share window 0, and so on — with
-        cooling disabled the whole program is one window, so a burst
-        persists to the end (Section II-B's unbounded tape heating).
-        """
-        interval = self.params.tilt_cooling_interval_moves
-        chain_length = self.device.num_qubits
-
-        def window_of(move: int) -> int:
-            if interval <= 0 or move <= 0:
-                return 0
-            return (move - 1) // interval
-
-        want_spectators = scenario.crosstalk_strength > 0.0
-        table = FidelityTable(self.params)
-        points: list[TimelinePoint] = []
-        gate_index = 0
-        for segment_index, segment in enumerate(program.segments):
-            if segment_index > 0:
-                points.append(ShuttlePoint(move=segment_index,
-                                           window=window_of(segment_index)))
-            quanta = quanta_after_moves(segment_index, chain_length,
-                                        self.params)
-            window = window_of(segment_index)
-            head_ions = self.device.window(segment.position)
-            for index_in_circuit in segment.gate_indices:
-                gate = program.circuit[index_in_circuit]
-                spectators = ()
-                if want_spectators and gate.num_qubits == 2:
-                    spectators = chain_spectators(
-                        gate.qubits, head_ions, scenario.crosstalk_range
-                    )
-                points.append(GatePoint(
-                    index=gate_index,
-                    gate=gate,
-                    fidelity=table.fidelity(gate, quanta),
-                    spectators=spectators,
-                    window=window,
-                ))
-                gate_index += 1
-        return points
-
-    def _replay(self, program: ExecutableProgram,
-                name: str) -> SimulationResult:
+    def _replay(self, program: ExecutableProgram, name: str,
+                timeline: Timeline | None = None) -> SimulationResult:
         """Eq. 4 success, Eq. 5 time and gate counts of *program*, from
-        one pass over its executed gates."""
+        one pass over its executed gates.
+
+        Given a *timeline*, the pass also records the one samplers and
+        scenario results are built from: every gate with its Eq. 4
+        fidelity, its burst-coupling window and the spectator ions
+        under the laser head (crosstalk targets), and every tape move
+        between segments as a shuttle.  Windows follow the
+        sympathetic-cooling intervals: moves ``1..interval`` share
+        window 0, and so on — with cooling disabled the whole program is
+        one window, so a burst persists to the end (Section II-B's
+        unbounded tape heating).
+        """
         params = self.params
         chain_length = self.device.num_qubits
-        replay = GateReplay(params)
+        replay = GateReplay(params, timeline)
         gates = list(program.circuit)
+        interval = params.tilt_cooling_interval_moves
         gate_time = 0.0
         for moves, segment in enumerate(program.segments):
+            window = (moves - 1) // interval if interval > 0 and moves else 0
+            if timeline is not None and moves:
+                timeline.add_shuttle(moves, window)
             gate_time += replay.critical_path_us(
                 map(gates.__getitem__, segment.gate_indices),
                 quanta_after_moves(moves, chain_length, params),
             )
+            if timeline is not None:
+                timeline.close_block(window,
+                                     self.device.window(segment.position))
         shuttle_time = (program.move_distance_um
                         / params.shuttle_speed_um_per_us)
-        interval = params.tilt_cooling_interval_moves
         if interval > 0 and program.num_moves > 0:
             # A pause runs between the interval-th move and the next one
             # (matching quanta_after_moves), so a program ending exactly
@@ -195,9 +152,10 @@ class TiltSimulator:
         """
         program, name = self._resolve(program, circuit_name)
         scenario = resolve_scenario(scenario)
+        timeline = Timeline.for_scenario(scenario)
+        analytic = self._replay(program, name, timeline)
         return StochasticSampler.from_timeline(
-            self.scenario_points(program, scenario), scenario,
-            self._replay(program, name), program.circuit.num_qubits,
+            timeline, scenario, analytic, program.circuit.num_qubits,
         )
 
     def run_stochastic(self, program: ExecutableProgram | CompileResult,

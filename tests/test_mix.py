@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.noise.channels import ErrorSite
+from repro.noise.channels import ErrorSite, SiteTable
 from repro.sim.stochastic import (
     LABEL_STREAM,
     LEAK_STREAM,
@@ -96,10 +96,12 @@ class TestWideEntropy:
     def _sampler():
         return StochasticSampler(
             architecture="x", circuit_name="y",
-            sites=[ErrorSite(index=0, kind="pauli1", qubits=(0,),
-                             probability=0.25),
-                   ErrorSite(index=1, kind="pauli2", qubits=(0, 1),
-                             probability=0.1)],
+            table=SiteTable.from_sites([
+                ErrorSite(index=0, kind="pauli1", qubits=(0,),
+                          probability=0.25),
+                ErrorSite(index=1, kind="pauli2", qubits=(0, 1),
+                          probability=0.1),
+            ]),
         )
 
     def test_wide_seed_shards_merge_into_the_serial_run(self):

@@ -21,10 +21,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.arch.ideal import IdealTrappedIonDevice
@@ -51,9 +53,19 @@ from repro.compiler.routing import (
 from repro.compiler.schedule import TapeScheduler
 from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
-from repro.exceptions import SchedulingError
+from repro.exceptions import SchedulingError, SimulationError
 from repro.exec import ExecutionEngine, JobSpec, spec_key
-from repro.noise.channels import ErrorSite, error_site_for_gate
+from repro.noise.channels import (
+    CROSSTALK,
+    HEATING_BURST,
+    LEAKAGE,
+    MEASURE_FLIP,
+    PAULI_1Q,
+    PAULI_2Q,
+    SITE_KINDS,
+    ErrorSite,
+    SiteTable,
+)
 from repro.noise.fidelity import (
     FidelityTable,
     SuccessRateAccumulator,
@@ -62,7 +74,14 @@ from repro.noise.fidelity import (
 from repro.noise.gate_times import gate_time_us, two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState, quanta_after_moves
 from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import GatePoint, get_scenario, resolve_scenario
+from repro.noise.scenarios import (
+    Timeline,
+    chain_spectators,
+    get_scenario,
+    resolve_scenario,
+    scenario_analytics,
+    scenario_names,
+)
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import (
     COOLING_TIME_US,
@@ -414,16 +433,14 @@ def _assert_baseline_sampler(sampler, result, gates, fidelities) -> None:
 
 NOISE_CASES = {
     "paper": NoiseParameters.paper_defaults(),
+    # cooling windows on the tape, and a readout that flips (the
+    # paper's is perfect)
     "cooling": NoiseParameters.paper_defaults().with_overrides(
-        tilt_cooling_interval_moves=2),
+        tilt_cooling_interval_moves=2, measurement_error=1e-3),
     # Γτ > 1 for every gate spanning three or more ions: those clamp to 0
     "hit_zero": NoiseParameters.paper_defaults().with_overrides(
         background_heating_rate_per_us=0.01),
 }
-
-
-def _gate_point_fidelities(points) -> list[float]:
-    return [point.fidelity for point in points if isinstance(point, GatePoint)]
 
 
 #: A case compiled with its barriers kept (``strip_barriers=False``).
@@ -476,9 +493,10 @@ class TestSimulatorsMatchReference:
             [gate for gate, _ in compiled.program.gates_with_move_counts()],
             fidelities,
         )
-        points = simulator.scenario_points(compiled.program,
-                                           resolve_scenario("crosstalk"))
-        assert _gate_point_fidelities(points) == fidelities
+        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        assert simulator._replay(compiled.program, circuit.name,
+                                 timeline) == result
+        assert timeline.fidelities == fidelities
 
     @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
     @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
@@ -497,9 +515,10 @@ class TestSimulatorsMatchReference:
             simulator.build_sampler(circuit, native=native), result,
             list(native), fidelities,
         )
-        points = simulator.scenario_points(native,
-                                           resolve_scenario("crosstalk"))
-        assert _gate_point_fidelities(points) == fidelities
+        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        assert simulator._result_from_native(circuit.name, native,
+                                             timeline) == result
+        assert timeline.fidelities == fidelities
 
     @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
     @pytest.mark.parametrize("name", SMALL_SUITE)
@@ -520,7 +539,7 @@ class TestSimulatorsMatchReference:
             fidelities,
         )
         trace = simulator.trace(program, resolve_scenario("crosstalk"))
-        assert _gate_point_fidelities(trace.points) == fidelities
+        assert trace.timeline.fidelities == fidelities
 
     def test_hit_zero_case_clamps(self):
         """The strong-noise case really drives some gate fidelity to 0."""
@@ -560,6 +579,398 @@ class TestFidelityTable:
         hot = FidelityTable(NoiseParameters.paper_defaults().with_overrides(
             background_heating_rate_per_us=0.01))
         assert calm.fidelity(gate, 0.0) > hot.fidelity(gate, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Scenario-site references: the per-point expansion the columnar
+# timeline replaced (one record per executed gate and shuttle, one
+# ErrorSite per site, the spectator scan over every ion of the window)
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class GatePoint:
+    """One executed gate on a reference timeline: its position in
+    execution order, its Eq. 4 fidelity, the ``(ion, distance)`` pairs a
+    crosstalk kick can reach and its burst-coupling window."""
+
+    index: int
+    gate: Gate
+    fidelity: float
+    spectators: tuple[tuple[int, int], ...] = ()
+    window: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class ShuttlePoint:
+    """One shuttle: its 1-based move/transport number and the window the
+    burst it may deposit lives in."""
+
+    move: int
+    window: int = 0
+
+
+def reference_chain_spectators(qubits, window_ions, max_distance):
+    """Every ion of the window, kept when its distance to the nearest
+    operand is between 1 and *max_distance*, sorted by ion."""
+    operands = set(qubits)
+    spectators = []
+    for ion in window_ions:
+        if ion in operands:
+            continue
+        distance = min(abs(ion - q) for q in operands)
+        if 1 <= distance <= max_distance:
+            spectators.append((ion, distance))
+    return tuple(sorted(spectators))
+
+
+def reference_trap_spectators(ions, operands, max_distance):
+    """The scan in one trap's chain order, mapped back to ion ids."""
+    positions = {ion: position for position, ion in enumerate(ions)}
+    pairs = reference_chain_spectators(
+        tuple(positions[q] for q in operands if q in positions),
+        range(len(ions)), max_distance,
+    )
+    return tuple(sorted((ions[position], distance)
+                        for position, distance in pairs))
+
+
+def error_site_for_gate(index: int, gate: Gate, fidelity: float,
+                        window: int = 0) -> ErrorSite | None:
+    """The error site of one executed gate, or ``None`` if it cannot fail
+    (a barrier, or a gate of fidelity 1)."""
+    if not 0.0 <= fidelity <= 1.0:
+        raise SimulationError(f"fidelity {fidelity} outside [0, 1]")
+    if gate.name == "barrier" or fidelity >= 1.0:
+        return None
+    if gate.name == "measure":
+        kind = MEASURE_FLIP
+    elif gate.num_qubits == 1:
+        kind = PAULI_1Q
+    elif gate.num_qubits == 2:
+        kind = PAULI_2Q
+    else:
+        raise SimulationError(
+            f"gate {gate.name!r} must be decomposed before stochastic "
+            "noise evaluation"
+        )
+    return ErrorSite(index=index, kind=kind, qubits=gate.qubits,
+                     probability=1.0 - fidelity, window=window)
+
+
+def build_scenario_sites(points, scenario) -> list[ErrorSite]:
+    """Expand reference points into sites: per gate its base site, then
+    crosstalk kicks by spectator, then leakage sites by operand; a
+    burst at each shuttle."""
+    sites: list[ErrorSite] = []
+    for point in points:
+        if isinstance(point, ShuttlePoint):
+            if scenario.burst_probability > 0.0:
+                sites.append(ErrorSite(
+                    index=point.move, kind=HEATING_BURST, qubits=(),
+                    probability=scenario.burst_probability,
+                    window=point.window,
+                ))
+            continue
+        gate = point.gate
+        base = error_site_for_gate(point.index, gate, point.fidelity,
+                                   window=point.window)
+        if base is not None:
+            sites.append(base)
+        if gate.name in ("barrier", "measure"):
+            continue
+        if scenario.crosstalk_strength > 0.0 and gate.num_qubits == 2:
+            for ion, distance in point.spectators:
+                probability = scenario.crosstalk_probability(distance)
+                if probability > 0.0:
+                    sites.append(ErrorSite(
+                        index=point.index, kind=CROSSTALK, qubits=(ion,),
+                        probability=probability, window=point.window,
+                    ))
+        rate = (scenario.leakage_rate_2q if gate.num_qubits == 2
+                else scenario.leakage_rate_1q)
+        if rate > 0.0:
+            for qubit in gate.qubits:
+                sites.append(ErrorSite(
+                    index=point.index, kind=LEAKAGE, qubits=(qubit,),
+                    probability=rate, window=point.window,
+                ))
+    return sites
+
+
+def _spectators_of(gate, scenario, window_ions):
+    if scenario.crosstalk_strength > 0.0 and gate.num_qubits == 2:
+        return reference_chain_spectators(gate.qubits, window_ions,
+                                          scenario.crosstalk_range)
+    return ()
+
+
+def reference_tilt_points(simulator: TiltSimulator, program, scenario):
+    """Every gate of every segment at its segment's quanta and cooling
+    window, its spectators under the head; a shuttle per tape move."""
+    params = simulator.params
+    interval = params.tilt_cooling_interval_moves
+    points = []
+    gates = 0
+    for moves, segment in enumerate(program.segments):
+        window = (moves - 1) // interval if interval > 0 and moves else 0
+        if moves:
+            points.append(ShuttlePoint(move=moves, window=window))
+        quanta = quanta_after_moves(moves, simulator.device.num_qubits,
+                                    params)
+        head = simulator.device.window(segment.position)
+        for index in segment.gate_indices:
+            gate = program.circuit[index]
+            points.append(GatePoint(
+                index=gates, gate=gate,
+                fidelity=gate_fidelity(gate, quanta, params),
+                spectators=_spectators_of(gate, scenario, head),
+                window=window,
+            ))
+            gates += 1
+    return points
+
+
+def reference_ideal_points(simulator: IdealSimulator, native, scenario):
+    """Every gate at zero quanta, its spectators over the whole chain."""
+    return [
+        GatePoint(index=index, gate=gate,
+                  fidelity=gate_fidelity(gate, 0.0, simulator.params),
+                  spectators=_spectators_of(gate, scenario,
+                                            range(native.num_qubits)))
+        for index, gate in enumerate(native)
+    ]
+
+
+def reference_qccd_points(simulator: QccdSimulator, program, scenario):
+    """Every gate event at its trap's quanta, in the trap as window with
+    the trap's other ions as spectators; a shuttle per transport, in
+    the destination trap."""
+    params = simulator.params
+    members = [list(ions) for ions in simulator.device.initial_layout()]
+    chains = {trap: ChainHeatingState(params, max(1, len(ions)))
+              for trap, ions in enumerate(members)}
+    points = []
+    gates = transports = 0
+    for event in program.events:
+        if isinstance(event, QccdGateEvent):
+            gate = event.gate
+            quanta = chains[event.trap].quanta
+            spectators = ()
+            if scenario.crosstalk_strength > 0.0 and gate.num_qubits == 2:
+                spectators = reference_trap_spectators(
+                    members[event.trap], gate.qubits,
+                    scenario.crosstalk_range)
+            points.append(GatePoint(
+                index=gates, gate=gate,
+                fidelity=gate_fidelity(gate, quanta, params),
+                spectators=spectators, window=event.trap,
+            ))
+            gates += 1
+        else:
+            chains[event.source_trap].record_qccd_primitive(event.splits)
+            chains[event.dest_trap].record_qccd_primitive(event.hops
+                                                          + event.merges)
+            chains[event.source_trap].apply_cooling()
+            chains[event.dest_trap].apply_cooling()
+            if event.qubit in members[event.source_trap]:
+                members[event.source_trap].remove(event.qubit)
+                members[event.dest_trap].append(event.qubit)
+            transports += 1
+            points.append(ShuttlePoint(move=transports,
+                                       window=event.dest_trap))
+    return points
+
+
+def reference_scenario_sites(simulator, program, scenario) -> list[ErrorSite]:
+    """The error sites of *program* under *scenario*: the simulator's
+    reference points through :func:`build_scenario_sites`."""
+    points_of = {TiltSimulator: reference_tilt_points,
+                 IdealSimulator: reference_ideal_points,
+                 QccdSimulator: reference_qccd_points}[type(simulator)]
+    return build_scenario_sites(points_of(simulator, program, scenario),
+                                scenario)
+
+
+def _reference_window_log10(sites, multiplier: float) -> float:
+    """The per-window plain log-sum, or the burst DP, over records."""
+    if not any(site.kind == HEATING_BURST for site in sites):
+        log_total = 0.0
+        for site in sites:
+            if site.probability >= 1.0:
+                return float("-inf")
+            log_total += math.log1p(-site.probability)
+        return log_total * math.log10(math.e)
+    weights = np.array([1.0])
+    log10_total = 0.0
+    with np.errstate(over="ignore"):
+        scale = multiplier ** np.arange(len(sites) + 1, dtype=float)
+    for site in sites:
+        p = site.probability
+        if site.kind == HEATING_BURST:
+            grown = np.zeros(len(weights) + 1)
+            grown[:-1] += weights * (1.0 - p)
+            grown[1:] += weights * p
+            weights = grown
+        elif site.kind == MEASURE_FLIP:
+            weights = weights * (1.0 - p)
+        else:
+            weights = weights * (1.0 - np.minimum(1.0,
+                                                  p * scale[:len(weights)]))
+        total = float(weights.sum())
+        if total <= 0.0:
+            return float("-inf")
+        if total < 1e-150:
+            log10_total += math.log10(total)
+            weights = weights / total
+    return log10_total + math.log10(float(weights.sum()))
+
+
+def reference_scenario_analytics(sites, scenario):
+    """Site counts and expected events by kind, in first-appearance
+    order, and the exact log10 success rate, window by window."""
+    site_counts: dict[str, int] = {}
+    expected_events: dict[str, float] = {}
+    windows: dict[int, list[ErrorSite]] = {}
+    for site in sites:
+        site_counts[site.kind] = site_counts.get(site.kind, 0) + 1
+        expected_events[site.kind] = (expected_events.get(site.kind, 0.0)
+                                      + site.probability)
+        windows.setdefault(site.window, []).append(site)
+    log10 = sum(
+        _reference_window_log10(window, scenario.burst_error_multiplier)
+        for window in windows.values()
+    )
+    return site_counts, expected_events, log10
+
+
+def assert_same_table(actual: SiteTable, expected: SiteTable) -> None:
+    """Every column equal, with its dtype and shape."""
+    for column in dataclasses.fields(SiteTable):
+        have = getattr(actual, column.name)
+        want = getattr(expected, column.name)
+        assert have.dtype == want.dtype, column.name
+        assert have.shape == want.shape, column.name
+        assert np.array_equal(have, want), column.name
+
+
+def _assert_scenario_sites(simulator, program, reference_program,
+                           **inputs) -> None:
+    """Under every registered scenario, the sampler's table equals the
+    reference expansion, and the scenario result and the sampler's
+    expected rate equal the reference analytics: site counts and
+    expected events by kind, in key order, and the log10 rate."""
+    baseline = simulator.run(program, **inputs)
+    for name in scenario_names():
+        scenario = get_scenario(name)
+        sites = reference_scenario_sites(simulator, reference_program,
+                                         scenario)
+        sampler = simulator.build_sampler(program, scenario=scenario,
+                                          **inputs)
+        assert_same_table(sampler.table, SiteTable.from_sites(sites))
+        result = simulator.run(program, scenario=scenario, **inputs)
+        if scenario.is_baseline:
+            assert result == baseline == sampler.analytic
+            continue
+        counts, events, log10 = reference_scenario_analytics(sites, scenario)
+        extras = {**baseline.extras,
+                  **{f"sites_{kind}": float(count)
+                     for kind, count in counts.items()},
+                  **{f"expected_{kind}": expected
+                     for kind, expected in events.items()}}
+        rate = 0.0 if log10 == float("-inf") else math.pow(10.0, log10)
+        assert result == dataclasses.replace(
+            baseline, success_rate=rate, log10_success_rate=log10,
+            extras=extras)
+        assert list(result.extras) == list(extras)
+        assert sampler.analytic == result
+        assert sampler.expected_success_rate == rate
+
+
+class TestScenarioSitesMatchReference:
+    @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
+    @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
+    def test_tilt(self, name, noise):
+        circuit = _oracle_circuit(name)
+        device = _small_device(circuit)
+        config = CompilerConfig(strip_barriers=name != BARRIER_CASE)
+        compiled = LinQCompiler(device, config).compile(circuit)
+        _assert_scenario_sites(TiltSimulator(device, NOISE_CASES[noise]),
+                               compiled, compiled.program)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
+    @pytest.mark.parametrize("name", SMALL_SUITE + [BARRIER_CASE])
+    def test_ideal(self, name, noise):
+        circuit = _oracle_circuit(name)
+        native = lower_to_native(circuit,
+                                 strip_barriers=name != BARRIER_CASE)
+        simulator = IdealSimulator(
+            IdealTrappedIonDevice(num_qubits=circuit.num_qubits),
+            NOISE_CASES[noise])
+        _assert_scenario_sites(simulator, circuit, native, native=native)
+
+    @pytest.mark.parametrize("noise", sorted(NOISE_CASES))
+    @pytest.mark.parametrize("name", SMALL_SUITE)
+    def test_qccd(self, name, noise):
+        circuit = build_workload(name, "small")
+        device = QccdDevice(num_qubits=circuit.num_qubits,
+                            trap_capacity=max(4, circuit.num_qubits // 3))
+        program = QccdCompiler(device).compile(circuit)
+        _assert_scenario_sites(QccdSimulator(device, NOISE_CASES[noise]),
+                               program, program, circuit_name=circuit.name)
+
+    def test_cases_exercise_every_site_kind(self):
+        """The cases above reach every site kind, and bursts in more
+        than one TILT cooling window; the sampler's record view gives
+        the reference records back."""
+        circuit = _oracle_circuit(BARRIER_CASE)
+        device = _small_device(circuit)
+        compiled = LinQCompiler(
+            device, CompilerConfig(strip_barriers=False)
+        ).compile(circuit)
+        simulator = TiltSimulator(device, NOISE_CASES["cooling"])
+        scenario = get_scenario("worst_case")
+        sites = reference_scenario_sites(simulator, compiled.program,
+                                         scenario)
+        assert {site.kind for site in sites} == set(SITE_KINDS)
+        assert len({site.window for site in sites
+                    if site.kind == HEATING_BURST}) > 1
+        sampler = simulator.build_sampler(compiled, scenario=scenario)
+        assert sampler.sites == tuple(sites)
+        assert [sampler.table.site(position)
+                for position in range(len(sites))] == sites
+
+
+class TestSpectatorsMatchScan:
+    """The neighbourhood enumeration returns the scan's tuple."""
+
+    @pytest.mark.parametrize("max_distance", [1, 2, 3, 5])
+    def test_tilt_head_windows(self, max_distance):
+        device = TiltDevice(num_qubits=20, head_size=8)
+        last = device.num_head_positions - 1
+        for position in (0, 1, last // 2, last - 1, last):
+            window = device.window(position)
+            for a, b in itertools.permutations(window, 2):
+                assert chain_spectators((a, b), window, max_distance) == \
+                    reference_chain_spectators((a, b), window, max_distance)
+
+    @pytest.mark.parametrize("max_distance", [1, 3, 4])
+    def test_ideal_chain(self, max_distance):
+        chain = range(16)
+        for a, b in itertools.permutations(chain, 2):
+            assert chain_spectators((a, b), chain, max_distance) == \
+                reference_chain_spectators((a, b), chain, max_distance)
+        for qubit in chain:
+            assert chain_spectators((qubit,), chain, max_distance) == \
+                reference_chain_spectators((qubit,), chain, max_distance)
+
+    @pytest.mark.parametrize("max_distance", [1, 3])
+    def test_qccd_traps(self, max_distance):
+        rng = random.Random(3)
+        for size in (2, 3, 5, 9):
+            ions = rng.sample(range(30), size)
+            for operands in itertools.permutations(ions, 2):
+                assert QccdSimulator._trap_spectators(
+                    ions, operands, max_distance
+                ) == reference_trap_spectators(ions, operands, max_distance)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
         "benchmarks/bench_stochastic.py::test_batched_statevector_patterns": 0.04,
         "benchmarks/bench_scenarios.py::test_correlated_sampling_shots_per_second": 9.0,
         "benchmarks/bench_scenarios.py::test_leakage_sampling_shots_per_second": 0.3,
+        "benchmarks/bench_scenarios.py::test_scenario_analytics": 0.03,
         "benchmarks/bench_lint.py::test_lint_whole_repo": 0.55,
         "benchmarks/bench_obs.py::test_untraced_engine_batch": 0.02,
         "benchmarks/bench_obs.py::test_traced_engine_batch": 0.022,

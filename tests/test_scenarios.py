@@ -13,6 +13,7 @@ from repro.analysis.scenario_study import (
     scenario_figure,
     scenarios_report,
 )
+from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
 from repro.circuits.gate import Gate
@@ -26,15 +27,13 @@ from repro.noise.channels import (
     HEATING_BURST,
     LEAKAGE,
     ErrorSite,
+    SiteTable,
     pauli_gates,
 )
 from repro.noise.scenarios import (
     BASELINE,
-    GatePoint,
     NoiseScenario,
-    ShuttlePoint,
-    build_scenario_sites,
-    chain_spectators,
+    Timeline,
     compose_scenarios,
     expected_log10_success,
     expected_success_rate,
@@ -164,15 +163,29 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Site expansion
 # ----------------------------------------------------------------------
+def _timeline(*steps, crosstalk_range=0, ions=range(0)):
+    """A hand-built timeline in window 0: a ``(gate, fidelity)`` step is
+    one executed gate, with its spectators among *ions*; an ``int`` step
+    is the shuttle of that move number."""
+    timeline = Timeline(crosstalk_range=crosstalk_range)
+    for step in steps:
+        if isinstance(step, int):
+            timeline.add_shuttle(step, 0)
+            continue
+        gate, fidelity = step
+        timeline.gates.append(gate)
+        timeline.fidelities.append(fidelity)
+        timeline.close_block(0, ions)
+    return timeline
+
+
 class TestSiteExpansion:
     def test_crosstalk_sites_cover_spectators_in_window(self):
         scenario = NoiseScenario(name="xt", crosstalk_strength=1e-2,
                                  crosstalk_decay=0.5, crosstalk_range=3)
-        points = [GatePoint(
-            index=0, gate=Gate("xx", (4, 5), (0.5,)), fidelity=0.99,
-            spectators=chain_spectators((4, 5), range(2, 10), 3),
-        )]
-        sites = build_scenario_sites(points, scenario)
+        timeline = _timeline((Gate("xx", (4, 5), (0.5,)), 0.99),
+                             crosstalk_range=3, ions=range(2, 10))
+        sites = timeline.site_table(scenario).sites()
         crosstalk = [s for s in sites if s.kind == CROSSTALK]
         # spectators 2,3 on the left and 6,7,8 on the right of (4,5)
         assert [s.qubits[0] for s in crosstalk] == [2, 3, 6, 7, 8]
@@ -184,12 +197,12 @@ class TestSiteExpansion:
     def test_leakage_sites_per_operand(self):
         scenario = NoiseScenario(name="leak", leakage_rate_2q=1e-3,
                                  leakage_rate_1q=1e-4)
-        points = [
-            GatePoint(index=0, gate=Gate("xx", (0, 1), (0.5,)), fidelity=1.0),
-            GatePoint(index=1, gate=Gate("rx", (2,), (0.3,)), fidelity=1.0),
-            GatePoint(index=2, gate=Gate("measure", (0,)), fidelity=1.0),
-        ]
-        sites = build_scenario_sites(points, scenario)
+        timeline = _timeline(
+            (Gate("xx", (0, 1), (0.5,)), 1.0),
+            (Gate("rx", (2,), (0.3,)), 1.0),
+            (Gate("measure", (0,)), 1.0),
+        )
+        sites = timeline.site_table(scenario).sites()
         leaks = [s for s in sites if s.kind == LEAKAGE]
         assert [(s.index, s.qubits[0], s.probability) for s in leaks] == [
             (0, 0, 1e-3), (0, 1, 1e-3), (1, 2, 1e-4),
@@ -198,25 +211,50 @@ class TestSiteExpansion:
     def test_burst_sites_only_for_shuttles(self):
         scenario = NoiseScenario(name="burst", burst_probability=0.25,
                                  burst_error_multiplier=2.0)
-        points = [
-            GatePoint(index=0, gate=Gate("xx", (0, 1), (0.5,)),
-                      fidelity=0.9, window=0),
-            ShuttlePoint(move=1, window=0),
-            GatePoint(index=1, gate=Gate("xx", (0, 1), (0.5,)),
-                      fidelity=0.9, window=0),
-        ]
-        sites = build_scenario_sites(points, scenario)
+        timeline = _timeline(
+            (Gate("xx", (0, 1), (0.5,)), 0.9),
+            1,
+            (Gate("xx", (0, 1), (0.5,)), 0.9),
+        )
+        sites = timeline.site_table(scenario).sites()
         assert [s.kind for s in sites] == ["pauli2", HEATING_BURST, "pauli2"]
         assert sites[1].probability == 0.25
 
     def test_baseline_adds_no_scenario_sites(self):
-        points = [
-            GatePoint(index=0, gate=Gate("xx", (0, 1), (0.5,)),
-                      fidelity=0.9, spectators=((2, 1),)),
-            ShuttlePoint(move=1),
-        ]
-        sites = build_scenario_sites(points, BASELINE)
+        timeline = _timeline((Gate("xx", (0, 1), (0.5,)), 0.9), 1,
+                             crosstalk_range=3, ions=range(3))
+        assert timeline.spectators == [0, 2, 1]
+        sites = timeline.site_table(BASELINE).sites()
         assert [s.kind for s in sites] == ["pauli2"]
+
+    def test_sampled_jobs_build_no_error_site_records(self, monkeypatch):
+        """Timelines expand straight into table columns: building and
+        sampling crosstalk, leakage and heating-burst QFT-8 jobs on all
+        three simulators constructs no ErrorSite."""
+        constructed = []
+        check = ErrorSite.__post_init__
+
+        def counted(site):
+            constructed.append(site.kind)
+            check(site)
+
+        monkeypatch.setattr(ErrorSite, "__post_init__", counted)
+        circuit = qft_workload(8)
+        tilt = TiltDevice(num_qubits=8, head_size=4)
+        qccd = QccdDevice(num_qubits=8, trap_capacity=4)
+        jobs = [
+            (TiltSimulator(tilt),
+             LinQCompiler(tilt, CompilerConfig()).compile(circuit), {}),
+            (QccdSimulator(qccd), QccdCompiler(qccd).compile(circuit),
+             {"circuit_name": circuit.name}),
+            (IdealSimulator(IdealTrappedIonDevice(8)), circuit, {}),
+        ]
+        for simulator, program, inputs in jobs:
+            for scenario in ("crosstalk", "leakage", "heating_burst"):
+                shot = simulator.run_stochastic(program, shots=64, seed=5,
+                                                scenario=scenario, **inputs)
+                assert shot.num_error_sites > 0
+        assert constructed == []
 
     def test_pauli_gates_for_scenario_kinds(self):
         crosstalk = ErrorSite(index=0, kind=CROSSTALK, qubits=(3,),
@@ -262,6 +300,14 @@ def _brute_force_success(sites, multiplier):
     return total
 
 
+def _success(sites, multiplier=1.0):
+    return expected_success_rate(SiteTable.from_sites(sites), multiplier)
+
+
+def _log10_success(sites, multiplier=1.0):
+    return expected_log10_success(SiteTable.from_sites(sites), multiplier)
+
+
 class TestAnalytics:
     def test_independent_sites_reduce_to_product(self):
         sites = [
@@ -271,7 +317,7 @@ class TestAnalytics:
                       probability=0.05),
             ErrorSite(index=2, kind=LEAKAGE, qubits=(0,), probability=0.02),
         ]
-        assert expected_success_rate(sites) == pytest.approx(
+        assert _success(sites) == pytest.approx(
             0.9 * 0.95 * 0.98
         )
 
@@ -291,7 +337,7 @@ class TestAnalytics:
                       probability=0.04, window=0),
         ]
         for multiplier in (1.0, 2.0, 5.0):
-            assert expected_success_rate(sites, multiplier) == pytest.approx(
+            assert _success(sites, multiplier) == pytest.approx(
                 _brute_force_success(sites, multiplier), rel=1e-12
             )
 
@@ -303,15 +349,15 @@ class TestAnalytics:
                       probability=0.1, window=1),
         ]
         # the burst is certain but lives in another window: no scaling
-        assert expected_success_rate(sites, 10.0) == pytest.approx(0.9)
+        assert _success(sites, 10.0) == pytest.approx(0.9)
         coupled = [dataclasses.replace(sites[0], window=1), sites[1]]
-        assert expected_success_rate(coupled, 10.0) == pytest.approx(0.0)
+        assert _success(coupled, 10.0) == pytest.approx(0.0)
 
     def test_certain_error_gives_zero_success(self):
         sites = [ErrorSite(index=0, kind="pauli1", qubits=(0,),
                            probability=1.0)]
-        assert expected_success_rate(sites) == 0.0
-        assert expected_log10_success(sites) == float("-inf")
+        assert _success(sites) == 0.0
+        assert _log10_success(sites) == float("-inf")
 
     def test_deep_circuit_stays_finite_in_log_space(self):
         sites = [
@@ -319,7 +365,7 @@ class TestAnalytics:
             for i in range(2000)
         ] + [ErrorSite(index=2000, kind=HEATING_BURST, qubits=(),
                        probability=0.5)]
-        log10 = expected_log10_success(sites, 2.0)
+        log10 = _log10_success(sites, 2.0)
         assert log10 == pytest.approx(2000 * math.log10(0.5), rel=1e-9)
 
 
@@ -336,7 +382,8 @@ class TestCorrelatedSampling:
                       probability=base_p, window=0),
         ]
         sampler = StochasticSampler(architecture="x", circuit_name="y",
-                                    sites=sites, burst_multiplier=4.0)
+                                    table=SiteTable.from_sites(sites),
+                                    burst_multiplier=4.0)
         result = sampler.run(4000, seed=7)
         # every shot has an active burst, so the effective rate is 0.4
         assert result.success_rate == pytest.approx(0.6, abs=0.03)
@@ -355,7 +402,8 @@ class TestCorrelatedSampling:
         ] + [ErrorSite(index=1200, kind="pauli1", qubits=(0,),
                        probability=1e-6, window=0)]
         sampler = StochasticSampler(architecture="x", circuit_name="y",
-                                    sites=sites, burst_multiplier=2.0)
+                                    table=SiteTable.from_sites(sites),
+                                    burst_multiplier=2.0)
         result = sampler.run(3, seed=0)
         assert result.successes == 0  # saturated probability always fires
         assert result.expected_success_rate == pytest.approx(0.0)
@@ -374,7 +422,8 @@ class TestCorrelatedSampling:
         ] + [ErrorSite(index=309, kind="pauli1", qubits=(0,),
                        probability=5e-324, window=0)]
         sampler = StochasticSampler(architecture="x", circuit_name="y",
-                                    sites=sites, burst_multiplier=10.0)
+                                    table=SiteTable.from_sites(sites),
+                                    burst_multiplier=10.0)
         result = sampler.run(3, seed=0)
         assert result.successes == 0
         assert result.expected_success_rate == 0.0
@@ -388,7 +437,7 @@ class TestCorrelatedSampling:
             ErrorSite(index=3, kind="pauli1", qubits=(1,), probability=1.0),
         ]
         sampler = StochasticSampler(architecture="x", circuit_name="y",
-                                    sites=sites)
+                                    table=SiteTable.from_sites(sites))
         result = sampler.run(50, seed=3)
         assert result.successes == 0
         # the leak subsumes qubit 0's later sites; qubit 1 still errors

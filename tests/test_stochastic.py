@@ -32,7 +32,7 @@ from repro.noise.channels import (
     PAULI_2Q,
     PAULI_LABELS_2Q,
     ErrorSite,
-    error_site_for_gate,
+    SiteTable,
     pauli_gates,
 )
 from repro.noise.parameters import NoiseParameters
@@ -57,6 +57,7 @@ from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
 from tests.conftest import agrees_within_4_sigma
+from tests.test_reference_oracles import error_site_for_gate
 
 
 @pytest.fixture(autouse=True)
@@ -370,7 +371,7 @@ class TestCounts:
         from repro.sim.stochastic import StochasticSampler
 
         sampler = StochasticSampler(architecture="x", circuit_name="y",
-                                    sites=[])
+                                    table=SiteTable.from_sites([]))
         with pytest.raises(SimulationError):
             sampler.run(10, sample_counts=True)
 
@@ -627,7 +628,7 @@ def _burst_edge_sampler(multiplier):
         ErrorSite(4, PAULI_1Q, (1,), 0.2, window=1),
     ]
     return StochasticSampler(architecture="synthetic", circuit_name="bursts",
-                             sites=sites, num_qubits=3,
+                             table=SiteTable.from_sites(sites), num_qubits=3,
                              burst_multiplier=multiplier)
 
 
@@ -647,7 +648,7 @@ def _leak_rule_sampler():
         ErrorSite(3, MEASURE_FLIP, (2,), 0.3),
     ]
     return StochasticSampler(architecture="synthetic", circuit_name="leaks",
-                             sites=sites, num_qubits=3)
+                             table=SiteTable.from_sites(sites), num_qubits=3)
 
 
 class TestVectorizedReference:
@@ -854,8 +855,10 @@ class TestCountsResimulationEconomy:
         gates = [Gate("h", (0,)), Gate("cx", (0, 1))]
         sampler = StochasticSampler(
             architecture="x", circuit_name="bell",
-            sites=[ErrorSite(index=0, kind="pauli1", qubits=(0,),
-                             probability=0.5)],
+            table=SiteTable.from_sites([
+                ErrorSite(index=0, kind="pauli1", qubits=(0,),
+                          probability=0.5),
+            ]),
             gates=gates, num_qubits=2,
         )
         result = sampler.run(200, seed=3, sample_counts=True)
