@@ -18,16 +18,17 @@ model by construction.  That agreement is what
 :mod:`repro.analysis.convergence` tabulates and the stochastic test-suite
 pins down.
 
-This module holds the channel vocabulary: :class:`ErrorSite` (one
-potential error location with its trigger probability), its columnar
-companion :class:`SiteTable` (the same site list as numpy arrays, the
-form the vectorized sampler consumes) and the label table a triggered
-site draws its record label from.  Each simulator replays its program
-into an execution timeline, because only the simulator knows the heating
-state a gate runs under; :func:`repro.noise.scenarios.build_scenario_sites`
-expands every timeline into sites, and
+This module holds the channel vocabulary: :class:`SiteTable` (every
+potential error location of a program as numpy columns, the form the
+vectorized sampler and the exact analytics consume), :class:`ErrorSite`
+(one location as a record, the form tests and extensions write) and the
+label table a triggered site draws its record label from.  Each
+simulator's one replay records its execution timeline as columns,
+because only the simulator knows the heating state a gate runs under;
+:meth:`repro.noise.scenarios.Timeline.site_table` expands every
+timeline straight into a table, and
 :meth:`repro.sim.stochastic.StochasticSampler.from_timeline` builds
-every sampler, baseline included, from that expansion.
+every sampler, baseline included, from that table.
 """
 
 from __future__ import annotations
@@ -215,11 +216,9 @@ class SiteTable:
                      qubits: np.ndarray) -> "SiteTable":
         """The table of sites given column by column, in execution order.
 
-        Every check of :class:`ErrorSite` runs here, once per column.
+        Kinds arrive as :data:`KIND_CODES` codes; every other check of
+        :class:`ErrorSite` runs here, once per column.
         """
-        if codes.size and (codes.min() < 0
-                           or codes.max() >= len(SITE_KINDS)):
-            raise SimulationError("unknown error-site kind code")
         outside = ~((probabilities >= 0.0) & (probabilities <= 1.0))
         if outside.any():
             raise SimulationError(

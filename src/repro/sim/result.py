@@ -139,10 +139,18 @@ class GateReplay:
         finish_at: dict[int, float] = {}
         path = 0.0
         num_gates = num_two_qubit_gates = 0
-        timeline = self.timeline
-        if timeline is not None:
-            record_gate = timeline.gates.append
-            record_fidelity = timeline.fidelities.append
+        if self.timeline is not None:
+            # recording wraps the fold, so a replay without a timeline
+            # pays nothing per gate for it
+            gates = list(gates)
+            self.timeline.gates.extend(gates)
+            record = self.timeline.fidelities.append
+
+            def fold(fidelity: float, log_term: float,
+                     fold_one=fold) -> None:
+                record(fidelity)
+                fold_one(fidelity, log_term)
+
         for gate in gates:
             qubits = gate.qubits
             key = (gate.name, abs(qubits[0] - qubits[-1]))
@@ -151,9 +159,6 @@ class GateReplay:
                 cost = costs[key] = table.cost(gate, quanta)
             fidelity, log_term, duration, counted, two_qubit = cost
             fold(fidelity, log_term)
-            if timeline is not None:
-                record_gate(gate)
-                record_fidelity(fidelity)
             num_gates += counted
             num_two_qubit_gates += two_qubit
             if len(qubits) == 1:

@@ -9,6 +9,13 @@ triggered measurement site flips its classical bit.  A shot *succeeds*
 when no site triggers, so the sampled success rate is an unbiased
 estimator of the analytic product-of-fidelities success rate.
 
+A sampler holds its sites as one :class:`~repro.noise.channels.SiteTable`
+of columns.  Simulators build it with
+:meth:`StochasticSampler.from_timeline` from the timeline columns their
+one replay recorded, so no per-site object is made on the way;
+``sampler.sites`` builds the :class:`~repro.noise.channels.ErrorSite`
+records from the table when asked.
+
 Randomness
 ----------
 Every random number the sampler consumes is a pure function of four
