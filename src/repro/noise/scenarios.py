@@ -426,17 +426,19 @@ class Timeline:
 
         # One part per site family, each in gate order: (sort key, kind
         # code, probability, window, index, qubits).  The key orders
-        # sites by gate row, then burst, base, crosstalk and leakage.
+        # sites by gate row, then by family rank: burst 0, base 1,
+        # crosstalk 2, leakage 3.
+        families = 4
         parts = []
 
         def gate_sites(rows, rank, codes, probabilities, qubits):
-            parts.append((rows * 4 + rank, codes, probabilities,
+            parts.append((rows * families + rank, codes, probabilities,
                           windows[rows], rows, qubits))
 
         if scenario.burst_probability > 0.0:
             shuttles = np.array(self.shuttles, dtype=np.int64).reshape(-1, 3)
             parts.append((
-                shuttles[:, 0] * 4,
+                shuttles[:, 0] * families,
                 np.full(len(shuttles), KIND_CODES[HEATING_BURST]),
                 np.full(len(shuttles), scenario.burst_probability),
                 shuttles[:, 2], shuttles[:, 1],
