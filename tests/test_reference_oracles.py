@@ -4,16 +4,19 @@ The production routers build a gate's lookahead window only when it needs
 a SWAP, score candidates from an index of that window, and (baseline)
 build the routed circuit of the winning trial only.  The simulators read
 Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable` and
-build every sampler, baseline included, from one execution timeline.  The
-lowering expands each gate straight to native gates and fuses rotations
-in the same pass; compile stats count in one walk, schedule validation
-checks in one walk, and spec keys encode each circuit once per batch.
-The references below are the direct forms they replaced — a full-window
-Eq. 1 scan for every two-qubit gate, a complete routed circuit per
-baseline trial, a per-gate ``gate_fidelity`` / ``gate_time_us`` loop, one
-``error_site_for_gate`` per executed gate, a three-circuit lowering, four
-counting walks, a two-walk validation and a whole-spec encoding — and the
-production results must equal them exactly.
+build every sampler, baseline included, from the columns of one execution
+timeline, expanded with numpy; crosstalk spectators come from the
+operands' neighbourhood.  The lowering expands each gate straight to
+native gates and fuses rotations in the same pass; compile stats count in
+one walk, schedule validation checks in one walk, and spec keys encode
+each circuit once per batch.  The references below are the direct forms
+they replaced — a full-window Eq. 1 scan for every two-qubit gate, a
+complete routed circuit per baseline trial, a per-gate ``gate_fidelity``
+/ ``gate_time_us`` loop, one point and one ``ErrorSite`` per timeline
+entry and site, a scan of the whole window for spectators, a
+three-circuit lowering, four counting walks, a two-walk validation and a
+whole-spec encoding — and the production results must equal them
+exactly.
 """
 
 from __future__ import annotations
