@@ -15,8 +15,8 @@
   run, so the fixture and the dataclass can only change together.
 * ``result_digests`` — SHA-256 digests of what the same specs compute
   (their :func:`~repro.exec.jobs.result_to_json`), plus the small-scale
-  Table III and Figure 8 rows, recorded under
-  ``result_semantics_version``.  Wall-clock fields are left out and
+  Table III and Figure 8 rows and the paper-scale Figure 6, Figure 8
+  and Table III rows, recorded under ``result_semantics_version``.  Wall-clock fields are left out and
   floats are rounded to 10 significant digits, so the digests agree
   across machines and interpreters.  A digest that moves while the
   recorded version equals
@@ -28,6 +28,11 @@ Intentional changes regenerate the fixture::
     PYTHONPATH=src python tests/test_spec_keys.py --update
 
 and the diff review is where result-semantics bumps get decided.
+
+The paper's headline, the Figure 8 TILT/QCCD success-rate ratios at head
+16 and head 32, is also pinned here in readable form
+(:data:`PAPER_HEADLINE_RATIOS`), so a change that moves it shows which
+workload moved.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
 from repro.compiler.pipeline import CompilerConfig
+from repro.core.comparison import tilt_vs_qccd_ratios
 from repro.devtools.rules.spec_keys import extract_dataclass_fields
 from repro.exec import ExecutionEngine
 from repro.exec.jobs import (
@@ -62,6 +68,18 @@ from repro.workloads.qft import qft_workload
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "spec_keys.json"
 JOBS_SOURCE = (Path(__file__).parent.parent / "src" / "repro" / "exec"
                / "jobs.py")
+
+#: Figure 8 at paper scale: TILT/QCCD success-rate ratio per workload and
+#: their max and geometric mean, per TILT head size, at 4 significant
+#: digits.
+PAPER_HEADLINE_RATIOS = {
+    16: {"ADDER": 0.965, "BV": 0.9574, "QAOA": 1.464, "RCS": 3.259,
+         "QFT": 8.246e-06, "SQRT": 0.2423,
+         "max": 3.259, "geometric_mean": 0.1437},
+    32: {"ADDER": 1.026, "BV": 1.046, "QAOA": 1.828, "RCS": 4.754,
+         "QFT": 71.93, "SQRT": 2.316,
+         "max": 71.93, "geometric_mean": 3.403},
+}
 
 #: Wall-clock measurements: they differ run to run, so no digest covers them.
 WALL_CLOCK_FIELDS = frozenset({
@@ -168,14 +186,26 @@ def digest(payload) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def paper_scale_rows() -> dict:
+    """Figure 6, Figure 8 and Table III at paper scale, on one engine."""
+    engine = ExecutionEngine(workers=1)
+    return {
+        "figure6_paper": experiments.figure6("paper", engine=engine),
+        "figure8_paper": experiments.figure8("paper", engine=engine),
+        "table3_paper": experiments.table3("paper", engine=engine),
+    }
+
+
+@functools.lru_cache(maxsize=None)
 def current_result_digests() -> dict:
-    """Digests of every representative result and small-scale table."""
+    """Digests of every representative result and every pinned table."""
     engine = ExecutionEngine(workers=1)
     specs = representative_specs()
     results = engine.run(list(specs.values()))
     rows = {
         "table3_small": experiments.table3("small", engine=engine),
         "figure8_small": experiments.figure8("small", engine=engine),
+        **paper_scale_rows(),
     }
     return {
         "specs": {name: digest(result_to_json(result))
@@ -281,6 +311,16 @@ class TestGoldenResults:
                  "success_rate": 0.123456789013}
         assert digest(base) == digest(noisy)
         assert digest(base) != digest({**base, "success_rate": 0.1235})
+
+
+class TestPaperScale:
+    @pytest.mark.parametrize("head_size", sorted(PAPER_HEADLINE_RATIOS))
+    def test_headline_ratios(self, head_size):
+        ratios = tilt_vs_qccd_ratios(paper_scale_rows()["figure8_paper"],
+                                     tilt_label=f"TILT head {head_size}")
+        assert ({name: float(f"{ratio:.4g}")
+                 for name, ratio in ratios.items()}
+                == PAPER_HEADLINE_RATIOS[head_size])
 
 
 def main(argv: list[str]) -> int:
