@@ -55,6 +55,18 @@ def test_ideal_simulation(benchmark, scale, noise):
     assert 0.0 <= result.success_rate <= 1.0
 
 
+def test_qccd_compile(benchmark, scale):
+    """The QCCD compiler alone: trap assignment and shuttle insertion on
+    a circuit lowered outside the timer."""
+    circuit = build_workload("QFT", scale)
+    native = lower_to_native(circuit)
+    capacity = 17 if scale == "paper" else 5
+    device = QccdDevice(num_qubits=circuit.num_qubits, trap_capacity=capacity)
+    compiler = QccdCompiler(device)
+    program = benchmark(lambda: compiler.compile(circuit, native=native))
+    assert program.num_shuttles > 0
+
+
 def test_qccd_compile_and_simulate(benchmark, scale, noise):
     circuit = build_workload("QFT", scale)
     capacity = 17 if scale == "paper" else 5

@@ -19,7 +19,9 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 * ``route``             — swap insertion by both routers, whose lookahead
   window and trial circuits are built only when used
   (``bench_table3_compilation.py::test_swap_insertion_time``, the
-  median of several rounds);
+  median of several rounds), and the QCCD compiler's trap assignment
+  and shuttle insertion on a circuit lowered outside the timer
+  (``bench_compiler_passes.py::test_qccd_compile``);
 * ``analytic``          — analytic simulation, one replay per run that
   looks each distinct gate's costs up once
   (``bench_compiler_passes.py::test_tilt_simulation``,
@@ -97,6 +99,8 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
      r"bench_compiler_passes\.py::test_native_decomposition"),
     ("route",
      r"bench_table3_compilation\.py::test_swap_insertion_time"),
+    ("route",
+     r"bench_compiler_passes\.py::test_qccd_compile$"),
     ("analytic",
      r"bench_compiler_passes\.py::test_tilt_simulation"),
     ("analytic",

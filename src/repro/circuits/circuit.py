@@ -67,7 +67,7 @@ class Circuit:
     # ------------------------------------------------------------------
     def append(self, gate: Gate) -> "Circuit":
         """Append *gate*, validating its qubit indices against the register."""
-        if any(q >= self._num_qubits for q in gate.qubits):
+        if max(gate.qubits) >= self._num_qubits:
             raise CircuitError(
                 f"gate {gate} uses qubits outside register of size "
                 f"{self._num_qubits}"

@@ -9,44 +9,46 @@ tracker supports that access pattern in O(1) amortised per gate.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import operator
+from typing import Iterable
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
 from repro.exceptions import CircuitError
 
 
 class FrontierTracker:
     """Incremental ready-set over a circuit's dependency structure.
 
-    Besides completing gates, the tracker answers two read-only queries
-    over its current state: :meth:`window_extents`, which tells the
-    tape scheduler how many gates each head window could run, and
-    :meth:`greedy_closure`, which lists those gates in execution order.
+    In-degrees, successor lists and each gate's lowest and highest qubit
+    are lists indexed by gate, built once with the tracker.  Besides
+    completing gates one at a time, the tracker answers
+    :meth:`window_extents`, which tells the tape scheduler how many gates
+    each head window could run, and :meth:`run_closure`, which runs the
+    gates one window can run, in place.
     """
 
     def __init__(self, circuit: Circuit,
                  indices: Iterable[int] | None = None) -> None:
-        gates = circuit.gates
-        selected = list(indices) if indices is not None else list(range(len(gates)))
+        operands = [gate.qubits for gate in circuit]
+        count = len(operands)
+        selected = list(indices) if indices is not None else range(count)
         self._circuit = circuit
-        self._gates = gates  # cached: Circuit.gates rebuilds a tuple per call
-        self._indegree: dict[int, int] = {}
-        self._successors: dict[int, list[int]] = {i: [] for i in selected}
-        selected_set = set(selected)
-        last_on_qubit: dict[int, int] = {}
-        for idx in selected:
-            gate = gates[idx]
-            indeg = 0
-            for qubit in gate.qubits:
-                previous = last_on_qubit.get(qubit)
-                if previous is not None and previous in selected_set:
-                    self._successors[previous].append(idx)
-                    indeg += 1
-                last_on_qubit[qubit] = idx
-            self._indegree[idx] = indeg
-        self._ready: set[int] = {i for i, d in self._indegree.items() if d == 0}
-        self._completed: set[int] = set()
+        self._indegree = indegree = [0] * count
+        self._successors = successors = [[] for _ in range(count)]
+        self._lowest = list(map(min, operands))
+        self._highest = list(map(max, operands))
+        last_on_qubit = [-1] * circuit.num_qubits
+        for index in selected:
+            edges = 0
+            for qubit in operands[index]:
+                previous = last_on_qubit[qubit]
+                if previous >= 0:
+                    successors[previous].append(index)
+                    edges += 1
+                last_on_qubit[qubit] = index
+            indegree[index] = edges
+        self._ready: set[int] = {i for i in selected if indegree[i] == 0}
+        self._remaining = len(selected)
 
     # Queries ---------------------------------------------------------------
     @property
@@ -59,10 +61,14 @@ class FrontierTracker:
 
     def remaining(self) -> int:
         """Number of gates not yet completed."""
-        return len(self._indegree) - len(self._completed)
+        return self._remaining
 
     def is_done(self) -> bool:
-        return self.remaining() == 0
+        return self._remaining == 0
+
+    def spans(self) -> list[int]:
+        """Each gate's highest minus lowest qubit, indexed by gate."""
+        return list(map(operator.sub, self._highest, self._lowest))
 
     # Mutation ---------------------------------------------------------------
     def complete(self, index: int) -> list[int]:
@@ -72,64 +78,65 @@ class FrontierTracker:
                 f"gate {index} is not ready (predecessors incomplete)"
             )
         self._ready.discard(index)
-        self._completed.add(index)
+        self._remaining -= 1
         newly_ready: list[int] = []
+        indegree = self._indegree
         for succ in self._successors[index]:
-            self._indegree[succ] -= 1
-            if self._indegree[succ] == 0:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
                 self._ready.add(succ)
                 newly_ready.append(succ)
         return newly_ready
 
-    def complete_many(self, indices: Iterable[int]) -> None:
-        """Complete several gates; ordering inside *indices* must be valid."""
-        for index in indices:
-            self.complete(index)
+    def run_closure(self, low: int, high: int) -> list[int]:
+        """Run every gate the window of qubits ``low … high`` can run.
 
-    def greedy_closure(self, accepts: "Callable[[Gate], bool]") -> list[int]:
-        """Gates executable in one pass if only *accepts*-gates may run.
-
-        Starting from the current ready set, repeatedly execute every ready
-        gate accepted by the predicate, releasing its successors, until no
-        accepted gate is ready.  The tracker itself is **not** modified; the
-        returned list is a valid execution order that can later be replayed
-        with :meth:`complete_many`.
-
-        The tape scheduler runs it once per segment, at the head position
-        it chose, and replays the result.  The cost is proportional to the
-        number of executed gates plus their successor edges (an overlay of
-        in-degrees is used instead of copying the tracker).
+        Starting from the ready set, repeatedly complete a ready gate
+        whose qubits all lie in the window, releasing its successors,
+        until no such gate is ready; return the completed gates in
+        execution order.  The ready set sees the same sequence of
+        removals and additions as completing that order one gate at a
+        time, so its iteration order, and with it every later closure,
+        does not depend on how the closure was found.  The cost is
+        proportional to the executed gates plus their successor edges.
         """
-        gates = self._gates
+        lowest = self._lowest
+        highest = self._highest
+        successors = self._successors
+        indegree = self._indegree
+        ready = self._ready
+        queue = [index for index in ready
+                 if low <= lowest[index] and highest[index] <= high]
         executed: list[int] = []
-        overlay_indegree: dict[int, int] = {}
-        queue = [index for index in self._ready if accepts(gates[index])]
-        in_queue = set(queue)
         while queue:
             index = queue.pop()
             executed.append(index)
-            for succ in self._successors[index]:
-                remaining = overlay_indegree.get(succ, self._indegree[succ]) - 1
-                overlay_indegree[succ] = remaining
-                if remaining == 0 and succ not in in_queue and accepts(gates[succ]):
-                    queue.append(succ)
-                    in_queue.add(succ)
+            ready.discard(index)
+            for succ in successors[index]:
+                remaining = indegree[succ] - 1
+                indegree[succ] = remaining
+                if remaining == 0:
+                    ready.add(succ)
+                    if low <= lowest[succ] and highest[succ] <= high:
+                        queue.append(succ)
+        self._remaining -= len(executed)
         return executed
 
     def window_extents(self, width: int) -> list[tuple[int, int]]:
         """Qubit extents of the gates some *width*-qubit window could run.
 
-        :meth:`greedy_closure` restricted to a window runs a gate exactly
-        when the window holds the gate and all of its not-yet-completed
-        ancestors.  Sweeping from the ready set, this returns the lowest
-        and highest qubit of that set, ``(low, high)``, for every gate
-        whose set spans at most *width* qubits, in no particular order.  A
-        gate whose set is wider, and all of its descendants, are skipped,
-        so the closure of the window ``[p, p + width - 1]`` holds exactly
-        as many gates as there are extents with ``high - width < p <= low``.
-        The tracker itself is **not** modified.
+        :meth:`run_closure` on a window runs a gate exactly when the
+        window holds the gate and all of its not-yet-completed ancestors.
+        Sweeping from the ready set, this returns the lowest and highest
+        qubit of that set, ``(low, high)``, for every gate whose set spans
+        at most *width* qubits, in no particular order.  A gate whose set
+        is wider, and all of its descendants, are skipped, so the closure
+        of the window ``[p, p + width - 1]`` holds exactly as many gates
+        as there are extents with ``high - width < p <= low``.  The
+        tracker itself is **not** modified.
         """
-        gates = self._gates
+        lowest = self._lowest
+        highest = self._highest
         successors = self._successors
         indegree = self._indegree
         limit = width - 1
@@ -138,9 +145,8 @@ class FrontierTracker:
         pending: dict[int, tuple[int, int, int]] = {}
         stack: list[tuple[int, int, int]] = []
         for index in self._ready:
-            qubits = gates[index].qubits
-            low = min(qubits)
-            high = max(qubits)
+            low = lowest[index]
+            high = highest[index]
             if high - low <= limit:
                 stack.append((index, low, high))
         while stack:
@@ -149,10 +155,9 @@ class FrontierTracker:
             for succ in successors[index]:
                 state = pending.get(succ)
                 if state is None:
-                    qubits = gates[succ].qubits
                     remaining = indegree[succ] - 1
-                    succ_low = min(qubits)
-                    succ_high = max(qubits)
+                    succ_low = lowest[succ]
+                    succ_high = highest[succ]
                 else:
                     remaining, succ_low, succ_high = state
                     remaining -= 1

@@ -137,12 +137,24 @@ class Gate:
         """The gate with qubits relabelled through *mapping*.
 
         A gate the mapping leaves in place is returned as is: it is
-        immutable and was validated when built.
+        immutable and was validated when built.  A moved gate keeps the
+        name and parameters this gate was validated with, so only what
+        relabelling changes is checked: the new qubits, as ``int``, must
+        be distinct and non-negative.
         """
         qubits = tuple([mapping[q] for q in self.qubits])
         if qubits == self.qubits:
             return self
-        return Gate(self.name, qubits, self.params)
+        qubits = tuple(map(int, qubits))
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"gate {self.name!r} has duplicate qubits {qubits}")
+        if min(qubits) < 0:
+            raise CircuitError(f"gate {self.name!r} has negative qubit index")
+        moved = object.__new__(Gate)
+        object.__setattr__(moved, "name", self.name)
+        object.__setattr__(moved, "qubits", qubits)
+        object.__setattr__(moved, "params", self.params)
+        return moved
 
     def inverse(self) -> "Gate":
         """Return the inverse gate.

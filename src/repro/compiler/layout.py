@@ -55,6 +55,13 @@ class QubitMapping:
         """Logical qubit currently at *physical* position."""
         return self._phys_to_log[physical]
 
+    @property
+    def positions(self) -> list[int]:
+        """The live logical->physical list: ``positions[q]`` is where
+        logical qubit ``q`` sits now, updated in place by every swap.
+        Read it; change the mapping only through :meth:`swap_physical`."""
+        return self._log_to_phys
+
     def logical_to_physical(self) -> list[int]:
         """The full logical->physical permutation (copy)."""
         return list(self._log_to_phys)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
+from repro.circuits.gate import TWO_QUBIT_GATE_NAMES, Gate
 from repro.compiler.layout import QubitMapping
 from repro.exceptions import RoutingError
 
@@ -79,27 +79,26 @@ class RoutingResult:
         return max((record.span for record in self.swaps), default=0)
 
 
+def check_mapping_size(mapping: QubitMapping, device: TiltDevice) -> None:
+    """Raise :class:`RoutingError` unless *mapping* places every ion of
+    the device's chain."""
+    if mapping.num_qubits != device.num_qubits:
+        raise RoutingError(
+            f"initial mapping has {mapping.num_qubits} qubits but the device "
+            f"has {device.num_qubits}"
+        )
+
+
 def check_routed(circuit: Circuit, device: TiltDevice) -> None:
     """Raise :class:`RoutingError` unless every 2q gate fits under the head."""
+    max_span = device.max_gate_span
     for index, gate in enumerate(circuit):
-        if gate.is_two_qubit and gate.span > device.max_gate_span:
-            raise RoutingError(
-                f"gate {index} ({gate}) spans {gate.span} > "
-                f"{device.max_gate_span}"
-            )
-
-
-def pending_two_qubit_gates(circuit: Circuit, start_index: int,
-                            limit: int) -> list[tuple[int, Gate]]:
-    """The next *limit* two-qubit gates of *circuit* from *start_index* on."""
-    window: list[tuple[int, Gate]] = []
-    for index in range(start_index, len(circuit)):
-        gate = circuit[index]
-        if gate.is_two_qubit:
-            window.append((index, gate))
-            if len(window) >= limit:
-                break
-    return window
+        if gate.name in TWO_QUBIT_GATE_NAMES:
+            a, b = gate.qubits
+            if abs(a - b) > max_span:
+                raise RoutingError(
+                    f"gate {index} ({gate}) spans {gate.span} > {max_span}"
+                )
 
 
 def classify_opposing(swap_low: int, swap_high: int,

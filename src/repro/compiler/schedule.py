@@ -8,20 +8,23 @@ improves the program success rate because every shuttle heats the chain
 (Section IV-D).
 
 Scoring a head position needs no trial run.  The greedy closure at
-position ``p`` (:meth:`repro.circuits.dag.FrontierTracker.greedy_closure`
-restricted to the window ``[p, p + h - 1]``) runs a gate exactly when the
-window holds the gate and all of its not-yet-executed ancestors.  With
-``L`` and ``H`` the lowest and highest qubit over that set, the gate
-therefore counts toward exactly the positions
-``max(0, H - h + 1) … min(last, L)``.
+position ``p`` (every gate that can run in the window ``[p, p + h - 1]``
+of an ``h``-laser head) runs a gate exactly when the window holds the
+gate and all of its not-yet-executed ancestors.  With ``L`` and ``H`` the
+lowest and highest qubit over that set, the gate therefore counts toward
+exactly the positions ``max(0, H - h + 1) … min(last, L)``.
 :meth:`~repro.circuits.dag.FrontierTracker.window_extents` returns
 ``(L, H)`` for every gate some window can run (a gate whose set is wider
-than the head, and all of its descendants, count nowhere), so one
-difference-array sum over those ranges gives every position's closure
-size.  The scheduler picks the position by the ``(-count, distance,
-position)`` key of Algorithm 2 and runs the greedy closure once, there;
-its execution order is the segment's gate order.  The test suite checks
-the chosen segments against the per-position closure scan.
+than the head, and all of its descendants, count nowhere), reading each
+gate's lowest and highest qubit from lists the tracker builds once, so
+one difference-array sum over those ranges gives every position's
+closure size.  The scheduler picks the position by the ``(-count,
+distance, position)`` key of Algorithm 2 and runs that window's closure
+once, in place
+(:meth:`~repro.circuits.dag.FrontierTracker.run_closure`); its execution
+order is the segment's gate order.  The test suite checks the chosen
+segments against the per-position scan of closures found without
+touching the tracker and replayed gate by gate.
 """
 
 from __future__ import annotations
@@ -73,32 +76,40 @@ class TapeScheduler:
     # ------------------------------------------------------------------
     def schedule(self, circuit: Circuit) -> ExecutableProgram:
         """Schedule *circuit* into tape segments covering every gate."""
-        max_span = self.device.max_gate_span
-        for gate in circuit:
-            if gate.span > max_span:
-                if gate.name == "barrier":
-                    raise SchedulingError(
-                        "full-width barriers cannot be scheduled; strip them first"
-                    )
-                raise SchedulingError(
-                    f"gate {gate} does not fit under the head; route first"
-                )
-
+        device = self.device
+        if circuit.num_qubits > device.num_qubits:
+            raise SchedulingError(
+                f"circuit has {circuit.num_qubits} qubits but the device has "
+                f"{device.num_qubits}"
+            )
         tracker = FrontierTracker(circuit)
+        spans = tracker.spans()
+        max_span = device.max_gate_span
+        if spans and max(spans) > max_span:
+            gate = next(gate for gate, span in zip(circuit, spans)
+                        if span > max_span)
+            if gate.name == "barrier":
+                raise SchedulingError(
+                    "full-width barriers cannot be scheduled; strip them first"
+                )
+            raise SchedulingError(
+                f"gate {gate} does not fit under the head; route first"
+            )
+
+        head_size = device.head_size
         segments: list[TapeSegment] = []
         current_position = self.config.initial_position
         while not tracker.is_done():
             position = self._choose_position(tracker, current_position)
-            executable = self._closure_at(tracker, position)
+            executable = tracker.run_closure(position, position + head_size - 1)
             if not executable:
                 raise SchedulingError(
                     "scheduler stalled: no executable gate at any head position"
                 )
-            tracker.complete_many(executable)
             segments.append(TapeSegment(position, tuple(executable)))
             current_position = position
 
-        program = ExecutableProgram(circuit, self.device, segments)
+        program = ExecutableProgram(circuit, device, segments)
         program.validate()
         return program
 
@@ -127,19 +138,6 @@ class TapeScheduler:
         if current_position is None or not self.config.prefer_near_moves:
             return tied[0]
         return min(tied, key=lambda p: (abs(p - current_position), p))
-
-    def _closure_at(self, tracker: FrontierTracker, position: int) -> list[int]:
-        """Gates greedily executable with the head at *position*."""
-        low = position
-        high = position + self.device.head_size - 1
-
-        def accepts(gate, _low=low, _high=high):  # noqa: ANN001 - hot path
-            for q in gate.qubits:
-                if q < _low or q > _high:
-                    return False
-            return True
-
-        return tracker.greedy_closure(accepts)
 
 
 def schedule_tape_moves(circuit: Circuit, device: TiltDevice,

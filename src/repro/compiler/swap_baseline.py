@@ -23,14 +23,14 @@ import random
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
+from repro.circuits.gate import TWO_QUBIT_GATE_NAMES, Gate
 from repro.compiler.layout import QubitMapping
 from repro.compiler.routing import (
     RoutingResult,
     SwapRecord,
+    check_mapping_size,
     check_routed,
     classify_opposing,
-    pending_two_qubit_gates,
 )
 from repro.exceptions import RoutingError
 
@@ -99,39 +99,46 @@ class BaselineSwapInserter:
             if initial_mapping is not None
             else QubitMapping.identity(self.device.num_qubits)
         )
+        check_mapping_size(base_mapping, self.device)
+        # Only two-qubit gates take SWAPs; trials walk just those.
+        two_qubit = [(index, gate) for index, gate in enumerate(circuit)
+                     if gate.name in TWO_QUBIT_GATE_NAMES]
         best: list[Decision] | None = None
         best_key: tuple[int, int] | None = None
         for trial in range(self.trials):
             rng = random.Random(self.seed + trial)
-            decisions = self._decide(circuit, base_mapping.copy(), rng)
+            decisions = self._decide(two_qubit, base_mapping.copy(), rng)
             key = (len(decisions),
                    sum(high - low for _, (low, high) in decisions))
             if best_key is None or key < best_key:
                 best, best_key = decisions, key
         assert best is not None
-        result = self._build(circuit, base_mapping, best)
+        result = self._build(circuit, two_qubit, base_mapping, best)
         check_routed(result.circuit, self.device)
         return result
 
     # ------------------------------------------------------------------
     # Single randomised attempt, and the circuit of the winning one
     # ------------------------------------------------------------------
-    def _decide(self, circuit: Circuit, mapping: QubitMapping,
+    def _decide(self, two_qubit: list[tuple[int, Gate]],
+                mapping: QubitMapping,
                 rng: random.Random) -> list[Decision]:
-        """Move a randomly chosen endpoint of each long gate the full SWAP
+        """Move a randomly chosen endpoint of each long gate of
+        *two_qubit* (``(index, gate)`` in program order) the full SWAP
         span inward until it fits; return every SWAP decision."""
         decisions: list[Decision] = []
-        for index, gate in enumerate(circuit):
-            if not gate.is_two_qubit:
-                continue
+        position = mapping.positions
+        max_span = self.device.max_gate_span
+        for index, gate in two_qubit:
+            a, b = gate.qubits
             guard = 0
-            while mapping.gate_distance(gate) > self.device.max_gate_span:
+            while abs(position[a] - position[b]) > max_span:
                 guard += 1
                 if guard > 2 * self.device.num_qubits:
                     raise RoutingError(
                         f"baseline routing failed to converge for gate {gate}"
                     )
-                low, high = sorted(map(mapping.physical, gate.qubits))
+                low, high = sorted((position[a], position[b]))
                 step = min(self.max_swap_len, high - low - 1)
                 if rng.random() < 0.5:  # move the left end
                     pair = (low, low + step)
@@ -141,19 +148,25 @@ class BaselineSwapInserter:
                 mapping.swap_physical(*pair)
         return decisions
 
-    def _build(self, circuit: Circuit, initial: QubitMapping,
+    def _build(self, circuit: Circuit, two_qubit: list[tuple[int, Gate]],
+               initial: QubitMapping,
                decisions: list[Decision]) -> RoutingResult:
-        """The routed circuit and classified SWAP records of *decisions*."""
+        """The routed circuit and classified SWAP records of *decisions*.
+
+        A SWAP is classified against the next CLASSIFICATION_LOOKAHEAD
+        gates of *two_qubit* from the gate it resolves on.
+        """
         mapping = initial.copy()
+        position = mapping.positions
         routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
         swaps: list[SwapRecord] = []
         pairs_before: dict[int, list[tuple[int, int]]] = {}
         for index, pair in decisions:
             pairs_before.setdefault(index, []).append(pair)
+        seen = 0  # two-qubit gates before this one
         for index, gate in enumerate(circuit):
             for pair in pairs_before.get(index, ()):
-                pending = pending_two_qubit_gates(circuit, index,
-                                                  CLASSIFICATION_LOOKAHEAD)
+                pending = two_qubit[seen : seen + CLASSIFICATION_LOOKAHEAD]
                 swaps.append(
                     SwapRecord(
                         physical_pair=pair,
@@ -165,5 +178,7 @@ class BaselineSwapInserter:
                 )
                 routed.append(Gate("swap", pair))
                 mapping.swap_physical(*pair)
-            routed.append(mapping.apply_to_gate(gate))
+            if gate.name in TWO_QUBIT_GATE_NAMES:
+                seen += 1
+            routed.append(gate.remapped(position))
         return RoutingResult(routed, initial, mapping, swaps)

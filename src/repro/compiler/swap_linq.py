@@ -25,11 +25,12 @@ from itertools import accumulate, repeat
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
+from repro.circuits.gate import TWO_QUBIT_GATE_NAMES, Gate
 from repro.compiler.layout import QubitMapping
 from repro.compiler.routing import (
     RoutingResult,
     SwapRecord,
+    check_mapping_size,
     check_routed,
     classify_opposing,
 )
@@ -98,35 +99,40 @@ class LinqSwapInserter:
     def route(self, circuit: Circuit,
               initial_mapping: QubitMapping | None = None) -> RoutingResult:
         """Insert SWAPs so every two-qubit gate fits under the laser head."""
-        if circuit.num_qubits > self.device.num_qubits:
+        device = self.device
+        if circuit.num_qubits > device.num_qubits:
             raise RoutingError(
                 f"circuit has {circuit.num_qubits} qubits but the device has "
-                f"{self.device.num_qubits}"
+                f"{device.num_qubits}"
             )
         mapping = (
             initial_mapping.copy()
             if initial_mapping is not None
-            else QubitMapping.identity(self.device.num_qubits)
+            else QubitMapping.identity(device.num_qubits)
         )
+        check_mapping_size(mapping, device)
         initial = mapping.copy()
-        routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
+        routed = Circuit(device.num_qubits, f"{circuit.name}_routed")
         swaps: list[SwapRecord] = []
 
         # A gate's lookahead window is the next ``lookahead_window``
         # two-qubit gates from it on; only a gate that needs a SWAP reads it.
         two_qubit = [(index, gate) for index, gate in enumerate(circuit)
-                     if gate.is_two_qubit]
+                     if gate.name in TWO_QUBIT_GATE_NAMES]
+        position = mapping.positions
+        max_span = device.max_gate_span
         seen = 0
         for index, gate in enumerate(circuit):
-            if gate.is_two_qubit:
-                if mapping.gate_distance(gate) > self.device.max_gate_span:
+            if gate.name in TWO_QUBIT_GATE_NAMES:
+                a, b = gate.qubits
+                if abs(position[a] - position[b]) > max_span:
                     pending = two_qubit[seen : seen + self.lookahead_window]
                     self._resolve_gate(gate, index, mapping, routed, swaps,
                                        pending)
                 seen += 1
-            routed.append(mapping.apply_to_gate(gate))
+            routed.append(gate.remapped(position))
 
-        check_routed(routed, self.device)
+        check_routed(routed, device)
         return RoutingResult(routed, initial, mapping, swaps)
 
     # ------------------------------------------------------------------
@@ -182,36 +188,55 @@ class LinqSwapInserter:
         """Pick the lowest-scoring candidate (Eq. 1).
 
         A score is the candidate's change of the Eq. 1 sum.  Only window
-        gates touching one of the two moved logical qubits change
+        gates with an operand at one of the two swapped positions change
         distance, so the (common) contribution of every other gate is
-        omitted — candidate ranking is unaffected.  Those gates are found
-        through one index of the window by logical qubit and summed in
-        window order, the gate at offset ``k`` discounted by ``alpha**k``.
+        omitted — candidate ranking is unaffected.  Every candidate
+        swaps the gate's left end ``low`` or its right end ``high`` with
+        a position ``m`` between them, so one pass over the window finds
+        each changed distance: a window gate with an operand at ``low``
+        (``high``) changes under every left (right) swap, and one with an
+        operand at ``m`` under the one or two swaps of ``m``.  Each score
+        adds its terms in window order, the gate at offset ``k``
+        discounted by ``alpha**k``.
         """
         candidates = self._candidates(gate, mapping)
         if not candidates:
             raise RoutingError(f"no swap candidates for gate {gate}")
-        touching: dict[int, list[int]] = {}
-        for offset, (_, pending_gate) in enumerate(pending):
-            for qubit in pending_gate.qubits:
-                touching.setdefault(qubit, []).append(offset)
-        discounts = list(accumulate(repeat(self.alpha, len(pending) - 1),
-                                    operator.mul, initial=1.0))
-        position = mapping.logical_to_physical()
+        position = mapping.positions
+        low, high = sorted((position[gate.qubits[0]], position[gate.qubits[1]]))
+        # score of the swap (low, m) by m, and of the swap (m, high) by m
+        left = {c.high: 0.0 for c in candidates if c.low == low}
+        right = {c.low: 0.0 for c in candidates if c.high == high}
+        discounts = accumulate(repeat(self.alpha, len(pending) - 1),
+                               operator.mul, initial=1.0)
+        for (_, pending_gate), discount in zip(pending, discounts):
+            qubit_a, qubit_b = pending_gate.qubits
+            at_a = position[qubit_a]
+            at_b = position[qubit_b]
+            if not (low <= at_a <= high or low <= at_b <= high):
+                continue
+            old_distance = abs(at_a - at_b)
+            for end, other in ((at_a, at_b), (at_b, at_a)):
+                if end == low:
+                    # (low, m) moves this end to m and an operand at m to low
+                    for m in left:
+                        new_distance = abs(m - (low if other == m else other))
+                        left[m] += (new_distance - old_distance) * discount
+                elif end == high:
+                    for m in right:
+                        new_distance = abs(m - (high if other == m else other))
+                        right[m] += (new_distance - old_distance) * discount
+                elif low < end < high:
+                    # an operand at low (high) was scored with that end
+                    if end in left and other != low:
+                        left[end] += (abs(low - other) - old_distance) * discount
+                    if end in right and other != high:
+                        right[end] += (abs(high - other) - old_distance) * discount
         best: _Candidate | None = None
         best_key: tuple[float, int, int] | None = None
         for candidate in candidates:
-            moved_low = mapping.logical(candidate.low)
-            moved_high = mapping.logical(candidate.high)
-            after = {moved_low: candidate.high, moved_high: candidate.low}
-            delta = 0.0
-            for offset in sorted({*touching.get(moved_low, ()),
-                                  *touching.get(moved_high, ())}):
-                qubit_a, qubit_b = pending[offset][1].qubits
-                old_distance = abs(position[qubit_a] - position[qubit_b])
-                new_distance = abs(after.get(qubit_a, position[qubit_a])
-                                   - after.get(qubit_b, position[qubit_b]))
-                delta += (new_distance - old_distance) * discounts[offset]
+            delta = (left[candidate.high] if candidate.low == low
+                     else right[candidate.low])
             key = (delta, candidate.span, candidate.low)
             if best_key is None or key < best_key:
                 best, best_key = candidate, key

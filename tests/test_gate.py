@@ -103,6 +103,28 @@ class TestRemap:
         g = Gate("rz", (1,), (0.25,)).remapped([3, 4])
         assert g.params == (0.25,)
 
+    def test_remap_equals_a_gate_built_on_the_new_qubits(self):
+        g = Gate("xx", (0, 2), (0.5,)).remapped([4, 1, 3])
+        assert g == Gate("xx", (4, 3), (0.5,))
+        assert hash(g) == hash(Gate("xx", (4, 3), (0.5,)))
+
+    def test_remap_in_place_returns_the_gate(self):
+        g = Gate("cx", (0, 2))
+        assert g.remapped([0, 5, 2]) is g
+
+    def test_remap_coerces_qubits_to_int(self):
+        g = Gate("cx", (0, 2)).remapped({0: 3.0, 2: True})
+        assert g.qubits == (3, 1)
+        assert all(type(q) is int for q in g.qubits)
+
+    def test_colliding_remap_rejected(self):
+        with pytest.raises(CircuitError, match="duplicate qubits"):
+            Gate("cx", (0, 2)).remapped({0: 5, 2: 5})
+
+    def test_negative_remap_rejected(self):
+        with pytest.raises(CircuitError, match="negative qubit index"):
+            Gate("cx", (0, 2)).remapped({0: -1, 2: 3})
+
 
 class TestInverse:
     def test_self_inverse_gates(self):

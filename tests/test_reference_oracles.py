@@ -2,7 +2,8 @@
 
 The production routers build a gate's lookahead window only when it needs
 a SWAP, score candidates from an index of that window, and (baseline)
-build the routed circuit of the winning trial only.  The simulators read
+build the routed circuit of the winning trial only, classifying its SWAPs
+against a slice of one list of two-qubit gates.  The simulators read
 Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable` and
 build every sampler, baseline included, from the columns of one execution
 timeline, expanded with numpy; crosstalk spectators come from the
@@ -11,7 +12,8 @@ native gates and fuses rotations in the same pass; compile stats count in
 one walk, schedule validation checks in one walk, and spec keys encode
 each circuit once per batch.  The references below are the direct forms
 they replaced — a full-window Eq. 1 scan for every two-qubit gate, a
-complete routed circuit per baseline trial, a per-gate ``gate_fidelity``
+complete routed circuit per baseline trial with a rescan of the circuit
+for every SWAP's lookahead, a per-gate ``gate_fidelity``
 / ``gate_time_us`` loop, one point and one ``ErrorSite`` per timeline
 entry and site, a scan of the whole window for spectators, a
 three-circuit lowering, four counting walks, a two-walk validation and a
@@ -51,7 +53,6 @@ from repro.compiler.routing import (
     RoutingResult,
     SwapRecord,
     classify_opposing,
-    pending_two_qubit_gates,
 )
 from repro.compiler.schedule import TapeScheduler
 from repro.compiler.swap_baseline import BaselineSwapInserter
@@ -167,6 +168,19 @@ def reference_linq_route(router: LinqSwapInserter, circuit: Circuit,
             mapping.swap_physical(*pair)
         routed.append(mapping.apply_to_gate(gate))
     return RoutingResult(routed, initial, mapping, swaps)
+
+
+def pending_two_qubit_gates(circuit: Circuit, start_index: int,
+                            limit: int) -> list[tuple[int, Gate]]:
+    """The next *limit* two-qubit gates of *circuit* from *start_index* on."""
+    window: list[tuple[int, Gate]] = []
+    for index in range(start_index, len(circuit)):
+        gate = circuit[index]
+        if gate.is_two_qubit:
+            window.append((index, gate))
+            if len(window) >= limit:
+                break
+    return window
 
 
 def reference_baseline_route(router: BaselineSwapInserter, circuit: Circuit,

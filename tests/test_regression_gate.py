@@ -28,6 +28,7 @@ def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
     tracked = {
         "benchmarks/bench_table3_compilation.py::test_tape_scheduling_time[QFT-0]": 0.006,
         "benchmarks/bench_table3_compilation.py::test_swap_insertion_time[linq-QFT-0]": 0.01,
+        "benchmarks/bench_compiler_passes.py::test_qccd_compile": 0.002,
         "benchmarks/bench_compiler_passes.py::test_native_decomposition": 0.004,
         "benchmarks/bench_compiler_passes.py::test_tilt_simulation": 0.005,
         "benchmarks/bench_compiler_passes.py::test_ideal_simulation": 0.002,

@@ -184,3 +184,14 @@ class TestBaselineRouter:
         baseline = BaselineSwapInserter(tilt16).route(native)
         assert linq.num_swaps <= baseline.num_swaps
         assert linq.opposing_swap_ratio >= baseline.opposing_swap_ratio
+
+
+@pytest.mark.parametrize("router", [LinqSwapInserter, BaselineSwapInserter])
+@pytest.mark.parametrize("size", [4, 8])
+def test_initial_mapping_must_place_every_ion(router, size):
+    """A mapping smaller or larger than the chain is rejected up front."""
+    device = TiltDevice(num_qubits=6, head_size=4)
+    circuit = Circuit(6).h(3).cx(0, 5)
+    with pytest.raises(RoutingError, match=f"initial mapping has {size} "
+                                           "qubits but the device has 6"):
+        router(device).route(circuit, QubitMapping.identity(size))

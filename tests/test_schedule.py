@@ -52,6 +52,12 @@ class TestScheduler:
         with pytest.raises(SchedulingError, match="route first"):
             schedule_tape_moves(Circuit(16).ccx(0, 5, 12), tilt16)
 
+    def test_circuit_wider_than_the_chain_rejected(self, tilt8):
+        circuit = Circuit(12).xx(0.5, 9, 10)
+        with pytest.raises(SchedulingError,
+                           match="circuit has 12 qubits but the device has 8"):
+            schedule_tape_moves(circuit, tilt8)
+
     def test_full_width_barrier_rejected(self, tilt16):
         circuit = Circuit(16).barrier()
         with pytest.raises(SchedulingError):

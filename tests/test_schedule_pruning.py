@@ -1,7 +1,8 @@
 """Counted scheduler vs the per-position closure scan (Algorithm 2 as written).
 
 The scheduler scores every head position from window extents instead of
-running a greedy closure at each one.  It must choose exactly the segments
+running a greedy closure at each one, and runs the winning window's
+closure in place instead of replaying it.  It must choose exactly the segments
 of the original scan — including the distance and leftmost tie-breaks and
 the gate order inside each segment — on the full workload suite and on
 random routed circuits.  The scan lives here, as the test oracle.
@@ -18,6 +19,7 @@ from repro.compiler.schedule import SchedulerConfig, TapeScheduler
 from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
 from repro.workloads.suite import build_workload, standard_suite
+from tests.test_dag import complete_many, greedy_closure
 
 WORKLOADS = [spec.name for spec in standard_suite()]
 
@@ -39,7 +41,8 @@ def exhaustive_segments(routed, device, *, initial_position=None,
         best_key = None
         for position in device.head_positions():
             low, high = position, position + device.head_size - 1
-            executable = tracker.greedy_closure(
+            executable = greedy_closure(
+                tracker,
                 lambda gate, low=low, high=high: all(
                     low <= q <= high for q in gate.qubits)
             )
@@ -50,7 +53,7 @@ def exhaustive_segments(routed, device, *, initial_position=None,
                 best_key = key
                 best_position, best_executable = position, executable
         assert best_executable, "reference scan stalled"
-        tracker.complete_many(best_executable)
+        complete_many(tracker, best_executable)
         segments.append(TapeSegment(best_position, tuple(best_executable)))
         current = best_position
     return segments
