@@ -85,7 +85,7 @@ class TapeScheduler:
         tracker = FrontierTracker(circuit)
         spans = tracker.spans()
         max_span = device.max_gate_span
-        if spans and max(spans) > max_span:
+        if max(spans, default=0) > max_span:
             gate = next(gate for gate, span in zip(circuit, spans)
                         if span > max_span)
             if gate.name == "barrier":

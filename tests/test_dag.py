@@ -25,7 +25,9 @@ def greedy_closure(tracker: FrontierTracker,
     repeatedly execute every ready gate accepted by the predicate,
     releasing its successors, until no accepted gate is ready.  The
     tracker is not modified; the returned order can be replayed with
-    :func:`complete_many`.
+    :func:`complete_many`.  It reads the tracker's own ready set, not
+    the copy ``ready()`` returns, because a copy can iterate in another
+    order and the order is part of what the scheduler must reproduce.
     """
     gates = tracker.circuit.gates
     successors = tracker._successors
