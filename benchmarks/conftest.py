@@ -4,7 +4,8 @@ Every benchmark honours the ``TILT_REPRO_SCALE`` environment variable:
 
 * unset / ``small`` — reduced-width workloads (default, finishes in seconds);
 * ``paper``        — the exact 64/78-qubit configurations of the paper,
-  used to produce the numbers recorded in EXPERIMENTS.md.
+  the ones ``python -m repro.analysis.report --scale paper`` prints and the
+  paper rows of ``tests/fixtures/spec_keys.json`` pin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def scale() -> str:
 
 @pytest.fixture(scope="session")
 def noise() -> NoiseParameters:
-    """The calibration used for every figure in EXPERIMENTS.md."""
+    """The calibration of every figure the report prints."""
     return NoiseParameters.paper_defaults()
 
 

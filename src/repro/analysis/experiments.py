@@ -12,7 +12,9 @@ Every driver takes a ``scale`` argument:
 
 The scale can also be forced globally through the ``TILT_REPRO_SCALE``
 environment variable, which is how ``pytest benchmarks/`` is switched to
-paper scale for the numbers recorded in EXPERIMENTS.md.
+paper scale.  The paper-scale numbers are what
+``python -m repro.analysis.report --scale paper`` prints, and the paper
+rows of ``tests/fixtures/spec_keys.json`` pin their digests.
 
 All drivers route through the :mod:`repro.exec` batch engine: each figure
 or table assembles its full set of (circuit, device, config, noise) jobs

@@ -1,8 +1,9 @@
 """Assemble the full experiment report.
 
 ``python -m repro.analysis.report [--scale paper|small]`` regenerates every
-table and figure of the paper from scratch and prints them as text tables —
-this is the script whose paper-scale output is recorded in EXPERIMENTS.md.
+table and figure of the paper from scratch and prints them as text tables.
+Its ``--scale paper`` output is the paper-scale record; the paper rows of
+``tests/fixtures/spec_keys.json`` pin the digests of those tables.
 """
 
 from __future__ import annotations

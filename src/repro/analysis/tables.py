@@ -2,8 +2,8 @@
 
 The experiment drivers return lists of dataclasses / dicts; these helpers
 turn them into aligned ASCII tables so the benchmark harness and the
-EXPERIMENTS.md generator can print exactly what the paper tabulates without
-any plotting dependency.
+report (:mod:`repro.analysis.report`) can print exactly what the paper
+tabulates without any plotting dependency.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ tracker supports that access pattern in O(1) amortised per gate.
 from __future__ import annotations
 
 import operator
-from typing import Iterable
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import CircuitError
@@ -27,28 +26,26 @@ class FrontierTracker:
     gates one window can run, in place.
     """
 
-    def __init__(self, circuit: Circuit,
-                 indices: Iterable[int] | None = None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         operands = [gate.qubits for gate in circuit]
         count = len(operands)
-        selected = list(indices) if indices is not None else range(count)
         self._circuit = circuit
         self._indegree = indegree = [0] * count
         self._successors = successors = [[] for _ in range(count)]
         self._lowest = list(map(min, operands))
         self._highest = list(map(max, operands))
         last_on_qubit = [-1] * circuit.num_qubits
-        for index in selected:
+        for index, qubits in enumerate(operands):
             edges = 0
-            for qubit in operands[index]:
+            for qubit in qubits:
                 previous = last_on_qubit[qubit]
                 if previous >= 0:
                     successors[previous].append(index)
                     edges += 1
                 last_on_qubit[qubit] = index
             indegree[index] = edges
-        self._ready: set[int] = {i for i in selected if indegree[i] == 0}
-        self._remaining = len(selected)
+        self._ready: set[int] = {i for i in range(count) if indegree[i] == 0}
+        self._remaining = count
 
     # Queries ---------------------------------------------------------------
     @property

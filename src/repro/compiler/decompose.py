@@ -153,7 +153,7 @@ class _NativeWriter:
     modulo 2*pi, or nothing when that is within *tolerance* of 0.
     *source* is the input gate of an unfused slot, reused when it already
     says exactly that.  Slots left at the end flush in the order they
-    were opened.
+    were opened.  Each gate the writer makes is built once (:meth:`_make`).
     """
 
     def __init__(self, out: Circuit, *, merge: bool,
@@ -162,13 +162,25 @@ class _NativeWriter:
         self._merge = merge
         self._tolerance = tolerance
         self._pending: dict[int, list] = {}
+        self._made: dict[tuple, Gate] = {}
+
+    def _make(self, name: str, qubits: tuple[int, ...], angle: float) -> Gate:
+        """The gate *name* on *qubits* by *angle*, built once per writer;
+        a zero angle's key carries its sign, as ``0.0 == -0.0``."""
+        key = (name, qubits, angle)
+        if not angle:
+            key += (math.copysign(1.0, angle),)
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = Gate(name, qubits, (angle,))
+        return made
 
     def rotation(self, axis: str, qubit: int, angle: float,
                  source: Gate | None = None) -> None:
         """A rotation about *axis*; *source* is the input gate saying so."""
         if not self._merge:
             self._append(source if source is not None
-                         else Gate(axis, (qubit,), (angle,)))
+                         else self._make(axis, (qubit,), angle))
             return
         held = self._pending.get(qubit)
         if held is not None:
@@ -198,7 +210,7 @@ class _NativeWriter:
         angle = math.remainder(angle, _TWO_PI)
         if abs(angle) > self._tolerance:
             if source is None or angle != source.params[0]:
-                source = Gate(axis, (qubit,), (angle,))
+                source = self._make(axis, (qubit,), angle)
             self._append(source)
 
     # -- the CX-level sink, and the source gates ----------------------
@@ -214,7 +226,7 @@ class _NativeWriter:
     def cx(self, control: int, target: int) -> None:
         """The Molmer-Sorensen CX construction (paper Section IV-B)."""
         self.rotation("ry", control, _PI / 2)
-        self.gate(Gate("xx", (control, target), (_PI / 4,)))
+        self.gate(self._make("xx", (control, target), _PI / 4))
         self.rotation("rx", control, _PI / 2)
         self.rotation("rx", target, _PI / 2)
         self.rotation("ry", control, -_PI / 2)

@@ -9,14 +9,15 @@ merged into the destination chain.  Every one of those primitives deposits
 motional quanta into the affected chains, which is what makes frequent
 cross-trap communication expensive.
 
-The compiler produces a :class:`QccdProgram` — a flat list of events — which
+The compiler produces a :class:`QccdProgram` — gate columns and the
+transports between them — which
 :class:`repro.sim.qccd_sim.QccdSimulator` replays against the noise model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterator
 
 from repro.arch.qccd import QccdDevice
 from repro.circuits.circuit import Circuit
@@ -71,10 +72,36 @@ class QccdShuttleEvent:
 
 @dataclass
 class QccdProgram:
-    """A compiled QCCD execution: gate and shuttle events in program order."""
+    """A compiled QCCD execution: gate ``i`` is ``gates[i]`` in trap
+    ``traps[i]``, its operands ``distances[i]`` chain positions apart (0
+    for one-qubit gates); each transport is paired with the position of
+    the gate it runs before.  :attr:`events` gives the records."""
 
     device: QccdDevice
-    events: list[object] = field(default_factory=list)
+    gates: list[Gate] = field(default_factory=list)
+    traps: list[int] = field(default_factory=list)
+    distances: list[int] = field(default_factory=list)
+    transports: list[tuple[int, QccdShuttleEvent]] = field(
+        default_factory=list)
+
+    def runs(self) -> Iterator[tuple[Iterator, QccdShuttleEvent | None]]:
+        """Each run of ``(gate, trap, distance)`` rows between transports,
+        with the transport after it (``None`` after the last run)."""
+        start = 0
+        for stop, transport in [*self.transports, (len(self.gates), None)]:
+            yield zip(self.gates[start:stop], self.traps[start:stop],
+                      self.distances[start:stop]), transport
+            start = stop
+
+    @property
+    def events(self) -> list[QccdGateEvent | QccdShuttleEvent]:
+        """Gate and shuttle records in program order, built on access."""
+        events: list[QccdGateEvent | QccdShuttleEvent] = []
+        for run, transport in self.runs():
+            events.extend(QccdGateEvent(*row) for row in run)
+            if transport is not None:
+                events.append(transport)
+        return events
 
     @property
     def gate_events(self) -> list[QccdGateEvent]:
@@ -82,22 +109,22 @@ class QccdProgram:
 
     @property
     def shuttle_events(self) -> list[QccdShuttleEvent]:
-        return [e for e in self.events if isinstance(e, QccdShuttleEvent)]
+        return [e for _, e in self.transports]
 
     @property
     def num_shuttles(self) -> int:
         """Number of ion transports (each may span several segments)."""
-        return len(self.shuttle_events)
+        return len(self.transports)
 
     @property
     def num_primitives(self) -> int:
         """Total split/hop/merge primitive count."""
-        return sum(e.num_primitives for e in self.shuttle_events)
+        return sum(e.num_primitives for _, e in self.transports)
 
     def summary(self) -> str:
         """One-line description of the compiled program."""
         return (
-            f"QccdProgram: {len(self.gate_events)} gate events, "
+            f"QccdProgram: {len(self.gates)} gate events, "
             f"{self.num_shuttles} transports "
             f"({self.num_primitives} heating primitives)"
         )
@@ -118,7 +145,8 @@ class QccdCompiler:
 
         *native* is the circuit's
         :func:`~repro.compiler.pipeline.lower_to_native` form, when the
-        caller already has it.
+        caller already has it.  A barrier or a gate on more than two
+        qubits in it raises :class:`CompilationError`.
         """
         if circuit.num_qubits > self.device.num_qubits:
             raise CompilationError(
@@ -131,20 +159,25 @@ class QccdCompiler:
         traps = self.device.initial_layout()
         trap_of = {q: t for t, chain in enumerate(traps) for q in chain}
         program = QccdProgram(self.device)
-
         for gate in native:
-            if gate.num_qubits == 1 or gate.name == "measure":
-                program.events.append(
-                    QccdGateEvent(gate, trap_of[gate.qubits[0]], 0)
-                )
-                continue
-            qubit_a, qubit_b = gate.qubits
-            if trap_of[qubit_a] != trap_of[qubit_b]:
-                self._transport(qubit_a, qubit_b, traps, trap_of, program)
-            trap = trap_of[qubit_a]
-            chain = traps[trap]
-            distance = abs(chain.index(qubit_a) - chain.index(qubit_b))
-            program.events.append(QccdGateEvent(gate, trap, max(1, distance)))
+            qubits = gate.qubits
+            if gate.name == "barrier" or len(qubits) > 2:
+                raise CompilationError(
+                    f"QCCD cannot run {gate}: lower to one- and two-qubit "
+                    "gates and strip barriers first")
+            if len(qubits) == 1:
+                trap, distance = trap_of[qubits[0]], 0
+            else:
+                qubit_a, qubit_b = qubits
+                if trap_of[qubit_a] != trap_of[qubit_b]:
+                    self._transport(qubit_a, qubit_b, traps, trap_of, program)
+                trap = trap_of[qubit_a]
+                chain = traps[trap]
+                distance = max(1, abs(chain.index(qubit_a)
+                                      - chain.index(qubit_b)))
+            program.gates.append(gate)
+            program.traps.append(trap)
+            program.distances.append(distance)
         return program
 
     # ------------------------------------------------------------------
@@ -199,17 +232,10 @@ class QccdCompiler:
             traps[dest_trap].append(qubit)
         trap_of[qubit] = dest_trap
         hops = self.device.trap_distance(source_trap, dest_trap)
-        program.events.append(
-            QccdShuttleEvent(
-                qubit=qubit,
-                source_trap=source_trap,
-                dest_trap=dest_trap,
-                swap_to_edge_gates=swaps_to_edge,
-                splits=1,
-                hops=hops,
-                merges=1,
-            )
-        )
+        program.transports.append((len(program.gates), QccdShuttleEvent(
+            qubit=qubit, source_trap=source_trap, dest_trap=dest_trap,
+            swap_to_edge_gates=swaps_to_edge, splits=1, hops=hops, merges=1,
+        )))
 
 
 def compile_for_qccd(circuit: Circuit, device: QccdDevice) -> QccdProgram:

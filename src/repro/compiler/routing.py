@@ -10,7 +10,7 @@ with a record of every inserted SWAP (and whether it was an opposing swap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
@@ -99,6 +99,26 @@ def check_routed(circuit: Circuit, device: TiltDevice) -> None:
                 raise RoutingError(
                     f"gate {index} ({gate}) spans {gate.span} > {max_span}"
                 )
+
+
+def relabeller(position: list[int]) -> Callable[[Gate], Gate]:
+    """``relabel(gate)``: ``gate.remapped(position)`` for the live
+    *position* list, built once per source gate and new qubits.  The memo
+    keys on the source gate's identity, as ``rz(0.0) == rz(-0.0)``; the
+    circuit being routed holds every source gate, so no id is reused."""
+    memo: dict[tuple[int, tuple[int, ...]], Gate] = {}
+
+    def relabel(gate: Gate) -> Gate:
+        qubits = tuple([position[q] for q in gate.qubits])
+        if qubits == gate.qubits:
+            return gate
+        key = (id(gate), qubits)
+        moved = memo.get(key)
+        if moved is None:
+            moved = memo[key] = gate.remapped(position)
+        return moved
+
+    return relabel
 
 
 def classify_opposing(swap_low: int, swap_high: int,

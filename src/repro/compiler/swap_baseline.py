@@ -31,6 +31,7 @@ from repro.compiler.routing import (
     check_mapping_size,
     check_routed,
     classify_opposing,
+    relabeller,
 )
 from repro.exceptions import RoutingError
 
@@ -157,7 +158,7 @@ class BaselineSwapInserter:
         gates of *two_qubit* from the gate it resolves on.
         """
         mapping = initial.copy()
-        position = mapping.positions
+        relabel = relabeller(mapping.positions)
         routed = Circuit(self.device.num_qubits, f"{circuit.name}_routed")
         swaps: list[SwapRecord] = []
         pairs_before: dict[int, list[tuple[int, int]]] = {}
@@ -180,5 +181,5 @@ class BaselineSwapInserter:
                 mapping.swap_physical(*pair)
             if gate.name in TWO_QUBIT_GATE_NAMES:
                 seen += 1
-            routed.append(gate.remapped(position))
+            routed.append(relabel(gate))
         return RoutingResult(routed, initial, mapping, swaps)

@@ -33,6 +33,7 @@ from repro.compiler.routing import (
     check_mapping_size,
     check_routed,
     classify_opposing,
+    relabeller,
 )
 from repro.exceptions import RoutingError
 
@@ -120,6 +121,7 @@ class LinqSwapInserter:
         two_qubit = [(index, gate) for index, gate in enumerate(circuit)
                      if gate.name in TWO_QUBIT_GATE_NAMES]
         position = mapping.positions
+        relabel = relabeller(position)
         max_span = device.max_gate_span
         seen = 0
         for index, gate in enumerate(circuit):
@@ -130,7 +132,7 @@ class LinqSwapInserter:
                     self._resolve_gate(gate, index, mapping, routed, swaps,
                                        pending)
                 seen += 1
-            routed.append(gate.remapped(position))
+            routed.append(relabel(gate))
 
         check_routed(routed, device)
         return RoutingResult(routed, initial, mapping, swaps)

@@ -123,7 +123,7 @@ class NoiseParameters:
     # ------------------------------------------------------------------
     @classmethod
     def paper_defaults(cls) -> "NoiseParameters":
-        """Calibration used for every experiment in EXPERIMENTS.md."""
+        """Calibration of every experiment ``repro.analysis.report`` runs."""
         return cls()
 
     @classmethod

@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.qccd import QccdDevice
-from repro.compiler.qccd_compiler import (
-    QccdGateEvent,
-    QccdProgram,
-    QccdShuttleEvent,
-)
+from repro.compiler.qccd_compiler import QccdProgram
 from repro.exceptions import SimulationError
 from repro.noise.fidelity import (
     FidelityTable,
@@ -121,16 +117,15 @@ class QccdSimulator:
         trace = QccdTrace(timeline=timeline)
         fold = trace.success.fold
         execution_time = 0.0
-        for event in program.events:
-            if isinstance(event, QccdGateEvent):
-                gate = event.gate
+        for run, event in program.runs():
+            for gate, trap, distance in run:
                 if len(gate.qubits) == 2:
                     trace.num_two_qubit += 1
                     fidelity, log_term, _, _, _ = cost_of(
-                        gate, chains[event.trap].quanta)
+                        gate, chains[trap].quanta)
                     # Eq. 3 by in-chain distance; Eq. 4 by ion-id span.
                     duration = two_qubit_gate_time_us(
-                        max(1, event.distance), self.params
+                        max(1, distance), self.params
                     )
                 else:
                     cost = resting.get(gate.name)
@@ -140,39 +135,39 @@ class QccdSimulator:
                 if timeline is not None:
                     timeline.gates.append(gate)
                     timeline.fidelities.append(fidelity)
-                    timeline.windows.append(event.trap)
+                    timeline.windows.append(trap)
                     if spectator_range and len(gate.qubits) == 2:
                         timeline.add_spectators(
                             len(timeline.gates) - 1,
-                            self._trap_spectators(members[event.trap],
+                            self._trap_spectators(members[trap],
                                                   gate.qubits,
                                                   spectator_range),
                         )
                 fold(fidelity, log_term)
                 execution_time += duration
-            elif isinstance(event, QccdShuttleEvent):
-                execution_time += self._shuttle_time_us(event)
-                source = chains[event.source_trap]
-                dest = chains[event.dest_trap]
-                source.record_qccd_primitive(event.splits)
-                dest.record_qccd_primitive(event.hops + event.merges)
-                # Sympathetic cooling after the transport settles.
-                source.apply_cooling()
-                dest.apply_cooling()
-                execution_time += COOLING_TIME_US
-                # Membership only feeds crosstalk spectator lookup, so
-                # the per-transport maintenance is skipped otherwise.
-                if spectator_range and event.qubit in members[event.source_trap]:
-                    members[event.source_trap].remove(event.qubit)
-                    members[event.dest_trap].append(event.qubit)
-                trace.num_transports += 1
-                if timeline is not None:
-                    # The deposited burst heats the chain the ion merged
-                    # into.
-                    timeline.add_shuttle(trace.num_transports,
-                                         event.dest_trap)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown QCCD event {event!r}")
+            if event is None:
+                break
+            execution_time += (event.splits * SPLIT_TIME_US
+                               + event.hops * SEGMENT_HOP_TIME_US
+                               + event.merges * MERGE_TIME_US)
+            source = chains[event.source_trap]
+            dest = chains[event.dest_trap]
+            source.record_qccd_primitive(event.splits)
+            dest.record_qccd_primitive(event.hops + event.merges)
+            # Sympathetic cooling after the transport settles.
+            source.apply_cooling()
+            dest.apply_cooling()
+            execution_time += COOLING_TIME_US
+            # Membership only feeds crosstalk spectator lookup, so
+            # the per-transport maintenance is skipped otherwise.
+            if spectator_range and event.qubit in members[event.source_trap]:
+                members[event.source_trap].remove(event.qubit)
+                members[event.dest_trap].append(event.qubit)
+            trace.num_transports += 1
+            if timeline is not None:
+                # The deposited burst heats the chain the ion merged
+                # into.
+                timeline.add_shuttle(trace.num_transports, event.dest_trap)
         trace.execution_time_us = execution_time
         trace.final_quanta = {f"trap_{t}_quanta": chain.quanta
                               for t, chain in chains.items()}
@@ -280,12 +275,3 @@ class QccdSimulator:
         return sampler.run(shots, seed=seed, shot_offset=shot_offset,
                            sample_counts=sample_counts,
                            max_records=max_records)
-
-    @staticmethod
-    def _shuttle_time_us(event: QccdShuttleEvent) -> float:
-        """Duration of one transport (split + hops + merge)."""
-        return (
-            event.splits * SPLIT_TIME_US
-            + event.hops * SEGMENT_HOP_TIME_US
-            + event.merges * MERGE_TIME_US
-        )

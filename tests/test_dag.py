@@ -163,13 +163,6 @@ class TestFrontierTracker:
         tracker = FrontierTracker(Circuit(6).h(4).cx(5, 1).barrier(0, 2, 3))
         assert tracker.spans() == [0, 4, 3]
 
-    def test_restricted_index_subset(self):
-        circuit = sample_circuit()
-        tracker = FrontierTracker(circuit, indices=[2, 3, 4])
-        assert tracker.ready() == {2}
-        tracker.complete(2)
-        assert tracker.ready() == {3}
-
     def test_window_extents_skip_gates_wider_than_the_window(self):
         tracker = FrontierTracker(sample_circuit())
         # cx(1,2) needs cx(0,1) first: its extent (0, 2) fits width 3 only.

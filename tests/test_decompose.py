@@ -13,6 +13,7 @@ from repro.compiler.decompose import (
     decompose_to_native,
     merge_adjacent_rotations,
 )
+from tests.test_reference_oracles import random_source_circuit
 
 
 def assert_equivalent(original: Circuit, rewritten: Circuit) -> None:
@@ -133,3 +134,37 @@ class TestRotationMerging:
         merged = merge_adjacent_rotations(native)
         assert len(merged) < len(native)
         assert_equivalent(native, merged)
+
+
+def signed(gate: Gate) -> tuple:
+    """*gate*'s name, qubits and parameters with each parameter's sign,
+    which ``==`` leaves out: ``rz(0.0) == rz(-0.0)``."""
+    return (gate.name, gate.qubits, gate.params,
+            tuple(math.copysign(1.0, param) for param in gate.params))
+
+
+class TestGatesBuiltOnce:
+    """The writer builds each distinct gate it makes once per lowering."""
+
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_made_gates_are_one_object(self, monkeypatch, seed, merge):
+        circuit = random_source_circuit(seed, num_gates=120)
+        validated = []
+        post_init = Gate.__post_init__
+
+        def counted(gate):
+            post_init(gate)
+            validated.append(gate)
+
+        monkeypatch.setattr(Gate, "__post_init__", counted)
+        native = decompose_to_native(circuit, merge_rotations=merge)
+        monkeypatch.undo()
+        sources = {id(gate) for gate in circuit}
+        made: dict[tuple, set[int]] = {}
+        for gate in native:
+            if id(gate) not in sources:
+                made.setdefault(signed(gate), set()).add(id(gate))
+        assert all(len(ids) == 1 for ids in made.values())
+        assert len(validated) == len(made) > 0
+        assert len(set(map(id, native))) < len(native)  # some are shared

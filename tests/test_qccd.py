@@ -12,6 +12,7 @@ from repro.compiler.qccd_compiler import (
 )
 from repro.exceptions import CompilationError, SimulationError
 from repro.noise.parameters import NoiseParameters
+from repro.noise.scenarios import get_scenario
 from repro.sim.qccd_sim import QccdSimulator
 from repro.workloads.qaoa import qaoa_workload
 from repro.workloads.qft import qft_workload
@@ -76,6 +77,37 @@ class TestQccdCompiler:
     def test_too_wide_circuit_rejected(self, qccd16):
         with pytest.raises(CompilationError):
             QccdCompiler(qccd16).compile(Circuit(17))
+
+    @pytest.mark.parametrize("qubits", [(3,), (0, 1), (0, 5, 9)])
+    def test_barrier_rejected(self, qccd16, qubits):
+        """A barrier is no operation a trap runs; strip it first."""
+        native = Circuit(16).xx(0.3, 0, 1).barrier(*qubits)
+        with pytest.raises(CompilationError, match="strip barriers"):
+            QccdCompiler(qccd16).compile(native, native=native)
+
+    def test_three_qubit_gate_rejected(self, qccd16):
+        native = Circuit(16).ccx(0, 1, 2)
+        with pytest.raises(CompilationError, match="two-qubit"):
+            QccdCompiler(qccd16).compile(native, native=native)
+
+    def test_compile_and_trace_build_no_gate_records(self, qccd16,
+                                                     monkeypatch):
+        """The program holds gates as columns; only the record views
+        build a QccdGateEvent."""
+        built = []
+        init = QccdGateEvent.__init__
+
+        def counted(event, *args, **kwargs):
+            built.append(event)
+            init(event, *args, **kwargs)
+
+        monkeypatch.setattr(QccdGateEvent, "__init__", counted)
+        program = QccdCompiler(qccd16).compile(qft_workload(16))
+        simulator = QccdSimulator(qccd16)
+        simulator.trace(program)
+        simulator.trace(program, get_scenario("crosstalk"))
+        assert program.num_shuttles > 0 and not built
+        assert len(program.gate_events) == len(built) == len(program.gates)
 
     def test_summary(self, qccd16):
         program = compile_for_qccd(qaoa_workload(16, rounds=1), qccd16)

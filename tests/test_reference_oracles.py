@@ -7,13 +7,16 @@ against a slice of one list of two-qubit gates.  The simulators read
 Eq. 4 fidelities from a :class:`~repro.noise.fidelity.FidelityTable` and
 build every sampler, baseline included, from the columns of one execution
 timeline, expanded with numpy; crosstalk spectators come from the
-operands' neighbourhood.  The lowering expands each gate straight to
-native gates and fuses rotations in the same pass; compile stats count in
+operands' neighbourhood.  The QCCD compiler appends each gate to columns
+and each transport with its gate's position.  The lowering expands each
+gate straight to native gates and fuses rotations in the same pass;
+compile stats count in
 one walk, schedule validation checks in one walk, and spec keys encode
 each circuit once per batch.  The references below are the direct forms
 they replaced — a full-window Eq. 1 scan for every two-qubit gate, a
 complete routed circuit per baseline trial with a rescan of the circuit
-for every SWAP's lookahead, a per-gate ``gate_fidelity``
+for every SWAP's lookahead, one list of QCCD gate and shuttle records, a
+per-gate ``gate_fidelity``
 / ``gate_time_us`` loop, one point and one ``ErrorSite`` per timeline
 entry and site, a scan of the whole window for spectators, a
 three-circuit lowering, four counting walks, a two-walk validation and a
@@ -48,7 +51,11 @@ from repro.compiler.pipeline import (
     LinQCompiler,
     lower_to_native,
 )
-from repro.compiler.qccd_compiler import QccdCompiler, QccdGateEvent
+from repro.compiler.qccd_compiler import (
+    QccdCompiler,
+    QccdGateEvent,
+    QccdShuttleEvent,
+)
 from repro.compiler.routing import (
     RoutingResult,
     SwapRecord,
@@ -318,6 +325,105 @@ class TestRoutersMatchReference:
         router, _ = _router(kind, _small_device(native))
         result = router.route(native)
         assert 0 < result.num_opposing_swaps < result.num_swaps
+
+
+# ----------------------------------------------------------------------
+# QCCD compile reference: one list of gate and shuttle records
+# ----------------------------------------------------------------------
+def reference_qccd_compile(device: QccdDevice, native: Circuit) -> list:
+    """The QCCD compile as one record list: a gate record per gate, each
+    transport's shuttle record before the gate that needs it (an
+    eviction from a full destination trap first)."""
+    traps = device.initial_layout()
+    trap_of = {q: t for t, chain in enumerate(traps) for q in chain}
+    events: list = []
+
+    def move(qubit: int, dest: int) -> None:
+        source = trap_of[qubit]
+        chain = traps[source]
+        index = chain.index(qubit)
+        swaps_to_edge = len(chain) - 1 - index if dest > source else index
+        chain.remove(qubit)
+        if dest > source:
+            traps[dest].insert(0, qubit)
+        else:
+            traps[dest].append(qubit)
+        trap_of[qubit] = dest
+        events.append(QccdShuttleEvent(
+            qubit=qubit, source_trap=source, dest_trap=dest,
+            swap_to_edge_gates=swaps_to_edge, splits=1,
+            hops=device.trap_distance(source, dest), merges=1))
+
+    capacity = device.trap_capacity
+    for gate in native:
+        if gate.num_qubits == 1 or gate.name == "measure":
+            events.append(QccdGateEvent(gate, trap_of[gate.qubits[0]], 0))
+            continue
+        a, b = gate.qubits
+        trap_a, trap_b = trap_of[a], trap_of[b]
+        if trap_a != trap_b:
+            if len(traps[trap_b]) < capacity:
+                move(a, trap_b)
+            elif len(traps[trap_a]) < capacity:
+                move(b, trap_a)
+            else:
+                evicted = min(q for q in traps[trap_b] if q not in (a, b))
+                refuge = min((t for t in range(device.num_traps)
+                              if t != trap_b and len(traps[t]) < capacity),
+                             key=lambda t: (abs(t - trap_b), t))
+                move(evicted, refuge)
+                move(a, trap_b)
+        trap = trap_of[a]
+        chain = traps[trap]
+        events.append(QccdGateEvent(
+            gate, trap, max(1, abs(chain.index(a) - chain.index(b)))))
+    return events
+
+
+#: Small-suite workloads at trap capacity ``max(4, n // 3)`` ("third")
+#: and 3, and paper-scale QFT on the paper's QCCD machine.
+QCCD_COMPILE_CASES = ([(name, "small", capacity) for name in SMALL_SUITE
+                       for capacity in ("third", 3)]
+                      + [("QFT", "paper", 17)])
+
+
+def _qccd_case(name: str, scale: str, capacity):
+    """The case's source circuit, its lowering and its QCCD device."""
+    circuit = _suite_circuit(name, scale)
+    if capacity == "third":
+        capacity = max(4, circuit.num_qubits // 3)
+    return (circuit, lower_to_native(circuit),
+            QccdDevice(num_qubits=circuit.num_qubits, trap_capacity=capacity))
+
+
+class TestQccdCompileMatchesReference:
+    @pytest.mark.parametrize("name,scale,capacity", QCCD_COMPILE_CASES)
+    def test_events(self, name, scale, capacity):
+        circuit, native, device = _qccd_case(name, scale, capacity)
+        program = QccdCompiler(device).compile(circuit, native=native)
+        expected = reference_qccd_compile(device, native)
+        assert program.events == expected
+        assert program.gate_events == [
+            event for event in expected if isinstance(event, QccdGateEvent)]
+        assert program.shuttle_events == [
+            event for event in expected
+            if isinstance(event, QccdShuttleEvent)]
+
+    def test_cases_cover_transports_and_evictions(self):
+        """Transports run before their gate, in the paper case too, and
+        some of them evict an ion from a full trap first (two shuttle
+        records in a row)."""
+        kinds = set()
+        for case in QCCD_COMPILE_CASES:
+            _, native, device = _qccd_case(*case)
+            events = reference_qccd_compile(device, native)
+            kinds.update((type(first), type(second)) for first, second
+                         in zip(events, events[1:]))
+            if case[1] == "paper":
+                assert any(isinstance(event, QccdShuttleEvent)
+                           for event in events)
+        assert (QccdShuttleEvent, QccdGateEvent) in kinds
+        assert (QccdShuttleEvent, QccdShuttleEvent) in kinds
 
 
 # ----------------------------------------------------------------------

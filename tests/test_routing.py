@@ -1,5 +1,8 @@
 """Tests for swap insertion: the LinQ router (Algorithm 1) and the baseline."""
 
+import math
+import random
+
 import pytest
 
 from tests.conftest import routed_state_matches_logical
@@ -7,12 +10,14 @@ from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.compiler.decompose import decompose_to_native
+from repro.compiler.pipeline import lower_to_native
 from repro.compiler.layout import QubitMapping
 from repro.compiler.routing import (
     RoutingResult,
     SwapRecord,
     check_routed,
     classify_opposing,
+    relabeller,
 )
 from repro.compiler.swap_baseline import BaselineSwapInserter
 from repro.compiler.swap_linq import LinqSwapInserter
@@ -195,3 +200,66 @@ def test_initial_mapping_must_place_every_ion(router, size):
     with pytest.raises(RoutingError, match=f"initial mapping has {size} "
                                            "qubits but the device has 6"):
         router(device).route(circuit, QubitMapping.identity(size))
+
+
+class TestSharedRelabels:
+    def test_relabel_equals_remapped(self, monkeypatch):
+        """Under a changing mapping, each relabel equals what
+        ``Gate.remapped`` returns, sign of zero included; a gate moved
+        to the same qubits again is the same object, built once."""
+        rng = random.Random(4)
+        gates = [Gate("xx", (0, 5), (0.3,)), Gate("xx", (2, 1), (-0.7,)),
+                 Gate("rz", (3,), (0.0,)), Gate("rz", (3,), (-0.0,)),
+                 Gate("measure", (4,)), Gate("barrier", (0, 2, 4))]
+        position = list(range(6))
+        relabel = relabeller(position)
+        remapped = Gate.remapped
+        built = []
+
+        def counted(gate, mapping):
+            moved = remapped(gate, mapping)
+            built.append((id(gate), moved.qubits))
+            return moved
+
+        monkeypatch.setattr(Gate, "remapped", counted)
+        seen: dict[tuple, Gate] = {}
+        for _ in range(300):
+            gate = rng.choice(gates)
+            got = relabel(gate)
+            want = remapped(gate, position)
+            assert (got.name, got.qubits, got.params) == (
+                want.name, want.qubits, want.params)
+            assert [math.copysign(1.0, p) for p in got.params] == [
+                math.copysign(1.0, p) for p in want.params]
+            if got is not gate:
+                assert seen.setdefault((id(gate), got.qubits), got) is got
+            if rng.random() < 0.2:
+                a, b = rng.sample(range(6), 2)
+                position[a], position[b] = position[b], position[a]
+        assert len(built) == len(set(built)) == len(seen) > 0
+
+    @pytest.mark.parametrize("router", [LinqSwapInserter,
+                                        BaselineSwapInserter])
+    def test_signed_zeros_survive_lowering_and_routing(self, router):
+        """Without rotation merging, ``rz(±0.0)`` and ``p(±0.0)`` keep
+        their sign through the lowering and both routers, on moved
+        qubits, though ``==`` does not tell the signs apart."""
+        circuit = Circuit(6, "zeros")
+        for _ in range(2):
+            circuit.rz(0.0, 0).rz(-0.0, 0).p(0.0, 0).p(-0.0, 0).cx(0, 5)
+        signs = [1.0, -1.0, 1.0, -1.0] * 2
+        native = lower_to_native(circuit, merge_rotations=False)
+
+        def zero_signs(gates):
+            return [math.copysign(1.0, gate.params[0]) for gate in gates
+                    if gate.name == "rz" and gate.params[0] == 0.0]
+
+        assert zero_signs(native) == signs
+        reversed_layout = QubitMapping(list(range(5, -1, -1)))
+        routed = router(TiltDevice(num_qubits=6, head_size=4)).route(
+            native, reversed_layout).circuit
+        assert zero_signs(routed) == signs
+        first_round = [gate.qubits for gate in routed
+                       if gate.name == "rz" and gate.params[0] == 0.0][:4]
+        assert first_round == [(5,)] * 4
+
