@@ -4,8 +4,9 @@
 Compares the medians in a pytest-benchmark JSON file (``bench-small.json``,
 produced by the CI harness) against the committed
 ``benchmarks/baseline.json`` and **fails** (exit code 1) when a tracked
-hot path slowed down by more than the threshold (default: >25%).  The
-tracked hot paths are the ones the ROADMAP's perf work landed on:
+hot path slowed down by more than the threshold (default: >25%).  Given
+several harness files, it gates on each benchmark's median across them.
+The tracked hot paths are the ones the ROADMAP's perf work landed on:
 
 * ``schedule``          — the TapeScheduler's counted scan, which scores
   every head position from window extents and runs one greedy closure
@@ -72,13 +73,18 @@ medians for same-machine A/B runs.
 
 Intentional re-baselining (an accepted trade-off, a new benchmark set):
 
-    PYTHONPATH=src python -m pytest -q benchmarks/bench_*.py \
-        --benchmark-json=bench-small.json
-    python benchmarks/check_regression.py bench-small.json --update-baseline
+    for run in 1 2 3; do
+        PYTHONPATH=src python -m pytest -q benchmarks/bench_*.py \
+            --benchmark-json=bench-$run.json
+    done
+    python benchmarks/check_regression.py bench-1.json bench-2.json \
+        bench-3.json --update-baseline
 
-then commit the regenerated ``benchmarks/baseline.json`` and say why in
-the PR.  A tracked benchmark that disappears from the current run (e.g.
-renamed) also fails the gate, so tracking cannot rot silently.
+records each benchmark's median across the runs (one file records its
+own medians); then commit the regenerated ``benchmarks/baseline.json``
+and say why in the PR.  A tracked benchmark that disappears from the
+current run (e.g. renamed) also fails the gate, so tracking cannot rot
+silently.
 """
 
 from __future__ import annotations
@@ -158,6 +164,17 @@ def load_medians(path: str) -> dict[str, float]:
         if name and median:
             medians[name] = float(median)
     return medians
+
+
+def load_runs(paths: list[str]) -> dict[str, float]:
+    """Each benchmark's median across the harness files in *paths*, over
+    the files that hold it; one file gives its own medians."""
+    runs: dict[str, list[float]] = {}
+    for path in paths:
+        for name, median in load_medians(path).items():
+            runs.setdefault(name, []).append(median)
+    return {name: statistics.median(medians)
+            for name, medians in runs.items()}
 
 
 def _baseline_payload(path: str) -> dict:
@@ -329,8 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("bench_json",
-                        help="pytest-benchmark JSON of the current run")
+    parser.add_argument("bench_json", nargs="+",
+                        help="pytest-benchmark JSON of the current run; "
+                             "several runs gate on each benchmark's "
+                             "median across them")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help="committed baseline (default: %(default)s)")
     parser.add_argument("--threshold", type=float, default=None,
@@ -340,21 +359,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-normalize", action="store_true",
                         help="compare raw medians (same-machine A/B only)")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from bench_json and exit")
+                        help="rewrite the baseline from the runs' "
+                             "medians and exit")
     parser.add_argument("--append-history", metavar="LEDGER",
                         help="append this gate run (normalised tracked "
                              "ratios + verdict) to a repro.obs.history "
                              "run ledger")
     args = parser.parse_args(argv)
 
-    current = load_medians(args.bench_json)
+    current = load_runs(args.bench_json)
+    source = ", ".join(os.path.basename(path) for path in args.bench_json)
     if args.update_baseline:
         # a hand-tuned threshold in the existing baseline survives a
         # routine re-baseline; --threshold overrides it explicitly
         threshold = args.threshold
         if threshold is None and os.path.exists(args.baseline):
             threshold = baseline_threshold(args.baseline)
-        write_baseline(current, args.baseline, source=args.bench_json,
+        write_baseline(current, args.baseline, source=source,
                        threshold=(threshold if threshold is not None
                                   else DEFAULT_THRESHOLD))
         print(f"baseline rewritten: {args.baseline} "
@@ -385,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     print("\n".join(lines))
     if args.append_history:
         record_id = append_history(
-            args.append_history, bench_json=args.bench_json,
+            args.append_history, bench_json=source,
             current=current, baseline=baseline, ok=ok,
             threshold=threshold, normalize=not args.no_normalize,
         )

@@ -192,11 +192,14 @@ def spec_key(spec: JobSpec,
     ``ExecutionEngine.run`` does for one batch.  Canonical JSON sorts its
     keys, and ``"backend"`` < ``"circuit"`` < every other key, so hashing
     ``{"backend":…,"circuit":``, the circuit, then the rest gives the
-    same key with or without the memo.
+    same key with or without the memo.  A config equal to
+    ``CompilerConfig()`` keys as ``None``, so both spellings of the
+    default compile key alike.
     """
     rest: dict[str, Any] = {
         "device": _dataclass_payload(spec.device),
-        "config": _dataclass_payload(spec.config),
+        "config": _dataclass_payload(
+            None if spec.config == CompilerConfig() else spec.config),
         "noise": _dataclass_payload(spec.noise),
         "simulate": bool(spec.simulate),
     }

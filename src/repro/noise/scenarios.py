@@ -506,10 +506,16 @@ def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
     number of active bursts: ``weights[k]`` tracks the joint probability
     that ``k`` bursts have triggered so far *and* every error site
     processed so far survived; burst sites branch the distribution, error
-    sites multiply in their (burst-scaled) survival factor.
+    sites multiply in their survival factor row (``1 - min(1, p *
+    multiplier ** k)``, or ``1 - p`` for a readout flip).  Between two
+    bursts the rows keep their length, so a stretch of error sites is
+    one ``np.multiply.accumulate`` seeded with the weights (a per-site
+    loop's products, in its order), restarted after each site whose mass
+    falls below :data:`_DP_RESCALE_FLOOR`.
     """
     burst = KIND_CODES[HEATING_BURST]
-    if not (codes == burst).any():
+    bursts = np.flatnonzero(codes == burst)
+    if not bursts.size:
         if (probabilities >= 1.0).any():
             return float("-inf")
         log_total = 0.0
@@ -517,28 +523,38 @@ def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
             log_total += math.log1p(-probability)
         return log_total * LOG10_E
 
-    flip = KIND_CODES[MEASURE_FLIP]
+    flips = (codes == KIND_CODES[MEASURE_FLIP])[:, None]
     weights = np.array([1.0])
     log10_total = 0.0
     with np.errstate(over="ignore"):
         scale = multiplier ** np.arange(len(codes) + 1, dtype=float)
-    for code, p in zip(codes.tolist(), probabilities.tolist()):
-        if code == burst:
+    # each burst (and the window's start, -1) heads the stretch after it
+    heads = [-1, *bursts.tolist()]
+    for head, stop in zip(heads, heads[1:] + [len(codes)]):
+        if head >= 0:
+            p = float(probabilities[head])
             grown = np.zeros(len(weights) + 1)
             grown[:-1] += weights * (1.0 - p)
             grown[1:] += weights * p
             weights = grown
-        elif code == flip:
-            weights = weights * (1.0 - p)
-        else:
-            scaled = np.minimum(1.0, p * scale[:len(weights)])
-            weights = weights * (1.0 - scaled)
-        total = float(weights.sum())
-        if total <= 0.0:
-            return float("-inf")
-        if total < _DP_RESCALE_FLOOR:
+        start = head + 1
+        while True:
+            p = probabilities[start:stop, None]
+            scaled = np.minimum(1.0, p * np.where(flips[start:stop], 1.0,
+                                                  scale[:weights.size]))
+            # row 0 is the head's weights, row j those after site start+j-1
+            rows = np.multiply.accumulate(
+                np.concatenate((weights[None], 1.0 - scaled)))
+            low = np.flatnonzero(rows.sum(axis=1) < _DP_RESCALE_FLOOR)
+            if not low.size:
+                weights = rows[-1]
+                break
+            total = float(rows[low[0]].sum())
+            if total <= 0.0:
+                return float("-inf")
             log10_total += math.log10(total)
-            weights = weights / total
+            weights = rows[low[0]] / total
+            start += int(low[0])
     return log10_total + math.log10(float(weights.sum()))
 
 

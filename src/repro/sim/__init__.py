@@ -12,6 +12,7 @@ from repro.sim.statevector import (
 from repro.sim.stochastic import (
     DEFAULT_MAX_RECORDS,
     ShotRecord,
+    ShotRecords,
     ShotResult,
     StochasticSampler,
     merge_shot_results,
@@ -27,6 +28,7 @@ __all__ = [
     "QccdSimulator",
     "QccdTrace",
     "ShotRecord",
+    "ShotRecords",
     "ShotResult",
     "SimulationResult",
     "StatevectorSimulator",

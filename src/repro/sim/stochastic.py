@@ -238,6 +238,81 @@ class ShotRecord:
         return len(self.errors)
 
 
+class ShotRecords(Sequence[ShotRecord]):
+    """Read-only :class:`ShotRecord` sequence kept as columns.
+
+    Record ``r`` is global shot ``shots[r]``, whose errors are
+    ``(indices[e], labels[e])`` for ``e`` in ``[bounds[r], bounds[r +
+    1])``.  A record is built when read, as
+    :meth:`~repro.noise.channels.SiteTable.sites` builds sites, and the
+    sequence equals any sequence of equal records.
+    """
+
+    __slots__ = ("shots", "bounds", "indices", "labels")
+
+    def __init__(self, shots: np.ndarray, bounds: np.ndarray,
+                 indices: np.ndarray, labels: np.ndarray) -> None:
+        for column in (shots, bounds, indices, labels):
+            column.setflags(write=False)
+        self.shots, self.bounds = shots, bounds
+        self.indices, self.labels = indices, labels
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[int, Sequence]]
+                   ) -> "ShotRecords":
+        """The columns of ``(shot, errors)`` pairs, as a
+        :class:`ShotRecord` or its JSON form holds them."""
+        errors = [error for _, shot_errors in pairs for error in shot_errors]
+        return cls(
+            np.array([shot for shot, _ in pairs], dtype=np.uint64),
+            np.cumsum([0, *(len(shot_errors) for _, shot_errors in pairs)]),
+            np.array([index for index, _ in errors], dtype=np.int64),
+            np.array([label for _, label in errors], dtype=str),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["ShotRecords"],
+                    limit: int) -> "ShotRecords":
+        """The records of *parts* in order, the first *limit* of them."""
+        counts = np.concatenate([np.diff(part.bounds) for part in parts])
+        bounds = np.concatenate(([0], np.cumsum(counts[:limit])))
+
+        def joined(column: str) -> np.ndarray:
+            return np.concatenate([getattr(part, column) for part in parts])
+
+        return cls(joined("shots")[:limit], bounds,
+                   joined("indices")[:bounds[-1]],
+                   joined("labels")[:bounds[-1]])
+
+    def __len__(self) -> int:
+        return self.shots.shape[0]
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return tuple(map(self.__getitem__, range(len(self))[item]))
+        row = range(len(self))[item]
+        start, stop = self.bounds[row:row + 2].tolist()
+        return ShotRecord(shot=int(self.shots[row]), errors=tuple(zip(
+            self.indices[start:stop].tolist(),
+            self.labels[start:stop].tolist())))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ShotRecords):
+            return all(np.array_equal(getattr(self, column),
+                                      getattr(other, column))
+                       for column in self.__slots__)
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return ShotRecords, (self.shots, self.bounds, self.indices,
+                             self.labels)
+
+    def __repr__(self) -> str:
+        return f"ShotRecords({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class ShotResult:
     """Outcome of a sampled-noise run (one shard or a merged whole).
@@ -257,7 +332,9 @@ class ShotResult:
     records:
         Detailed :class:`ShotRecord` entries for erroneous shots, in shot
         order, capped at :attr:`max_records` (clean shots carry no
-        record).
+        record).  Always a :class:`ShotRecords`, which holds them as
+        columns and builds each record when read; any other sequence of
+        records passed in is converted.
     max_records:
         The record cap this result was sampled under.
         :func:`merge_shot_results` re-applies it after concatenating
@@ -295,7 +372,7 @@ class ShotResult:
     shot_offset: int
     successes: int
     errors_per_shot: tuple[int, ...]
-    records: tuple[ShotRecord, ...] = ()
+    records: Sequence[ShotRecord] = ()
     max_records: int = DEFAULT_MAX_RECORDS
     counts: dict[str, int] | None = None
     num_error_sites: int = 0
@@ -313,6 +390,9 @@ class ShotResult:
             raise SimulationError(
                 "errors_per_shot must have exactly one entry per shot"
             )
+        if not isinstance(self.records, ShotRecords):
+            object.__setattr__(self, "records", ShotRecords.from_pairs(
+                [(record.shot, record.errors) for record in self.records]))
         if len(self.records) > self.max_records:
             raise SimulationError("records exceed the max_records cap")
 
@@ -440,7 +520,6 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
         {} if all(result.mechanism_shots is not None for result in ordered)
         else None
     )
-    records: list[ShotRecord] = []
     errors_per_shot: list[int] = []
     successes = 0
     next_offset = first.shot_offset
@@ -461,7 +540,6 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
         next_offset += result.shots
         successes += result.successes
         errors_per_shot.extend(result.errors_per_shot)
-        records.extend(result.records)
         if counts is not None and result.counts is not None:
             for outcome, count in result.counts.items():
                 counts[outcome] = counts.get(outcome, 0) + count
@@ -481,7 +559,8 @@ def merge_shot_results(results: Sequence[ShotResult]) -> ShotResult:
         errors_per_shot=tuple(errors_per_shot),
         # shards cap records independently; re-applying the cap to the
         # concatenation keeps exactly what one serial pass would keep
-        records=tuple(records[:first.max_records]),
+        records=ShotRecords.concatenate(
+            [result.records for result in ordered], first.max_records),
         max_records=first.max_records,
         counts=counts,
         num_error_sites=first.num_error_sites,
@@ -647,28 +726,25 @@ class StochasticSampler:
             trigger_shots, trigger_positions, burst_shots
         )
         counts_per_shot = np.bincount(trigger_shots, minlength=shots)
-        bounds = [0, *np.cumsum(counts_per_shot).tolist()]
-        recorded = np.flatnonzero(counts_per_shot)[:max_records].tolist()
+        ends = np.cumsum(counts_per_shot)
+        recorded = np.flatnonzero(counts_per_shot)[:max_records]
         # triggers are sorted by shot, so the recorded shots' triggers
         # are a prefix of them; counts mode labels every trigger
-        labelled = bounds[recorded[-1] + 1] if recorded else 0
-        if sample_counts:
-            labelled = trigger_shots.size
+        bounds = np.concatenate(([0], ends[recorded]))
+        labelled = trigger_shots.size if sample_counts else bounds[-1]
         positions = trigger_positions[:labelled]
         labels = self.table.lookup_labels(
             positions,
             mix(seed, shot_indices[trigger_shots[:labelled]], LABEL_STREAM,
                 positions),
-        ).tolist()
-        errors = list(zip(self.table.indices[positions].tolist(), labels))
-        records = tuple(
-            ShotRecord(shot=shot_offset + shot,
-                       errors=tuple(errors[bounds[shot]:bounds[shot + 1]]))
-            for shot in recorded
         )
+        records = ShotRecords(shot_indices[recorded], bounds,
+                              self.table.indices[positions[:bounds[-1]]],
+                              labels[:bounds[-1]])
         self.last_stats = {"resimulations": 0, "distinct_patterns": 0}
         counts = (self._sample_counts(seed, shot_indices, trigger_shots,
-                                      trigger_positions, bounds, labels)
+                                      trigger_positions,
+                                      [0, *ends.tolist()], labels.tolist())
                   if sample_counts else None)
         return ShotResult(
             architecture=self.architecture,
@@ -1073,10 +1149,7 @@ def shot_result_to_json(result: ShotResult) -> dict[str, Any]:
         "shot_offset": result.shot_offset,
         "successes": result.successes,
         "errors_per_shot": list(result.errors_per_shot),
-        "records": [
-            [record.shot, [list(error) for error in record.errors]]
-            for record in result.records
-        ],
+        "records": _records_to_json(result.records),
         "max_records": result.max_records,
         "counts": result.counts,
         "num_error_sites": result.num_error_sites,
@@ -1090,6 +1163,16 @@ def shot_result_to_json(result: ShotResult) -> dict[str, Any]:
     }
 
 
+def _records_to_json(records: ShotRecords) -> list[list[Any]]:
+    """``[shot, [[index, label], ...]]`` per record, read from the
+    columns."""
+    errors = [list(error) for error in zip(records.indices.tolist(),
+                                           records.labels.tolist())]
+    bounds = records.bounds.tolist()
+    return [[shot, errors[bounds[row]:bounds[row + 1]]]
+            for row, shot in enumerate(records.shots.tolist())]
+
+
 def shot_result_from_json(payload: dict[str, Any]) -> ShotResult:
     """Rebuild a :class:`ShotResult` from its JSON form."""
     analytic = payload.get("analytic")
@@ -1101,15 +1184,7 @@ def shot_result_from_json(payload: dict[str, Any]) -> ShotResult:
         shot_offset=int(payload.get("shot_offset", 0)),
         successes=int(payload["successes"]),
         errors_per_shot=tuple(int(x) for x in payload["errors_per_shot"]),
-        records=tuple(
-            ShotRecord(
-                shot=int(shot),
-                errors=tuple(
-                    (int(index), str(label)) for index, label in errors
-                ),
-            )
-            for shot, errors in payload.get("records", [])
-        ),
+        records=ShotRecords.from_pairs(payload.get("records", [])),
         max_records=int(payload.get("max_records", DEFAULT_MAX_RECORDS)),
         counts=(
             {str(k): int(v) for k, v in payload["counts"].items()}

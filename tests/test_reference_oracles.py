@@ -69,6 +69,7 @@ from repro.exec import ExecutionEngine, JobSpec, spec_key
 from repro.noise.channels import (
     CROSSTALK,
     HEATING_BURST,
+    KIND_CODES,
     LEAKAGE,
     MEASURE_FLIP,
     PAULI_1Q,
@@ -87,6 +88,8 @@ from repro.noise.heating import ChainHeatingState, quanta_after_moves
 from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import (
     Timeline,
+    _window_groups,
+    _window_log10_success,
     chain_spectators,
     get_scenario,
     resolve_scenario,
@@ -913,31 +916,37 @@ def reference_scenario_sites(simulator, program, scenario) -> list[ErrorSite]:
                                 scenario)
 
 
-def _reference_window_log10(sites, multiplier: float) -> float:
-    """The per-window plain log-sum, or the burst DP, over records."""
-    if not any(site.kind == HEATING_BURST for site in sites):
+def reference_window_log10_success(codes: np.ndarray,
+                                   probabilities: np.ndarray,
+                                   multiplier: float) -> float:
+    """One window's plain log-sum, or its burst DP one site at a time:
+    a burst site branches the weights, an error site multiplies in its
+    factor row, and the weights are rescaled after any site that leaves
+    their mass below 1e-150."""
+    burst = KIND_CODES[HEATING_BURST]
+    if not (codes == burst).any():
+        if (probabilities >= 1.0).any():
+            return float("-inf")
         log_total = 0.0
-        for site in sites:
-            if site.probability >= 1.0:
-                return float("-inf")
-            log_total += math.log1p(-site.probability)
+        for probability in probabilities.tolist():
+            log_total += math.log1p(-probability)
         return log_total * math.log10(math.e)
+    flip = KIND_CODES[MEASURE_FLIP]
     weights = np.array([1.0])
     log10_total = 0.0
     with np.errstate(over="ignore"):
-        scale = multiplier ** np.arange(len(sites) + 1, dtype=float)
-    for site in sites:
-        p = site.probability
-        if site.kind == HEATING_BURST:
+        scale = multiplier ** np.arange(len(codes) + 1, dtype=float)
+    for code, p in zip(codes.tolist(), probabilities.tolist()):
+        if code == burst:
             grown = np.zeros(len(weights) + 1)
             grown[:-1] += weights * (1.0 - p)
             grown[1:] += weights * p
             weights = grown
-        elif site.kind == MEASURE_FLIP:
+        elif code == flip:
             weights = weights * (1.0 - p)
         else:
-            weights = weights * (1.0 - np.minimum(1.0,
-                                                  p * scale[:len(weights)]))
+            scaled = np.minimum(1.0, p * scale[:len(weights)])
+            weights = weights * (1.0 - scaled)
         total = float(weights.sum())
         if total <= 0.0:
             return float("-inf")
@@ -959,7 +968,10 @@ def reference_scenario_analytics(sites, scenario):
                                       + site.probability)
         windows.setdefault(site.window, []).append(site)
     log10 = sum(
-        _reference_window_log10(window, scenario.burst_error_multiplier)
+        reference_window_log10_success(
+            np.array([KIND_CODES[site.kind] for site in window]),
+            np.array([site.probability for site in window]),
+            scenario.burst_error_multiplier)
         for window in windows.values()
     )
     return site_counts, expected_events, log10
@@ -1060,6 +1072,96 @@ class TestScenarioSitesMatchReference:
         assert sampler.sites == tuple(sites)
         assert [sampler.table.site(position)
                 for position in range(len(sites))] == sites
+
+
+def _same_float(actual: float, expected: float) -> bool:
+    """``==``, with NaN equal to NaN."""
+    return actual == expected or (math.isnan(actual) and math.isnan(expected))
+
+
+def _burst_tables(name: str, noise: NoiseParameters):
+    """The site tables of *name* on TILT, the ideal device and QCCD under
+    the two burst scenarios, with their burst multipliers."""
+    circuit = build_workload(name, "small")
+    n = circuit.num_qubits
+    tilt = _small_device(circuit)
+    compiled = LinQCompiler(tilt).compile(circuit)
+    qccd = QccdDevice(num_qubits=n, trap_capacity=max(4, n // 3))
+    program = QccdCompiler(qccd).compile(circuit)
+    builds = (
+        (TiltSimulator(tilt, noise), compiled, {}),
+        (IdealSimulator(IdealTrappedIonDevice(num_qubits=n), noise),
+         circuit, {}),
+        (QccdSimulator(qccd, noise), program, {"circuit_name": name}),
+    )
+    for scenario in map(get_scenario, ("heating_burst", "worst_case")):
+        for simulator, program_in, inputs in builds:
+            table = simulator.build_sampler(program_in, scenario=scenario,
+                                            **inputs).table
+            yield table, scenario.burst_error_multiplier
+
+
+def random_window(rng: np.random.Generator):
+    """A seeded burst window: any site kind, probabilities from tiny to
+    certain (zeros included), and multipliers up to 1e300."""
+    size = int(rng.integers(1, 160))
+    codes = rng.choice([KIND_CODES[kind] for kind in SITE_KINDS], size=size,
+                       p=[0.3, 0.25, 0.05, 0.1, 0.1, 0.2])
+    regime = rng.integers(4)
+    if regime == 0:
+        probabilities = rng.uniform(0.0, 0.05, size)
+    elif regime == 1:
+        probabilities = rng.uniform(0.0, 1.0, size)
+    elif regime == 2:
+        probabilities = 10.0 ** rng.uniform(-12.0, 0.0, size)
+    else:  # deep enough to rescale
+        probabilities = rng.uniform(0.9, 1.0, size)
+    probabilities[rng.random(size) < 0.05] = 0.0
+    if rng.random() < 0.2:
+        probabilities[rng.integers(size)] = 1.0
+    multiplier = float(rng.choice([1.0, 1.5, 4.0, 1e3, 1e300]))
+    return codes, probabilities, multiplier
+
+
+class TestBurstDpMatchesReference:
+    """The stretch-wise burst DP equals the per-site loop with ``==``."""
+
+    @pytest.mark.parametrize("name", SMALL_SUITE)
+    def test_every_suite_window(self, name):
+        burst_windows = 0
+        for noise in (NOISE_CASES["paper"], NOISE_CASES["cooling"]):
+            for table, multiplier in _burst_tables(name, noise):
+                for positions in _window_groups(table.windows):
+                    codes = table.codes[positions]
+                    probabilities = table.probabilities[positions]
+                    burst_windows += bool(
+                        (codes == KIND_CODES[HEATING_BURST]).any())
+                    assert _same_float(
+                        _window_log10_success(codes, probabilities,
+                                              multiplier),
+                        reference_window_log10_success(codes, probabilities,
+                                                       multiplier))
+        assert burst_windows > 1
+
+    def test_random_windows(self):
+        rng = np.random.default_rng(2021)
+        outcomes = {"rescaled": 0, "-inf": 0, "nan": 0, "certain": 0,
+                    "zero": 0}
+        for _ in range(1500):
+            codes, probabilities, multiplier = random_window(rng)
+            with np.errstate(invalid="ignore"):
+                actual = _window_log10_success(codes, probabilities,
+                                               multiplier)
+                expected = reference_window_log10_success(
+                    codes, probabilities, multiplier)
+            assert _same_float(actual, expected), (codes, probabilities,
+                                                   multiplier)
+            outcomes["rescaled"] += float("-inf") < expected < -150.0
+            outcomes["-inf"] += expected == float("-inf")
+            outcomes["nan"] += math.isnan(expected)
+            outcomes["certain"] += bool((probabilities == 1.0).any())
+            outcomes["zero"] += bool((probabilities == 0.0).any())
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestSpectatorsMatchScan:
@@ -1563,7 +1665,8 @@ def reference_spec_key(spec: JobSpec) -> str:
                       for gate in spec.circuit],
         },
         "device": _reference_dataclass_payload(spec.device),
-        "config": _reference_dataclass_payload(spec.config),
+        "config": _reference_dataclass_payload(
+            None if spec.config == CompilerConfig() else spec.config),
         "noise": _reference_dataclass_payload(spec.noise),
         "simulate": bool(spec.simulate),
     }

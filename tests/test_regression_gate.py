@@ -93,20 +93,21 @@ class TestCheck:
         assert not ok
 
 
-class TestCli:
-    def _bench_json(self, path, medians):
-        payload = {
-            "benchmarks": [
-                {"fullname": name, "stats": {"median": value}}
-                for name, value in medians.items()
-            ]
-        }
-        path.write_text(json.dumps(payload))
+def _bench_json(path, medians):
+    payload = {
+        "benchmarks": [
+            {"fullname": name, "stats": {"median": value}}
+            for name, value in medians.items()
+        ]
+    }
+    path.write_text(json.dumps(payload))
 
+
+class TestCli:
     def test_update_then_gate_round_trip(self, gate, tmp_path):
         bench = tmp_path / "bench.json"
         baseline = tmp_path / "baseline.json"
-        self._bench_json(bench, _medians())
+        _bench_json(bench, _medians())
         assert gate.main([str(bench), "--baseline", str(baseline),
                           "--update-baseline"]) == 0
         assert gate.main([str(bench), "--baseline", str(baseline)]) == 0
@@ -116,7 +117,7 @@ class TestCli:
         slow = tmp_path / "slow.json"
         medians = _medians()
         medians["benchmarks/bench_stochastic.py::test_serial_shots_per_second"] *= 2.0
-        self._bench_json(slow, medians)
+        _bench_json(slow, medians)
         assert gate.main([str(slow), "--baseline", str(baseline)]) == 1
 
     def test_append_history_records_gate_run(self, gate, tmp_path):
@@ -127,7 +128,7 @@ class TestCli:
         bench = tmp_path / "bench.json"
         baseline = tmp_path / "baseline.json"
         ledger = tmp_path / "history.jsonl"
-        self._bench_json(bench, _medians())
+        _bench_json(bench, _medians())
         assert gate.main([str(bench), "--baseline", str(baseline),
                           "--update-baseline"]) == 0
         assert gate.main([str(bench), "--baseline", str(baseline),
@@ -136,7 +137,7 @@ class TestCli:
         slow = tmp_path / "slow.json"
         medians = _medians()
         medians["benchmarks/bench_stochastic.py::test_serial_shots_per_second"] *= 2.0
-        self._bench_json(slow, medians)
+        _bench_json(slow, medians)
         assert gate.main([str(slow), "--baseline", str(baseline),
                           "--append-history", str(ledger)]) == 1
 
@@ -157,3 +158,58 @@ class TestCli:
         baseline = gate.load_baseline(gate.DEFAULT_BASELINE)
         groups = {gate.tracked_group(name) for name in baseline}
         assert groups >= {g for g, _ in gate.TRACKED_PATTERNS}
+
+
+class TestSeveralRuns:
+    """Several harness files gate on each benchmark's median across
+    them, and a re-baseline records that median."""
+
+    SLOW = "benchmarks/bench_stochastic.py::test_serial_shots_per_second"
+
+    def _runs(self, tmp_path, *slowdowns):
+        paths = []
+        for run, slowdown in enumerate(slowdowns):
+            medians = _medians(scale_all=1.0 + 0.1 * run)
+            medians[self.SLOW] *= slowdown
+            path = tmp_path / f"bench-{run}.json"
+            _bench_json(path, medians)
+            paths.append(str(path))
+        return paths
+
+    def test_one_file_gives_its_own_medians(self, gate, tmp_path):
+        (path,) = self._runs(tmp_path, 2.0)
+        assert gate.load_runs([path]) == gate.load_medians(path)
+
+    def test_median_across_runs(self, gate, tmp_path):
+        paths = self._runs(tmp_path, 1.0, 3.0, 1.2)
+        runs = gate.load_runs(paths)
+        assert runs[self.SLOW] == pytest.approx(
+            _medians()[self.SLOW] * 1.2 * 1.2)
+        # a benchmark missing from one run takes the median of the rest
+        extra = "benchmarks/bench_other.py::test_only_once"
+        payload = json.loads(open(paths[0]).read())
+        payload["benchmarks"].append(
+            {"fullname": extra, "stats": {"median": 0.5}})
+        open(paths[0], "w").write(json.dumps(payload))
+        assert gate.load_runs(paths)[extra] == 0.5
+
+    def test_gate_reads_the_median_run(self, gate, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        _bench_json(baseline.with_suffix(".src"), _medians())
+        assert gate.main([str(baseline.with_suffix(".src")), "--baseline",
+                          str(baseline), "--update-baseline"]) == 0
+        # one slow run among three passes; two fail
+        assert gate.main([*self._runs(tmp_path, 1.0, 2.0, 1.0),
+                          "--baseline", str(baseline)]) == 0
+        assert gate.main([*self._runs(tmp_path, 2.0, 2.0, 1.0),
+                          "--baseline", str(baseline)]) == 1
+
+    def test_update_baseline_records_the_median(self, gate, tmp_path):
+        paths = self._runs(tmp_path, 1.0, 3.0, 1.2)
+        baseline = tmp_path / "baseline.json"
+        assert gate.main([*paths, "--baseline", str(baseline),
+                          "--update-baseline"]) == 0
+        assert gate.load_baseline(str(baseline)) == gate.load_runs(paths)
+        payload = json.loads(baseline.read_text())
+        assert payload["source"] == "bench-0.json, bench-1.json, bench-2.json"
+        assert gate.main([*paths, "--baseline", str(baseline)]) == 0

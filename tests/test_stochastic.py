@@ -1,6 +1,8 @@
 """Tests for the stochastic (shot-based Monte-Carlo) noise subsystem."""
 
 import dataclasses
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -47,10 +49,13 @@ from repro.sim.stochastic import (
     OUTCOME_STREAM,
     TRIGGER_STREAM,
     ShotRecord,
+    ShotRecords,
     ShotResult,
     StochasticSampler,
     merge_shot_results,
     mix,
+    shot_result_from_json,
+    shot_result_to_json,
     wilson_interval,
 )
 from repro.sim.tilt_sim import TiltSimulator
@@ -900,6 +905,128 @@ class TestCountsResimulationEconomy:
         merged = merge_shot_results(shards)
         assert merged.shots == 150
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Shot records as columns
+# ----------------------------------------------------------------------
+def eager_records(sampler, shots, *, seed, shot_offset=0,
+                  max_records=DEFAULT_MAX_RECORDS):
+    """The records of ``sampler.run``, one :class:`ShotRecord` per
+    recorded shot, built from the run's sparse triggers."""
+    shot_indices = np.arange(shot_offset, shot_offset + shots,
+                             dtype=np.uint64)
+    trigger_shots, trigger_positions = sampler._suppress_leaked(
+        *sampler._scan_triggers(seed, shot_indices)[:2])
+    counts_per_shot = np.bincount(trigger_shots, minlength=shots)
+    bounds = [0, *np.cumsum(counts_per_shot).tolist()]
+    recorded = np.flatnonzero(counts_per_shot)[:max_records].tolist()
+    labelled = bounds[recorded[-1] + 1] if recorded else 0
+    positions = trigger_positions[:labelled]
+    labels = sampler.table.lookup_labels(
+        positions, mix(seed, shot_indices[trigger_shots[:labelled]],
+                       LABEL_STREAM, positions)).tolist()
+    errors = list(zip(sampler.table.indices[positions].tolist(), labels))
+    return tuple(
+        ShotRecord(shot=shot_offset + shot,
+                   errors=tuple(errors[bounds[shot]:bounds[shot + 1]]))
+        for shot in recorded)
+
+
+class TestShotRecords:
+    """A result keeps its records as columns and builds them when read."""
+
+    @pytest.mark.parametrize("max_records", [0, 7, DEFAULT_MAX_RECORDS])
+    def test_columns_equal_the_eager_records(self, noise, max_records):
+        sampler = _qft8_tilt_sampler(noise, scenario="worst_case")
+        result = sampler.run(300, seed=5, shot_offset=17,
+                             max_records=max_records)
+        eager = eager_records(sampler, 300, seed=5, shot_offset=17,
+                              max_records=max_records)
+        records = result.records
+        assert isinstance(records, ShotRecords)
+        assert len(eager) == min(max_records, 300 - result.successes)
+        assert records == eager and eager == records
+        assert records == list(eager) and tuple(records) == eager
+        assert [records[row] for row in range(-len(eager), len(eager))] == [
+            *eager, *eager]
+        assert records[1:5] == eager[1:5] and records[::3] == eager[::3]
+        assert pickle.loads(pickle.dumps(result)) == result
+        with pytest.raises(IndexError):
+            records[len(eager)]
+        if eager:
+            assert records != eager[:-1]
+            assert records != tuple(dataclasses.replace(record,
+                                                        shot=record.shot + 1)
+                                    for record in eager)
+
+    def test_a_tuple_of_records_becomes_columns(self):
+        records = (ShotRecord(shot=2, errors=((0, "X"), (3, "FLIP"))),
+                   ShotRecord(shot=3, errors=()),
+                   ShotRecord(shot=2**64 - 1, errors=((1, "ZZ"),)))
+        result = _shot_result(shots=4, successes=1, max_records=3,
+                              records=records)
+        assert isinstance(result.records, ShotRecords)
+        assert result.records == records and tuple(result.records) == records
+        assert dataclasses.replace(result).records == records
+        assert result.records != ShotRecords.from_pairs(
+            [(record.shot, record.errors) for record in records[:2]])
+        with pytest.raises(SimulationError):
+            _shot_result(records=records, max_records=2)
+
+    def test_json_is_byte_identical_to_the_record_writer(self, noise):
+        result = _qft8_tilt_sampler(noise, scenario="crosstalk").run(
+            200, seed=3, shot_offset=5)
+        assert result.records
+        written = json.dumps(shot_result_to_json(result))
+        by_record = [[record.shot, [list(error) for error in record.errors]]
+                     for record in result.records]
+        assert written == json.dumps({**shot_result_to_json(result),
+                                      "records": by_record})
+        assert shot_result_from_json(json.loads(written)) == result
+
+    def test_four_shards_merge_into_the_serial_run_past_the_cap(self, noise):
+        sampler = _qft8_tilt_sampler(noise, scenario="worst_case")
+        serial = sampler.run(400, seed=4, max_records=30)
+        shards = [sampler.run(width, seed=4, shot_offset=offset,
+                              max_records=30)
+                  for offset, width in ((0, 70), (70, 130), (200, 50),
+                                        (250, 150))]
+        assert sum(len(shard.records) for shard in shards) > 30
+        merged = merge_shot_results(shards[::-1])
+        assert merged == serial
+        assert tuple(merged.records) == tuple(serial.records) == (
+            eager_records(sampler, 400, seed=4, max_records=30))
+
+    def test_pooled_records_equal_serial_records(self):
+        spec = _sampled_spec(shots=400, scenario="worst_case")
+        serial = run_sampled_job(spec, shards=4,
+                                 engine=ExecutionEngine(workers=1))
+        pooled = run_sampled_job(spec, shards=4,
+                                 engine=ExecutionEngine(workers=2))
+        assert serial.shot.records
+        assert isinstance(pooled.shot.records, ShotRecords)
+        assert serial.shot == pooled.shot
+
+    def test_sampling_builds_no_record(self, noise, monkeypatch):
+        built = []
+        init = ShotRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShotRecord, "__init__", counting_init)
+        sampler = _qft8_tilt_sampler(noise, scenario="heating_burst")
+        shards = [sampler.run(2048, seed=2021, shot_offset=offset)
+                  for offset in (0, 2048)]
+        merged = merge_shot_results(shards)
+        shot_result_from_json(json.loads(json.dumps(
+            shot_result_to_json(merged))))
+        assert len(merged.records) == 4096 - merged.successes > 0
+        assert not built
+        assert merged.records[-1].shot > 0
+        assert len(built) == 1
 
 
 # ----------------------------------------------------------------------
