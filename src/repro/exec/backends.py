@@ -51,6 +51,7 @@ from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import get_scenario
 from repro.obs.profile import start_job_profile
 from repro.obs.trace import activate, current_trace, worker_recorder
+from repro.sim.base import Simulator
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.stochastic import StochasticSampler
@@ -88,8 +89,8 @@ def resolve_workers(workers: int | None) -> int:
 # Compile sharing: one lowering, compiled program and sampler per loop
 # ----------------------------------------------------------------------
 #: The simulator each toolchain runs its compiled program on.
-_SIMULATORS = {"tilt": TiltSimulator, "ideal": IdealSimulator,
-              "qccd": QccdSimulator}
+_SIMULATORS: dict[str, type[Simulator]] = {
+    "tilt": TiltSimulator, "ideal": IdealSimulator, "qccd": QccdSimulator}
 
 
 def _lowering_options(spec: JobSpec) -> tuple[bool, bool]:
@@ -185,8 +186,7 @@ class CompileMemo:
             held = self._compiled = (key, program)
         return held[1]
 
-    def sampler(self, spec: JobSpec,
-                simulator: TiltSimulator | IdealSimulator | QccdSimulator,
+    def sampler(self, spec: JobSpec, simulator: Simulator,
                 program: Circuit | CompileResult | QccdProgram,
                 inputs: dict) -> StochasticSampler:
         """*spec*'s shot sampler, built by *simulator* from what

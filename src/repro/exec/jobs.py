@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.arch.device import DeviceSpec
+from repro.arch.ideal import IdealTrappedIonDevice
+from repro.arch.qccd import QccdDevice
+from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.metrics import CompileStats
 from repro.compiler.pipeline import CompilerConfig
@@ -30,8 +33,11 @@ from repro.sim.stochastic import (
     shot_result_to_json,
 )
 
-#: Backends the engine knows how to drive.
-BACKENDS = ("tilt", "ideal", "qccd")
+#: Backends the engine knows how to drive, each with the device class it
+#: runs on.
+BACKENDS: dict[str, type[DeviceSpec]] = {
+    "tilt": TiltDevice, "ideal": IdealTrappedIonDevice, "qccd": QccdDevice,
+}
 
 #: The scenario name every spec runs under unless told otherwise.
 BASELINE_SCENARIO = "baseline"
@@ -46,8 +52,9 @@ class JobSpec:
     circuit:
         The logical workload.
     device:
-        Target device model; its concrete type must match *backend*
-        (:class:`~repro.arch.tilt.TiltDevice` for ``"tilt"``, etc.).
+        Target device model, of the class :data:`BACKENDS` names for
+        *backend* (:class:`~repro.arch.tilt.TiltDevice` for ``"tilt"``,
+        etc.); a mismatch raises :class:`~repro.exceptions.ReproError`.
     backend:
         Toolchain selector: ``"tilt"`` (LinQ compile + TILT simulator),
         ``"ideal"`` (fully connected reference, no routing) or ``"qccd"``
@@ -97,9 +104,16 @@ class JobSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
+        device_class = BACKENDS.get(self.backend)
+        if device_class is None:
             raise ReproError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{tuple(BACKENDS)}"
+            )
+        if not isinstance(self.device, device_class):
+            raise ReproError(
+                f"backend {self.backend!r} runs on a {device_class.__name__}, "
+                f"not on a {type(self.device).__name__}"
             )
         get_scenario(self.scenario)  # unknown names fail at spec creation
         if self.shots < 0:

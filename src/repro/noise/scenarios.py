@@ -507,11 +507,11 @@ def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
     that ``k`` bursts have triggered so far *and* every error site
     processed so far survived; burst sites branch the distribution, error
     sites multiply in their survival factor row (``1 - min(1, p *
-    multiplier ** k)``, or ``1 - p`` for a readout flip).  Between two
-    bursts the rows keep their length, so a stretch of error sites is
-    one ``np.multiply.accumulate`` seeded with the weights (a per-site
-    loop's products, in its order), restarted after each site whose mass
-    falls below :data:`_DP_RESCALE_FLOOR`.
+    multiplier ** k)``, or ``1 - p`` for a readout flip and for a site
+    with ``p = 0``).  Between two bursts the rows keep their length, so a
+    stretch of error sites is one ``np.multiply.accumulate`` seeded with
+    the weights (a per-site loop's products, in its order), restarted
+    after each site whose mass falls below :data:`_DP_RESCALE_FLOOR`.
     """
     burst = KIND_CODES[HEATING_BURST]
     bursts = np.flatnonzero(codes == burst)
@@ -523,7 +523,10 @@ def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
             log_total += math.log1p(-probability)
         return log_total * LOG10_E
 
-    flips = (codes == KIND_CODES[MEASURE_FLIP])[:, None]
+    # readout flips ignore bursts, and a never-failing site stays at
+    # exactly 1 (its 0 * inf is NaN once multiplier ** k overflows)
+    unscaled = ((codes == KIND_CODES[MEASURE_FLIP])
+                | (probabilities == 0.0))[:, None]
     weights = np.array([1.0])
     log10_total = 0.0
     with np.errstate(over="ignore"):
@@ -540,7 +543,7 @@ def _window_log10_success(codes: np.ndarray, probabilities: np.ndarray,
         start = head + 1
         while True:
             p = probabilities[start:stop, None]
-            scaled = np.minimum(1.0, p * np.where(flips[start:stop], 1.0,
+            scaled = np.minimum(1.0, p * np.where(unscaled[start:stop], 1.0,
                                                   scale[:weights.size]))
             # row 0 is the head's weights, row j those after site start+j-1
             rows = np.multiply.accumulate(

@@ -15,8 +15,8 @@ Four planes, all opt-in and all forbidden from ever touching results:
   summarized record, and ``python -m repro.obs.history`` renders
   per-metric trends, cross-run diffs and a ``--check`` trend gate;
 * :mod:`repro.obs.profile` — opt-in per-job resource profiling
-  (``TILT_REPRO_PROFILE=1`` or ``tracemalloc``): CPU time, peak RSS and
-  top allocation sites attached to each ``job.execute`` span.
+  (``TILT_REPRO_PROFILE=1``): CPU time, peak RSS and page faults
+  attached to each ``job.execute`` span.
 
 Traces, the ledger and the engine's durable
 :class:`~repro.exec.store.RunStore` all persist through one set of

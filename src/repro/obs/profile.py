@@ -1,18 +1,13 @@
 """Opt-in per-job resource profiling attached to ``job.execute`` spans.
 
-Set ``TILT_REPRO_PROFILE=1`` (CPU mode) or
-``TILT_REPRO_PROFILE=tracemalloc`` (CPU + Python allocation tracking)
-and every *traced* executed job carries a ``profile`` attribute on its
-``job.execute`` span:
+Set ``TILT_REPRO_PROFILE=1`` and every *traced* executed job carries a
+``profile`` attribute on its ``job.execute`` span:
 
 * ``cpu_user_s`` / ``cpu_system_s`` — process CPU-time deltas from
   :func:`os.times` across the job;
 * ``max_rss_kb`` plus minor/major page-fault deltas — from
   :func:`resource.getrusage` where the :mod:`resource` module exists
-  (POSIX; the field is simply absent elsewhere);
-* in ``tracemalloc`` mode additionally the Python-heap size/peak and
-  the top :data:`TOP_ALLOCATIONS` allocation sites grown during the job
-  (``file:lineno`` with size/count deltas).
+  (POSIX; the field is simply absent elsewhere).
 
 The capture rides the existing trace machinery end to end: in pool
 workers the span (profile attrs included) lands in the worker's private
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tracemalloc
 from typing import Any
 
 try:
@@ -51,15 +45,11 @@ __all__ = [
     "start_job_profile",
 ]
 
-#: Environment variable selecting the profiling mode for executed jobs.
+#: Environment variable switching profiling of executed jobs on.
 PROFILE_ENV_VAR = "TILT_REPRO_PROFILE"
 
-#: Allocation-site rows kept per job in ``tracemalloc`` mode.
-TOP_ALLOCATIONS = 3
-
-#: Env values that leave profiling off / select each mode.
+#: Env values that leave profiling off; any other value switches it on.
 _OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
-_TRACEMALLOC_VALUES = frozenset({"tracemalloc", "alloc", "full"})
 
 #: The parsed profiling mode, cached once per process (RPR008 sanctioned
 #: channel ``repro.obs.profile._MODE_CACHE``): workers inherit the same
@@ -68,22 +58,11 @@ _MODE_CACHE: dict[str, Any] = {}
 
 
 def resolve_mode() -> str | None:
-    """The active profiling mode: ``None`` (off), ``"cpu"``, or
-    ``"tracemalloc"``.
-
-    Parsed from :data:`PROFILE_ENV_VAR` once per process; any value not
-    naming the tracemalloc mode enables plain CPU/RSS capture, so
-    ``TILT_REPRO_PROFILE=1`` is the common switch.
-    """
+    """The active profiling mode: ``None`` (off) or ``"cpu"`` (CPU/RSS
+    capture), parsed from :data:`PROFILE_ENV_VAR` once per process."""
     if "mode" not in _MODE_CACHE:
         raw = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
-        if raw in _OFF_VALUES:
-            mode = None
-        elif raw in _TRACEMALLOC_VALUES:
-            mode = "tracemalloc"
-        else:
-            mode = "cpu"
-        _MODE_CACHE["mode"] = mode
+        _MODE_CACHE["mode"] = None if raw in _OFF_VALUES else "cpu"
     return _MODE_CACHE["mode"]
 
 
@@ -109,23 +88,13 @@ class JobProfiler:
     """Capture resource deltas across one job.
 
     Construct before the work, call :meth:`finish` after; the returned
-    dict is what lands in ``span.attrs["profile"]``.  Construction in
-    ``tracemalloc`` mode starts the interpreter-wide tracer if it is not
-    already running and leaves it running (per-process; stopping it
-    between jobs would discard the bookkeeping repeated jobs reuse).
+    dict is what lands in ``span.attrs["profile"]``.
     """
 
-    __slots__ = ("mode", "_times", "_rusage", "_snapshot")
+    __slots__ = ("mode", "_times", "_rusage")
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
-        self._snapshot = None
-        if mode == "tracemalloc":
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            if hasattr(tracemalloc, "reset_peak"):
-                tracemalloc.reset_peak()
-            self._snapshot = tracemalloc.take_snapshot()
         self._rusage = (resource.getrusage(resource.RUSAGE_SELF)
                         if resource is not None else None)
         self._times = os.times()
@@ -142,21 +111,6 @@ class JobProfiler:
             payload["max_rss_kb"] = _rss_kb(usage.ru_maxrss)
             payload["minor_faults"] = usage.ru_minflt - self._rusage.ru_minflt
             payload["major_faults"] = usage.ru_majflt - self._rusage.ru_majflt
-        if self._snapshot is not None:
-            size, peak = tracemalloc.get_traced_memory()
-            payload["py_heap_kb"] = round(size / 1024, 1)
-            payload["py_peak_kb"] = round(peak / 1024, 1)
-            after = tracemalloc.take_snapshot()
-            stats = after.compare_to(self._snapshot, "lineno")
-            payload["allocations"] = [
-                {
-                    "site": (f"{os.path.basename(stat.traceback[0].filename)}"
-                             f":{stat.traceback[0].lineno}"),
-                    "size_kb": round(stat.size_diff / 1024, 1),
-                    "count": stat.count_diff,
-                }
-                for stat in stats[:TOP_ALLOCATIONS]
-            ]
         return payload
 
 

@@ -14,7 +14,7 @@ Renders what a traced run actually did, from the JSONL records
   much of the dispatch wall time the single longest job accounts for
   (the job that, if sharded further, would shorten the batch);
 * the **per-job resource table** when :mod:`repro.obs.profile` was on —
-  CPU time, peak RSS and top allocation sites per toolchain backend;
+  CPU time and peak RSS per toolchain backend;
 * the **search round table** when ``search.round`` spans are present;
 * ``--diff`` — the same aggregates for two traces side by side with
   deltas, for before/after comparisons of a change.
@@ -347,25 +347,22 @@ def _render_resources(view: TraceView, top: int) -> list[str]:
         backend = str(job.attrs.get("backend", "?"))
         row = groups.setdefault(
             backend, {"jobs": 0, "cpu_user_s": 0.0, "cpu_system_s": 0.0,
-                      "max_rss_kb": 0.0, "py_peak_kb": 0.0},
+                      "max_rss_kb": 0.0},
         )
         row["jobs"] += 1
         row["cpu_user_s"] += float(profile.get("cpu_user_s", 0.0) or 0.0)
         row["cpu_system_s"] += float(profile.get("cpu_system_s", 0.0) or 0.0)
         row["max_rss_kb"] = max(row["max_rss_kb"],
                                 float(profile.get("max_rss_kb", 0.0) or 0.0))
-        row["py_peak_kb"] = max(row["py_peak_kb"],
-                                float(profile.get("py_peak_kb", 0.0) or 0.0))
     lines.append(f"  {'toolchain':<10} {'jobs':>5} {'cpu user':>10} "
-                 f"{'cpu sys':>10} {'peak rss':>10} {'py peak':>10}")
+                 f"{'cpu sys':>10} {'peak rss':>10}")
     for backend in sorted(groups):
         row = groups[backend]
         lines.append(
             f"  {backend:<10} {row['jobs']:>5} "
             f"{_fmt_s(row['cpu_user_s']):>10} "
             f"{_fmt_s(row['cpu_system_s']):>10} "
-            f"{row['max_rss_kb'] / 1024:>8.1f}MB "
-            f"{row['py_peak_kb'] / 1024:>8.1f}MB"
+            f"{row['max_rss_kb'] / 1024:>8.1f}MB"
         )
     hungriest = sorted(
         profiled,
@@ -378,13 +375,7 @@ def _render_resources(view: TraceView, top: int) -> list[str]:
         profile = job.attrs["profile"]
         label = job.attrs.get("label") or job.attrs.get("spec_key", "?")
         cpu = float(profile.get("cpu_user_s", 0.0) or 0.0)
-        detail = f"    {_fmt_s(cpu):>9}  {label}"
-        sites = profile.get("allocations")
-        if isinstance(sites, list) and sites:
-            worst = sites[0]
-            detail += (f"  (top alloc {worst.get('site', '?')} "
-                       f"{float(worst.get('size_kb', 0.0)):.0f}KB)")
-        lines.append(detail)
+        lines.append(f"    {_fmt_s(cpu):>9}  {label}")
     return lines
 
 

@@ -1,8 +1,15 @@
 """Simulators: exact statevector, noisy TILT / QCCD / Ideal-TI models, and
-the shot-based stochastic (Monte-Carlo) noise subsystem."""
+the shot-based stochastic (Monte-Carlo) noise subsystem.
+
+The three noisy models share one front door,
+:class:`repro.sim.base.Simulator`: ``run``, ``build_sampler`` and
+``run_stochastic`` are written once over each model's single replay of
+its program, which also records the execution timeline under a
+scenario.
+"""
 
 from repro.sim.ideal_sim import IdealSimulator
-from repro.sim.qccd_sim import QccdSimulator, QccdTrace
+from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.result import SimulationResult
 from repro.sim.statevector import (
     MAX_STATEVECTOR_QUBITS,
@@ -26,7 +33,6 @@ __all__ = [
     "IdealSimulator",
     "MAX_STATEVECTOR_QUBITS",
     "QccdSimulator",
-    "QccdTrace",
     "ShotRecord",
     "ShotRecords",
     "ShotResult",

@@ -13,57 +13,36 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.circuits.circuit import Circuit
 from repro.compiler.pipeline import lower_to_native
 from repro.exceptions import SimulationError
-from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import (
-    NoiseScenario,
-    Timeline,
-    resolve_scenario,
-    scenario_analytics,
-)
+from repro.noise.scenarios import Timeline
+from repro.sim.base import Simulator
 from repro.sim.result import GateReplay, SimulationResult
-from repro.sim.stochastic import (
-    DEFAULT_MAX_RECORDS,
-    ShotResult,
-    StochasticSampler,
-)
 
 
-class IdealSimulator:
-    """Fidelity/time estimator for a fully connected trapped-ion device."""
+class IdealSimulator(Simulator):
+    """Fidelity/time estimator for a fully connected trapped-ion device.
 
-    def __init__(self, device: IdealTrappedIonDevice,
-                 params: NoiseParameters | None = None) -> None:
-        self.device = device
-        self.params = params or NoiseParameters.paper_defaults()
+    The entry points take the logical circuit and ``native=``, its
+    :func:`~repro.compiler.pipeline.lower_to_native` form, when the
+    caller already has it.  Every gate sees zero motional quanta, and
+    the ideal device never shuttles, so heating bursts are inert here;
+    crosstalk (kicks on chain neighbours of each MS gate's operands)
+    and leakage still apply under non-baseline scenarios.
+    """
 
-    def _native(self, circuit: Circuit, native: Circuit | None) -> Circuit:
+    device: IdealTrappedIonDevice
+
+    def _simulate(self, circuit: Circuit, timeline: Timeline | None, *,
+                  native: Circuit | None = None,
+                  ) -> tuple[SimulationResult, int]:
         if circuit.num_qubits > self.device.num_qubits:
             raise SimulationError(
                 f"circuit needs {circuit.num_qubits} qubits but the device "
                 f"has {self.device.num_qubits}"
             )
-        return lower_to_native(circuit) if native is None else native
-
-    def run(self, circuit: Circuit, *,
-            native: Circuit | None = None,
-            scenario: NoiseScenario | str | None = None) -> SimulationResult:
-        """Estimate success rate and run time of *circuit* on the ideal device.
-
-        *native* is the circuit's
-        :func:`~repro.compiler.pipeline.lower_to_native` form, when the
-        caller already has it (every entry point takes it).  The ideal
-        device never shuttles, so heating bursts are inert here;
-        crosstalk (kicks on chain neighbours of each MS gate's operands)
-        and leakage still apply under non-baseline *scenario* values.
-        """
-        scenario = resolve_scenario(scenario)
-        native = self._native(circuit, native)
-        if scenario.is_baseline:
-            return self._result_from_native(circuit.name, native)
-        timeline = Timeline.for_scenario(scenario)
-        result = self._result_from_native(circuit.name, native, timeline)
-        return scenario_analytics(timeline.site_table(scenario),
-                                  scenario).apply_to(result)
+        if native is None:
+            native = lower_to_native(circuit)
+        return (self._result_from_native(circuit.name, native, timeline),
+                native.num_qubits)
 
     def _result_from_native(self, name: str, native: Circuit,
                             timeline: Timeline | None = None,
@@ -88,42 +67,3 @@ class IdealSimulator:
             num_moves=0,
             move_distance_um=0.0,
         )
-
-    def build_sampler(self, circuit: Circuit, *,
-                      native: Circuit | None = None,
-                      scenario: NoiseScenario | str | None = None,
-                      ) -> StochasticSampler:
-        """The :class:`StochasticSampler` of *circuit* on the ideal device.
-
-        The site/gate/analytic derivation of :meth:`run_stochastic`
-        without drawing a shot, for callers that sample one program
-        repeatedly.
-        """
-        scenario = resolve_scenario(scenario)
-        native = self._native(circuit, native)
-        timeline = Timeline.for_scenario(scenario)
-        analytic = self._result_from_native(circuit.name, native, timeline)
-        return StochasticSampler.from_timeline(timeline, scenario, analytic,
-                                               native.num_qubits)
-
-    def run_stochastic(self, circuit: Circuit, *, shots: int, seed: int = 0,
-                       shot_offset: int = 0, sample_counts: bool = False,
-                       max_records: int = DEFAULT_MAX_RECORDS,
-                       native: Circuit | None = None,
-                       scenario: NoiseScenario | str | None = None,
-                       sampler: StochasticSampler | None = None,
-                       ) -> ShotResult:
-        """Monte-Carlo sample the ideal device's (heating-free) noise.
-
-        Same contract as :meth:`TiltSimulator.run_stochastic
-        <repro.sim.tilt_sim.TiltSimulator.run_stochastic>`; every gate
-        sees zero motional quanta, matching :meth:`run`.  Non-baseline
-        *scenario* values add crosstalk and leakage sites (bursts are
-        inert — the ideal device never shuttles).
-        """
-        if sampler is None:
-            sampler = self.build_sampler(circuit, native=native,
-                                         scenario=scenario)
-        return sampler.run(shots, seed=seed, shot_offset=shot_offset,
-                           sample_counts=sample_counts,
-                           max_records=max_records)

@@ -19,34 +19,30 @@ from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
 from repro.noise.heating import quanta_after_moves
-from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import (
-    NoiseScenario,
-    Timeline,
-    resolve_scenario,
-    scenario_analytics,
-)
+from repro.noise.scenarios import Timeline
+from repro.sim.base import Simulator
 from repro.sim.result import GateReplay, SimulationResult
-from repro.sim.stochastic import (
-    DEFAULT_MAX_RECORDS,
-    ShotResult,
-    StochasticSampler,
-)
+from repro.sim.stochastic import ShotResult
 
 
-class TiltSimulator:
-    """Success-rate and execution-time estimator for compiled TILT programs."""
+class TiltSimulator(Simulator):
+    """Success-rate and execution-time estimator for compiled TILT programs.
 
-    def __init__(self, device: TiltDevice,
-                 params: NoiseParameters | None = None) -> None:
-        self.device = device
-        self.params = params or NoiseParameters.paper_defaults()
+    The entry points take a scheduled program or a full compile result,
+    and ``circuit_name=`` to name the result (the compiled circuit's
+    name by default).  Under a scenario, crosstalk kicks the spectator
+    ions under the head.  Sampled counts come back in logical qubit
+    order from a :class:`CompileResult` (through its final mapping) and
+    over the physical (routed) wires from a bare
+    :class:`ExecutableProgram`, which has no mapping.
+    """
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def _resolve(self, program: ExecutableProgram | CompileResult,
-                 circuit_name: str | None) -> tuple[ExecutableProgram, str]:
+    device: TiltDevice
+
+    def _simulate(self, program: ExecutableProgram | CompileResult,
+                  timeline: Timeline | None, *,
+                  circuit_name: str | None = None,
+                  ) -> tuple[SimulationResult, int]:
         if isinstance(program, CompileResult):
             name = circuit_name or program.source_circuit.name
             program = program.program
@@ -57,28 +53,8 @@ class TiltSimulator:
                 f"program was scheduled for {program.device!r}, not for "
                 f"this simulator's {self.device!r}"
             )
-        return program, name
-
-    def run(self, program: ExecutableProgram | CompileResult,
-            *, circuit_name: str | None = None,
-            scenario: NoiseScenario | str | None = None) -> SimulationResult:
-        """Simulate a scheduled program (or a full compile result).
-
-        *scenario* selects a correlated-noise scenario (a registered name
-        or a :class:`~repro.noise.scenarios.NoiseScenario`); ``None`` or
-        ``"baseline"`` reproduces the paper's independent-error model
-        exactly.  Non-baseline scenarios adjust the success rate with the
-        exact correlated-noise analytics and surface per-mechanism site
-        telemetry in ``extras``.
-        """
-        program, name = self._resolve(program, circuit_name)
-        scenario = resolve_scenario(scenario)
-        if scenario.is_baseline:
-            return self._replay(program, name)
-        timeline = Timeline.for_scenario(scenario)
-        base = self._replay(program, name, timeline)
-        return scenario_analytics(timeline.site_table(scenario),
-                                  scenario).apply_to(base)
+        return (self._replay(program, name, timeline),
+                program.circuit.num_qubits)
 
     def _replay(self, program: ExecutableProgram, name: str,
                 timeline: Timeline | None = None) -> SimulationResult:
@@ -135,79 +111,15 @@ class TiltSimulator:
             },
         )
 
-    # ------------------------------------------------------------------
-    # Stochastic (shot-based) simulation
-    # ------------------------------------------------------------------
-    def build_sampler(self, program: ExecutableProgram | CompileResult,
-                      *, circuit_name: str | None = None,
-                      scenario: NoiseScenario | str | None = None,
-                      ) -> StochasticSampler:
-        """The :class:`StochasticSampler` of one executed program.
-
-        Everything :meth:`run_stochastic` derives from the program —
-        error sites, the executed gate sequence, the analytic reference
-        — without drawing a single shot, so callers that sample the same
-        program repeatedly (shard fan-outs, throughput benchmarks) can
-        reuse one sampler across ``run`` calls.
-        """
-        program, name = self._resolve(program, circuit_name)
-        scenario = resolve_scenario(scenario)
-        timeline = Timeline.for_scenario(scenario)
-        analytic = self._replay(program, name, timeline)
-        return StochasticSampler.from_timeline(
-            timeline, scenario, analytic, program.circuit.num_qubits,
-        )
-
-    def run_stochastic(self, program: ExecutableProgram | CompileResult,
-                       *, shots: int, seed: int = 0, shot_offset: int = 0,
-                       sample_counts: bool = False,
-                       max_records: int = DEFAULT_MAX_RECORDS,
-                       circuit_name: str | None = None,
-                       scenario: NoiseScenario | str | None = None,
-                       sampler: StochasticSampler | None = None,
-                       ) -> ShotResult:
-        """Monte-Carlo sample the program's Eq. 4 noise, shot by shot.
-
-        Every per-gate fidelity becomes a stochastic Pauli/readout-flip
-        channel (see :mod:`repro.noise.channels`); the returned
-        :class:`ShotResult` carries the counts histogram (when
-        ``sample_counts`` is on), per-shot error records and the Wilson
-        confidence interval of the sampled success rate.  Shots
-        ``[shot_offset, shot_offset + shots)`` of the run rooted at
-        *seed* are drawn, so shards merged with
-        :func:`~repro.sim.stochastic.merge_shot_results` are bit-identical
-        to one serial pass.
-
-        When a :class:`CompileResult` is passed, sampled counts are
-        relabelled back to *logical* qubit order through its final
-        mapping; a bare :class:`ExecutableProgram` (no mapping available)
-        yields counts over the physical (routed) wires.
-
-        *scenario* switches on the correlated-noise mechanisms (see
-        :mod:`repro.noise.scenarios`): crosstalk kicks on the spectator
-        ions under the head, leakage out of the computational subspace
-        and shuttle-induced heating bursts.  ``None`` / ``"baseline"``
-        keeps the independent-error sampling unchanged.  A caller that
-        already holds this program's :meth:`build_sampler` under the
-        same *scenario* passes it as *sampler*; otherwise it is built.
-        """
-        mapping = (program.final_mapping
-                   if isinstance(program, CompileResult) else None)
-        if sampler is None:
-            sampler = self.build_sampler(program, circuit_name=circuit_name,
-                                         scenario=scenario)
-        result = sampler.run(shots, seed=seed, shot_offset=shot_offset,
-                             sample_counts=sample_counts,
-                             max_records=max_records)
-        if mapping is not None and result.counts is not None:
-            assert sampler.num_qubits is not None
-            physical_of = [mapping.physical(logical)
-                           for logical in range(sampler.num_qubits)]
-            relabelled: dict[str, int] = {}
-            for bits, count in result.counts.items():
-                logical_bits = "".join(bits[p] for p in physical_of)
-                relabelled[logical_bits] = (
-                    relabelled.get(logical_bits, 0) + count
-                )
-            result = dataclasses.replace(result, counts=relabelled)
-        return result
+    def _relabel(self, program: ExecutableProgram | CompileResult,
+                 shot: ShotResult, num_qubits: int | None) -> ShotResult:
+        if not isinstance(program, CompileResult) or shot.counts is None:
+            return shot
+        assert num_qubits is not None
+        physical_of = [program.final_mapping.physical(logical)
+                       for logical in range(num_qubits)]
+        relabelled: dict[str, int] = {}
+        for bits, count in shot.counts.items():
+            logical_bits = "".join(bits[p] for p in physical_of)
+            relabelled[logical_bits] = relabelled.get(logical_bits, 0) + count
+        return dataclasses.replace(shot, counts=relabelled)

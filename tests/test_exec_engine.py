@@ -73,6 +73,21 @@ class TestSpecKey:
                     device=TiltDevice(num_qubits=4, head_size=2),
                     backend="magic")
 
+    @pytest.mark.parametrize("backend, device", [
+        ("qccd", TiltDevice(num_qubits=4, head_size=2)),
+        ("ideal", TiltDevice(num_qubits=4, head_size=2)),
+        ("tilt", QccdDevice(num_qubits=4, trap_capacity=2)),
+        ("ideal", QccdDevice(num_qubits=4, trap_capacity=2)),
+        ("tilt", IdealTrappedIonDevice(num_qubits=4)),
+        ("qccd", IdealTrappedIonDevice(num_qubits=4)),
+    ], ids=lambda value: value if isinstance(value, str)
+        else type(value).__name__)
+    def test_device_of_another_backend_rejected(self, backend, device):
+        """A backend runs only on its own device class: the mismatch fails
+        at spec creation, not in a worker."""
+        with pytest.raises(ReproError, match="runs on a"):
+            JobSpec(circuit=bv_workload(4), device=device, backend=backend)
+
 
 class TestExecutionEngine:
     def test_serial_run_matches_direct_toolflow(self, noise):

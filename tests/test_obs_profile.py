@@ -9,7 +9,6 @@ jobs are never profiled.
 from __future__ import annotations
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,6 @@ from repro.exec import ExecutionEngine, JobSpec
 from repro.noise.parameters import NoiseParameters
 from repro.obs.profile import (
     PROFILE_ENV_VAR,
-    TOP_ALLOCATIONS,
     JobProfiler,
     profile_enabled,
     refresh_mode,
@@ -36,18 +34,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(autouse=True)
 def _profile_env_off(monkeypatch):
     """Each test starts (and ends) with profiling resolved back to off;
-    tests opt in explicitly.  The profiler leaves the interpreter-wide
-    allocation tracer running once started, so a test that started it
-    stops it: every later test would otherwise run traced, several
-    times slower."""
+    tests opt in explicitly."""
     monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
     refresh_mode()
-    was_tracing = tracemalloc.is_tracing()
     yield
     monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
     refresh_mode()
-    if not was_tracing and tracemalloc.is_tracing():
-        tracemalloc.stop()
 
 
 def _specs() -> list[JobSpec]:
@@ -66,7 +58,6 @@ class TestProfile:
     @pytest.mark.parametrize("raw, expected", [
         ("", None), ("0", None), ("off", None), ("no", None),
         ("1", "cpu"), ("cpu", "cpu"), ("yes", "cpu"),
-        ("tracemalloc", "tracemalloc"), ("alloc", "tracemalloc"),
     ])
     def test_mode_parsing(self, monkeypatch, raw, expected):
         monkeypatch.setenv(PROFILE_ENV_VAR, raw)
@@ -89,19 +80,6 @@ class TestProfile:
         assert payload["max_rss_kb"] > 0
         assert payload["minor_faults"] >= 0
         json.dumps(payload)  # span attrs must serialise as-is
-
-    def test_tracemalloc_profile_reports_allocation_sites(self):
-        profiler = JobProfiler("tracemalloc")
-        hoard = [bytearray(4096) for _ in range(200)]
-        payload = profiler.finish()
-        assert payload["mode"] == "tracemalloc"
-        assert payload["py_peak_kb"] > 0
-        sites = payload["allocations"]
-        assert 0 < len(sites) <= TOP_ALLOCATIONS
-        top = sites[0]
-        assert ":" in top["site"]
-        assert top["size_kb"] > 0
-        assert hoard  # keep the allocation alive across finish()
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_profiled_spans_carry_profile_attrs(

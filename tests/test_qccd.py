@@ -12,7 +12,7 @@ from repro.compiler.qccd_compiler import (
 )
 from repro.exceptions import CompilationError, SimulationError
 from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import get_scenario
+from repro.noise.scenarios import Timeline, get_scenario
 from repro.sim.qccd_sim import QccdSimulator
 from repro.workloads.qaoa import qaoa_workload
 from repro.workloads.qft import qft_workload
@@ -105,7 +105,8 @@ class TestQccdCompiler:
         program = QccdCompiler(qccd16).compile(qft_workload(16))
         simulator = QccdSimulator(qccd16)
         simulator.trace(program)
-        simulator.trace(program, get_scenario("crosstalk"))
+        simulator.trace(program,
+                        Timeline.for_scenario(get_scenario("crosstalk")))
         assert program.num_shuttles > 0 and not built
         assert len(program.gate_events) == len(built) == len(program.gates)
 
@@ -172,7 +173,7 @@ class TestQccdSimulator:
     def test_device_mismatch_rejected(self, qccd16, noise):
         other = QccdDevice(num_qubits=12, trap_capacity=5)
         program = compile_for_qccd(Circuit(12).cx(0, 11), other)
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError):
             QccdSimulator(qccd16, noise).run(program)
 
     @pytest.mark.parametrize("compiled_for,simulated_on", [(8, 5), (5, 8)])

@@ -664,8 +664,9 @@ class TestSimulatorsMatchReference:
              if isinstance(event, QccdGateEvent)],
             fidelities,
         )
-        trace = simulator.trace(program, resolve_scenario("crosstalk"))
-        assert trace.timeline.fidelities == fidelities
+        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        assert simulator.trace(program, timeline, circuit.name) == result
+        assert timeline.fidelities == fidelities
 
     def test_hit_zero_case_clamps(self):
         """The strong-noise case really drives some gate fidelity to 0."""
@@ -921,8 +922,9 @@ def reference_window_log10_success(codes: np.ndarray,
                                    multiplier: float) -> float:
     """One window's plain log-sum, or its burst DP one site at a time:
     a burst site branches the weights, an error site multiplies in its
-    factor row, and the weights are rescaled after any site that leaves
-    their mass below 1e-150."""
+    factor row (a site with ``p = 0`` leaves them as they are), and the
+    weights are rescaled after any site that leaves their mass below
+    1e-150."""
     burst = KIND_CODES[HEATING_BURST]
     if not (codes == burst).any():
         if (probabilities >= 1.0).any():
@@ -942,7 +944,7 @@ def reference_window_log10_success(codes: np.ndarray,
             grown[:-1] += weights * (1.0 - p)
             grown[1:] += weights * p
             weights = grown
-        elif code == flip:
+        elif code == flip or p == 0.0:
             weights = weights * (1.0 - p)
         else:
             scaled = np.minimum(1.0, p * scale[:len(weights)])
@@ -1123,6 +1125,26 @@ def random_window(rng: np.random.Generator):
     return codes, probabilities, multiplier
 
 
+def gave_nan_before_zero_exemption(codes: np.ndarray,
+                                   probabilities: np.ndarray,
+                                   multiplier: float) -> bool:
+    """Whether the window read NaN while a ``p = 0`` error site still took
+    its burst scaling: such a site behind an overflowed ``multiplier **
+    k`` made ``0 * inf``, unless the window had failed outright before."""
+    with np.errstate(over="ignore"):
+        scale = multiplier ** np.arange(len(codes) + 1, dtype=float)
+    bursts_before = np.cumsum(codes == KIND_CODES[HEATING_BURST])
+    for site, (code, p) in enumerate(zip(codes.tolist(),
+                                         probabilities.tolist())):
+        if (p == 0.0 and code != KIND_CODES[HEATING_BURST]
+                and code != KIND_CODES[MEASURE_FLIP]
+                and scale[bursts_before[site]] == float("inf")):
+            return reference_window_log10_success(
+                codes[:site], probabilities[:site],
+                multiplier) > float("-inf")
+    return False
+
+
 class TestBurstDpMatchesReference:
     """The stretch-wise burst DP equals the per-site loop with ``==``."""
 
@@ -1145,23 +1167,47 @@ class TestBurstDpMatchesReference:
 
     def test_random_windows(self):
         rng = np.random.default_rng(2021)
-        outcomes = {"rescaled": 0, "-inf": 0, "nan": 0, "certain": 0,
+        outcomes = {"rescaled": 0, "-inf": 0, "was_nan": 0, "certain": 0,
                     "zero": 0}
         for _ in range(1500):
             codes, probabilities, multiplier = random_window(rng)
-            with np.errstate(invalid="ignore"):
-                actual = _window_log10_success(codes, probabilities,
-                                               multiplier)
-                expected = reference_window_log10_success(
-                    codes, probabilities, multiplier)
+            actual = _window_log10_success(codes, probabilities, multiplier)
+            expected = reference_window_log10_success(codes, probabilities,
+                                                      multiplier)
             assert _same_float(actual, expected), (codes, probabilities,
                                                    multiplier)
             outcomes["rescaled"] += float("-inf") < expected < -150.0
             outcomes["-inf"] += expected == float("-inf")
-            outcomes["nan"] += math.isnan(expected)
+            outcomes["was_nan"] += gave_nan_before_zero_exemption(
+                codes, probabilities, multiplier)
             outcomes["certain"] += bool((probabilities == 1.0).any())
             outcomes["zero"] += bool((probabilities == 0.0).any())
         assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("multiplier", [1.0, 1.5, 1e3, 1e300])
+    def test_zero_probability_site_changes_nothing(self, multiplier):
+        """An error site that never fails leaves a window's log10 success
+        as it is, also behind bursts whose ``multiplier ** k`` overflows."""
+        burst, pauli = KIND_CODES[HEATING_BURST], KIND_CODES[PAULI_1Q]
+        error_codes = [KIND_CODES[kind] for kind in SITE_KINDS
+                       if kind != HEATING_BURST]
+        # (window codes, probabilities, where the site goes, its kind)
+        cases = [(np.array([burst, burst, pauli]),
+                  np.array([0.5, 0.5, 1e-3]), 3, pauli)]
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            codes, probabilities, _ = random_window(rng)
+            cases.append((codes, probabilities,
+                          int(rng.integers(len(codes) + 1)),
+                          rng.choice(error_codes)))
+        for codes, probabilities, site, code in cases:
+            padded_codes = np.insert(codes, site, code)
+            padded = np.insert(probabilities, site, 0.0)
+            for window_log10 in (_window_log10_success,
+                                 reference_window_log10_success):
+                assert window_log10(padded_codes, padded, multiplier) == \
+                    window_log10(codes, probabilities, multiplier), (
+                        codes, probabilities, site)
 
 
 class TestSpectatorsMatchScan:

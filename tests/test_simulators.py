@@ -1,13 +1,17 @@
-"""Tests for the noisy architectural simulators (TILT and Ideal TI)."""
+"""Tests for the noisy architectural simulators (TILT and Ideal TI) and
+the front door they share with QCCD."""
 
 import pytest
 
 from repro.arch.ideal import IdealTrappedIonDevice
+from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
 from repro.compiler.pipeline import CompilerConfig, compile_for_tilt
+from repro.compiler.qccd_compiler import compile_for_qccd
 from repro.exceptions import SimulationError
 from repro.noise.parameters import NoiseParameters
 from repro.sim.ideal_sim import IdealSimulator
+from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.tilt_sim import TiltSimulator
 from repro.workloads.bv import bv_workload
 from repro.workloads.qaoa import qaoa_workload
@@ -167,3 +171,40 @@ class TestCrossArchitectureShape:
         simulator = TiltSimulator(tilt16, noise)
         assert (simulator.run(linq).log10_success_rate
                 >= simulator.run(baseline).log10_success_rate)
+
+
+def _unrunnable(kind: str):
+    """A simulator and a program it must reject: one compiled for another
+    device (TILT, QCCD) or a circuit wider than the device (ideal)."""
+    noise = NoiseParameters.paper_defaults()
+    circuit = bv_workload(8)
+    if kind == "tilt":
+        program = compile_for_tilt(circuit,
+                                   TiltDevice(num_qubits=8, head_size=4))
+        return TiltSimulator(TiltDevice(num_qubits=8, head_size=2),
+                             noise), program
+    if kind == "qccd":
+        program = compile_for_qccd(circuit,
+                                   QccdDevice(num_qubits=8, trap_capacity=3))
+        return QccdSimulator(QccdDevice(num_qubits=8, trap_capacity=4),
+                             noise), program
+    return IdealSimulator(IdealTrappedIonDevice(num_qubits=4), noise), circuit
+
+
+ENTRY_POINTS = {
+    "run": lambda simulator, program: simulator.run(program),
+    "run_crosstalk": lambda simulator, program: simulator.run(
+        program, scenario="crosstalk"),
+    "build_sampler": lambda simulator, program: simulator.build_sampler(
+        program),
+    "run_stochastic": lambda simulator, program: simulator.run_stochastic(
+        program, shots=4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["tilt", "ideal", "qccd"])
+def test_every_entry_point_rejects_what_the_device_cannot_run(kind, entry):
+    simulator, program = _unrunnable(kind)
+    with pytest.raises(SimulationError):
+        ENTRY_POINTS[entry](simulator, program)
