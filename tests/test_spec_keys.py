@@ -15,8 +15,10 @@
   run, so the fixture and the dataclass can only change together.
 * ``result_digests`` — SHA-256 digests of what the same specs compute
   (their :func:`~repro.exec.jobs.result_to_json`), plus the small-scale
-  Table III and Figure 8 rows and the paper-scale Figure 6, Figure 8
-  and Table III rows, recorded under ``result_semantics_version``.  Wall-clock fields are left out and
+  Table III and Figure 8 rows, the paper-scale Figure 6, Figure 8
+  and Table III rows, and the scenario study's rows (small scale
+  sampled at 2,000 shots, paper scale analytic), recorded under
+  ``result_semantics_version``.  Wall-clock fields are left out and
   floats are rounded to 10 significant digits, so the digests agree
   across machines and interpreters.  A digest that moves while the
   recorded version equals
@@ -48,6 +50,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import experiments
+from repro.analysis.scenario_study import scenario_comparison
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
@@ -205,6 +208,9 @@ def current_result_digests() -> dict:
     rows = {
         "table3_small": experiments.table3("small", engine=engine),
         "figure8_small": experiments.figure8("small", engine=engine),
+        "scenarios_small": scenario_comparison("small", shots=2000,
+                                               engine=engine),
+        "scenarios_paper": scenario_comparison("paper", engine=engine),
         **paper_scale_rows(),
     }
     return {
