@@ -22,59 +22,59 @@ Quickstart::
     toolflow = LinQ(TiltDevice(num_qubits=64, head_size=16))
     report = toolflow.run(workloads.qft_workload(64))
     print(report.summary())
+
+Every name in ``__all__`` loads on first use (PEP 562): ``import
+repro`` runs no runtime layer, so the linter (``python -m
+repro.devtools.lint``) works on a tree whose runtime cannot import.
 """
 
-from repro import arch, circuits, compiler, core, noise, search, sim, workloads
-from repro import exec as exec_  # noqa: A004 - the subpackage is repro.exec
-from repro.arch import IdealTrappedIonDevice, QccdDevice, TiltDevice
-from repro.circuits import Circuit, Gate
-from repro.compiler import (
-    CompileResult,
-    CompilerConfig,
-    LinQCompiler,
-    QccdCompiler,
-    compile_for_qccd,
-    compile_for_tilt,
-)
-from repro.core import (
-    LinQ,
-    LinQRunReport,
-    compare_architectures,
-    max_swap_len_sweep,
-    tilt_vs_qccd_ratios,
-)
-from repro.exec import (
-    ExecutionEngine,
-    JobResult,
-    JobSpec,
-    ResultCache,
-    RunManifest,
-    RunStore,
-    read_manifest,
-    run_jobs,
-    run_sampled_job,
-)
-from repro.exceptions import (
-    CircuitError,
-    CompilationError,
-    DeviceError,
-    QasmError,
-    ReproError,
-    RoutingError,
-    SchedulingError,
-    SimulationError,
-)
-from repro.noise import NoiseParameters
-from repro.sim import (
-    IdealSimulator,
-    QccdSimulator,
-    ShotResult,
-    SimulationResult,
-    StatevectorSimulator,
-    TiltSimulator,
-    merge_shot_results,
-)
+import importlib
+
 from repro.version import __version__
+
+#: The public names each module exports here.
+_EXPORTS = {
+    "repro.arch": ("IdealTrappedIonDevice", "QccdDevice", "TiltDevice"),
+    "repro.circuits": ("Circuit", "Gate"),
+    "repro.compiler": ("CompileResult", "CompilerConfig", "LinQCompiler",
+                       "QccdCompiler", "compile_for_qccd",
+                       "compile_for_tilt"),
+    "repro.core": ("LinQ", "LinQRunReport", "compare_architectures",
+                   "max_swap_len_sweep", "tilt_vs_qccd_ratios"),
+    "repro.exec": ("ExecutionEngine", "JobResult", "JobSpec", "ResultCache",
+                   "RunManifest", "RunStore", "read_manifest", "run_jobs",
+                   "run_sampled_job"),
+    "repro.exceptions": ("CircuitError", "CompilationError", "DeviceError",
+                         "QasmError", "ReproError", "RoutingError",
+                         "SchedulingError", "SimulationError"),
+    "repro.noise": ("NoiseParameters",),
+    "repro.sim": ("IdealSimulator", "QccdSimulator", "ShotResult",
+                  "SimulationResult", "StatevectorSimulator",
+                  "TiltSimulator", "merge_shot_results"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+#: The subpackages exported by name (``exec_`` is :mod:`repro.exec`).
+_SUBPACKAGES = {"arch": "arch", "circuits": "circuits",
+                "compiler": "compiler", "core": "core", "exec_": "exec",
+                "noise": "noise", "search": "search", "sim": "sim",
+                "workloads": "workloads"}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        value = importlib.import_module(f"repro.{_SUBPACKAGES[name]}")
+    elif name in _HOMES:
+        value = getattr(importlib.import_module(_HOMES[name]), name)
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "Circuit",

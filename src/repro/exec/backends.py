@@ -23,8 +23,8 @@ results; they differ only in wall-clock time (``tests/test_backends.py``
 pins this). The same purity lets the jobs of one loop share work: a
 serial batch, a pool chunk or the engine's serial fallback runs its jobs
 through one :class:`CompileMemo`, so consecutive jobs lower a circuit,
-compile a program and build its shot sampler once (the engine orders
-jobs so that consecutive ones match).
+compile a program, replay it under one noise model and build its shot
+sampler once (the engine orders jobs so that consecutive ones match).
 
 Any other object satisfying the :class:`Backend` protocol can be handed
 to ``ExecutionEngine(backend=...)`` and is used exactly as constructed.
@@ -51,7 +51,7 @@ from repro.noise.parameters import NoiseParameters
 from repro.noise.scenarios import get_scenario
 from repro.obs.profile import start_job_profile
 from repro.obs.trace import activate, current_trace, worker_recorder
-from repro.sim.base import Simulator
+from repro.sim.base import Recording, Simulator
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.stochastic import StochasticSampler
@@ -86,7 +86,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Compile sharing: one lowering, compiled program and sampler per loop
+# Compile sharing: one lowering, program, replay and sampler per loop
 # ----------------------------------------------------------------------
 #: The simulator each toolchain runs its compiled program on.
 _SIMULATORS: dict[str, type[Simulator]] = {
@@ -128,25 +128,25 @@ def _compile_key(spec: JobSpec) -> tuple:
     return spec.backend, spec.device
 
 
-def _sampler_key(spec: JobSpec) -> tuple:
-    """What *spec*'s shot sampler depends on besides its lowering.
-
-    Its compile key (the device, even for the ideal reference) and the
-    resolved noise and scenario.  Shots, seed and shot offset are
-    absent: each run of the sampler takes them.
-    """
-    noise = spec.noise or NoiseParameters.paper_defaults()
-    return _compile_key(spec), noise, get_scenario(spec.scenario)
+def _recording_key(spec: JobSpec) -> tuple:
+    """What *spec*'s replay depends on besides its lowering: its compile
+    key (the device, even for the ideal reference) and the resolved
+    noise.  The scenario is absent: a recording serves every one."""
+    return _compile_key(spec), spec.noise or NoiseParameters.paper_defaults()
 
 
 class CompileMemo:
-    """The latest lowering, compiled program and sampler of one loop.
+    """The latest lowering, compiled program, replay and sampler of one
+    loop.
 
     Compilation is seeded and pure, so jobs with one circuit can share
     its lowering, and jobs that also share a :func:`_compile_key` can
-    share its compiled program, and sampled jobs with one
-    :func:`_sampler_key` its built shot sampler.  The memo holds one of
-    each.  That is enough because the engine hands a backend its jobs in
+    share its compiled program.  Jobs that also share the resolved noise
+    (a :func:`_recording_key`) share one replay of that program, a
+    :class:`~repro.sim.base.Recording` every sampler build and scenario
+    ``run`` reads, and sampled jobs with the same scenario too share
+    their built shot sampler.  The memo holds one of each.  That is
+    enough because the engine hands a backend its jobs in
     :func:`sharing_order`, and it keeps a loop's memory at that of a
     single job.  Each loop owns its memo: a serial batch, a pool chunk
     or the engine's serial fallback.  Nothing is shared across batches,
@@ -157,6 +157,7 @@ class CompileMemo:
         self._lowered: tuple[JobSpec, Circuit] | None = None
         self._compiled: (tuple[tuple, CompileResult | QccdProgram]
                          | None) = None
+        self._recording: tuple[tuple, Recording] | None = None
         self._sampler: tuple[tuple, StochasticSampler] | None = None
 
     def native(self, spec: JobSpec) -> Circuit:
@@ -168,7 +169,8 @@ class CompileMemo:
                                      strip_barriers=strip_barriers,
                                      merge_rotations=merge_rotations)
             held = self._lowered = (spec, native)
-            self._compiled = self._sampler = None  # from the old circuit
+            # from the old circuit
+            self._compiled = self._recording = self._sampler = None
         return held[1]
 
     def compiled(self, spec: JobSpec) -> CompileResult | QccdProgram:
@@ -184,6 +186,17 @@ class CompileMemo:
                 program = QccdCompiler(spec.device).compile(
                     spec.circuit, native=native)
             held = self._compiled = (key, program)
+            self._recording = None  # of the old program
+        return held[1]
+
+    def recording(self, spec: JobSpec) -> Recording:
+        """The replay of *spec*'s program under its noise, shared by the
+        loop's jobs; empty until the first entry point handed it
+        replays."""
+        key = _recording_key(spec)
+        held = self._recording
+        if held is None or held[0] != key:
+            held = self._recording = (key, Recording())
         return held[1]
 
     def sampler(self, spec: JobSpec, simulator: Simulator,
@@ -191,27 +204,29 @@ class CompileMemo:
                 inputs: dict) -> StochasticSampler:
         """*spec*'s shot sampler, built by *simulator* from what
         :func:`execute_spec` hands it (*program* and *inputs*)."""
-        key = _sampler_key(spec)
+        key = _recording_key(spec), get_scenario(spec.scenario)
         held = self._sampler
         if held is None or held[0] != key:
-            built = simulator.build_sampler(program, scenario=key[2],
-                                            **inputs)
+            built = simulator.build_sampler(
+                program, scenario=key[1], recording=self.recording(spec),
+                **inputs)
             held = self._sampler = (key, built)
         return held[1]
 
 
 def sharing_order(jobs: Sequence[Job]) -> list[Job]:
-    """*jobs* grouped by lowering, compile key and sampler key.
+    """*jobs* grouped by lowering, compile key, noise and scenario.
 
     Jobs whose circuit (and lowering options) match sit together, within
-    that group jobs with one :func:`_compile_key`, and within those jobs
-    with one :func:`_sampler_key`.  So a one-slot :class:`CompileMemo`
-    lowers each circuit, compiles each key and builds each sampler once.
-    Groups and the jobs inside them keep first-seen order, so the plan
-    depends only on the batch.  The engine hands every backend its jobs
-    in this order.
+    that group jobs with one :func:`_compile_key`, within those jobs
+    with one resolved noise, and within those jobs with one scenario.
+    So a one-slot :class:`CompileMemo` lowers each circuit, compiles
+    each key, replays each program once per noise and builds each
+    sampler once.  Groups and the jobs inside them keep first-seen
+    order, so the plan depends only on the batch.  The engine hands
+    every backend its jobs in this order.
     """
-    groups: list[tuple[JobSpec, dict[tuple, dict[tuple, list[Job]]]]] = []
+    groups: list[tuple[JobSpec, dict[tuple, dict]]] = []
     by_identity: dict[tuple[int, tuple[bool, bool]], dict] = {}
     for job in jobs:
         spec = job[1]
@@ -224,10 +239,12 @@ def sharing_order(jobs: Sequence[Job]) -> list[Job]:
                 group = {}
                 groups.append((spec, group))
             by_identity[identity] = group
-        group.setdefault(_compile_key(spec), {}).setdefault(
-            _sampler_key(spec), []).append(job)
-    return [job for _, group in groups for samplers in group.values()
-            for members in samplers.values() for job in members]
+        compile_key, noise = _recording_key(spec)
+        group.setdefault(compile_key, {}).setdefault(noise, {}).setdefault(
+            get_scenario(spec.scenario), []).append(job)
+    return [job for _, group in groups for noises in group.values()
+            for scenarios in noises.values()
+            for members in scenarios.values() for job in members]
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +263,8 @@ def execute_spec(spec: JobSpec, key: str | None = None,
     :class:`CompileMemo`; without one the job lowers, compiles and
     builds its sampler for itself.  Sampling still enters through the
     simulator's ``run_stochastic(scenario=...)``, handed the memo's
-    sampler.
+    sampler, and a scenario ``run`` is handed the memo's recording (an
+    analytic baseline ``run`` records nothing).
     """
     key = key or spec_key(spec)
     memo = memo if memo is not None else CompileMemo()
@@ -295,8 +313,10 @@ def execute_spec(spec: JobSpec, key: str | None = None,
                 )
                 simulation = shot.analytic
             else:
+                recording = (None if scenario.is_baseline
+                             else memo.recording(spec))
                 simulation = simulator.run(program, scenario=scenario,
-                                           **inputs)
+                                           recording=recording, **inputs)
         if profiler is not None:
             span.add(profile=profiler.finish())
     wall_time = time.perf_counter() - start

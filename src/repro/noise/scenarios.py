@@ -19,11 +19,13 @@ configuration of the three mechanisms, and a process-wide registry maps
 names (``"baseline"``, ``"crosstalk"``, ``"leakage"``,
 ``"heating_burst"``, ``"worst_case"``) to configs.  A simulator's one
 replay emits its execution timeline as columns (a :class:`Timeline`: per
-executed gate its fidelity and burst-coupling window, the spectators a
-crosstalk kick can reach, the shuttles), and :meth:`Timeline.site_table`
-expands those columns with numpy into the
-:class:`~repro.noise.channels.SiteTable` the stochastic sampler
-consumes: each gate's Eq. 4 site plus the scenario's extra ones.  The
+executed gate its fidelity, burst-coupling window and chain, the ions a
+crosstalk kick can travel along; the shuttles).  The recording is the
+same under every scenario, so one replay of a program serves them all:
+:meth:`Timeline.site_table` expands it with numpy into one scenario's
+:class:`~repro.noise.channels.SiteTable`, the one the stochastic sampler
+consumes: each gate's Eq. 4 site plus the scenario's extra ones, with
+crosstalk spectators found on the recorded chains.  The
 analytic counterpart, :func:`scenario_analytics`, reads the same table
 and computes the *exact* closed-form success rate of the correlated
 model — bursts are handled by a per-window dynamic program over the
@@ -292,83 +294,121 @@ register_scenario(compose_scenarios(
 # ----------------------------------------------------------------------
 # Execution timeline -> error sites
 # ----------------------------------------------------------------------
-def chain_spectators(qubits: Sequence[int], window: range,
-                     max_distance: int) -> tuple[tuple[int, int], ...]:
-    """The ``(ion, distance)`` spectator pairs of a gate in a chain window.
-
-    *window* is the contiguous run of ions the gate's chain exposes.
-    Distance is the ion's separation from the nearest gate operand; only
-    spectators within *max_distance* are returned, sorted by ion index.
-    Only ions within *max_distance* of an operand can qualify, so those
-    are the only ones looked at, operand by operand from the left.
-    """
-    operands = sorted(set(qubits))
-    spectators = []
-    start = window.start
-    for operand in operands:
-        for ion in range(max(start, operand - max_distance),
-                         min(window.stop, operand + max_distance + 1)):
-            distance = min([abs(ion - qubit) for qubit in operands])
-            if distance:
-                spectators.append((ion, distance))
-        start = max(start, operand + max_distance + 1)
-    return tuple(spectators)
-
-
 @dataclass
 class Timeline:
     """A simulator replay's execution timeline, as columns.
 
     Row ``i`` of the per-gate columns is the ``i``-th executed gate: the
-    gate itself, its Eq. 4 fidelity and the burst-coupling window it
-    runs in (its row number doubles as the injection index for counts
-    sampling).  ``spectators`` holds flat ``(gate, ion, distance)``
-    triples, the ions a crosstalk kick from that gate can reach, and is
-    only filled when ``crosstalk_range`` is positive.  ``shuttles``
-    holds flat ``(gate position, move, window)`` triples: the 1-based
-    move (TILT tape move, QCCD transport) runs before the gate of that
-    row, and the burst it may deposit lives in that window.
+    gate itself, its Eq. 4 fidelity, the burst-coupling window it runs
+    in (its row number doubles as the injection index for counts
+    sampling) and its chain, an index into ``chain_ions``: the ions, in
+    chain order, a crosstalk kick from the gate can travel along.
+    ``shuttles`` holds flat ``(gate position, move, window)`` triples:
+    the 1-based move (TILT tape move, QCCD transport) runs before the
+    gate of that row, and the burst it may deposit lives in that window.
 
-    A replay given a timeline appends to it as it executes;
-    :meth:`site_table` expands it into error sites.
+    The columns are the same whatever the scenario, so one recording
+    serves every scenario's :meth:`site_table`.  A replay given a
+    timeline appends to it as it executes.
     """
 
-    crosstalk_range: int = 0
     gates: list[Gate] = field(default_factory=list)
     fidelities: list[float] = field(default_factory=list)
     windows: list[int] = field(default_factory=list)
-    spectators: list[int] = field(default_factory=list)
+    chains: list[int] = field(default_factory=list)
+    chain_ions: list[tuple[int, ...]] = field(default_factory=list)
     shuttles: list[int] = field(default_factory=list)
+    _columns: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
-    @classmethod
-    def for_scenario(cls, scenario: NoiseScenario) -> "Timeline":
-        """An empty timeline that records what *scenario* reads."""
-        crosstalk = scenario.crosstalk_strength > 0.0
-        return cls(crosstalk_range=scenario.crosstalk_range if crosstalk
-                   else 0)
+    def add_chain(self, ions: Sequence[int]) -> int:
+        """Record a chain of *ions* in chain order; returns its index."""
+        self.chain_ions.append(tuple(ions))
+        return len(self.chain_ions) - 1
 
     def add_shuttle(self, move: int, window: int) -> None:
         """Record move *move*, run before the next gate, in *window*."""
         self.shuttles.extend((len(self.gates), move, window))
 
-    def add_spectators(self, gate: int,
-                       pairs: Sequence[tuple[int, int]]) -> None:
-        """Record the ``(ion, distance)`` spectators of gate row *gate*."""
-        for ion, distance in pairs:
-            self.spectators.extend((gate, ion, distance))
+    def close_block(self, window: int, ions: Sequence[int]) -> None:
+        """Put every gate recorded since the last call in *window*, on
+        the chain of *ions*."""
+        rows = len(self.gates) - len(self.windows)
+        self.windows.extend([window] * rows)
+        self.chains.extend([self.add_chain(ions)] * rows)
 
-    def close_block(self, window: int, ions: range) -> None:
-        """Put every gate recorded since the last call in *window*, and
-        record the spectators of its two-qubit gates among *ions*."""
-        start = len(self.windows)
-        gates = self.gates
-        self.windows.extend([window] * (len(gates) - start))
-        if self.crosstalk_range:
-            for row in range(start, len(gates)):
-                gate = gates[row]
-                if len(gate.qubits) == 2 and gate.name != "barrier":
-                    self.add_spectators(row, chain_spectators(
-                        gate.qubits, ions, self.crosstalk_range))
+    def _gate_columns(self) -> tuple:
+        """``(fidelities, windows, widths, barrier, measure, pair,
+        operands)`` of the recorded gates, extracted once per recording:
+        ``operands`` holds the first two qubits of each gate (``-1``
+        padded), and ``pair`` marks the two-qubit gates other than
+        barriers."""
+        count = len(self.gates)
+        if self._columns is not None and self._columns[0] == count:
+            return self._columns[1]
+        qubit_lists = [gate.qubits for gate in self.gates]
+        names = np.array([gate.name for gate in self.gates], dtype=str)
+        widths = np.fromiter(map(len, qubit_lists), dtype=np.int64,
+                             count=count)
+        barrier = names == "barrier"
+        operands = np.full((count, 2), -1, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(qubit_lists), dtype=np.int64,
+                           count=int(widths.sum()))
+        starts = np.cumsum(widths) - widths
+        for column, present in enumerate(((widths == 1) | (widths == 2),
+                                          widths == 2)):
+            operands[present, column] = flat[starts[present] + column]
+        columns = (np.array(self.fidelities, dtype=float),
+                   np.array(self.windows, dtype=np.int64), widths, barrier,
+                   names == "measure", (widths == 2) & ~barrier, operands)
+        self._columns = (count, columns)
+        return columns
+
+    def spectators(self, max_distance: int) -> tuple[np.ndarray, ...]:
+        """``(rows, ions, distances)`` of every spectator: an ion of a
+        two-qubit gate's chain at 1 to *max_distance* places from the
+        gate's nearer operand, per gate by ascending ion.
+
+        Only the ions within *max_distance* of an operand are looked
+        at, so a range longer than a chain costs what the chain does.
+        """
+        *_, pair, operands = self._gate_columns()
+        rows = np.flatnonzero(pair)
+        lengths = np.fromiter(map(len, self.chain_ions), dtype=np.int64,
+                              count=len(self.chain_ions))
+        ions = np.fromiter(chain.from_iterable(self.chain_ions),
+                           dtype=np.int64, count=int(lengths.sum()))
+        first = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        position = np.full((lengths.size, max(int(ions.max(initial=-1)),
+                                              int(operands.max(initial=-1)))
+                            + 1), -1, dtype=np.int64)
+        position[owner, ions] = np.arange(ions.size) - first[owner]
+        chains = np.array(self.chains, dtype=np.int64)[rows]
+        at = position[chains[:, None], operands[rows]]
+        if (at < 0).any():
+            raise SimulationError("a gate's operand is not on its chain")
+        low, high, length = at.min(axis=1), at.max(axis=1), lengths[chains]
+        # the ions within range of the lower operand, then the rest of
+        # those within range of the higher one
+        start = np.maximum(low - max_distance, 0)
+        split = np.minimum(low + max_distance + 1, length)
+        later = np.maximum(high - max_distance, split)
+        near = split - start
+        counts = near + np.maximum(
+            np.minimum(high + max_distance + 1, length) - later, 0)
+        gate = np.repeat(np.arange(rows.size), counts)
+        offset = np.arange(gate.size) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        place = np.where(offset < near[gate], start[gate] + offset,
+                         later[gate] + offset - near[gate])
+        distances = np.minimum(np.abs(place - low[gate]),
+                               np.abs(place - high[gate]))
+        spectator = distances > 0
+        gate, distances = gate[spectator], distances[spectator]
+        found = ions[first[chains[gate]] + place[spectator]]
+        order = np.lexsort((found, gate))
+        return rows[gate[order]], found[order], distances[order]
 
     def site_table(self, scenario: NoiseScenario) -> SiteTable:
         """The full (base + scenario) error-site table of the timeline.
@@ -378,26 +418,18 @@ class Timeline:
         program relies on: a burst only scales sites that appear *after*
         it and share its window.  Per gate the order is: the base Eq. 4
         site (``1 - fidelity``; none for a barrier or a perfect gate),
-        then crosstalk kicks (by spectator ion), then leakage sites (by
-        operand order); each burst sits at its shuttle, before the next
-        gate's sites.  Barriers and measurements carry no crosstalk or
-        leakage site.
+        then crosstalk kicks (by :meth:`spectators`), then leakage sites
+        (by operand order); each burst sits at its shuttle, before the
+        next gate's sites.  Barriers and measurements carry no crosstalk
+        or leakage site.
         """
-        gates = self.gates
-        count = len(gates)
-        fidelities = np.array(self.fidelities, dtype=float)
-        windows = np.array(self.windows, dtype=np.int64)
+        (fidelities, windows, widths, barrier, measure, pair,
+         operands) = self._gate_columns()
+        count = len(self.gates)
         if fidelities.shape != (count,) or windows.shape != (count,):
             raise SimulationError(
                 "a timeline needs one fidelity and one window per gate"
             )
-        qubit_lists = [gate.qubits for gate in gates]
-        names = np.array([gate.name for gate in gates], dtype=str)
-        widths = np.fromiter(map(len, qubit_lists), dtype=np.int64,
-                             count=count)
-        barrier = names == "barrier"
-        measure = names == "measure"
-        pair = (widths == 2) & ~barrier
         leakage_rate_1q = scenario.leakage_rate_1q
         leakage_rate_2q = scenario.leakage_rate_2q
         leakage = leakage_rate_1q > 0.0 or leakage_rate_2q > 0.0
@@ -413,16 +445,9 @@ class Timeline:
                     f"fidelity {self.fidelities[first]} outside [0, 1]"
                 )
             raise SimulationError(
-                f"gate {gates[first].name!r} must be decomposed before "
+                f"gate {self.gates[first].name!r} must be decomposed before "
                 "stochastic noise evaluation"
             )
-        operands = np.full((count, 2), -1, dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(qubit_lists), dtype=np.int64,
-                           count=int(widths.sum()))
-        starts = np.cumsum(widths) - widths
-        for column, present in enumerate(((widths == 1) | (widths == 2),
-                                          widths == 2)):
-            operands[present, column] = flat[starts[present] + column]
 
         # One part per site family, each in gate order: (sort key, kind
         # code, probability, window, index, qubits).  The key orders
@@ -451,16 +476,15 @@ class Timeline:
                                      KIND_CODES[PAULI_1Q])),
                    1.0 - fidelities[base], operands[base])
         if scenario.crosstalk_strength > 0.0:
-            triples = np.array(self.spectators, dtype=np.int64).reshape(-1, 3)
-            triples = triples[pair[triples[:, 0]]]
-            distances = sorted(set(triples[:, 2].tolist()))
-            kicks = np.array([scenario.crosstalk_probability(distance)
-                              for distance in distances], dtype=float)[
-                np.searchsorted(distances, triples[:, 2])]
+            rows, ions, distance = self.spectators(scenario.crosstalk_range)
+            distances = sorted(set(distance.tolist()))
+            kicks = np.array([scenario.crosstalk_probability(d)
+                              for d in distances], dtype=float)[
+                np.searchsorted(distances, distance)]
             reached = kicks > 0.0
-            gate_sites(triples[reached, 0], 2,
+            gate_sites(rows[reached], 2,
                        np.full(int(reached.sum()), KIND_CODES[CROSSTALK]),
-                       kicks[reached], _single(triples[reached, 1]))
+                       kicks[reached], _single(ions[reached]))
         if leakage:
             rates = np.where(widths == 2, leakage_rate_2q, leakage_rate_1q)
             leaky = ~barrier & ~measure & (rates > 0.0)

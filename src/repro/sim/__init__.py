@@ -4,8 +4,8 @@ the shot-based stochastic (Monte-Carlo) noise subsystem.
 The three noisy models share one front door,
 :class:`repro.sim.base.Simulator`: ``run``, ``build_sampler`` and
 ``run_stochastic`` are written once over each model's single replay of
-its program, which also records the execution timeline under a
-scenario.
+its program, which also records the execution timeline: one recording
+(a :class:`repro.sim.base.Recording`) serves every scenario.
 """
 
 from repro.sim.ideal_sim import IdealSimulator

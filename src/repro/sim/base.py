@@ -9,12 +9,18 @@ replay's timeline (:meth:`~Simulator.build_sampler`) and a sampled
 supplies the replay (:meth:`~Simulator._simulate`, which also checks
 that the program fits the device) and, where sampled counts need it,
 their relabelling (:meth:`~Simulator._relabel`).  Keyword options of the
-entry points other than the scenario and the sampling arguments
-(``circuit_name=``, ``native=``) go to the replay.
+entry points other than the scenario, the sampling arguments and the
+recording (``circuit_name=``, ``native=``) go to the replay.
+
+The recorded timeline does not depend on the scenario, so every sampler
+build and scenario ``run`` of one program under one noise model can
+share one replay: a caller hands them the same :class:`Recording`
+(``recording=``), and the first of them replays into it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 from repro.arch.device import DeviceSpec
@@ -31,6 +37,17 @@ from repro.sim.stochastic import (
     ShotResult,
     StochasticSampler,
 )
+
+
+@dataclass
+class Recording:
+    """One replay of a program under one noise model: its timeline, its
+    baseline result and the width of the register it ran on.  Empty
+    until the first entry point handed it replays into it."""
+
+    timeline: Timeline | None = None
+    result: SimulationResult | None = None
+    num_qubits: int = 0
 
 
 class Simulator:
@@ -59,8 +76,21 @@ class Simulator:
         sampled unless a subclass knows better."""
         return shot
 
+    def _recorded(self, program: Any, recording: Recording | None,
+                  options: dict) -> Recording:
+        """*recording*, replayed into first if it is empty (a new one
+        when it is ``None``)."""
+        if recording is None:
+            recording = Recording()
+        if recording.result is None:
+            recording.timeline = Timeline()
+            recording.result, recording.num_qubits = self._simulate(
+                program, recording.timeline, **options)
+        return recording
+
     def run(self, program: Any, *,
             scenario: NoiseScenario | str | None = None,
+            recording: Recording | None = None,
             **options: Any) -> SimulationResult:
         """Success rate and run time of *program* on this device.
 
@@ -70,18 +100,19 @@ class Simulator:
         exactly, without recording a timeline.  Non-baseline scenarios
         adjust the success rate with the exact correlated-noise
         analytics and surface per-mechanism site telemetry in
-        ``extras``.
+        ``extras``; they read *recording*, this program's replay under
+        this simulator's noise, when one is given.
         """
         scenario = resolve_scenario(scenario)
         if scenario.is_baseline:
             return self._simulate(program, None, **options)[0]
-        timeline = Timeline.for_scenario(scenario)
-        result, _ = self._simulate(program, timeline, **options)
-        return scenario_analytics(timeline.site_table(scenario),
-                                  scenario).apply_to(result)
+        recording = self._recorded(program, recording, options)
+        return scenario_analytics(recording.timeline.site_table(scenario),
+                                  scenario).apply_to(recording.result)
 
     def build_sampler(self, program: Any, *,
                       scenario: NoiseScenario | str | None = None,
+                      recording: Recording | None = None,
                       **options: Any) -> StochasticSampler:
         """The :class:`StochasticSampler` of *program*.
 
@@ -89,13 +120,14 @@ class Simulator:
         error sites, the executed gate sequence, the analytic reference
         — without drawing a single shot, so callers that sample the same
         program repeatedly (shard fan-outs, throughput benchmarks) can
-        reuse one sampler across ``run`` calls.
+        reuse one sampler across ``run`` calls.  The sampler is built
+        over *recording* when one is given.
         """
         scenario = resolve_scenario(scenario)
-        timeline = Timeline.for_scenario(scenario)
-        analytic, num_qubits = self._simulate(program, timeline, **options)
-        return StochasticSampler.from_timeline(timeline, scenario, analytic,
-                                               num_qubits)
+        recording = self._recorded(program, recording, options)
+        return StochasticSampler.from_timeline(
+            recording.timeline, scenario, recording.result,
+            recording.num_qubits)
 
     def run_stochastic(self, program: Any, *, shots: int, seed: int = 0,
                        shot_offset: int = 0, sample_counts: bool = False,
@@ -121,7 +153,8 @@ class Simulator:
         shuttle-induced heating bursts.  ``None`` / ``"baseline"`` keeps
         the independent-error sampling unchanged.  A caller that already
         holds this program's :meth:`build_sampler` under the same
-        *scenario* passes it as *sampler*; otherwise it is built.
+        *scenario* passes it as *sampler*; otherwise it is built (over
+        ``recording=``, when one is given).
         """
         if sampler is None:
             sampler = self.build_sampler(program, scenario=scenario,

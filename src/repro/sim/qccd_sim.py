@@ -25,7 +25,7 @@ from repro.noise.fidelity import (
 )
 from repro.noise.gate_times import two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState
-from repro.noise.scenarios import Timeline, chain_spectators
+from repro.noise.scenarios import Timeline
 from repro.sim.base import Simulator
 from repro.sim.result import SimulationResult
 
@@ -61,10 +61,10 @@ class QccdSimulator(Simulator):
         The success fold counts the gates; the result's extras hold each
         trap's final quanta and its transport-primitive count.  Given a
         *timeline*, the replay also records the execution timeline into
-        it: every gate with its fidelity and its trap as burst-coupling
-        window, in event order, and every transport as a shuttle.
-        Crosstalk spectators are the other ions sharing the trap at gate
-        time (with their in-chain distance to the nearest operand).
+        it: every gate with its fidelity, its trap as burst-coupling
+        window and the trap's membership at gate time as its chain (the
+        ions a crosstalk kick can reach, in the trap's chain order), in
+        event order, and every transport as a shuttle.
         QCCD's per-transport sympathetic cooling is *partial*
         (``qccd_cooling_factor``), so it never clears an active burst —
         windows span the whole program.
@@ -80,7 +80,8 @@ class QccdSimulator(Simulator):
             trap: ChainHeatingState(self.params, max(1, len(ions)))
             for trap, ions in enumerate(members)
         }
-        spectator_range = 0 if timeline is None else timeline.crosstalk_range
+        if timeline is not None:
+            chain_of = [timeline.add_chain(ions) for ions in members]
         cost_of = FidelityTable(self.params).cost
         # Gates that heating cannot reach cost the same everywhere: by name.
         resting: dict[str, GateCost] = {}
@@ -107,13 +108,7 @@ class QccdSimulator(Simulator):
                     timeline.gates.append(gate)
                     timeline.fidelities.append(fidelity)
                     timeline.windows.append(trap)
-                    if spectator_range and len(gate.qubits) == 2:
-                        timeline.add_spectators(
-                            len(timeline.gates) - 1,
-                            self._trap_spectators(members[trap],
-                                                  gate.qubits,
-                                                  spectator_range),
-                        )
+                    timeline.chains.append(chain_of[trap])
                 fold(fidelity, log_term)
                 execution_time += duration
             if event is None:
@@ -129,13 +124,14 @@ class QccdSimulator(Simulator):
             source.apply_cooling()
             dest.apply_cooling()
             execution_time += COOLING_TIME_US
-            # Membership only feeds crosstalk spectator lookup, so
-            # the per-transport maintenance is skipped otherwise.
-            if spectator_range and event.qubit in members[event.source_trap]:
-                members[event.source_trap].remove(event.qubit)
-                members[event.dest_trap].append(event.qubit)
             num_transports += 1
             if timeline is not None:
+                # Membership only feeds the recorded chains.
+                if event.qubit in members[event.source_trap]:
+                    members[event.source_trap].remove(event.qubit)
+                    members[event.dest_trap].append(event.qubit)
+                for moved in (event.source_trap, event.dest_trap):
+                    chain_of[moved] = timeline.add_chain(members[moved])
                 # The deposited burst heats the chain the ion merged
                 # into.
                 timeline.add_shuttle(num_transports, event.dest_trap)
@@ -157,22 +153,3 @@ class QccdSimulator(Simulator):
             worst_gate_fidelity=success.worst_gate_fidelity,
             extras=extras,
         )
-
-    @staticmethod
-    def _trap_spectators(ions: list[int], operands: tuple[int, ...],
-                         max_distance: int) -> tuple[tuple[int, int], ...]:
-        """Spectator ``(ion, distance)`` pairs within one trap's chain.
-
-        Distance is measured along the trap's chain order (the membership
-        list), mirroring how close a spectator physically sits to the MS
-        gate's laser pair: the shared :func:`chain_spectators` runs in
-        position space and the positions map back to ion ids.
-        """
-        operand_positions = [ions.index(q) for q in operands if q in ions]
-        if not operand_positions:  # pragma: no cover - defensive
-            return ()
-        pairs = chain_spectators(operand_positions, range(len(ions)),
-                                 max_distance)
-        return tuple(sorted(
-            (ions[position], distance) for position, distance in pairs
-        ))

@@ -111,7 +111,7 @@ class GateReplay:
     call, the Eq. 5 per-qubit critical path.  Given a
     :class:`~repro.noise.scenarios.Timeline`, the same pass appends every
     gate and its fidelity to it; the caller closes each block of gates
-    with its window (:meth:`Timeline.close_block
+    with its window and chain (:meth:`Timeline.close_block
     <repro.noise.scenarios.Timeline.close_block>`).
     """
 

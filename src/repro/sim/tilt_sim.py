@@ -63,9 +63,9 @@ class TiltSimulator(Simulator):
 
         Given a *timeline*, the pass also records the one samplers and
         scenario results are built from: every gate with its Eq. 4
-        fidelity, its burst-coupling window and the spectator ions
-        under the laser head (crosstalk targets), and every tape move
-        between segments as a shuttle.  Windows follow the
+        fidelity, its burst-coupling window and the head window of its
+        segment as its chain (the ions a crosstalk kick can reach), and
+        every tape move between segments as a shuttle.  Windows follow the
         sympathetic-cooling intervals: moves ``1..interval`` share
         window 0, and so on — with cooling disabled the whole program is
         one window, so a burst persists to the end (Section II-B's

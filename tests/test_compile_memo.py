@@ -1,6 +1,7 @@
 """Compile sharing inside a batch: one lowering per circuit, one
-compile per (circuit, device, config) and one shot sampler per (program,
-noise, scenario), with results unchanged."""
+compile per (circuit, device, config), one replay per (program, noise)
+and one shot sampler per (program, noise, scenario), with results
+unchanged."""
 
 import dataclasses
 
@@ -27,14 +28,18 @@ from repro.workloads.qft import qft_workload
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count lowerings, compiles and sampler builds in this process.
+    """Count lowerings, compiles, replays and sampler builds in this
+    process.
 
     Every lowering calls ``decompose_to_native`` through
     :mod:`repro.compiler.pipeline`, so wrapping it there sees all of
-    them, whichever toolchain asked.  Every sampler comes from one of
-    the three simulators' ``build_sampler``.
+    them, whichever toolchain asked.  Every replay is a call of one of
+    the three simulators' ``_simulate`` (``recordings`` counts those
+    that record a timeline), and every sampler comes from their
+    ``build_sampler``.
     """
-    seen = {"lowerings": 0, "linq": 0, "qccd": 0, "samplers": 0}
+    seen = {"lowerings": 0, "linq": 0, "qccd": 0, "replays": 0,
+            "recordings": 0, "samplers": 0}
     decompose = pipeline.decompose_to_native
     linq_compile = LinQCompiler.compile
     qccd_compile = QccdCompiler.compile
@@ -51,6 +56,13 @@ def counts(monkeypatch):
         seen["qccd"] += 1
         return qccd_compile(self, *args, **kwargs)
 
+    def counting_replay(simulate):
+        def counting(self, program, timeline, **kwargs):
+            seen["replays"] += 1
+            seen["recordings"] += timeline is not None
+            return simulate(self, program, timeline, **kwargs)
+        return counting
+
     def counting_sampler(build_sampler):
         def counting(self, *args, **kwargs):
             seen["samplers"] += 1
@@ -61,6 +73,8 @@ def counts(monkeypatch):
     monkeypatch.setattr(LinQCompiler, "compile", counting_linq)
     monkeypatch.setattr(QccdCompiler, "compile", counting_qccd)
     for simulator in (TiltSimulator, IdealSimulator, QccdSimulator):
+        monkeypatch.setattr(simulator, "_simulate",
+                            counting_replay(simulator._simulate))
         monkeypatch.setattr(simulator, "build_sampler",
                             counting_sampler(simulator.build_sampler))
     return seen
@@ -97,7 +111,7 @@ class TestCompileSharing:
         assert len(specs) == 8
         shared = ExecutionEngine(workers=1).run(specs)
         assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
-                          "samplers": 2}
+                          "replays": 1, "recordings": 1, "samplers": 2}
         fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
         assert ([_structural(r) for r in shared]
                 == [_structural(r) for r in fresh])
@@ -115,8 +129,54 @@ class TestCompileSharing:
                  for noise in (quiet, noisy)]
         shared = ExecutionEngine(workers=1).run(specs)
         assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
-                          "samplers": 2}
+                          "replays": 2, "recordings": 2, "samplers": 2}
         assert shared[0].shot != shared[1].shot
+        fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
+        assert ([_structural(r) for r in shared]
+                == [_structural(r) for r in fresh])
+
+    def test_every_scenario_of_a_program_shares_one_replay(self, counts):
+        """Sampling one program under four scenarios, and running it
+        analytically under a fifth, replays it once on each of TILT,
+        QCCD and the ideal device."""
+        circuit = qft_workload(8)
+        programs = [
+            _tilt(circuit),
+            JobSpec(circuit=circuit,
+                    device=QccdDevice(num_qubits=8, trap_capacity=3),
+                    backend="qccd"),
+            JobSpec(circuit=circuit,
+                    device=IdealTrappedIonDevice(num_qubits=8),
+                    backend="ideal"),
+        ]
+        specs = [
+            dataclasses.replace(spec, scenario=scenario, shots=256, seed=11)
+            for spec in programs
+            for scenario in ("baseline", "crosstalk", "leakage",
+                             "heating_burst")
+        ] + [dataclasses.replace(spec, scenario="worst_case")
+             for spec in programs]
+        shared = ExecutionEngine(workers=1).run(specs)
+        assert counts == {"lowerings": 1, "linq": 1, "qccd": 1,
+                          "replays": 3, "recordings": 3, "samplers": 12}
+        fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
+        assert ([_structural(r) for r in shared]
+                == [_structural(r) for r in fresh])
+
+    def test_interleaved_noises_replay_once_per_noise(self, counts):
+        quiet = NoiseParameters.paper_defaults()
+        noisy = quiet.with_overrides(residual_gate_error=1e-3)
+        spec = _tilt(qft_workload(8), shots=128, seed=3)
+        specs = [dataclasses.replace(spec, noise=noise, scenario=scenario,
+                                     shots=shots)
+                 for scenario, shots in (("crosstalk", 128), ("leakage", 0),
+                                         ("heating_burst", 128))
+                 for noise in (quiet, noisy)]
+        shared = ExecutionEngine(workers=1).run(specs)
+        assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
+                          "replays": 2, "recordings": 2, "samplers": 4}
+        assert shared[0].shot != shared[1].shot
+        assert shared[2].simulation != shared[3].simulation
         fresh = [ExecutionEngine(workers=1).run_one(s) for s in specs]
         assert ([_structural(r) for r in shared]
                 == [_structural(r) for r in fresh])
@@ -127,8 +187,10 @@ class TestCompileSharing:
         assert [s.backend for s in specs] == [
             "tilt", "tilt", "ideal", "qccd", "qccd", "qccd"]
         ExecutionEngine(workers=1).run(specs)
+        # an analytic baseline batch replays each program, recording
+        # nothing
         assert counts == {"lowerings": 1, "linq": 2, "qccd": 3,
-                          "samplers": 0}
+                          "replays": 6, "recordings": 0, "samplers": 0}
 
     def test_interleaved_circuits_lower_once_each(self, counts):
         a, b = bv_workload(8), qft_workload(8)
@@ -137,7 +199,8 @@ class TestCompileSharing:
         engine = ExecutionEngine(workers=1)
         warm = JobSpec(circuit=b, device=qccd, backend="qccd", label="warm")
         engine.run_one(warm)
-        counts.update(lowerings=0, linq=0, qccd=0, samplers=0)
+        counts.update(lowerings=0, linq=0, qccd=0, replays=0, recordings=0,
+                      samplers=0)
 
         wide, narrow = (CompilerConfig(max_swap_len=n) for n in (3, 2))
         specs = [
@@ -152,7 +215,7 @@ class TestCompileSharing:
         ]
         results = engine.run(specs)
         assert counts == {"lowerings": 2, "linq": 4, "qccd": 0,
-                          "samplers": 0}
+                          "replays": 6, "recordings": 0, "samplers": 0}
         assert [r.key for r in results] == [spec_key(s) for s in specs]
         assert [r.label for r in results] == [s.label for s in specs]
         assert [r.cache_hit for r in results] == [
@@ -168,7 +231,7 @@ class TestCompileSharing:
         assert spec_key(implicit) == spec_key(explicit)
         first, second = ExecutionEngine(workers=1).run([implicit, explicit])
         assert counts == {"lowerings": 1, "linq": 1, "qccd": 0,
-                          "samplers": 0}
+                          "replays": 1, "recordings": 0, "samplers": 0}
         assert second.cache_hit  # an in-batch duplicate
         assert _structural(first)[2:] == _structural(second)[2:]
 

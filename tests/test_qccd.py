@@ -12,7 +12,7 @@ from repro.compiler.qccd_compiler import (
 )
 from repro.exceptions import CompilationError, SimulationError
 from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import Timeline, get_scenario
+from repro.noise.scenarios import Timeline
 from repro.sim.qccd_sim import QccdSimulator
 from repro.workloads.qaoa import qaoa_workload
 from repro.workloads.qft import qft_workload
@@ -105,8 +105,7 @@ class TestQccdCompiler:
         program = QccdCompiler(qccd16).compile(qft_workload(16))
         simulator = QccdSimulator(qccd16)
         simulator.trace(program)
-        simulator.trace(program,
-                        Timeline.for_scenario(get_scenario("crosstalk")))
+        simulator.trace(program, Timeline())
         assert program.num_shuttles > 0 and not built
         assert len(program.gate_events) == len(built) == len(program.gates)
 

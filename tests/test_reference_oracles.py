@@ -90,12 +90,11 @@ from repro.noise.scenarios import (
     Timeline,
     _window_groups,
     _window_log10_success,
-    chain_spectators,
     get_scenario,
-    resolve_scenario,
     scenario_analytics,
     scenario_names,
 )
+from repro.sim.base import Recording
 from repro.sim.ideal_sim import IdealSimulator
 from repro.sim.qccd_sim import (
     COOLING_TIME_US,
@@ -619,7 +618,7 @@ class TestSimulatorsMatchReference:
             [gate for gate, _ in compiled.program.gates_with_move_counts()],
             fidelities,
         )
-        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        timeline = Timeline()
         assert simulator._replay(compiled.program, circuit.name,
                                  timeline) == result
         assert timeline.fidelities == fidelities
@@ -641,7 +640,7 @@ class TestSimulatorsMatchReference:
             simulator.build_sampler(circuit, native=native), result,
             list(native), fidelities,
         )
-        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        timeline = Timeline()
         assert simulator._result_from_native(circuit.name, native,
                                              timeline) == result
         assert timeline.fidelities == fidelities
@@ -664,7 +663,7 @@ class TestSimulatorsMatchReference:
              if isinstance(event, QccdGateEvent)],
             fidelities,
         )
-        timeline = Timeline.for_scenario(resolve_scenario("crosstalk"))
+        timeline = Timeline()
         assert simulator.trace(program, timeline, circuit.name) == result
         assert timeline.fidelities == fidelities
 
@@ -1210,8 +1209,25 @@ class TestBurstDpMatchesReference:
                         codes, probabilities, site)
 
 
+def chain_derived_spectators(chain_ions, gates, max_distance):
+    """Per gate of *gates* (qubit tuples, all run on one recorded chain
+    of *chain_ions*), the ``(ion, distance)`` pairs
+    :meth:`Timeline.spectators` derives."""
+    timeline = Timeline()
+    for qubits in gates:
+        timeline.gates.append(Gate("xx", qubits, (0.1,)) if len(qubits) == 2
+                              else Gate("rx", qubits, (0.1,)))
+        timeline.fidelities.append(1.0)
+    timeline.close_block(0, chain_ions)
+    found = [[] for _ in gates]
+    for row, ion, distance in zip(*(column.tolist() for column in
+                                    timeline.spectators(max_distance))):
+        found[row].append((ion, distance))
+    return [tuple(pairs) for pairs in found]
+
+
 class TestSpectatorsMatchScan:
-    """The neighbourhood enumeration returns the scan's tuple."""
+    """The spectators found on recorded chains equal the scan's tuple."""
 
     @pytest.mark.parametrize("max_distance", [1, 2, 3, 5])
     def test_tilt_head_windows(self, max_distance):
@@ -1219,29 +1235,124 @@ class TestSpectatorsMatchScan:
         last = device.num_head_positions - 1
         for position in (0, 1, last // 2, last - 1, last):
             window = device.window(position)
-            for a, b in itertools.permutations(window, 2):
-                assert chain_spectators((a, b), window, max_distance) == \
-                    reference_chain_spectators((a, b), window, max_distance)
+            pairs = list(itertools.permutations(window, 2))
+            assert chain_derived_spectators(window, pairs, max_distance) == [
+                reference_chain_spectators(pair, window, max_distance)
+                for pair in pairs]
 
     @pytest.mark.parametrize("max_distance", [1, 3, 4])
     def test_ideal_chain(self, max_distance):
         chain = range(16)
-        for a, b in itertools.permutations(chain, 2):
-            assert chain_spectators((a, b), chain, max_distance) == \
-                reference_chain_spectators((a, b), chain, max_distance)
-        for qubit in chain:
-            assert chain_spectators((qubit,), chain, max_distance) == \
-                reference_chain_spectators((qubit,), chain, max_distance)
+        pairs = list(itertools.permutations(chain, 2))
+        assert chain_derived_spectators(chain, pairs, max_distance) == [
+            reference_chain_spectators(pair, chain, max_distance)
+            for pair in pairs]
+        # a kick comes from an MS gate: one-qubit gates reach nobody
+        assert chain_derived_spectators(
+            chain, [(qubit,) for qubit in chain], max_distance
+        ) == [()] * len(chain)
 
     @pytest.mark.parametrize("max_distance", [1, 3])
     def test_qccd_traps(self, max_distance):
         rng = random.Random(3)
         for size in (2, 3, 5, 9):
             ions = rng.sample(range(30), size)
-            for operands in itertools.permutations(ions, 2):
-                assert QccdSimulator._trap_spectators(
-                    ions, operands, max_distance
-                ) == reference_trap_spectators(ions, operands, max_distance)
+            pairs = list(itertools.permutations(ions, 2))
+            assert chain_derived_spectators(ions, pairs, max_distance) == [
+                reference_trap_spectators(ions, pair, max_distance)
+                for pair in pairs]
+
+    def test_operand_off_its_chain_is_rejected(self):
+        with pytest.raises(SimulationError, match="not on its chain"):
+            chain_derived_spectators(range(4), [(2, 7)], 1)
+
+
+class _SizeCountingNumpy:
+    """numpy, adding up the size of every array its functions return."""
+
+    def __init__(self) -> None:
+        self.elements = 0
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if isinstance(value, type) or not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            result = value(*args, **kwargs)
+            if isinstance(result, np.ndarray):
+                self.elements += result.size
+            return result
+        return counted
+
+
+def _range_builds(name: str):
+    """*name* on TILT, the ideal device and QCCD: ``(simulator, program,
+    the program the reference reads, inputs)``."""
+    circuit = build_workload(name, "small")
+    n = circuit.num_qubits
+    tilt = _small_device(circuit)
+    compiled = LinQCompiler(tilt).compile(circuit)
+    qccd = QccdDevice(num_qubits=n, trap_capacity=max(4, n // 3))
+    program = QccdCompiler(qccd).compile(circuit)
+    native = lower_to_native(circuit)
+    return (
+        (TiltSimulator(tilt), compiled, compiled.program, {}),
+        (IdealSimulator(IdealTrappedIonDevice(num_qubits=n)), circuit,
+         native, {"native": native}),
+        (QccdSimulator(qccd), program, program,
+         {"circuit_name": circuit.name}),
+    )
+
+
+class TestCrosstalkRangesThroughOneRecording:
+    """Crosstalk ranges 1 and 40 (longer than any chain here) read one
+    shared recording, in either order, and equal the reference sites."""
+
+    SCENARIOS = {max_distance: get_scenario("crosstalk").with_overrides(
+        name=f"crosstalk_range_{max_distance}", crosstalk_range=max_distance)
+        for max_distance in (1, 40)}
+
+    @pytest.mark.parametrize("name", ["QFT", "QAOA", "RCS"])
+    @pytest.mark.parametrize("order", [(1, 40), (40, 1)])
+    def test_sites_and_results(self, name, order):
+        for simulator, program, reference, inputs in _range_builds(name):
+            recording = Recording()
+            for max_distance in order:
+                scenario = self.SCENARIOS[max_distance]
+                sampler = simulator.build_sampler(
+                    program, scenario=scenario, recording=recording, **inputs)
+                assert_same_table(sampler.table, SiteTable.from_sites(
+                    reference_scenario_sites(simulator, reference, scenario)))
+                assert sampler.gates is recording.timeline.gates
+                result = simulator.run(program, scenario=scenario,
+                                       recording=recording, **inputs)
+                assert result == sampler.analytic == simulator.run(
+                    program, scenario=scenario, **inputs)
+
+    @pytest.mark.parametrize("name", ["QFT", "QAOA"])
+    def test_range_past_the_chain_costs_the_chain(self, name, monkeypatch):
+        """Range 40 looks at exactly what the longest chain's length
+        does: every ion of each gate's chain, no more."""
+        from repro.noise import scenarios
+
+        for simulator, program, _, inputs in _range_builds(name):
+            recording = simulator._recorded(program, None, inputs)
+            timeline = recording.timeline
+            longest = max(map(len, timeline.chain_ions))
+            assert longest < 40
+            timeline.spectators(1)  # extracts the per-gate columns
+            elements, found = {}, {}
+            for max_distance in (40, longest):
+                counting = _SizeCountingNumpy()
+                monkeypatch.setattr(scenarios, "np", counting)
+                found[max_distance] = [
+                    column.tolist()
+                    for column in timeline.spectators(max_distance)]
+                monkeypatch.setattr(scenarios, "np", np)
+                elements[max_distance] = counting.elements
+            assert found[40] == found[longest]
+            assert elements[40] == elements[longest]
 
 
 # ----------------------------------------------------------------------

@@ -187,10 +187,12 @@ class TestSeveralRuns:
             _medians()[self.SLOW] * 1.2 * 1.2)
         # a benchmark missing from one run takes the median of the rest
         extra = "benchmarks/bench_other.py::test_only_once"
-        payload = json.loads(open(paths[0]).read())
+        with open(paths[0]) as handle:
+            payload = json.load(handle)
         payload["benchmarks"].append(
             {"fullname": extra, "stats": {"median": 0.5}})
-        open(paths[0], "w").write(json.dumps(payload))
+        with open(paths[0], "w") as handle:
+            json.dump(payload, handle)
         assert gate.load_runs(paths)[extra] == 0.5
 
     def test_gate_reads_the_median_run(self, gate, tmp_path):

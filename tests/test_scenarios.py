@@ -163,11 +163,11 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Site expansion
 # ----------------------------------------------------------------------
-def _timeline(*steps, crosstalk_range=0, ions=range(0)):
+def _timeline(*steps, ions=range(0)):
     """A hand-built timeline in window 0: a ``(gate, fidelity)`` step is
-    one executed gate, with its spectators among *ions*; an ``int`` step
-    is the shuttle of that move number."""
-    timeline = Timeline(crosstalk_range=crosstalk_range)
+    one executed gate, on the chain of *ions*; an ``int`` step is the
+    shuttle of that move number."""
+    timeline = Timeline()
     for step in steps:
         if isinstance(step, int):
             timeline.add_shuttle(step, 0)
@@ -184,7 +184,7 @@ class TestSiteExpansion:
         scenario = NoiseScenario(name="xt", crosstalk_strength=1e-2,
                                  crosstalk_decay=0.5, crosstalk_range=3)
         timeline = _timeline((Gate("xx", (4, 5), (0.5,)), 0.99),
-                             crosstalk_range=3, ions=range(2, 10))
+                             ions=range(2, 10))
         sites = timeline.site_table(scenario).sites()
         crosstalk = [s for s in sites if s.kind == CROSSTALK]
         # spectators 2,3 on the left and 6,7,8 on the right of (4,5)
@@ -222,8 +222,9 @@ class TestSiteExpansion:
 
     def test_baseline_adds_no_scenario_sites(self):
         timeline = _timeline((Gate("xx", (0, 1), (0.5,)), 0.9), 1,
-                             crosstalk_range=3, ions=range(3))
-        assert timeline.spectators == [0, 2, 1]
+                             ions=range(3))
+        assert [column.tolist() for column in timeline.spectators(3)] == [
+            [0], [2], [1]]
         sites = timeline.site_table(BASELINE).sites()
         assert [s.kind for s in sites] == ["pauli2"]
 
