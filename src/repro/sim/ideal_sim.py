@@ -52,9 +52,9 @@ class IdealSimulator(Simulator):
 
         Given a *timeline*, the pass also records the execution timeline:
         every ion has its own laser pair but all ions share one chain,
-        every gate's chain, so crosstalk spectators are the chain
-        neighbours of the gate's operands (by index distance); there are
-        no shuttles and hence one burst window.
+        recorded as every gate's chain, so crosstalk spectators are the
+        chain neighbours of the gate's operands (by index distance);
+        there are no shuttles and hence one burst window.
         """
         replay = GateReplay(self.params, timeline)
         execution_time = replay.critical_path_us(native, 0.0)

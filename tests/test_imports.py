@@ -47,7 +47,9 @@ def test_import_repro_loads_no_runtime_layer():
     assert completed.stdout.strip() == "['repro', 'repro.version'] False"
 
 
-def test_public_surface_loads_on_use_and_no_unused_modules():
+def test_import_repro_loads_no_unused_modules():
+    """Every public name loads on use, and the public surface loads
+    nothing that no code path runs."""
     completed = _python("-c", (
         "import sys, repro\n"
         "from repro import LinQ, TiltDevice, workloads\n"
