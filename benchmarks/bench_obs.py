@@ -82,7 +82,6 @@ def test_profiled_engine_batch(benchmark, scale, noise, tmp_path,
     """Tracing + per-job profiling: the rusage-snapshot cost."""
     circuit, device = _sweep_inputs(scale)
     monkeypatch.setenv(obs_profile.PROFILE_ENV_VAR, "1")
-    obs_profile.refresh_mode()
 
     def setup():
         trace = TraceRecorder(
@@ -91,10 +90,6 @@ def test_profiled_engine_batch(benchmark, scale, noise, tmp_path,
         engine = ExecutionEngine(workers=1, trace=trace)
         return (circuit, device, noise, engine), {}
 
-    try:
-        points = benchmark.pedantic(_run_batch, setup=setup,
-                                    iterations=1, rounds=5)
-    finally:
-        monkeypatch.delenv(obs_profile.PROFILE_ENV_VAR, raising=False)
-        obs_profile.refresh_mode()
+    points = benchmark.pedantic(_run_batch, setup=setup,
+                                iterations=1, rounds=5)
     assert points

@@ -68,16 +68,12 @@ MUTATOR_METHODS = frozenset({
 
 #: (module, global) pairs that ARE the sanctioned cross-process
 #: channels: the trace-recorder registries behind ``worker_recorder``,
-#: the per-process profiling-mode cache (read-mostly memo of an
-#: environment variable — each worker caching its own parse is the
-#: intended behaviour, not a divergence hazard), and the scenario
-#: registry, written by the import-time ``register_scenario`` calls
-#: RPR004 polices.
+#: and the scenario registry, written by the import-time
+#: ``register_scenario`` calls RPR004 polices.
 SANCTIONED_GLOBAL_WRITES = frozenset({
     ("repro.obs.trace", "_ACTIVE"),
     ("repro.obs.trace", "_RECORDERS"),
     ("repro.obs.trace", "_WORKER_RECORDERS"),
-    ("repro.obs.profile", "_MODE_CACHE"),
     ("repro.noise.scenarios", "_REGISTRY"),
 })
 

@@ -20,24 +20,27 @@ Because compilation is seeded, the analytic noise model is closed-form
 and every draw of stochastic sampling is a pure function of ``(seed,
 global shot index)``, serial and pooled batches produce bit-identical
 results; they differ only in wall-clock time.  Batch-level counters
-(cache hits/misses, jobs executed, per-job timings) accumulate on the
-engine for the acceptance checks and the progress report;
-``engine.stats.reset()`` zeroes them between measurement phases.
+(cache hits/misses, jobs executed, per-job timings) accumulate as plain
+attributes of ``engine.stats`` (:class:`EngineStats`) for the acceptance
+checks and the progress report; ``engine.stats.reset()`` zeroes them
+between measurement phases.
 
 Opt-in structured tracing (``ExecutionEngine(trace=...)`` or
 ``TILT_REPRO_TRACE=<path>``) records each batch as a span tree —
 ``engine.batch`` → ``engine.cache_lookup`` / ``engine.dispatch`` (with a
 ``job.done`` event and a worker-side ``job.execute`` span per executed
-job) → ``engine.flush`` — plus a metrics snapshot, appended to a
-torn-line-tolerant JSONL file that ``python -m repro.obs.report``
-analyses offline.  See :mod:`repro.obs`.
+job) → ``engine.flush``, appended to a torn-line-tolerant JSONL file
+that ``python -m repro.obs.report`` analyses offline.  See
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import time
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.exceptions import ReproError
@@ -54,7 +57,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.jobs import JobResult, JobSpec, spec_key
 from repro.exec.store import RunStore, collect_provenance
 from repro.obs import HISTORY_ENV_VAR
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullRecorder, TraceRecorder, activate, resolve_trace
 
 if TYPE_CHECKING:
@@ -76,51 +78,23 @@ __all__ = [
 ProgressCallback = Callable[[int, int, JobResult], None]
 
 
-def _counter_property(metric: str, cast=int):
-    """A read/write attribute view over one named registry counter.
-
-    Keeps the historical ``engine.stats.cache_hits += 1`` surface while
-    the values live in the :class:`~repro.obs.metrics.MetricsRegistry`
-    (so traces and telemetry sinks see the same numbers the stats do).
-    """
-
-    def get(self: "EngineStats"):
-        return cast(self.metrics.counter(metric).value)
-
-    def set(self: "EngineStats", value) -> None:
-        self.metrics.counter(metric).value = float(value)
-
-    return property(get, set)
-
-
 class EngineStats:
     """Cumulative counters over every batch an engine has run.
 
-    A thin view over a :class:`~repro.obs.metrics.MetricsRegistry`: the
-    public counter attributes (``jobs_submitted``, ``cache_hits``, …)
-    read and write named registry instruments, so the engine's trace
-    snapshots and its stats report from one source of truth.  Per-job
-    wall times feed a *bounded* histogram (exact count/sum/min/max plus
-    a fixed-size recent tail) instead of the old ever-growing list, so a
-    long-lived engine's telemetry stays O(1) per batch.
+    Plain attributes, written only by the batch loop in the thread that
+    runs the batch.  Per-job wall times are kept bounded: the count and
+    sum over every job are ``jobs_executed`` and ``execution_time_s``,
+    beside an exact running min and max, and only the last
+    :data:`JOB_TIME_TAIL` times are kept, for ``job_times_s`` and the
+    quantiles of :meth:`job_time_summary`.
     """
 
-    #: Recent per-job wall times kept for the ``job_times_s`` view.
+    #: Recent per-job wall times kept for ``job_times_s`` and quantiles.
     JOB_TIME_TAIL = 256
 
-    jobs_submitted = _counter_property("engine.jobs_submitted")
-    jobs_executed = _counter_property("engine.jobs_executed")
-    cache_hits = _counter_property("engine.cache_hits")
-    deduplicated = _counter_property("engine.deduplicated")
-    shots_sampled = _counter_property("engine.shots_sampled")
-    execution_time_s = _counter_property("engine.execution_time_s", float)
-    batch_time_s = _counter_property("engine.batch_time_s", float)
-
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-        self._job_times = self.metrics.histogram(
-            "engine.job_time_s", tail_size=self.JOB_TIME_TAIL
-        )
+        self._job_times: deque[float] = deque(maxlen=self.JOB_TIME_TAIL)
+        self.reset()
 
     @property
     def cache_misses(self) -> int:
@@ -129,29 +103,41 @@ class EngineStats:
 
     @property
     def job_times_s(self) -> list[float]:
-        """The most recent executed-job wall times (bounded snapshot).
+        """The most recent executed-job wall times, oldest first.
 
-        At most :data:`JOB_TIME_TAIL` entries, oldest first; the exact
-        count/sum over *every* job survive in ``execution_time_s`` /
-        ``jobs_executed`` and the ``engine.job_time_s`` histogram.
+        At most :data:`JOB_TIME_TAIL` entries; the count and sum over
+        *every* job are ``jobs_executed`` and ``execution_time_s``.
         """
-        return self._job_times.tail
+        return list(self._job_times)
 
     def job_time_summary(self) -> dict[str, float]:
-        """The job-time histogram as plain JSON (count/sum/moments +
-        p50/p90/p99 over the recent tail) — what history records carry
-        as their ``latency`` section."""
-        return self._job_times.to_json()
+        """Per-job wall times as plain JSON: count, sum, mean, min and
+        max over every job, nearest-rank p50/p90/p99 over the recent
+        tail — what history records carry as their ``latency`` section."""
+        count, total = self.jobs_executed, self.execution_time_s
+        tail = sorted(self._job_times)
 
-    def record_job(self, result: JobResult) -> None:
-        """Fold one executed job into the counters and timing histogram."""
+        def quantile(q: float) -> float:
+            return tail[math.ceil(q * len(tail)) - 1] if tail else 0.0
+
+        return {
+            "count": count,
+            "sum": total,
+            "mean": total / count if count else 0.0,
+            "min": self._job_time_min if count else 0.0,
+            "max": self._job_time_max if count else 0.0,
+            "p50": quantile(0.50),
+            "p90": quantile(0.90),
+            "p99": quantile(0.99),
+        }
+
+    def record_job(self, wall_time_s: float) -> None:
+        """Fold one executed job's wall time into the counters."""
         self.jobs_executed += 1
-        self.execution_time_s += result.wall_time_s
-        self._job_times.observe(result.wall_time_s)
-        if result.shot is not None:
-            self.metrics.counter("engine.shots_sampled").inc(
-                result.shot.shots
-            )
+        self.execution_time_s += wall_time_s
+        self._job_times.append(wall_time_s)
+        self._job_time_min = min(self._job_time_min, wall_time_s)
+        self._job_time_max = max(self._job_time_max, wall_time_s)
 
     def reset(self) -> None:
         """Zero every counter (the cache itself is untouched).
@@ -160,7 +146,15 @@ class EngineStats:
         resetting between its cold and warm passes so each phase reports
         its own cache-hit/dedup numbers instead of cumulative totals.
         """
-        self.metrics.reset()
+        self.jobs_submitted = 0
+        self.jobs_executed = 0
+        self.cache_hits = 0
+        self.deduplicated = 0
+        self.execution_time_s = 0.0
+        self.batch_time_s = 0.0
+        self._job_times.clear()
+        self._job_time_min = math.inf
+        self._job_time_max = -math.inf
 
     def to_dict(self) -> dict[str, float]:
         """Plain-JSON snapshot of every counter plus derived rates.
@@ -229,7 +223,7 @@ class ExecutionEngine:
         :class:`~repro.obs.history.RunLedger`, a path for one, or
         ``None`` — which consults the ``TILT_REPRO_HISTORY`` environment
         variable.  When on, every batch appends one summarized record
-        (metrics snapshot, backend config, cache ratios, latency
+        (``stats.to_dict()``, backend config, cache ratios, latency
         quantiles, provenance, trace path) to the ledger that
         ``python -m repro.obs.history`` analyses across runs.
     """
@@ -291,12 +285,13 @@ class ExecutionEngine:
         """Append one summarized record to the run ledger (if one is on).
 
         Fills in what only the engine knows — backend configuration,
-        latency quantiles from the job-time histogram, cached git/seed
-        provenance and the trace path — so callers (the engine's own
-        batch loop, :func:`repro.search.runner.run_search`) only supply
-        their ``kind`` and driver-specific sections.  Returns the record
-        id, or ``None`` when history recording is off (the near-free
-        path: one attribute check).
+        latency quantiles from :meth:`EngineStats.job_time_summary`,
+        cached git/seed provenance and the trace path — so callers (the
+        engine's own batch loop, :func:`repro.search.runner.run_search`)
+        only supply their ``kind``, their counters (*metrics*) and
+        their own sections.  Returns the record id, or ``None``
+        when history recording is off (the near-free path: one
+        attribute check).
         """
         if self.history is None:
             return None
@@ -311,8 +306,7 @@ class ExecutionEngine:
         record = new_record(
             kind,
             label=label,
-            metrics=(metrics if metrics is not None
-                     else self.stats.metrics.snapshot()),
+            metrics=metrics,
             backend=self.describe_backend_config(workers),
             cache=cache,
             latency=self.stats.job_time_summary(),
@@ -394,7 +388,7 @@ class ExecutionEngine:
                             f"returned it twice"
                         )
                     self.cache.store(result)
-                    self.stats.record_job(result)
+                    self.stats.record_job(result.wall_time_s)
                     batch_executed += 1
                     batch_exec_time += result.wall_time_s
                     if trace.enabled:
@@ -428,12 +422,12 @@ class ExecutionEngine:
                                deduplicated=batch_dupes,
                                executed=batch_executed,
                                execution_time_s=batch_exec_time)
-                trace.metrics(self.stats.metrics.snapshot())
                 trace.merge_segments()
         if self.history is not None:
             jobs = len(specs)
             self.append_history(
                 "engine.batch",
+                metrics=self.stats.to_dict(),
                 cache={
                     "jobs": jobs,
                     "cache_hits": batch_hits,

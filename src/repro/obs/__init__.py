@@ -1,22 +1,22 @@
-"""Operational observability: tracing, metrics, history, profiling.
+"""Operational observability: tracing, history, profiling.
 
-Four planes, all opt-in and all forbidden from ever touching results:
+Three planes, all opt-in and all forbidden from ever touching results:
 
 * :mod:`repro.obs.trace` — hierarchical spans and events written as
   append-only, torn-line-tolerant JSONL (``ExecutionEngine(trace=...)``
   or ``TILT_REPRO_TRACE=<path>``), with per-process sidecar segments so
   pool workers can emit per-job records that merge back into the parent
   trace;
-* :mod:`repro.obs.metrics` — a counter/gauge/histogram registry that
-  :class:`~repro.exec.engine.EngineStats` is a thin view over;
 * :mod:`repro.obs.history` — a persistent cross-run **run ledger**
   (``ExecutionEngine(history=...)`` or ``TILT_REPRO_HISTORY=<path>``):
-  every traced batch, search and benchmark-gate run appends one
-  summarized record, and ``python -m repro.obs.history`` renders
+  every batch, search and benchmark-gate run appends one summarized
+  record (a batch's carries the engine's counters,
+  :meth:`~repro.exec.engine.EngineStats.to_dict`), and
+  ``python -m repro.obs.history`` renders
   per-metric trends, cross-run diffs and a ``--check`` trend gate;
 * :mod:`repro.obs.profile` — opt-in per-job resource profiling
-  (``TILT_REPRO_PROFILE=1``): CPU time, peak RSS and page faults
-  attached to each ``job.execute`` span.
+  (``TILT_REPRO_PROFILE=1``, read at each traced job): CPU time, peak
+  RSS and page faults attached to each ``job.execute`` span.
 
 Traces, the ledger and the engine's durable
 :class:`~repro.exec.store.RunStore` all persist through one set of

@@ -1,14 +1,15 @@
 """Cross-run telemetry history: the persistent run ledger.
 
 A :class:`RunLedger` is an append-only JSONL record set that outlives
-any single process: every traced engine batch, every search and every
-benchmark-gate run appends **one summarized record** (metrics snapshot,
-backend ``describe_config()``, cache/dedup ratios, latency quantiles,
-git/seed provenance, trace path), and ``python -m repro.obs.history``
-queries the accumulated trajectory — per-metric trend tables across
-runs, cross-run diffs, and a ``--check`` mode flagging trend
-regressions against the run's own history (complementing the
-single-baseline benchmark gate with real-trace trajectories).
+any single process: every engine batch, every search and every
+benchmark-gate run appends **one summarized record** (counters under
+``metrics``, backend ``describe_config()``, cache/dedup ratios,
+latency quantiles, git/seed provenance, trace path), and
+``python -m repro.obs.history`` queries the accumulated trajectory —
+per-metric trend tables across runs, cross-run diffs, and a ``--check``
+mode flagging trend regressions against the run's own history
+(complementing the single-baseline benchmark gate with real-trace
+trajectories).
 
 **Concurrency model** — the :class:`~repro.exec.store.RunStore`
 contract, on the shared helpers of :mod:`repro.obs.jsonl`.  Writers
@@ -242,8 +243,7 @@ def flatten_record(record: dict[str, Any]) -> dict[str, float]:
 
     ``{"cache": {"hit_ratio": 0.5}, "latency": {"p90": 0.01}}`` becomes
     ``{"cache.hit_ratio": 0.5, "latency.p90": 0.01}``; nested dicts
-    (histogram snapshots under ``metrics``) flatten recursively, and
-    non-numeric leaves are skipped.
+    flatten recursively, and non-numeric leaves are skipped.
     """
     flat: dict[str, float] = {}
 

@@ -15,14 +15,16 @@ sidecar segment and is merged into the parent trace after the batch —
 profiling needs no channel of its own.  ``python -m repro.obs.report``
 renders the collected profiles as a per-backend resource table.
 
+The switch is read each time :func:`start_job_profile` runs, that is
+once per traced job, in the process that runs the job (pool workers
+inherit the environment), so setting or clearing the variable between
+batches takes effect at the next job; the module keeps no process-wide
+state.
+
 Profiling is pure observation: it reads process accounting state and
 never touches job inputs or results (bit-identity of profiled vs plain
 runs is pinned by ``tests/test_obs.py``).  Like the rest of
-``repro.obs`` it is wall-clock-legal under RPR001, and its single piece
-of process-wide state — the parsed mode cache below — is a sanctioned
-RPR008 channel: the cached value is derived from the environment, which
-``fork``/``spawn`` workers inherit identically, so the copy each worker
-caches agrees with the parent's by construction.
+``repro.obs`` it is wall-clock-legal under RPR001.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 __all__ = [
     "PROFILE_ENV_VAR",
     "JobProfiler",
-    "profile_enabled",
-    "refresh_mode",
-    "resolve_mode",
     "start_job_profile",
 ]
 
@@ -50,31 +49,6 @@ PROFILE_ENV_VAR = "TILT_REPRO_PROFILE"
 
 #: Env values that leave profiling off; any other value switches it on.
 _OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
-
-#: The parsed profiling mode, cached once per process (RPR008 sanctioned
-#: channel ``repro.obs.profile._MODE_CACHE``): workers inherit the same
-#: environment, so every process resolves — and caches — the same mode.
-_MODE_CACHE: dict[str, Any] = {}
-
-
-def resolve_mode() -> str | None:
-    """The active profiling mode: ``None`` (off) or ``"cpu"`` (CPU/RSS
-    capture), parsed from :data:`PROFILE_ENV_VAR` once per process."""
-    if "mode" not in _MODE_CACHE:
-        raw = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
-        _MODE_CACHE["mode"] = None if raw in _OFF_VALUES else "cpu"
-    return _MODE_CACHE["mode"]
-
-
-def refresh_mode() -> str | None:
-    """Drop the cached mode and re-read the environment (for tests and
-    benchmarks toggling :data:`PROFILE_ENV_VAR` mid-process)."""
-    _MODE_CACHE.clear()
-    return resolve_mode()
-
-
-def profile_enabled() -> bool:
-    return resolve_mode() is not None
 
 
 def _rss_kb(ru_maxrss: int) -> int:
@@ -91,10 +65,9 @@ class JobProfiler:
     dict is what lands in ``span.attrs["profile"]``.
     """
 
-    __slots__ = ("mode", "_times", "_rusage")
+    __slots__ = ("_times", "_rusage")
 
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
+    def __init__(self) -> None:
         self._rusage = (resource.getrusage(resource.RUSAGE_SELF)
                         if resource is not None else None)
         self._times = os.times()
@@ -102,7 +75,7 @@ class JobProfiler:
     def finish(self) -> dict[str, Any]:
         times = os.times()
         payload: dict[str, Any] = {
-            "mode": self.mode,
+            "mode": "cpu",
             "cpu_user_s": times.user - self._times.user,
             "cpu_system_s": times.system - self._times.system,
         }
@@ -115,13 +88,12 @@ class JobProfiler:
 
 
 def start_job_profile() -> JobProfiler | None:
-    """A :class:`JobProfiler` when profiling is on, else ``None``.
+    """A :class:`JobProfiler` when :data:`PROFILE_ENV_VAR` switches
+    profiling on, else ``None``.
 
-    The off path is one cached-dict lookup — cheap enough for
-    :func:`~repro.exec.backends.execute_spec` to call unconditionally
-    on every traced job.
+    :func:`~repro.exec.backends.execute_spec` calls it on traced jobs
+    only, so parsing the variable on every call costs nothing an
+    untraced run pays.
     """
-    mode = resolve_mode()
-    if mode is None:
-        return None
-    return JobProfiler(mode)
+    raw = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
+    return None if raw in _OFF_VALUES else JobProfiler()

@@ -61,12 +61,11 @@ class SpanNode:
 
 
 class TraceView:
-    """A parsed trace: span forest, events and metrics snapshots."""
+    """A parsed trace: span forest and events."""
 
     def __init__(self, records: Iterable[dict[str, Any]]) -> None:
         self.spans: dict[str, SpanNode] = {}
         self.events: list[dict[str, Any]] = []
-        self.metrics: list[dict[str, Any]] = []
         self.meta: list[dict[str, Any]] = []
         for record in records:
             kind = record.get("kind")
@@ -76,8 +75,6 @@ class TraceView:
                     self.spans[node.id] = node
             elif kind == "event":
                 self.events.append(record)
-            elif kind == "metrics":
-                self.metrics.append(record)
             elif kind == "meta":
                 self.meta.append(record)
         self._reparent_by_spec_key()

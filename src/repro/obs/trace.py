@@ -157,9 +157,6 @@ class NullRecorder:
     def event(self, name: str, **attrs: Any) -> None:
         pass
 
-    def metrics(self, snapshot: dict[str, Any]) -> None:
-        pass
-
     def merge_segments(self) -> int:
         return 0
 
@@ -237,16 +234,6 @@ class TraceRecorder:
             "ts": time.time(),
             "pid": os.getpid(),
             "attrs": attrs,
-        })
-
-    def metrics(self, snapshot: dict[str, Any]) -> None:
-        """A metrics-registry snapshot record (engine batch telemetry)."""
-        self._write({
-            "v": TRACE_VERSION,
-            "kind": "metrics",
-            "ts": time.time(),
-            "pid": os.getpid(),
-            "attrs": snapshot,
         })
 
     # ------------------------------------------------------------------

@@ -15,11 +15,10 @@ Batched execution
 :meth:`StatevectorSimulator.run_batch` executes several circuits at once
 on a ``(batch, 2, ..., 2)`` tensor: at each lockstep position, members
 that share the same gate are contracted with **one** tensordot over the
-batch axis (:func:`_apply_gate_batch`) instead of one per member.  The
-stochastic sampler's pattern-grouped counts re-simulation uses the same
-kernel through :func:`batch_probabilities_with_insertions`, which runs a
-shared base gate sequence batched and applies each member's injected
-Pauli errors to its own slice.
+batch axis (:func:`_apply_gate_batch`) instead of one per member.
+:func:`batch_probabilities_with_insertions` uses the same kernel to run a
+shared base gate sequence batched and apply each member's injected Pauli
+errors to its own slice.
 """
 
 from __future__ import annotations
@@ -208,15 +207,19 @@ def batch_probabilities_with_insertions(
 ) -> np.ndarray:
     """Probabilities of a shared gate sequence under per-member edits.
 
-    This is the stochastic sampler's pattern-grouped re-simulation
-    kernel: every member executes *base_gates*, member ``m``
-    additionally applies ``insertions[m][i]`` right after base gate
-    ``i`` (sampled Pauli errors) and skips base positions in
-    ``drops[m]`` (gates on a leaked qubit).  The shared base sequence is
-    advanced with the batched kernel; only the sparse per-member edits
-    touch a single slice.  Returns a ``(batch, 2**num_qubits)`` array.
-    Members are processed in blocks of :data:`BATCH_BLOCK` to bound the
-    working set.
+    Every member executes *base_gates*, member ``m`` additionally
+    applies ``insertions[m][i]`` right after base gate ``i`` (Pauli
+    errors) and skips base positions in ``drops[m]`` (gates on a leaked
+    qubit).  The shared base sequence is advanced with the batched
+    kernel; only the sparse per-member edits touch a single slice.
+    Returns a ``(batch, 2**num_qubits)`` array.  Members are processed
+    in blocks of :data:`BATCH_BLOCK` to bound the working set.
+
+    Its callers are ``tests/test_statevector_batch.py`` and the
+    ``statevector_batch`` harness group
+    (``benchmarks/bench_stochastic.py``).  The stochastic sampler's
+    ``_sample_counts`` does not use it: it re-simulates each distinct
+    error pattern with :meth:`StatevectorSimulator.probabilities`.
     """
     if num_qubits > max_qubits:
         raise SimulationError(

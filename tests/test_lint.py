@@ -33,7 +33,7 @@ from repro.devtools.lint import main as lint_main
 from repro.exec.backends import _execute_chunk
 from repro.exec.jobs import JobSpec, spec_key
 from repro.noise.parameters import NoiseParameters
-from repro.obs.profile import PROFILE_ENV_VAR, refresh_mode
+from repro.obs.profile import PROFILE_ENV_VAR
 from repro.workloads.bv import bv_workload
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -135,18 +135,6 @@ class TestCorpus:
         report = lint_one("rpr001_obs_history_good.py", select=["RPR001"])
         assert report.active == [], [v.format() for v in report.active]
         assert report.exit_code == 0
-
-    def test_profile_mode_cache_is_sanctioned_channel(self):
-        """``repro.obs.profile._MODE_CACHE`` is a sanctioned RPR008
-        write — and the sanction is exact: an unsanctioned global one
-        line away in the same module still fires."""
-        report = lint_one("rpr008_profile_channel.py")
-        assert [v.rule for v in report.active] == ["RPR008"], [
-            v.format() for v in report.active
-        ]
-        finding = report.active[0]
-        assert "_LEAK" in finding.message
-        assert "_MODE_CACHE" not in finding.message
 
     def test_imported_name_mutation_counts_as_shared_state(self, tmp_path):
         """One file cannot see another's initialiser, so RPR008 treats a
@@ -352,15 +340,12 @@ class TestWorkerPaths:
 
         if traced:
             monkeypatch.setenv(PROFILE_ENV_VAR, "1")
-        refresh_mode()
         sys.setprofile(profile)
         try:
             _execute_chunk(jobs, str(tmp_path / "trace.jsonl")
                            if traced else None)
         finally:
             sys.setprofile(None)
-            monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
-            refresh_mode()
         executed = {
             "src/repro/" + path.relative_to(package).as_posix()
             for path in map(Path, filenames)

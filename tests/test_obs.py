@@ -2,9 +2,9 @@
 
 Four layers:
 
-* metrics — counter/gauge/histogram semantics, the bounded histogram
-  tail, registry determinism, and ``EngineStats`` as a view over one
-  (including the ``job_times_s`` growth cap with a stable ``to_dict``);
+* engine counters — ``EngineStats``' attributes, its stable ``to_dict``
+  and its bounded per-job wall times (exact count, sum, min and max;
+  ``job_times_s`` and the quantiles over the recent tail);
 * trace recorder — JSONL round trips, torn-line tolerance, span
   nesting, activation scoping, worker sidecar segments and their merge;
 * traced execution — the span tree a traced engine writes, worker spans
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,7 +41,6 @@ from repro.exec.sampling import run_sampled_job
 from repro.exec.store import RunManifest, RunStore, collect_provenance
 from repro.noise.parameters import NoiseParameters
 from repro.obs import profile as obs_profile
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import format_diff, format_report, load_trace
 from repro.obs.trace import (
     NULL_TRACE,
@@ -97,67 +97,8 @@ def _structural(result):
 
 
 # ----------------------------------------------------------------------
-# Metrics
+# Engine counters
 # ----------------------------------------------------------------------
-class TestMetrics:
-    def test_counter_accumulates_and_resets(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.to_json() == 3.5
-        counter.reset()
-        assert counter.value == 0.0
-
-    def test_gauge_holds_last_value(self):
-        gauge = Gauge("g")
-        gauge.set(4)
-        gauge.set(2)
-        assert gauge.to_json() == 2.0
-
-    def test_histogram_moments_are_exact_and_tail_is_bounded(self):
-        hist = Histogram("h", tail_size=8)
-        for value in range(100):
-            hist.observe(float(value))
-        assert hist.count == 100
-        assert hist.total == sum(range(100))
-        assert hist.minimum == 0.0
-        assert hist.maximum == 99.0
-        # the tail holds only the most recent 8, oldest first
-        assert hist.tail == [float(v) for v in range(92, 100)]
-        # quantiles come from the tail window
-        assert hist.quantile(1.0) == 99.0
-        payload = hist.to_json()
-        assert payload["count"] == 100
-        assert payload["max"] == 99.0
-        assert set(payload) == {"count", "sum", "mean", "min", "max",
-                                "p50", "p90", "p99"}
-        # quantiles are tail-window ranks: p99 of the 8-value tail is
-        # its maximum, p50 its lower median
-        assert payload["p99"] == 99.0
-        assert payload["p50"] == hist.quantile(0.5)
-
-    def test_registry_get_or_create_and_kind_clash(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("x")
-        registry.histogram("h")
-        assert "h" in registry
-        assert len(registry) == 2
-
-    def test_snapshot_is_sorted_and_json_safe(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        registry.histogram("c").observe(1.0)
-        snapshot = registry.snapshot()
-        assert list(snapshot) == ["a", "b", "c"]
-        json.dumps(snapshot)  # must serialise as-is
-        registry.reset()
-        assert registry.counter("a").value == 0.0
-        assert registry.histogram("c").count == 0
-
-
 class TestEngineStats:
     def test_counter_surface_still_reads_and_writes(self):
         stats = EngineStats()
@@ -178,15 +119,33 @@ class TestEngineStats:
         json.dumps(payload)
 
     def test_job_times_growth_is_capped(self):
+        """Count, sum, min and max cover every job; ``job_times_s`` and
+        the quantiles cover the last ``JOB_TIME_TAIL`` jobs only."""
+        tail = EngineStats.JOB_TIME_TAIL
+        # the extremes and most of the mass fall out of the tail
+        early = [0.0, 1000.0] + [500.0] * (tail - 2)
+        recent = [float(1 + (k * 101) % tail) for k in range(tail)]
         stats = EngineStats()
-        for value in range(EngineStats.JOB_TIME_TAIL * 2):
-            stats._job_times.observe(float(value))
-        assert len(stats.job_times_s) == EngineStats.JOB_TIME_TAIL
-        # the exact totals survive the cap
-        hist = stats.metrics.histogram("engine.job_time_s")
-        assert hist.count == EngineStats.JOB_TIME_TAIL * 2
+        for wall_time_s in early + recent:
+            stats.record_job(wall_time_s)
+        assert stats.job_times_s == recent
+        total = sum(early) + sum(recent)  # integral values: exact
+        # the tail holds 1..tail: its nearest-rank q-quantile is
+        # ceil(q * tail)
+        assert stats.job_time_summary() == {
+            "count": 2 * tail, "sum": total, "mean": total / (2 * tail),
+            "min": 0.0, "max": 1000.0,
+            "p50": float(math.ceil(0.50 * tail)),
+            "p90": float(math.ceil(0.90 * tail)),
+            "p99": float(math.ceil(0.99 * tail)),
+        }
         stats.reset()
         assert stats.job_times_s == []
+        assert stats.job_time_summary() == {
+            "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p90": 0.0, "p99": 0.0,
+        }
+        assert not any(stats.to_dict().values())
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +215,6 @@ class TestTraceRecorder:
         with NULL_TRACE.span("anything", x=1) as span:
             span.add(y=2)
         NULL_TRACE.event("nothing")
-        NULL_TRACE.metrics({})
         assert NULL_TRACE.merge_segments() == 0
         assert NULL_TRACE.path is None
 
@@ -280,7 +238,9 @@ class TestTracedEngine:
         done_events = [e for e in view.events
                        if e.get("name") == "job.done"]
         assert len(done_events) == 4
-        assert view.metrics  # snapshot written after the batch
+        # the engine's counters are not traced: EngineStats holds them
+        assert {r.get("kind") for r in load_records(path)} == {
+            "meta", "span", "event"}
 
     def test_cache_hits_show_in_second_batch_span(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -317,15 +277,10 @@ class TestTracedEngine:
         # full instrumentation — per-job profiling and a history
         # ledger — must stay pure observation too
         monkeypatch.setenv(obs_profile.PROFILE_ENV_VAR, "1")
-        obs_profile.refresh_mode()
-        try:
-            profiled = ExecutionEngine(
-                workers=workers, trace=tmp_path / "p.jsonl",
-                history=tmp_path / "history.jsonl",
-            ).run(specs)
-        finally:
-            monkeypatch.delenv(obs_profile.PROFILE_ENV_VAR, raising=False)
-            obs_profile.refresh_mode()
+        profiled = ExecutionEngine(
+            workers=workers, trace=tmp_path / "p.jsonl",
+            history=tmp_path / "history.jsonl",
+        ).run(specs)
         assert ([_structural(r) for r in plain]
                 == [_structural(r) for r in traced]
                 == [_structural(r) for r in profiled])

@@ -177,6 +177,8 @@ class TestEngineHistory:
         assert record["cache"]["jobs"] == 2
         assert record["cache"]["executed"] == 2
         assert record["cache"]["hit_ratio"] == 0.0
+        # the engine's counters, in the shape search.run records carry
+        assert record["metrics"] == engine.stats.to_dict()
         assert record["latency"]["count"] == 2
         assert set(record["latency"]) >= {"p50", "p90", "p99"}
         assert record["provenance"]["python"]

@@ -3,7 +3,8 @@
 Profiles attach to ``job.execute`` spans — including spans merged back
 from pool workers — and the report CLI renders them as a resource
 table.  Without a trace there is nowhere to put a profile, so untraced
-jobs are never profiled.
+jobs are never profiled.  The switch is read at each traced job, so
+turning it on between two batches profiles the second.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.tilt import TiltDevice
 from repro.exec import ExecutionEngine, JobSpec
 from repro.noise.parameters import NoiseParameters
-from repro.obs.profile import (
-    PROFILE_ENV_VAR,
-    JobProfiler,
-    profile_enabled,
-    refresh_mode,
-    start_job_profile,
-)
+from repro.obs.profile import PROFILE_ENV_VAR, JobProfiler, start_job_profile
 from repro.obs.report import format_report, load_trace
 from repro.workloads.bv import bv_workload
 from repro.workloads.qft import qft_workload
@@ -33,13 +28,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(autouse=True)
 def _profile_env_off(monkeypatch):
-    """Each test starts (and ends) with profiling resolved back to off;
-    tests opt in explicitly."""
+    """Each test starts with profiling off; tests opt in explicitly."""
     monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
-    refresh_mode()
-    yield
-    monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
-    refresh_mode()
 
 
 def _specs() -> list[JobSpec]:
@@ -61,16 +51,31 @@ class TestProfile:
     ])
     def test_mode_parsing(self, monkeypatch, raw, expected):
         monkeypatch.setenv(PROFILE_ENV_VAR, raw)
-        assert refresh_mode() == expected
-        assert profile_enabled() is (expected is not None)
+        profiler = start_job_profile()
+        mode = None if profiler is None else profiler.finish()["mode"]
+        assert mode == expected
 
     def test_start_job_profile_off_is_none(self, monkeypatch):
         monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
-        refresh_mode()
         assert start_job_profile() is None
 
+    def test_switch_is_read_at_each_traced_batch(self, tmp_path,
+                                                 monkeypatch):
+        """Setting the variable between two batches of one engine
+        profiles the second batch, with no reset call."""
+        path = tmp_path / "t.jsonl"
+        engine = ExecutionEngine(workers=1, trace=path)
+        first, second = _specs()
+        engine.run([first])
+        monkeypatch.setenv(PROFILE_ENV_VAR, "1")
+        engine.run([second])
+        jobs = {job.attrs["label"]: job.attrs
+                for job in load_trace(str(path)).named("job.execute")}
+        assert "profile" not in jobs["tilt-a"]
+        assert jobs["ideal-a"]["profile"]["mode"] == "cpu"
+
     def test_cpu_profile_payload_shape(self):
-        profiler = JobProfiler("cpu")
+        profiler = JobProfiler()
         sum(i * i for i in range(20000))  # burn a little CPU
         payload = profiler.finish()
         assert payload["mode"] == "cpu"
@@ -87,7 +92,6 @@ class TestProfile:
         """Profiles ride job.execute spans — including spans merged
         back from pool-worker sidecar segments."""
         monkeypatch.setenv(PROFILE_ENV_VAR, "1")
-        refresh_mode()
         path = tmp_path / "t.jsonl"
         engine = ExecutionEngine(workers=workers, trace=path)
         engine.run(_specs())
@@ -102,7 +106,6 @@ class TestProfile:
     def test_untraced_jobs_are_never_profiled(self, monkeypatch, tmp_path):
         """No span, nowhere to put the data: the profiler is skipped."""
         monkeypatch.setenv(PROFILE_ENV_VAR, "1")
-        refresh_mode()
         monkeypatch.delenv("TILT_REPRO_TRACE", raising=False)
         monkeypatch.delenv("TILT_REPRO_HISTORY", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -112,7 +115,6 @@ class TestProfile:
 
     def test_report_renders_resource_table(self, tmp_path, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV_VAR, "1")
-        refresh_mode()
         path = tmp_path / "t.jsonl"
         ExecutionEngine(workers=1, trace=path).run(_specs())
         rendered = format_report(load_trace(str(path)))
