@@ -2,9 +2,10 @@
 
 Four layers:
 
-* engine counters — ``EngineStats``' attributes, its stable ``to_dict``
-  and its bounded per-job wall times (exact count, sum, min and max;
-  ``job_times_s`` and the quantiles over the recent tail);
+* engine counters and metrics — ``EngineStats``' attributes, its
+  stable ``to_dict`` and its bounded per-job wall times (exact count,
+  sum, min and max; ``job_times_s`` and the quantiles over the recent
+  tail);
 * trace recorder — JSONL round trips, torn-line tolerance, span
   nesting, activation scoping, worker sidecar segments and their merge;
 * traced execution — the span tree a traced engine writes, worker spans
@@ -97,7 +98,7 @@ def _structural(result):
 
 
 # ----------------------------------------------------------------------
-# Engine counters
+# Engine counters and per-job metrics
 # ----------------------------------------------------------------------
 class TestEngineStats:
     def test_counter_surface_still_reads_and_writes(self):
@@ -119,6 +120,28 @@ class TestEngineStats:
         json.dumps(payload)
 
     def test_job_times_growth_is_capped(self):
+        tail = EngineStats.JOB_TIME_TAIL
+        stats = EngineStats()
+        for value in range(2 * tail):
+            stats.record_job(float(value))
+        assert len(stats.job_times_s) == tail
+        # the exact totals survive the cap
+        assert stats.jobs_executed == 2 * tail
+        assert stats.job_time_summary()["count"] == 2 * tail
+        stats.reset()
+        assert stats.job_times_s == []
+        assert stats.job_time_summary() == {
+            "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p90": 0.0, "p99": 0.0,
+        }
+        assert not any(stats.to_dict().values())
+
+
+class TestMetrics:
+    """The per-job wall-time metrics ``EngineStats`` keeps: what history
+    records carry as their ``latency`` section."""
+
+    def test_histogram_moments_are_exact_and_tail_is_bounded(self):
         """Count, sum, min and max cover every job; ``job_times_s`` and
         the quantiles cover the last ``JOB_TIME_TAIL`` jobs only."""
         tail = EngineStats.JOB_TIME_TAIL
@@ -128,24 +151,20 @@ class TestEngineStats:
         stats = EngineStats()
         for wall_time_s in early + recent:
             stats.record_job(wall_time_s)
+        # the tail holds only the most recent jobs, oldest first
         assert stats.job_times_s == recent
         total = sum(early) + sum(recent)  # integral values: exact
         # the tail holds 1..tail: its nearest-rank q-quantile is
         # ceil(q * tail)
-        assert stats.job_time_summary() == {
+        payload = stats.job_time_summary()
+        assert payload == {
             "count": 2 * tail, "sum": total, "mean": total / (2 * tail),
             "min": 0.0, "max": 1000.0,
             "p50": float(math.ceil(0.50 * tail)),
             "p90": float(math.ceil(0.90 * tail)),
             "p99": float(math.ceil(0.99 * tail)),
         }
-        stats.reset()
-        assert stats.job_times_s == []
-        assert stats.job_time_summary() == {
-            "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p90": 0.0, "p99": 0.0,
-        }
-        assert not any(stats.to_dict().values())
+        json.dumps(payload)
 
 
 # ----------------------------------------------------------------------
